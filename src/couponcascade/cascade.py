@@ -159,6 +159,7 @@ class CascadeUtility:
         self.mc_samples = mc_samples
         self.exact_edge_limit = exact_edge_limit
         self._cache: dict[frozenset, float] = {}
+        self._gamma: np.ndarray | None = None
         if kind == "LT_mc":
             validate_lt_weights(n, edges)
         if kind not in ("IC_exact", "IC_mc", "LT_mc", "TABLE"):
@@ -170,7 +171,7 @@ class CascadeUtility:
 
     @property
     def reference_q(self):
-        """The unperturbed submodular utility, or None when eps-free already."""
+        """The unperturbed submodular utility; this utility itself when eps is 0."""
         if self.epsilon == 0:
             return self
         return CascadeUtility(
@@ -209,6 +210,23 @@ class CascadeUtility:
             raise UtilityError("Monte-Carlo utility evaluation needs an rng")
         est = gamma_mc(self.n, self.edges, U, self.kind.split("_")[0], self.mc_samples, rng)
         return factor * est
+
+    def gamma_vector(self) -> np.ndarray:
+        """gamma(U) of all 2^n seed sets, indexed by user bitmask (bit v-1 for user v).
+
+        Built once per utility from value(); exact kinds with n <= 15 only.
+        """
+        if not self.exact:
+            raise UtilityError("the gamma vector needs an exactly evaluable utility")
+        if self.n > 15:
+            raise UtilityError("exact evaluation limited to n <= 15")
+        if self._gamma is None:
+            self._gamma = np.array([
+                self.value(frozenset(v for v in range(1, self.n + 1) if mask >> (v - 1) & 1))
+                for mask in range(1 << self.n)
+            ])
+            self._gamma.setflags(write=False)
+        return self._gamma
 
 
 def make_utility(inst: Instance, mc_samples: int = 10_000, exact_edge_limit: int = 20) -> CascadeUtility:

@@ -40,12 +40,19 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# The exceptions `solve` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
+# is a bug and surfaces with its traceback.
+INPUT_ERRORS = (InstanceFormatError, InstanceValidationError)
+NUMERIC_ERRORS = (LpError, UtilityError, greedy.GreedyError, oracle.OracleError)
+
 
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -86,12 +93,11 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
     first[inverse] = np.arange(len(codes))
     values = np.zeros(len(uniq))
     cost_vals = np.zeros(len(uniq))
-    cache = {}
     for j, idx in enumerate(first):
         profile = tuple(int(x) for x in kept[idx])
         alloc = Allocation.from_profile(profile)
         if util.exact:
-            values[j] = f_exact(inst, util, alloc, cache)
+            values[j] = f_exact(inst, util, alloc)
         else:
             values[j] = f_mc(inst, util, alloc, mc_samples, rng)
         cost_vals[j] = cost_exact(inst, alloc)
@@ -236,9 +242,9 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
             path, delta, mc_samples, marginal_samples, rounds, b, seed,
             want_trace=trace, with_oracle=not no_oracle,
         )
-    except (InstanceFormatError, InstanceValidationError) as exc:
+    except INPUT_ERRORS as exc:
         _fail(EXIT_USAGE, str(exc))
-    except (LpError, UtilityError, greedy.GreedyError, oracle.OracleError) as exc:
+    except NUMERIC_ERRORS as exc:
         _fail(EXIT_NUMERIC, str(exc))
     _emit(report, out)
     if out:
@@ -293,9 +299,9 @@ def oracle_cmd(path, b, points, seed, out):
                 "full_value": pb1,
                 "scaled_value": pb2,
             })
-    except (InstanceFormatError, InstanceValidationError) as exc:
+    except INPUT_ERRORS as exc:
         _fail(EXIT_USAGE, str(exc))
-    except (LpError, UtilityError, oracle.OracleError) as exc:
+    except NUMERIC_ERRORS as exc:
         _fail(EXIT_NUMERIC, str(exc))
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -319,17 +325,23 @@ def oracle_cmd(path, b, points, seed, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
-    """Run the solve pipeline over every instance in a directory."""
+    """Run the solve pipeline over every instance in a directory.
+
+    Exits 3 after the report if a solve failed with a numeric error.
+    """
     paths = sorted(Path(directory).glob("*.json"))
     rows = []
     by_eps: dict[float, list[float]] = {}
+    numeric_failure = False
     for path in paths:
         try:
             report, _ = run_solve(
                 str(path), delta, mc_samples, marginal_samples, rounds, b, seed,
             )
-        except Exception as exc:  # keep going; mark the failed row
-            rows.append({"path": str(path), "failed": True, "error": str(exc)})
+        except INPUT_ERRORS + NUMERIC_ERRORS as exc:  # keep going; mark the failed row
+            numeric_failure = numeric_failure or isinstance(exc, NUMERIC_ERRORS)
+            rows.append({"path": str(path), "failed": True,
+                         "error_class": type(exc).__name__, "error": str(exc)})
             continue
         row = {
             "path": str(path),
@@ -358,6 +370,8 @@ def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
         "instances": rows,
         "aggregate_by_epsilon": aggregate,
     }, out)
+    if numeric_failure:
+        sys.exit(EXIT_NUMERIC)
 
 
 def entry():  # pragma: no cover

@@ -36,9 +36,10 @@ class GreedyConfig:
     """Knobs of the ascent.
 
     delta=None means the canonical 1/(nm)^2 step.  samples_per_marginal=None
-    requests exact marginal evaluation, which needs an exact utility and a
-    small instance; otherwise marginals are sampled with common random
-    numbers.  Extended mode scales the distribution knapsack to b*K.
+    requests exact marginals and exact F; otherwise both are sampled, with
+    common random numbers for the marginals.  Either way the utility must
+    be exactly evaluable with n <= 15 (`CascadeUtility.gamma_vector`).
+    Extended mode scales the distribution knapsack to b*K.
     """
 
     delta: float | None = None
@@ -68,7 +69,7 @@ class GreedyConfig:
 class IterationRecord:
     t: float
     lp_value: float
-    f_estimate: float | None
+    f_estimate: float
 
 
 @dataclass
@@ -86,10 +87,6 @@ class GreedyTrace:
         }
 
 
-def _can_exact(inst: Instance, util: CascadeUtility) -> bool:
-    return util.exact and inst.n * inst.m <= 16
-
-
 def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -> GreedyTrace:
     """Run the ascent and return the per-iteration trace with the final y."""
     cfg.validate(inst)
@@ -99,13 +96,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         inst, k_scale=cfg.b if cfg.mode == "extended" else None
     )
     exact = cfg.samples_per_marginal is None
-    if exact and not _can_exact(inst, util):
-        raise GreedyError(
-            "exact marginals need an exact utility and nm <= 16; "
-            "set samples_per_marginal"
-        )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    cache: dict = {}
     y = np.zeros((inst.n, inst.m))
     trace = GreedyTrace()
     t = 0.0
@@ -114,20 +105,18 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         # is not integral; otherwise the row caps would be overshot.
         h = min(delta, 1.0 - t)
         if exact:
-            omega = marginal_omega_exact(inst, util, y, cache)
+            omega = marginal_omega_exact(inst, util, y)
         else:
-            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng, cache)
+            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
         sol = solve_inner_lp(omega, spec)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
         if exact:
-            f_est = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0), cache)
-        elif util.exact:
-            f_est = multilinear_F_mc(
-                inst, util, np.clip(y, 0.0, 1.0), cfg.f_estimate_samples, rng, cache
-            )
+            f_est = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
         else:
-            f_est = None
+            f_est = multilinear_F_mc(
+                inst, util, np.clip(y, 0.0, 1.0), cfg.f_estimate_samples, rng
+            )
         trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):

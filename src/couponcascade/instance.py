@@ -51,7 +51,7 @@ class Instance:
         edges: directed weighted edges (u, v, w), 1-based, w in (0, 1].
         model: "IC", "LT" or "TABLE".
         gamma_table: for model "TABLE", map frozenset-of-users -> utility.
-        epsilon: magnitude of the multiplicative utility perturbation.
+        epsilon: magnitude of the multiplicative utility perturbation, in [0, 1).
         perturb_seed: seed of the deterministic perturbation.
     """
 
@@ -72,7 +72,8 @@ class Instance:
         cv = np.asarray(self.coupon_values, dtype=float)
         ad = np.asarray(self.adoption, dtype=float)
         dc = self.dist_cost
-        dc = np.zeros(self.n) if dc is None else np.asarray(dc, dtype=float)
+        # Sized from adoption: a huge n must not allocate before validate() rejects it.
+        dc = np.zeros(ad.shape[:1]) if dc is None else np.asarray(dc, dtype=float)
         for name, arr in (("coupon_values", cv), ("adoption", ad), ("dist_cost", dc)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -123,6 +124,9 @@ def validate(inst: Instance) -> None:
         raise InstanceValidationError("need at least one user and one coupon type")
     if inst.model not in _MODELS:
         raise InstanceValidationError(f"unknown propagation model {inst.model!r}")
+    for name in ("coupon_values", "adoption", "dist_cost"):
+        if not np.all(np.isfinite(getattr(inst, name))):
+            raise InstanceValidationError(f"{name} must be finite")
     if inst.coupon_values.shape != (inst.m,):
         raise InstanceValidationError("coupon_values must have length m")
     if np.any(inst.coupon_values <= 0):
@@ -162,10 +166,12 @@ def validate(inst: Instance) -> None:
                 raise InstanceValidationError("gamma_table key references an unknown user")
             if not math.isfinite(val) or val < 0:
                 raise InstanceValidationError("gamma_table values must be finite and nonnegative")
+        if len(inst.gamma_table) != 1 << inst.n:
+            raise InstanceValidationError(f"gamma_table must list all 2^{inst.n} subsets")
     elif inst.gamma_table is not None:
         raise InstanceValidationError("gamma_table only allowed with model TABLE")
-    if inst.epsilon < 0:
-        raise InstanceValidationError("epsilon must be nonnegative")
+    if not 0 <= inst.epsilon < 1:
+        raise InstanceValidationError("epsilon must lie in [0, 1)")
 
 
 def _to_jsonable(inst: Instance) -> dict:
@@ -212,11 +218,11 @@ def from_dict(doc: dict) -> Instance:
         if key not in doc:
             raise InstanceFormatError(f"missing required key {key!r}")
     table = doc.get("gamma_table")
-    if table is not None:
-        if not isinstance(table, dict):
-            raise InstanceFormatError("gamma_table must be an object")
-        table = {_parse_table_key(k): float(v) for k, v in table.items()}
+    if table is not None and not isinstance(table, dict):
+        raise InstanceFormatError("gamma_table must be an object")
     try:
+        if table is not None:
+            table = {_parse_table_key(k): float(v) for k, v in table.items()}
         return Instance(
             n=int(doc["n"]),
             m=int(doc["m"]),
@@ -231,7 +237,9 @@ def from_dict(doc: dict) -> Instance:
             epsilon=float(doc.get("epsilon", 0.0)),
             perturb_seed=int(doc.get("perturb_seed", 0)),
         )
-    except (TypeError, KeyError) as exc:
+    except (InstanceFormatError, InstanceValidationError):
+        raise
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"malformed instance data: {exc}") from exc
 
 
@@ -270,8 +278,6 @@ def generate_random(
         raise InstanceValidationError("need at least one user and one coupon type")
     if not 0 <= edge_density <= 1:
         raise InstanceValidationError("edge_density must be in [0,1]")
-    if epsilon < 0:
-        raise InstanceValidationError("epsilon must be nonnegative")
     rng = np.random.default_rng(seed)
     coupon_values = np.round(np.cumsum(rng.uniform(0.3, 1.2, size=m)), 6)
     adoption = np.round(rng.uniform(0.15, 0.95, size=(n, m)), 6)

@@ -5,12 +5,14 @@ independently accepts and becomes a seed.  f(S) is the expected cascade
 over the random seed set, c(S) its expected redemption cost, and F(y) the
 multilinear extension of f over fractional user-coupon matrices.
 
-Internally, allocations (including the multi-coupon pair sets that arise
-when sampling matrix entries independently) are reduced to a per-user
-"profile": the highest offered coupon per user, 0 meaning none.  Because
-coupon values are strictly increasing, the highest index is the highest
-value, and f only depends on the profile.  All exact evaluators memoize f
-by profile.
+Coupon values are strictly increasing, so f depends only on each user's
+highest coupon, and user v seeds independently: with probability p_v(d_v)
+under an allocation, and with q_v(y) = sum_d y_vd prod_{k>d} (1 - y_vk)
+p_v(d) when the entries y_vd are drawn independently.  f, F and their
+marginals are therefore contractions of the utility's gamma vector
+(`CascadeUtility.gamma_vector`) with per-user seed probabilities q, which
+are affine in each q_v: a marginal is the change in q_v times the slope
+E[gamma | q_v = 1] - E[gamma | q_v = 0].
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class FractionalSolution:
         if np.any(self.y < -1e-9) or np.any(self.y > 1 + 1e-9):
             raise AllocationError("fractional entries must lie in [0,1]")
 
-    def row_sums(self) -> np.ndarray:
-        return self.y.sum(axis=1)
-
 
 def highest_coupon(pairs, v: int):
     """The highest coupon offered to v, or None.
@@ -117,35 +116,40 @@ def seed_prob(inst: Instance, S, U) -> float:
     return prob
 
 
-def _f_of_profile(inst: Instance, util: CascadeUtility, profile: tuple,
-                  cache: dict | None = None) -> float:
-    if cache is not None and profile in cache:
-        return cache[profile]
-    offered = [v for v in range(1, inst.n + 1) if profile[v - 1]]
-    probs = [inst.p(v, profile[v - 1]) for v in offered]
-    total = 0.0
-    for r in range(len(offered) + 1):
-        for combo in combinations(range(len(offered)), r):
-            chosen = set(combo)
-            pr = 1.0
-            for i, p in enumerate(probs):
-                pr *= p if i in chosen else 1.0 - p
-            if pr:
-                total += pr * util.value(frozenset(offered[i] for i in chosen))
-    if cache is not None:
-        cache[profile] = total
-    return total
+def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
+    """E[gamma(U)] when user v seeds independently with probability q[..., v - 1].
+
+    gamma is indexed by user bitmask (bit v - 1 for user v); q may carry
+    leading batch axes.  Folds out one user at a time, highest bit first.
+    """
+    g = gamma
+    for v in reversed(range(q.shape[-1])):
+        half = 1 << v
+        qv = q[..., v, None]
+        g = g[..., :half] * (1.0 - qv) + g[..., half:] * qv
+    return g[..., 0]
 
 
-def f_exact(inst: Instance, util: CascadeUtility, S, cache: dict | None = None,
-            exact_n_limit: int = 15) -> float:
+def _slopes(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q."""
+    out = np.empty(q.shape)
+    for v in range(q.shape[-1]):
+        split = gamma.reshape(-1, 2, 1 << v)
+        rise = (split[:, 1] - split[:, 0]).ravel()  # gamma(U + v) - gamma(U), U without v
+        out[..., v] = _expected_gamma(rise, np.delete(q, v, axis=-1))
+    return out
+
+
+def _held_probs(inst: Instance, profiles: np.ndarray) -> np.ndarray:
+    """q_v = p_v(highest coupon), 0 for none, for profiles of shape (..., n)."""
+    return np.hstack([np.zeros((inst.n, 1)), inst.adoption])[np.arange(inst.n), profiles]
+
+
+def f_exact(inst: Instance, util: CascadeUtility, S) -> float:
     """f(S) = sum over seed sets U of Pr(U;S) * gamma(U), exactly."""
-    if not util.exact:
-        raise UtilityError("f_exact needs an exactly evaluable utility")
-    if inst.n > exact_n_limit:
-        raise UtilityError(f"exact f limited to n <= {exact_n_limit}")
     pairs = S.pairs if isinstance(S, Allocation) else S
-    return _f_of_profile(inst, util, pairs_to_profile(pairs, inst.n), cache)
+    profile = np.array(pairs_to_profile(pairs, inst.n))
+    return float(_expected_gamma(util.gamma_vector(), _held_probs(inst, profile)))
 
 
 def f_mc(inst: Instance, util: CascadeUtility, S, samples: int,
@@ -160,15 +164,6 @@ def f_mc(inst: Instance, util: CascadeUtility, S, samples: int,
         return 0.0
     probs = np.array([inst.p(v, prof[v - 1]) for v in offered])
     coins = rng.random((samples, len(offered))) < probs
-    if util.exact:
-        # Profiles repeat heavily at desk scale; evaluate each seed set once.
-        codes = coins @ (1 << np.arange(len(offered)))
-        uniq, counts = np.unique(codes, return_counts=True)
-        total = 0.0
-        for code, count in zip(uniq, counts):
-            U = frozenset(offered[i] for i in range(len(offered)) if code >> i & 1)
-            total += count * util.value(U)
-        return total / samples
     total = 0.0
     for row in coins:
         U = frozenset(np.array(offered)[row].tolist())
@@ -204,15 +199,6 @@ def cost_brute_force(inst: Instance, S) -> float:
     return total
 
 
-def oplus(a, b):
-    """Coordinate-wise maximum of two fractional solutions."""
-    ya = a.y if isinstance(a, FractionalSolution) else np.asarray(a, dtype=float)
-    yb = b.y if isinstance(b, FractionalSolution) else np.asarray(b, dtype=float)
-    if ya.shape != yb.shape:
-        raise AllocationError(f"shape mismatch {ya.shape} vs {yb.shape}")
-    return np.maximum(ya, yb)
-
-
 def _as_matrix(y, inst: Instance) -> np.ndarray:
     y = y.y if isinstance(y, FractionalSolution) else np.asarray(y, dtype=float)
     if y.shape != (inst.n, inst.m):
@@ -220,106 +206,64 @@ def _as_matrix(y, inst: Instance) -> np.ndarray:
     return y
 
 
-def multilinear_F_exact(inst: Instance, util: CascadeUtility, y,
-                        cache: dict | None = None, size_limit: int = 16) -> float:
-    """F(y): expectation of f over independent entry inclusion, exactly.
+def _seed_probs(y: np.ndarray, p: np.ndarray):
+    """q_v(y), and the change in q_v from raising each entry y_vd to 1.
 
-    Enumerates the fractional entries only; entries at 0 or 1 are fixed.
+    Raising y_vd to 1 matters only when no higher coupon is drawn, and then
+    it replaces what the coupons below d give (probability `below`) by
+    p_v(d) whenever d itself was not drawn.
     """
-    y = _as_matrix(y, inst)
-    if inst.n * inst.m > size_limit:
-        raise UtilityError(f"exact multilinear extension limited to nm <= {size_limit}")
-    cache = {} if cache is None else cache
-    ones = [(v, d) for v in range(1, inst.n + 1) for d in range(1, inst.m + 1)
-            if y[v - 1, d - 1] >= 1.0 - 1e-12]
-    frac = [(v, d) for v in range(1, inst.n + 1) for d in range(1, inst.m + 1)
-            if 1e-12 < y[v - 1, d - 1] < 1.0 - 1e-12]
-    total = 0.0
-    for mask in range(1 << len(frac)):
-        weight = 1.0
-        pairs = list(ones)
-        for i, (v, d) in enumerate(frac):
-            p = y[v - 1, d - 1]
-            if mask >> i & 1:
-                weight *= p
-                pairs.append((v, d))
-            else:
-                weight *= 1.0 - p
-        total += weight * _f_of_profile(inst, util, pairs_to_profile(pairs, inst.n), cache)
-    return total
+    n, m = y.shape
+    below = np.zeros((n, m))
+    q = np.zeros(n)
+    for d in range(m):
+        below[:, d] = q
+        q = y[:, d] * p[:, d] + (1.0 - y[:, d]) * q
+    none_above = np.hstack([np.cumprod((1.0 - y)[:, :0:-1], axis=1)[:, ::-1], np.ones((n, 1))])
+    return q, (1.0 - y) * (p - below) * none_above
 
 
-def _profiles_from_inclusion(inclusion: np.ndarray) -> np.ndarray:
-    """(draws, n, m) inclusion masks -> (draws, n) highest-coupon profiles."""
-    m = inclusion.shape[2]
-    return (inclusion * np.arange(1, m + 1)[None, None, :]).max(axis=2)
+def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Highest coupon per user, shape (samples, n), over independent entry draws."""
+    if samples < 1:
+        raise UtilityError("need at least one sample")
+    inclusion = rng.random((samples, inst.n, inst.m)) < y
+    return (inclusion * np.arange(1, inst.m + 1)).max(axis=2)
 
 
-def _mean_f_over_profiles(inst: Instance, util: CascadeUtility,
-                          profiles: np.ndarray, cache: dict) -> float:
-    codes = profiles @ ((inst.m + 1) ** np.arange(inst.n))
-    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    first = np.zeros(len(uniq), dtype=int)
-    first[inverse] = np.arange(len(codes))
-    total = 0.0
-    for idx, count in zip(first, counts):
-        prof = tuple(int(x) for x in profiles[idx])
-        total += count * _f_of_profile(inst, util, prof, cache)
-    return total / len(profiles)
+def multilinear_F_exact(inst: Instance, util: CascadeUtility, y) -> float:
+    """F(y): expectation of f over independent entry inclusion, exactly."""
+    q, _ = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    return float(_expected_gamma(util.gamma_vector(), q))
 
 
 def multilinear_F_mc(inst: Instance, util: CascadeUtility, y, samples: int,
-                     rng: np.random.Generator, cache: dict | None = None) -> float:
+                     rng: np.random.Generator) -> float:
     """Sampled F(y): average f over random pair sets with marginals y."""
-    if samples < 1:
-        raise UtilityError("need at least one sample")
-    y = _as_matrix(y, inst)
-    cache = {} if cache is None else cache
-    inclusion = rng.random((samples, inst.n, inst.m)) < y
-    profiles = _profiles_from_inclusion(inclusion)
-    return _mean_f_over_profiles(inst, util, profiles, cache)
+    profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
+    return float(_expected_gamma(util.gamma_vector(), _held_probs(inst, profiles)).mean())
 
 
 def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
-                   rng: np.random.Generator, cache: dict | None = None) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers.
 
     The same R-draws serve all nm entries, which cancels most of the noise
-    in the differences.  Negative estimates are clamped to zero so the
-    ascent LP never chases sampling noise downhill.
+    in the differences.  Adding [vd] to R moves only q_v, from p_v(R_v) to
+    p_v(max(R_v, d)), so each difference is that gain times the draw's
+    slope for v.  Negative estimates are clamped to zero so the ascent LP
+    never chases sampling noise downhill.
     """
-    if samples < 1:
-        raise UtilityError("need at least one sample")
-    y = _as_matrix(y, inst)
-    cache = {} if cache is None else cache
-    inclusion = rng.random((samples, inst.n, inst.m)) < y
-    profiles = _profiles_from_inclusion(inclusion)
-    base = np.array([
-        _f_of_profile(inst, util, tuple(int(x) for x in prof), cache)
-        for prof in profiles
-    ])
-    omega = np.zeros((inst.n, inst.m))
-    for v in range(1, inst.n + 1):
-        for d in range(1, inst.m + 1):
-            lifted = profiles.copy()
-            lifted[:, v - 1] = np.maximum(lifted[:, v - 1], d)
-            total = 0.0
-            for prof, b in zip(lifted, base):
-                total += _f_of_profile(inst, util, tuple(int(x) for x in prof), cache) - b
-            omega[v - 1, d - 1] = total / samples
+    profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
+    held = _held_probs(inst, profiles)
+    lifted = _held_probs(inst, np.maximum(profiles[:, None, :], np.arange(1, inst.m + 1)[:, None]))
+    slopes = _slopes(util.gamma_vector(), held)
+    omega = np.einsum("sdv,sv->vd", lifted - held[:, None, :], slopes) / samples
     return np.maximum(omega, 0.0)
 
 
-def marginal_omega_exact(inst: Instance, util: CascadeUtility, y,
-                         cache: dict | None = None) -> np.ndarray:
-    """Exact marginals F(y + 1_vd) - F(y), via the exact extension."""
-    y = _as_matrix(y, inst)
-    cache = {} if cache is None else cache
-    base = multilinear_F_exact(inst, util, y, cache)
-    omega = np.zeros((inst.n, inst.m))
-    for v in range(inst.n):
-        for d in range(inst.m):
-            unit = np.zeros_like(y)
-            unit[v, d] = 1.0
-            omega[v, d] = multilinear_F_exact(inst, util, oplus(y, unit), cache) - base
-    return np.maximum(omega, 0.0)
+def marginal_omega_exact(inst: Instance, util: CascadeUtility, y) -> np.ndarray:
+    """Exact marginals F(y with y_vd raised to 1) - F(y), clamped at zero."""
+    q, gain = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    return np.maximum(gain * _slopes(util.gamma_vector(), q)[:, None], 0.0)

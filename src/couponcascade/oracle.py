@@ -5,24 +5,51 @@ exact concave-extension relaxations, and certifies numerically that the
 perturbed objective stays inside its submodular sandwich and that the
 relaxations dominate in the expected directions.  Everything here is
 independent of the solver path: it goes through exhaustive enumeration and
-the generic LP solver only.
+the generic LP solver only.  In particular f is evaluated by enumerating
+the seed sets of the offered users (`f_exact` below), not by the closed
+form over the gamma vector that the solver uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from couponcascade.cascade import CascadeUtility, check_submodular_monotone
+from couponcascade.cascade import CascadeUtility, UtilityError, check_submodular_monotone
 from couponcascade.instance import Instance
-from couponcascade.objective import Allocation, cost_exact, f_exact
+from couponcascade.objective import Allocation, cost_exact, pairs_to_profile
 from couponcascade.polytope_lp import solve_generic_lp
 
 
 class OracleError(ValueError):
     pass
+
+
+def f_exact(inst: Instance, util: CascadeUtility, S, cache: dict | None = None) -> float:
+    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U), by enumerating the
+    seed sets of the offered users; `cache` memoizes f by coupon profile."""
+    if not util.exact:
+        raise UtilityError("f_exact needs an exactly evaluable utility")
+    pairs = S.pairs if isinstance(S, Allocation) else S
+    profile = pairs_to_profile(pairs, inst.n)
+    if cache is not None and profile in cache:
+        return cache[profile]
+    offered = [v for v in range(1, inst.n + 1) if profile[v - 1]]
+    probs = [inst.p(v, profile[v - 1]) for v in offered]
+    total = 0.0
+    for r in range(len(offered) + 1):
+        for combo in combinations(range(len(offered)), r):
+            chosen = set(combo)
+            pr = 1.0
+            for i, p in enumerate(probs):
+                pr *= p if i in chosen else 1.0 - p
+            if pr:
+                total += pr * util.value(frozenset(offered[i] for i in chosen))
+    if cache is not None:
+        cache[profile] = total
+    return total
 
 
 @dataclass

@@ -28,6 +28,7 @@ from couponcascade.objective import (
     seed_prob,
 )
 from couponcascade.oracle import (
+    f_exact as enumerated_f,
     solve_concave_relaxation,
     solve_optimal_policy,
     verify_concave_dominance,
@@ -62,10 +63,8 @@ def _rounded_f_mean(inst, util, y, draws, rng, extended=False):
     uniq, inverse = np.unique(codes, return_inverse=True)
     first = np.zeros(len(uniq), dtype=int)
     first[inverse] = np.arange(len(codes))
-    cache = {}
     vals = np.array([
-        f_exact(inst, util,
-                Allocation.from_profile(tuple(int(x) for x in kept[i])), cache)
+        f_exact(inst, util, Allocation.from_profile(tuple(int(x) for x in kept[i])))
         for i in first
     ])
     return float(vals[inverse].mean()), sel, kept
@@ -208,7 +207,8 @@ class TestLemmaSuite:
 
 class TestExtensionConsistency:
     def test_multilinear_agrees_with_set_function(self):
-        """F at an indicator equals f(S); the sampled F tracks the exact F."""
+        """F at an indicator equals f(S), as the oracle's seed-set enumeration
+        computes it; the sampled F tracks the exact F."""
         max_err = 0.0
         for n, m, seed in [(3, 3, 1), (3, 2, 2), (2, 2, 3)]:
             inst = generate_random(n, m, model="TABLE", seed=600 + seed)
@@ -219,8 +219,8 @@ class TestExtensionConsistency:
                 y = np.zeros((n, m))
                 for v, d in S.pairs:
                     y[v - 1, d - 1] = 1.0
-                err = abs(multilinear_F_exact(inst, util, y, cache)
-                          - f_exact(inst, util, S, cache))
+                err = abs(multilinear_F_exact(inst, util, y)
+                          - enumerated_f(inst, util, S, cache))
                 max_err = max(max_err, err)
         indicator_ok = max_err <= 1e-12
 
@@ -230,15 +230,13 @@ class TestExtensionConsistency:
         mc_ok = True
         worst_sigmas = 0.0
         rng_y = np.random.default_rng(611)
-        cache = {}
         for k in range(10):
             raw = rng_y.uniform(0.0, 1.0, size=(3, 2))
             y = raw / np.maximum(raw.sum(axis=1, keepdims=True), 1.0)
-            exact = multilinear_F_exact(inst, util, y, cache)
-            est = multilinear_F_mc(inst, util, y, samples,
-                                   np.random.default_rng(620 + k), cache)
+            exact = multilinear_F_exact(inst, util, y)
+            est = multilinear_F_mc(inst, util, y, samples, np.random.default_rng(620 + k))
             # conservative per-draw spread bound: f ranges within [0, f(full)]
-            f_full = f_exact(inst, util, Allocation.from_profile((2, 2, 2)), cache)
+            f_full = f_exact(inst, util, Allocation.from_profile((2, 2, 2)))
             se_bound = (f_full / 2.0) / math.sqrt(samples)
             sigmas = abs(est - exact) / se_bound
             worst_sigmas = max(worst_sigmas, sigmas)

@@ -152,3 +152,18 @@ def test_mc_utility_requires_rng():
     util = CascadeUtility("IC_mc", 2, edges=[(1, 2, 0.5)])
     with pytest.raises(UtilityError, match="needs an rng"):
         util.value(frozenset({1}))
+
+
+def test_gamma_vector_indexed_by_user_bitmask():
+    table = {frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 2.0,
+             frozenset({1, 2}): 2.5}
+    util = CascadeUtility("TABLE", 2, table=table)
+    assert util.gamma_vector().tolist() == [0.0, 1.0, 2.0, 2.5]
+    assert util.gamma_vector() is util.gamma_vector()
+
+
+def test_gamma_vector_exact_kinds_and_n_cap():
+    with pytest.raises(UtilityError, match="exactly evaluable"):
+        CascadeUtility("IC_mc", 2, edges=[(1, 2, 0.5)]).gamma_vector()
+    with pytest.raises(UtilityError, match="n <= 15"):
+        CascadeUtility("TABLE", 16, table={}).gamma_vector()

@@ -111,6 +111,26 @@ class TestSolve:
         res = cli("solve", "-i", "/nonexistent.json")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("change,reason", [
+        ({"n": "abc"}, "malformed instance data"),
+        ({"adoption": [[float("nan")] * 2] * 3}, "adoption must be finite"),
+        ({"epsilon": 3.0}, "epsilon must lie in"),
+        ({"gamma_table": {"": 0.0, "1": 1.0, "2": 1.0}}, "must list all 2^3 subsets"),
+    ])
+    def test_bad_input_usage_error(self, base_instance, tmp_path, change, reason):
+        doc = json.loads(open(base_instance).read())
+        doc.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        res = cli("solve", "-i", str(bad))
+        assert res.returncode == 2, res.stderr
+        assert reason in res.stderr and "Traceback" not in res.stderr
+
+    def test_booleans_are_json_booleans(self, extended_instance):
+        res = cli("solve", "-i", extended_instance, "--rounds", "50", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["instance"]["extended"] is True
+
     def test_invalid_instance_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -160,7 +180,7 @@ class TestOracleCmd:
         assert res.returncode == 1
         report = json.loads(res.stdout)
         sandwich = next(c for c in report["checks"] if c["name"] == "eps_sandwich")
-        assert not sandwich["ok"]
+        assert sandwich["ok"] is False and report["all_ok"] is False
 
     def test_oversize_instance_clean_error(self, tmp_path):
         inst = generate_random(14, 2, model="IC", edge_density=0.0, seed=1)
@@ -192,7 +212,20 @@ class TestBench:
         assert len(report["instances"]) == 4
         failed = [r for r in report["instances"] if r["failed"]]
         assert len(failed) == 1 and "broken" in failed[0]["path"]
+        assert failed[0]["error_class"] == "InstanceFormatError"
+        assert all(isinstance(r["failed"], bool) for r in report["instances"])
         assert "0.0" in report["aggregate_by_epsilon"]
+
+    def test_numeric_failure_exits_3(self, tmp_path):
+        # the Monte-Carlo utility path cannot solve yet; bench must say so
+        save_instance(generate_random(4, 2, model="LT", seed=2), tmp_path / "lt.json")
+        save_instance(generate_random(2, 1, model="TABLE", seed=5), tmp_path / "ok.json")
+        res = cli("bench", "-d", str(tmp_path), "--rounds", "100", "--seed", "2")
+        assert res.returncode == 3, res.stderr
+        rows = {r["path"].rsplit("/", 1)[-1]: r for r in json.loads(res.stdout)["instances"]}
+        assert rows["lt.json"]["failed"] is True
+        assert rows["lt.json"]["error_class"] == "UtilityError"
+        assert rows["ok.json"]["failed"] is False
 
     def test_stable_ordering(self, tmp_path):
         for seed in (5, 6):

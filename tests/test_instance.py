@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couponcascade.instance import (
     Instance,
@@ -128,3 +130,41 @@ def test_digest_stable_and_distinct():
     a = generate_random(3, 2, seed=7)
     assert a.digest() == generate_random(3, 2, seed=7).digest()
     assert a.digest() != generate_random(3, 2, seed=8).digest()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                   max_size=4),
+    max_leaves=12,
+)
+GOOD = {"n": 2, "m": 1, "coupon_values": [1.0], "adoption": [[0.5], [0.5]],
+        "budget_B": 1.0, "model": "TABLE",
+        "gamma_table": {"": 0.0, "1": 1.0, "2": 1.0, "1,2": 1.5}}
+
+
+@given(st.dictionaries(st.sampled_from(sorted(GOOD) + ["dist_cost", "budget_K", "edges",
+                                                       "epsilon", "perturb_seed"]),
+                       JSON_VALUES, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_from_dict_raises_only_instance_errors(changes):
+    try:
+        from_dict({**GOOD, **changes})
+    except (InstanceFormatError, InstanceValidationError):
+        pass
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"n": "abc"}, "malformed instance data"),
+    ({"n": 1e300}, "adoption matrix must be n x m"),
+    ({"budget_B": 10 ** 400}, "malformed instance data"),
+    ({"coupon_values": [float("inf")]}, "coupon_values must be finite"),
+    ({"dist_cost": [0.5, float("nan")]}, "dist_cost must be finite"),
+    ({"epsilon": 1.0}, "epsilon must lie in"),
+    ({"epsilon": float("nan")}, "epsilon must lie in"),
+    ({"gamma_table": {"": 0.0, "1": 1.0, "1,2": 1.5}}, r"must list all 2\^2 subsets"),
+    ({"gamma_table": {"": "x"}}, "malformed instance data"),
+])
+def test_boundary_rejects(change, message):
+    with pytest.raises((InstanceFormatError, InstanceValidationError), match=message):
+        from_dict({**GOOD, **change})

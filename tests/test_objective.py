@@ -2,8 +2,6 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from couponcascade.cascade import make_eps_perturbed, make_utility, CascadeUtility
 from couponcascade.instance import generate_random
@@ -19,9 +17,9 @@ from couponcascade.objective import (
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
-    oplus,
     seed_prob,
 )
+from couponcascade.oracle import f_exact as enumerated_f
 from conftest import ic_instance, modular_table, table_instance
 
 
@@ -244,17 +242,82 @@ class TestMarginals:
         assert np.all(np.abs(est - exact) <= 3 * 2 / np.sqrt(50_000) + 1e-9)
 
 
-class TestOplus:
-    @given(st.lists(st.floats(0, 1), min_size=4, max_size=4))
-    @settings(max_examples=30, deadline=None)
-    def test_identity_and_idempotence(self, flat):
-        a = np.array(flat).reshape(2, 2)
-        assert np.array_equal(oplus(a, np.zeros((2, 2))), a)
-        assert np.array_equal(oplus(a, a), a)
+def reference_F(inst, util, y, cache):
+    """F(y) by enumerating every entry mask, each f by the oracle's enumeration."""
+    entries = [(v, d) for v in range(1, inst.n + 1) for d in range(1, inst.m + 1)]
+    total = 0.0
+    for mask in range(1 << len(entries)):
+        weight, pairs = 1.0, []
+        for i, (v, d) in enumerate(entries):
+            if mask >> i & 1:
+                weight *= y[v - 1, d - 1]
+                pairs.append((v, d))
+            else:
+                weight *= 1.0 - y[v - 1, d - 1]
+        if weight:
+            total += weight * enumerated_f(inst, util, pairs, cache)
+    return total
 
-    def test_entrywise_max(self):
-        assert oplus(np.array([[0.3]]), np.array([[0.7]]))[0, 0] == 0.7
 
-    def test_shape_mismatch(self):
-        with pytest.raises(AllocationError, match="shape mismatch"):
-            oplus(np.zeros((1, 2)), np.zeros((2, 1)))
+def reference_draws(inst, util, y, samples, rng, cache):
+    """f of each sampled profile and the lift loop over every (v, d), by enumeration."""
+    inclusion = rng.random((samples, inst.n, inst.m)) < y
+    profiles = (inclusion * np.arange(1, inst.m + 1)).max(axis=2)
+    base = [enumerated_f(inst, util, Allocation.from_profile(p), cache) for p in profiles]
+    omega = np.zeros((inst.n, inst.m))
+    for v in range(inst.n):
+        for d in range(1, inst.m + 1):
+            for prof, b in zip(profiles, base):
+                lifted = prof.copy()
+                lifted[v] = max(lifted[v], d)
+                omega[v, d - 1] += enumerated_f(
+                    inst, util, Allocation.from_profile(lifted), cache) - b
+    return np.mean(base), np.maximum(omega / samples, 0.0)
+
+
+CLOSED_FORM_CASES = [
+    pytest.param("TABLE", eps, id=f"TABLE-eps{eps}") for eps in (0.0, 0.1)
+] + [pytest.param("IC", eps, id=f"IC-eps{eps}") for eps in (0.0, 0.1)]
+
+
+def closed_form_case(model, eps):
+    n, m = (3, 3) if model == "TABLE" else (3, 2)
+    inst = generate_random(n, m, model=model, edge_density=0.6, epsilon=eps, seed=71)
+    y = np.random.default_rng(72).uniform(0.0, 1.0, size=(n, m))
+    y[0, -1] = 1.0  # saturated top coupon: every lower entry of user 1 gains nothing
+    y[1, 0] = 0.0
+    return inst, make_utility(inst), y
+
+
+class TestClosedFormAgainstEnumeration:
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_f_exact(self, model, eps):
+        inst, util, _ = closed_form_case(model, eps)
+        cache = {}
+        for profile in product(range(inst.m + 1), repeat=inst.n):
+            S = Allocation.from_profile(profile)
+            assert f_exact(inst, util, S) == pytest.approx(
+                enumerated_f(inst, util, S, cache), abs=1e-12)
+
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_F_and_exact_marginals(self, model, eps):
+        inst, util, y = closed_form_case(model, eps)
+        cache = {}
+        base = reference_F(inst, util, y, cache)
+        assert multilinear_F_exact(inst, util, y) == pytest.approx(base, abs=1e-12)
+        omega = marginal_omega_exact(inst, util, y)
+        for v in range(inst.n):
+            for d in range(inst.m):
+                raised = y.copy()
+                raised[v, d] = 1.0
+                expected = max(reference_F(inst, util, raised, cache) - base, 0.0)
+                assert omega[v, d] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_sampled_over_the_same_draws(self, model, eps):
+        inst, util, y = closed_form_case(model, eps)
+        F_ref, omega_ref = reference_draws(inst, util, y, 40, np.random.default_rng(73), {})
+        omega = marginal_omega(inst, util, y, 40, np.random.default_rng(73))
+        assert np.allclose(omega, omega_ref, rtol=0.0, atol=1e-12)
+        F_est = multilinear_F_mc(inst, util, y, 40, np.random.default_rng(73))
+        assert F_est == pytest.approx(F_ref, abs=1e-12)

@@ -90,8 +90,7 @@ class TestConcaveRelaxation:
                              coupon_values=inst.coupon_values, budget_B=100.0)
         util = make_utility(big)
         _, value = solve_concave_relaxation(big, util, "PB")
-        cache = {}
-        best = max(f_exact(big, util, S, cache)
+        best = max(f_exact(big, util, S)
                    for S in enumerate_feasible_allocations(big))
         assert value == pytest.approx(best, rel=1e-8)
 

@@ -163,9 +163,8 @@ def test_expected_value_not_below_extension(rng):
     y = np.array([[0.3, 0.4], [0.5, 0.2], [0.0, 0.8]])
     draws = 40_000
     sel = round_partition_batch(y, draws, rng)
-    cache = {}
     vals = np.array([
-        f_exact(inst, util, Allocation.from_profile(tuple(int(x) for x in row)), cache)
+        f_exact(inst, util, Allocation.from_profile(tuple(int(x) for x in row)))
         for row in sel
     ])
     F = multilinear_F_exact(inst, util, y)
