@@ -1,11 +1,12 @@
 """Seed-set utilities: cascade simulation and perturbed set functions.
 
 The utility gamma(U) is the expected number of influenced users when U is
-the seed set.  Exact evaluation enumerates live-edge worlds (Independent
-Cascade) or reads a table; Monte-Carlo evaluation simulates IC or Linear
-Threshold cascades.  A deterministic multiplicative perturbation turns an
-exactly submodular utility into one that is only approximately submodular,
-while keeping the submodular reference around for certification.
+the seed set.  Exact evaluation reads a table or, for Independent Cascade,
+gets the spread of every seed set from one pass over the live-edge worlds;
+Monte-Carlo evaluation simulates IC or Linear Threshold cascades.  A
+deterministic multiplicative perturbation turns an exactly submodular
+utility into one that is only approximately submodular, while keeping the
+submodular reference around for certification.
 """
 
 from __future__ import annotations
@@ -22,44 +23,56 @@ class UtilityError(ValueError):
     pass
 
 
-def _reachable(n: int, adj: dict[int, list[int]], seeds: frozenset) -> int:
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen)
+# Live-edge worlds per numpy pass; the pass's working arrays grow linearly
+# with it.
+_WORLD_CHUNK = 1024
 
 
-def gamma_ic_exact(n: int, edges, U, edge_limit: int = 20) -> float:
-    """Exact IC spread of seed set U by enumerating live-edge worlds.
+def gamma_ic_exact(n: int, edges, edge_limit: int = 20) -> np.ndarray:
+    """Exact IC spread of every seed set, indexed by user bitmask (bit v-1 for user v).
 
-    Every subset of edges is "live" with its product probability; the spread
-    is the expected number of nodes reachable from U over live edges.
+    Every subset of edges is "live" with its product probability, and the
+    spread of U is the expected number of users reachable from U over live
+    edges (Kempe, Kleinberg and Tardos, KDD 2003).  Read in reverse: user v
+    is reached unless its ancestor set A_v (itself and every user with a
+    live path to it) misses U.  So with H[A] the expected number of users
+    whose ancestor set is A, and its subset sum G[S] = sum of H[A] over
+    A within S, the spread of U is n - G[complement of U].  All 2^E worlds
+    are visited once, in chunks, whatever the number of seed sets.
     """
-    U = frozenset(U)
-    if not U:
-        return 0.0
     edges = list(edges)
-    if len(edges) > edge_limit:
+    n_edges = len(edges)
+    if n_edges > edge_limit:
         raise UtilityError(
-            f"exact IC enumeration limited to {edge_limit} edges, got {len(edges)}"
+            f"exact IC enumeration limited to {edge_limit} edges, got {n_edges}"
         )
-    total = 0.0
-    for mask in range(1 << len(edges)):
-        prob = 1.0
-        adj: dict[int, list[int]] = {}
-        for i, (u, v, w) in enumerate(edges):
-            if mask >> i & 1:
-                prob *= w
-                adj.setdefault(u, []).append(v)
-            else:
-                prob *= 1.0 - w
-        total += prob * _reachable(n, adj, U)
-    return total
+    if n > 15:
+        raise UtilityError("exact evaluation limited to n <= 15")
+    tails = [u - 1 for u, _, _ in edges]
+    heads = [v - 1 for _, v, _ in edges]
+    weights = np.array([w for _, _, w in edges], dtype=float)[:, None]
+    shifts = np.arange(n_edges)[:, None]
+    own = (1 << np.arange(n))[:, None]
+    hist = np.zeros(1 << n)
+    chunk = min(_WORLD_CHUNK, 1 << n_edges)
+    for start in range(0, 1 << n_edges, chunk):
+        live = (np.arange(start, start + chunk) >> shifts) & 1  # (E, chunk) edge bits
+        prob = np.where(live == 1, weights, 1.0 - weights).prod(axis=0)
+        gate = -live  # all ones where the edge is live, else 0
+        anc = np.repeat(own, chunk, axis=1)  # (n, chunk) ancestor bitmasks
+        for _ in range(n):
+            before = anc.copy()
+            for i in range(n_edges):
+                anc[heads[i]] |= anc[tails[i]] & gate[i]
+            if np.array_equal(anc, before):
+                break
+        hist += np.bincount(anc.ravel(), weights=np.tile(prob, n), minlength=1 << n)
+    for bit in range(n):  # subset-sum (zeta) transform
+        view = hist.reshape(-1, 2, 1 << bit)
+        view[:, 1] += view[:, 0]
+    gamma = n - hist[::-1]
+    gamma[0] = 0.0
+    return gamma
 
 
 def simulate_ic(n: int, edges, U, rng: np.random.Generator) -> int:
@@ -159,6 +172,7 @@ class CascadeUtility:
         self.mc_samples = mc_samples
         self.exact_edge_limit = exact_edge_limit
         self._cache: dict[frozenset, float] = {}
+        self._ic_gamma: np.ndarray | None = None
         self._gamma: np.ndarray | None = None
         if kind == "LT_mc":
             validate_lt_weights(n, edges)
@@ -171,14 +185,28 @@ class CascadeUtility:
 
     @property
     def reference_q(self):
-        """The unperturbed submodular utility; this utility itself when eps is 0."""
+        """The unperturbed submodular utility; this utility itself when eps is 0.
+
+        The reference shares this utility's base values, which are the same
+        unperturbed gamma, so an IC live-edge pass runs once for both.
+        """
         if self.epsilon == 0:
             return self
-        return CascadeUtility(
+        ref = CascadeUtility(
             self.kind, self.n, self.edges, self.table,
             epsilon=0.0, perturb_seed=self.perturb_seed,
             mc_samples=self.mc_samples, exact_edge_limit=self.exact_edge_limit,
         )
+        ref._cache = self._cache
+        if self.kind == "IC_exact":
+            ref._ic_gamma = self._ic_vector()
+        return ref
+
+    def _ic_vector(self) -> np.ndarray:
+        """Unperturbed IC spread of all 2^n seed sets, from one live-edge pass."""
+        if self._ic_gamma is None:
+            self._ic_gamma = gamma_ic_exact(self.n, self.edges, self.exact_edge_limit)
+        return self._ic_gamma
 
     def base_value(self, U) -> float:
         """gamma before perturbation."""
@@ -188,7 +216,7 @@ class CascadeUtility:
         if U in self._cache:
             return self._cache[U]
         if self.kind == "IC_exact":
-            val = gamma_ic_exact(self.n, self.edges, U, self.exact_edge_limit)
+            val = float(self._ic_vector()[sum(1 << (v - 1) for v in U)])
         elif self.kind == "TABLE":
             if U not in self.table:
                 raise UtilityError(f"gamma table is missing subset {sorted(U)}")

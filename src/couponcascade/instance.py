@@ -207,6 +207,17 @@ def _parse_table_key(key: str) -> frozenset:
         raise InstanceFormatError(f"bad gamma_table key {key!r}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """An integer field: a JSON integer, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InstanceFormatError(
+            f"malformed instance data: {name} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 def from_dict(doc: dict) -> Instance:
     """Build a validated Instance from the JSON object form."""
     if not isinstance(doc, dict):
@@ -224,18 +235,19 @@ def from_dict(doc: dict) -> Instance:
         if table is not None:
             table = {_parse_table_key(k): float(v) for k, v in table.items()}
         return Instance(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
+            n=_integer(doc["n"], "n"),
+            m=_integer(doc["m"], "m"),
             coupon_values=doc["coupon_values"],
             adoption=doc["adoption"],
             dist_cost=doc.get("dist_cost"),
             budget_B=float(doc["budget_B"]),
             budget_K=None if doc.get("budget_K") is None else float(doc["budget_K"]),
-            edges=tuple(tuple(e) for e in doc.get("edges", [])),
+            edges=tuple((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"), float(w))
+                        for u, v, w in doc.get("edges", [])),
             model=doc.get("model", "IC"),
             gamma_table=table,
             epsilon=float(doc.get("epsilon", 0.0)),
-            perturb_seed=int(doc.get("perturb_seed", 0)),
+            perturb_seed=_integer(doc.get("perturb_seed", 0), "perturb_seed"),
         )
     except (InstanceFormatError, InstanceValidationError):
         raise

@@ -1,7 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import couponcascade
 from couponcascade.instance import Instance
+
+# Child processes import the package this process imports, also when pytest
+# found it through its pythonpath setting rather than through PYTHONPATH.
+_SRC = str(Path(couponcascade.__file__).resolve().parents[1])
+
+
+def run_cli(*args, env=None):
+    """Run `python -m couponcascade.cli ARGS` on the package under test."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "couponcascade.cli", *args],
+        capture_output=True, text=True, env=env,
+    )
 
 
 def table_instance(table, adoption, coupon_values=None, budget_B=10.0, **kw):

@@ -7,8 +7,6 @@ pinned; a failure here means a real regression, not noise.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from itertools import combinations, product
 
@@ -40,7 +38,7 @@ from couponcascade.rounding import (
     round_partition_batch,
     swap_round_merge,
 )
-from conftest import modular_table, table_instance
+from conftest import modular_table, run_cli, table_instance
 from test_polytope_lp import mckp_fractional_oracle
 
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
@@ -383,12 +381,8 @@ class TestDeterminism:
         for path, extra in [(base, []), (ext, ["--b", "0.25"])]:
             outs = []
             for rep in range(2):
-                res = subprocess.run(
-                    [sys.executable, "-m", "couponcascade.cli", "solve",
-                     "-i", str(path), "--rounds", "500", "--seed", "7",
-                     "--trace", *extra],
-                    capture_output=True, text=True,
-                )
+                res = run_cli("solve", "-i", str(path), "--rounds", "500", "--seed", "7",
+                              "--trace", *extra)
                 assert res.returncode == 0, res.stderr
                 outs.append(res.stdout)
             identical = identical and outs[0] == outs[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from couponcascade import cascade
 from couponcascade.cascade import (
     CascadeUtility,
     UtilityError,
@@ -11,7 +12,7 @@ from couponcascade.cascade import (
     make_utility,
     perturb_factor,
 )
-from conftest import modular_table
+from conftest import ic_instance, modular_table
 
 
 def all_subsets(n):
@@ -19,37 +20,124 @@ def all_subsets(n):
         yield frozenset(v + 1 for v in range(n) if mask >> v & 1)
 
 
+def _reachable(adj: dict[int, list[int]], seeds: frozenset) -> int:
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen)
+
+
+def reference_ic_spread(edges, U) -> float:
+    """Exact IC spread of one seed set, by a DFS in every live-edge world."""
+    U = frozenset(U)
+    if not U:
+        return 0.0
+    total = 0.0
+    for mask in range(1 << len(edges)):
+        prob = 1.0
+        adj: dict[int, list[int]] = {}
+        for i, (u, v, w) in enumerate(edges):
+            if mask >> i & 1:
+                prob *= w
+                adj.setdefault(u, []).append(v)
+            else:
+                prob *= 1.0 - w
+        total += prob * _reachable(adj, U)
+    return total
+
+
+def spread(n, edges, users):
+    return gamma_ic_exact(n, edges)[sum(1 << (v - 1) for v in users)]
+
+
+def random_ic_graph(seed):
+    """n <= 5 users and E <= 10 edges, with an isolated user, a parallel
+    duplicate edge and a weight-1.0 edge."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    isolated = int(rng.integers(1, n + 1))
+    linked = [v for v in range(1, n + 1) if v != isolated]
+    edges = []
+    for _ in range(int(rng.integers(1, 9))):
+        u, v = rng.choice(linked, size=2, replace=False)
+        edges.append((int(u), int(v), float(np.round(rng.uniform(0.05, 0.95), 6))))
+    edges.append(edges[int(rng.integers(len(edges)))])
+    u, v = rng.choice(linked, size=2, replace=False)
+    edges.insert(int(rng.integers(len(edges) + 1)), (int(u), int(v), 1.0))
+    return n, ic_instance(n, edges, [[0.5]] * n).edges
+
+
 class TestIcExact:
     def test_certain_activation(self):
-        assert gamma_ic_exact(2, [(1, 2, 1.0)], {1}) == 2.0
+        assert spread(2, [(1, 2, 1.0)], {1}) == 2.0
 
     def test_half_edge(self):
         # two live-edge worlds: 0.5 * 2 + 0.5 * 1
-        assert gamma_ic_exact(2, [(1, 2, 0.5)], {1}) == pytest.approx(1.5)
+        assert spread(2, [(1, 2, 0.5)], {1}) == pytest.approx(1.5)
 
     def test_deterministic_path(self):
-        assert gamma_ic_exact(3, [(1, 2, 1.0), (2, 3, 1.0)], {1}) == 3.0
+        assert spread(3, [(1, 2, 1.0), (2, 3, 1.0)], {1}) == 3.0
 
     def test_half_path(self):
         # four worlds: 1 + 0.5 + 0.25
-        assert gamma_ic_exact(3, [(1, 2, 0.5), (2, 3, 0.5)], {1}) == pytest.approx(1.75)
+        assert spread(3, [(1, 2, 0.5), (2, 3, 0.5)], {1}) == pytest.approx(1.75)
 
     def test_full_seed_set(self):
         edges = [(1, 2, 0.3), (2, 3, 0.7)]
-        assert gamma_ic_exact(3, edges, {1, 2, 3}) == 3.0
+        assert spread(3, edges, {1, 2, 3}) == 3.0
 
     def test_empty_seed_set(self):
-        assert gamma_ic_exact(3, [(1, 2, 0.5)], set()) == 0.0
+        assert spread(3, [(1, 2, 0.5)], set()) == 0.0
 
     def test_unit_weights_equal_reachability(self):
         edges = [(1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0)]
-        assert gamma_ic_exact(5, edges, {1}) == 3.0
-        assert gamma_ic_exact(5, edges, {4}) == 2.0
+        assert spread(5, edges, {1}) == 3.0
+        assert spread(5, edges, {4}) == 2.0
 
     def test_edge_limit(self):
         edges = [(1, 2, 0.5)] * 21
         with pytest.raises(UtilityError, match="limited to 20 edges"):
-            gamma_ic_exact(2, edges, {1})
+            gamma_ic_exact(2, edges)
+
+    def test_user_limit(self):
+        with pytest.raises(UtilityError, match="n <= 15"):
+            gamma_ic_exact(16, [(1, 2, 0.5)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_set_reference(self, seed):
+        n, edges = random_ic_graph(seed)
+        gamma = gamma_ic_exact(n, edges)
+        assert gamma.shape == (1 << n,)
+        assert gamma[0] == 0.0
+        for mask, U in enumerate(all_subsets(n)):
+            assert abs(gamma[mask] - reference_ic_spread(edges, U)) <= 1e-12
+
+    def test_one_pass_per_utility(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gamma_ic_exact(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "gamma_ic_exact", counted)
+        n, edges = random_ic_graph(3)
+        util = CascadeUtility("IC_exact", n, edges, epsilon=0.2, perturb_seed=4)
+        ref = util.reference_q
+        ref.value({1})  # the two utilities first ask for different sets
+        util.value({2})
+        for U in all_subsets(n):
+            util.value(U)
+            ref.value(U)
+        util.gamma_vector()
+        util.reference_q.gamma_vector()
+        assert len(calls) == 1
+        for mask, U in enumerate(all_subsets(n)):
+            assert ref.base_value(U) == util.base_value(U) == gamma_ic_exact(n, edges)[mask]
 
 
 class TestMonteCarlo:

@@ -1,10 +1,12 @@
 import json
-import subprocess
-import sys
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
+from conftest import run_cli as cli
+from couponcascade import cascade
+from couponcascade.cli import main
 from couponcascade.instance import generate_random, save_instance
 
 RUN_REPORT_SCHEMA = {
@@ -44,13 +46,6 @@ RUN_REPORT_SCHEMA = {
         },
     },
 }
-
-
-def cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "couponcascade.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +111,11 @@ class TestSolve:
         ({"adoption": [[float("nan")] * 2] * 3}, "adoption must be finite"),
         ({"epsilon": 3.0}, "epsilon must lie in"),
         ({"gamma_table": {"": 0.0, "1": 1.0, "2": 1.0}}, "must list all 2^3 subsets"),
+        ({"n": 3.5}, "n must be an integer, got 3.5"),
+        ({"m": 2.5}, "m must be an integer, got 2.5"),
+        ({"perturb_seed": 0.5}, "perturb_seed must be an integer, got 0.5"),
+        ({"model": "IC", "gamma_table": None, "edges": [[1.9, 2, 0.5]]},
+         "edge endpoint must be an integer, got 1.9"),
     ])
     def test_bad_input_usage_error(self, base_instance, tmp_path, change, reason):
         doc = json.loads(open(base_instance).read())
@@ -181,6 +181,24 @@ class TestOracleCmd:
         report = json.loads(res.stdout)
         sandwich = next(c for c in report["checks"] if c["name"] == "eps_sandwich")
         assert sandwich["ok"] is False and report["all_ok"] is False
+
+    def test_one_live_edge_pass(self, tmp_path, monkeypatch):
+        # the unperturbed reference reuses the perturbed utility's IC vector
+        calls = []
+        original = cascade.gamma_ic_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "gamma_ic_exact", counted)
+        path = tmp_path / "ic.json"
+        save_instance(generate_random(3, 2, model="IC", edge_density=0.5, epsilon=0.1,
+                                      seed=8), path)
+        res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["all_ok"] is True
+        assert len(calls) == 1
 
     def test_oversize_instance_clean_error(self, tmp_path):
         inst = generate_random(14, 2, model="IC", edge_density=0.0, seed=1)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ def test_from_dict_raises_only_instance_errors(changes):
         pass
 
 
+INTEGER_FIELD = (st.integers(-1, 4) | st.integers(-1, 4).map(float) | st.floats(-1, 4)
+                 | st.sampled_from([float("nan"), float("inf")]))
+
+
+def _trunc_or_one(x):
+    return math.trunc(x) if math.isfinite(x) else 1
+
+
+@given(n=INTEGER_FIELD, m=INTEGER_FIELD, seed=INTEGER_FIELD, u=INTEGER_FIELD, v=INTEGER_FIELD)
+@settings(max_examples=300, deadline=None)
+def test_from_dict_keeps_integer_fields_exact(n, m, seed, u, v):
+    # adoption is sized as if n and m were truncated, so truncation would load
+    rows, cols = _trunc_or_one(n), _trunc_or_one(m)
+    doc = {"n": n, "m": m, "coupon_values": [float(d) for d in range(1, cols + 1)],
+           "adoption": [[0.5] * cols for _ in range(rows)], "budget_B": 1.0,
+           "perturb_seed": seed, "edges": [[u, v, 0.5]]}
+    try:
+        inst = from_dict(doc)
+    except (InstanceFormatError, InstanceValidationError):
+        return
+    assert (inst.n, inst.m, inst.perturb_seed) == (n, m, seed)
+    assert inst.edges == ((u, v, 0.5),)
+    assert all(type(x) is int for x in (inst.n, inst.m, inst.perturb_seed, *inst.edges[0][:2]))
+
+
 @pytest.mark.parametrize("change,message", [
     ({"n": "abc"}, "malformed instance data"),
     ({"n": 1e300}, "adoption matrix must be n x m"),
@@ -164,6 +190,10 @@ def test_from_dict_raises_only_instance_errors(changes):
     ({"epsilon": float("nan")}, "epsilon must lie in"),
     ({"gamma_table": {"": 0.0, "1": 1.0, "1,2": 1.5}}, r"must list all 2\^2 subsets"),
     ({"gamma_table": {"": "x"}}, "malformed instance data"),
+    ({"n": 2.7, "model": "IC", "gamma_table": None}, "n must be an integer"),
+    ({"n": 2.0, "model": "IC", "gamma_table": None, "edges": [[1.9, 2, 0.5]]},
+     "edge endpoint must be an integer"),
+    ({"perturb_seed": True}, "perturb_seed must be an integer"),
 ])
 def test_boundary_rejects(change, message):
     with pytest.raises((InstanceFormatError, InstanceValidationError), match=message):
