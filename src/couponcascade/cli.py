@@ -39,6 +39,9 @@ SCHEMA_VERSION = 1
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
+STEP = click.FloatRange(0.0, 1.0, min_open=True)
+SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
 
 # The exceptions `solve` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
 # is a bug and surfaces with its traceback.
@@ -126,12 +129,11 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
 
 
 def _oracle_block(inst, util, extended, b):
-    block = {}
-    _, block["policy_value"] = oracle.solve_optimal_policy(inst, util)
-    _, block["relaxation_PB"] = oracle.solve_concave_relaxation(inst, util, "PB")
-    if extended:
-        _, block["relaxation_PB1"] = oracle.solve_concave_relaxation(inst, util, "PB1")
-        _, block["relaxation_PB2"] = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
+    cache = {}  # one f per coupon profile across the LPs
+    block = {"policy_value": oracle.solve_optimal_policy(inst, util, cache=cache)[1]}
+    for mode in ("PB", "PB1", "PB2") if extended else ("PB",):
+        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(
+            inst, util, mode, b=b, cache=cache)
     return block
 
 
@@ -224,12 +226,14 @@ def main():
 @main.command()
 @click.option("-i", "--instance", "path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", type=float, default=None, help="Ascent step; default 1/(nm)^2.")
-@click.option("--mc-samples", type=int, default=10_000, show_default=True)
-@click.option("--marginal-samples", type=int, default=200, show_default=True,
+@click.option("--delta", type=STEP, default=None, help="Ascent step; default 1/(nm)^2.")
+@click.option("--mc-samples", type=COUNT, default=10_000, show_default=True,
+              help="Live-edge worlds sampled per utility (LT, and IC above 20 edges); "
+                   "also the coin draws per rounded profile of such a utility.")
+@click.option("--marginal-samples", type=COUNT, default=200, show_default=True,
               help="Samples per marginal when exact evaluation is infeasible.")
-@click.option("--rounds", type=int, default=1000, show_default=True)
-@click.option("--b", type=float, default=0.25, show_default=True,
+@click.option("--rounds", type=COUNT, default=1000, show_default=True)
+@click.option("--b", type=SCALE_B, default=0.25, show_default=True,
               help="Distribution-knapsack scaling in extended mode.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trace", is_flag=True, help="Include the per-iteration trace.")
@@ -260,8 +264,8 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
 @main.command("oracle")
 @click.option("-i", "--instance", "path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--b", type=float, default=0.25, show_default=True)
-@click.option("--points", type=int, default=5, show_default=True,
+@click.option("--b", type=SCALE_B, default=0.25, show_default=True)
+@click.option("--points", type=COUNT, default=5, show_default=True,
               help="Random fractional points for the dominance check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -281,8 +285,9 @@ def oracle_cmd(path, b, points, seed, out):
         checks.append({"name": dominance.name, "ok": dominance.ok,
                        "max_violation": dominance.max_violation,
                        "witnesses": dominance.witnesses})
-        _, policy_value = oracle.solve_optimal_policy(inst, util)
-        _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB")
+        cache = {}  # one f per coupon profile across the LPs
+        _, policy_value = oracle.solve_optimal_policy(inst, util, cache=cache)
+        _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB", cache=cache)
         checks.append({
             "name": "relaxation_dominates_policy",
             "ok": pb_value >= policy_value - 1e-8,
@@ -290,8 +295,8 @@ def oracle_cmd(path, b, points, seed, out):
             "relaxation_value": pb_value,
         })
         if inst.budget_K is not None:
-            _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1")
-            _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
+            _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1", cache=cache)
+            _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b, cache=cache)
             checks.append({
                 "name": "scaled_relaxation_lower_bound",
                 "ok": pb2 >= b * pb1 - 1e-8,
@@ -317,11 +322,11 @@ def oracle_cmd(path, b, points, seed, out):
 @main.command()
 @click.option("-d", "--dir", "directory", required=True,
               type=click.Path(exists=True, file_okay=False))
-@click.option("--delta", type=float, default=None)
-@click.option("--mc-samples", type=int, default=10_000, show_default=True)
-@click.option("--marginal-samples", type=int, default=200, show_default=True)
-@click.option("--rounds", type=int, default=1000, show_default=True)
-@click.option("--b", type=float, default=0.25, show_default=True)
+@click.option("--delta", type=STEP, default=None)
+@click.option("--mc-samples", type=COUNT, default=10_000, show_default=True)
+@click.option("--marginal-samples", type=COUNT, default=200, show_default=True)
+@click.option("--rounds", type=COUNT, default=1000, show_default=True)
+@click.option("--b", type=SCALE_B, default=0.25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):

@@ -37,8 +37,8 @@ class GreedyConfig:
 
     delta=None means the canonical 1/(nm)^2 step.  samples_per_marginal=None
     requests exact marginals and exact F; otherwise both are sampled, with
-    common random numbers for the marginals.  Either way the utility must
-    be exactly evaluable with n <= 15 (`CascadeUtility.gamma_vector`).
+    common random numbers for the marginals.  Either way the utility's
+    gamma vector (`CascadeUtility.gamma_vector`) must exist, so n <= 15.
     Extended mode scales the distribution knapsack to b*K.
     """
 

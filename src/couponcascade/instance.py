@@ -77,7 +77,9 @@ class Instance:
         for name, arr in (("coupon_values", cv), ("adoption", ad), ("dist_cost", dc)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            (_whole(u, "edge endpoint"), _whole(v, "edge endpoint"), float(w)) for u, v, w in self.edges))
+        object.__setattr__(self, "perturb_seed", _whole(self.perturb_seed, "perturb_seed"))
         validate(self)
 
     # numpy fields break the generated __eq__; compare the abstract value.
@@ -207,15 +209,21 @@ def _parse_table_key(key: str) -> frozenset:
         raise InstanceFormatError(f"bad gamma_table key {key!r}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """An integer field: a JSON integer, or a float with no fractional part."""
+def _whole(value, name: str) -> int:
+    """An integer field: an integer, or a float with no fractional part."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InstanceFormatError(
-            f"malformed instance data: {name} must be an integer, got {value!r}"
-        )
+        raise InstanceValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _integer(value, name: str) -> int:
+    """An integer field of the JSON form; anything else is malformed data."""
+    try:
+        return _whole(value, name)
+    except InstanceValidationError as exc:
+        raise InstanceFormatError(f"malformed instance data: {exc}") from None
 
 
 def from_dict(doc: dict) -> Instance:

@@ -154,7 +154,8 @@ def f_exact(inst: Instance, util: CascadeUtility, S) -> float:
 
 def f_mc(inst: Instance, util: CascadeUtility, S, samples: int,
          rng: np.random.Generator) -> float:
-    """Unbiased estimate of f(S): sample seed sets by independent coins."""
+    """Unbiased estimate of f(S): sample seed sets by independent coins and
+    read each one's gamma from the utility's vector."""
     if samples < 1:
         raise UtilityError("need at least one sample")
     pairs = S.pairs if isinstance(S, Allocation) else S
@@ -164,11 +165,8 @@ def f_mc(inst: Instance, util: CascadeUtility, S, samples: int,
         return 0.0
     probs = np.array([inst.p(v, prof[v - 1]) for v in offered])
     coins = rng.random((samples, len(offered))) < probs
-    total = 0.0
-    for row in coins:
-        U = frozenset(np.array(offered)[row].tolist())
-        total += util.value(U, rng)
-    return total / samples
+    masks = coins @ (1 << (np.array(offered) - 1))
+    return float(util.gamma_vector()[masks].sum() / samples)
 
 
 def cost_exact(inst: Instance, S) -> float:

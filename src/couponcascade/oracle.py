@@ -91,14 +91,15 @@ def _values(inst: Instance, util: CascadeUtility, allocations, cache=None):
     return f_vals, c_vals
 
 
-def solve_optimal_policy(inst: Instance, util: CascadeUtility):
+def solve_optimal_policy(inst: Instance, util: CascadeUtility, cache=None):
     """Exact optimum of the policy problem: the LP over allocation probabilities.
 
     Returns (Policy, optimal value).  The support of a basic optimum has at
-    most two allocations: only the mass and budget rows can bind.
+    most two allocations: only the mass and budget rows can bind.  `cache`
+    is `f_exact`'s.
     """
     allocations = enumerate_feasible_allocations(inst)
-    f_vals, c_vals = _values(inst, util, allocations)
+    f_vals, c_vals = _values(inst, util, allocations, cache)
     k = len(allocations)
     # Mass <= 1 instead of == 1: padding with the empty allocation (f=c=0)
     # restores equality without changing the optimum.
@@ -156,13 +157,13 @@ def concave_extension_value(inst: Instance, util: CascadeUtility, y,
 
 
 def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "PB",
-                             b: float = 0.25):
+                             b: float = 0.25, cache=None):
     """Exact optimum of the fractional relaxation: maximize the concave
     extension over the polytope.
 
     mode "PB" is the base polytope; "PB1" adds the distribution knapsack at
     its full budget K; "PB2" at the scaled budget b*K.  Solved as one joint
-    LP in the combination weights alpha and the matrix y.
+    LP in the combination weights alpha and the matrix y.  `cache` is `f_exact`'s.
 
     Returns (y_plus, value).
     """
@@ -171,7 +172,7 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
     if mode != "PB" and inst.budget_K is None:
         raise OracleError(f"mode {mode} needs an instance with budget_K")
     allocations = enumerate_feasible_allocations(inst, respect_K=False)
-    f_vals, _ = _values(inst, util, allocations)
+    f_vals, _ = _values(inst, util, allocations, cache)
     k = len(allocations)
     nm = inst.n * inst.m
     nv = k + nm

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from couponcascade.cascade import (
     UtilityError,
     check_submodular_monotone,
     gamma_ic_exact,
-    gamma_mc,
+    gamma_sampled,
     make_eps_perturbed,
     make_utility,
     perturb_factor,
@@ -140,28 +142,130 @@ class TestIcExact:
             assert ref.base_value(U) == util.base_value(U) == gamma_ic_exact(n, edges)[mask]
 
 
+def simulate_lt(n, edges, U, rng) -> int:
+    """One LT cascade: a user activates once the weight of its active
+    in-neighbours reaches its uniform random threshold."""
+    thresholds = rng.random(n + 1)
+    incoming: dict[int, list[tuple[int, float]]] = {}
+    for u, v, w in edges:
+        incoming.setdefault(v, []).append((u, w))
+    active = set(U)
+    changed = True
+    while changed:
+        changed = False
+        for v in range(1, n + 1):
+            if v in active:
+                continue
+            weight = sum(w for u, w in incoming.get(v, ()) if u in active)
+            if weight >= thresholds[v]:
+                active.add(v)
+                changed = True
+    return len(active)
+
+
+def reference_lt_spread(n, edges, U) -> float:
+    """Exact LT spread of one seed set: every user keeps one of its in-edges,
+    edge (u, v) with probability w_uv, or none; enumerate those choices."""
+    U = frozenset(U)
+    if not U:
+        return 0.0
+    options = []
+    for v in range(1, n + 1):
+        ins = [(u, w) for u, head, w in edges if head == v]
+        options.append([(None, 1.0 - sum(w for _, w in ins))] + ins)
+    total = 0.0
+    for choice in product(*options):
+        prob = float(np.prod([w for _, w in choice]))
+        adj: dict[int, list[int]] = {}
+        for v, (u, _) in enumerate(choice, start=1):
+            if u is not None:
+                adj.setdefault(u, []).append(v)
+        total += prob * _reachable(adj, U)
+    return total
+
+
+def spread_bound(n, samples):
+    """Four standard errors of a sampled spread: a per-world spread lies in
+    [0, n], so its standard deviation is at most n / 2."""
+    return 4 * (n / 2) / np.sqrt(samples)
+
+
+# Four users with a cycle, a shared head and in-weights summing below 1.
+LT_EDGES = [(1, 2, 0.6), (3, 2, 0.3), (2, 3, 0.5), (3, 1, 0.4), (4, 1, 0.45), (2, 4, 0.9)]
+
+
 class TestMonteCarlo:
     def test_empty_seed_set_is_zero(self, rng):
-        assert gamma_mc(3, [(1, 2, 0.5)], set(), "IC", 10, rng) == 0.0
+        for model in ("IC", "LT"):
+            assert gamma_sampled(3, [(1, 2, 0.5)], model, 10, rng)[0] == 0.0
 
     def test_deterministic_edge(self, rng):
-        assert gamma_mc(2, [(1, 2, 1.0)], {1}, "IC", 50, rng) == 2.0
+        for model in ("IC", "LT"):
+            gamma = gamma_sampled(3, [(1, 2, 1.0), (2, 3, 1.0)], model, 50, rng)
+            assert gamma[0b001] == 3.0
+            assert gamma[0b111] == 3.0
 
     @pytest.mark.parametrize("samples", [1000, 10_000, 100_000])
     def test_ic_converges_to_exact(self, samples):
-        edges = [(1, 2, 0.5)]
-        rng = np.random.default_rng(77)
-        est = gamma_mc(2, edges, {1}, "IC", samples, rng)
-        # per-sample std is 0.5; allow 3 standard errors
-        assert abs(est - 1.5) <= 3 * 0.5 / np.sqrt(samples)
+        one = gamma_sampled(2, [(1, 2, 0.5)], "IC", samples, np.random.default_rng(77))
+        # per-world std is 0.5; allow 3 standard errors
+        assert abs(one[0b01] - 1.5) <= 3 * 0.5 / np.sqrt(samples)
+        n, edges = random_ic_graph(5)
+        est = gamma_sampled(n, edges, "IC", samples, np.random.default_rng(77))
+        assert np.all(np.abs(est - gamma_ic_exact(n, edges)) <= spread_bound(n, samples))
 
     def test_lt_rejects_heavy_in_weights(self, rng):
+        heavy = [(1, 2, 0.7), (1, 2, 0.5)]
         with pytest.raises(UtilityError, match="sum above 1"):
-            gamma_mc(2, [(1, 2, 0.7), (1, 2, 0.5)], {1}, "LT", 10, rng)
+            gamma_sampled(2, heavy, "LT", 10, rng)
+        with pytest.raises(UtilityError, match="sum above 1"):
+            CascadeUtility("LT_mc", 2, heavy).value({1})
 
     def test_lt_certain_activation(self, rng):
-        # threshold in [0,1) is always <= incoming weight 1.0
-        assert gamma_mc(2, [(1, 2, 1.0)], {1}, "LT", 20, rng) == 2.0
+        # the one in-edge of user 2 has weight 1, so it is live in every world
+        assert gamma_sampled(2, [(1, 2, 1.0)], "LT", 20, rng)[0b01] == 2.0
+
+    def test_lt_matches_in_edge_enumeration(self):
+        n, samples = 4, 100_000
+        est = gamma_sampled(n, LT_EDGES, "LT", samples, np.random.default_rng(78))
+        for mask, U in enumerate(all_subsets(n)):
+            assert abs(est[mask] - reference_lt_spread(n, LT_EDGES, U)) <= spread_bound(n, samples)
+
+    def test_lt_matches_threshold_simulation(self):
+        n, runs, samples = 4, 4000, 100_000
+        est = gamma_sampled(n, LT_EDGES, "LT", samples, np.random.default_rng(79))
+        sim_rng = np.random.default_rng(80)
+        bound = np.hypot(spread_bound(n, runs), spread_bound(n, samples))
+        for mask, U in enumerate(all_subsets(n)):
+            if U:
+                sim = np.mean([simulate_lt(n, LT_EDGES, U, sim_rng) for _ in range(runs)])
+                assert abs(est[mask] - sim) <= bound
+
+    @pytest.mark.parametrize("kind", ["IC_mc", "LT_mc"])
+    def test_seeded_utility_is_deterministic(self, kind):
+        def vector(seed):
+            return CascadeUtility(kind, 4, LT_EDGES, perturb_seed=seed, mc_samples=500).gamma_vector()
+
+        assert np.array_equal(vector(3), vector(3))
+        assert not np.array_equal(vector(3), vector(4))
+
+    @pytest.mark.parametrize("kind", ["IC_mc", "LT_mc"])
+    def test_one_pass_per_utility(self, kind, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gamma_sampled(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "gamma_sampled", counted)
+        util = CascadeUtility(kind, 4, LT_EDGES, epsilon=0.2, perturb_seed=4, mc_samples=500)
+        ref = util.reference_q
+        util.gamma_vector()
+        ref.gamma_vector()
+        assert len(calls) == 1
+        for U in all_subsets(4):
+            assert ref.base_value(U) == util.base_value(U)
+            assert 0.8 * ref.value(U) <= util.value(U) <= 1.2 * ref.value(U)
 
 
 class TestPerturbation:
@@ -236,10 +340,16 @@ def test_table_missing_subset_errors():
         util.value(frozenset({2}))
 
 
-def test_mc_utility_requires_rng():
-    util = CascadeUtility("IC_mc", 2, edges=[(1, 2, 0.5)])
-    with pytest.raises(UtilityError, match="needs an rng"):
-        util.value(frozenset({1}))
+def test_make_utility_samples_lt_and_large_ic():
+    import couponcascade as cc
+    lt = make_utility(cc.generate_random(4, 2, model="LT", seed=2), mc_samples=300)
+    dense = cc.generate_random(6, 2, edge_density=0.8, seed=3)
+    assert len(dense.edges) > cascade.EXACT_EDGE_LIMIT
+    ic = make_utility(dense, mc_samples=300)
+    assert (lt.kind, ic.kind) == ("LT_mc", "IC_mc")
+    for util in (lt, ic):
+        assert not util.exact
+        assert [util.value(U) for U in all_subsets(util.n)] == util.gamma_vector().tolist()
 
 
 def test_gamma_vector_indexed_by_user_bitmask():
@@ -250,8 +360,10 @@ def test_gamma_vector_indexed_by_user_bitmask():
     assert util.gamma_vector() is util.gamma_vector()
 
 
-def test_gamma_vector_exact_kinds_and_n_cap():
-    with pytest.raises(UtilityError, match="exactly evaluable"):
-        CascadeUtility("IC_mc", 2, edges=[(1, 2, 0.5)]).gamma_vector()
-    with pytest.raises(UtilityError, match="n <= 15"):
-        CascadeUtility("TABLE", 16, table={}).gamma_vector()
+def test_gamma_vector_every_kind_and_n_cap():
+    edges = [(1, 2, 0.5)]
+    for kind in ("IC_exact", "IC_mc", "LT_mc"):
+        assert CascadeUtility(kind, 2, edges, mc_samples=100).gamma_vector().shape == (4,)
+    for kind in ("TABLE", "IC_exact", "IC_mc", "LT_mc"):
+        with pytest.raises(UtilityError, match="n <= 15"):
+            CascadeUtility(kind, 16, edges, table={}).gamma_vector()

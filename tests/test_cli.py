@@ -1,13 +1,16 @@
 import json
+from itertools import product
+from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
 from conftest import run_cli as cli
-from couponcascade import cascade
-from couponcascade.cli import main
+from couponcascade import cascade, oracle
+from couponcascade.cli import main, run_solve
 from couponcascade.instance import generate_random, save_instance
+from couponcascade.objective import pairs_to_profile
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
@@ -157,6 +160,94 @@ class TestSolve:
         assert "timings" not in res.stdout
         assert "timings" in res.stderr
 
+    def test_oracle_enumerates_each_f_once(self, extended_instance, monkeypatch):
+        # the policy LP and the three relaxations share one profile cache
+        enumerated = []
+        original = oracle.f_exact
+
+        def counted(inst, util, S, cache=None):
+            profile = pairs_to_profile(S.pairs, inst.n)
+            if cache is None or profile not in cache:
+                enumerated.append(profile)
+            return original(inst, util, S, cache)
+
+        monkeypatch.setattr(oracle, "f_exact", counted)
+        report, _ = run_solve(extended_instance, None, 10_000, 200, 50, 0.25, 1)
+        assert set(report["oracle"]) == {"policy_value", "relaxation_PB", "relaxation_PB1",
+                                         "relaxation_PB2"}
+        assert sorted(enumerated) == sorted(product(range(3), repeat=3))
+
+
+BAD_NUMBERS = [
+    ("--rounds", "0"), ("--rounds", "-5"), ("--mc-samples", "0"),
+    ("--marginal-samples", "0"), ("--delta", "0"), ("--delta", "2"),
+    ("--b", "0"), ("--b", "0.6"),
+]
+
+
+class TestNumberRanges:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("flag,value", BAD_NUMBERS)
+    def test_out_of_range_exits_2(self, base_instance, command, flag, value):
+        target = ["-i", base_instance] if command == "solve" else [
+            "-d", str(Path(base_instance).parent)]
+        res = CliRunner().invoke(main, [command, *target, flag, value])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for '{flag}'" in res.output
+
+    @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--b", "0"), ("--b", "0.6")])
+    def test_oracle_out_of_range_exits_2(self, base_instance, flag, value):
+        res = CliRunner().invoke(main, ["oracle", "-i", base_instance, flag, value])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for '{flag}'" in res.output
+
+    def test_env_var_out_of_range_exits_2(self, base_instance):
+        res = CliRunner().invoke(main, ["solve", "-i", base_instance],
+                                 auto_envvar_prefix="COUPONCASCADE",
+                                 env={"COUPONCASCADE_SOLVE_ROUNDS": "0"})
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--rounds'" in res.output
+
+    def test_bounds_are_inclusive_where_documented(self, base_instance):
+        res = CliRunner().invoke(main, ["solve", "-i", base_instance, "--rounds", "1",
+                                        "--delta", "1", "--b", "0.5", "--no-oracle"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["rounding"]["f_std"] == 0.0
+
+
+def _dense_ic(**kw):
+    inst = generate_random(6, 2, model="IC", edge_density=0.8, seed=3, **kw)
+    assert len(inst.edges) > cascade.EXACT_EDGE_LIMIT
+    return inst
+
+
+class TestSampledModels:
+    """LT, and IC above the exact edge limit, solve end to end with sampled
+    marginals and no oracle block."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("model", ["LT", "IC"])
+    def test_solve_replays(self, tmp_path, model, extended, epsilon):
+        if model == "LT":
+            inst = generate_random(4, 2, model="LT", seed=2, epsilon=epsilon, extension=extended)
+        else:
+            inst = _dense_ic(epsilon=epsilon, extension=extended)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            res = cli("solve", "-i", str(path), "--rounds", "200", "--mc-samples", "2000",
+                      "--seed", "3", "--out", str(out))
+            assert res.returncode == 0, res.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        report = json.loads(outs[0].read_text())
+        assert report["config"]["marginals"] == "sampled"
+        assert report["oracle"] is None and report["ratio"] is None
+        assert report["instance"]["extended"] is extended
+        assert report["rounding"]["dist_budget_violations"] == 0
+        assert 0 < report["rounding"]["f_mean"] <= inst.n
+
 
 class TestOracleCmd:
     def test_valid_instance_all_pass(self, extended_instance):
@@ -235,14 +326,14 @@ class TestBench:
         assert "0.0" in report["aggregate_by_epsilon"]
 
     def test_numeric_failure_exits_3(self, tmp_path):
-        # the Monte-Carlo utility path cannot solve yet; bench must say so
-        save_instance(generate_random(4, 2, model="LT", seed=2), tmp_path / "lt.json")
+        # 16 users exceed the 2^n gamma vector's cap; bench must say so
+        save_instance(generate_random(16, 1, model="IC", seed=2), tmp_path / "big.json")
         save_instance(generate_random(2, 1, model="TABLE", seed=5), tmp_path / "ok.json")
         res = cli("bench", "-d", str(tmp_path), "--rounds", "100", "--seed", "2")
         assert res.returncode == 3, res.stderr
         rows = {r["path"].rsplit("/", 1)[-1]: r for r in json.loads(res.stdout)["instances"]}
-        assert rows["lt.json"]["failed"] is True
-        assert rows["lt.json"]["error_class"] == "UtilityError"
+        assert rows["big.json"]["failed"] is True
+        assert rows["big.json"]["error_class"] == "UtilityError"
         assert rows["ok.json"]["failed"] is False
 
     def test_stable_ordering(self, tmp_path):

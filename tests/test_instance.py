@@ -198,3 +198,25 @@ def test_from_dict_keeps_integer_fields_exact(n, m, seed, u, v):
 def test_boundary_rejects(change, message):
     with pytest.raises((InstanceFormatError, InstanceValidationError), match=message):
         from_dict({**GOOD, **change})
+
+
+def _construct(**kw):
+    return Instance(n=2, m=1, coupon_values=[1.0], adoption=[[0.5], [0.5]], budget_B=1.0, **kw)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"edges": ((1.9, 2, 0.5),)}, "edge endpoint must be an integer, got 1.9"),
+    ({"edges": ((1, True, 0.5),)}, "edge endpoint must be an integer, got True"),
+    ({"perturb_seed": 2.5}, "perturb_seed must be an integer, got 2.5"),
+    ({"perturb_seed": "7"}, "perturb_seed must be an integer, got '7'"),
+])
+def test_constructor_rejects_non_integral_fields(change, message):
+    with pytest.raises(InstanceValidationError, match=message):
+        _construct(**change)
+
+
+def test_constructor_stores_integral_fields_as_int():
+    inst = _construct(edges=((1.0, np.int64(2), 0.5),), perturb_seed=np.float64(2.0))
+    assert inst.edges == ((1, 2, 0.5),) and inst.perturb_seed == 2
+    assert all(type(x) is int for x in (inst.perturb_seed, *inst.edges[0][:2]))
+    assert type(_construct(perturb_seed=np.int64(5)).perturb_seed) is int
