@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from couponcascade.instance import Instance
+from couponcascade.instance import Instance, lt_in_weights
 
 
 class UtilityError(ValueError):
@@ -134,10 +134,8 @@ def gamma_sampled(n: int, edges, model: str, samples: int,
 
 
 def validate_lt_weights(n: int, edges) -> None:
-    in_sum = np.zeros(n + 1)
-    for _, v, w in edges:
-        in_sum[v] += w
-    bad = np.nonzero(in_sum > 1 + 1e-12)[0]
+    """Guard for callers that pass raw edges; `instance.validate` checks the same."""
+    bad = np.flatnonzero(lt_in_weights(n, edges) > 1 + 1e-12)
     if bad.size:
         raise UtilityError(f"LT incoming weights of user {bad[0]} sum above 1")
 

@@ -214,7 +214,9 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     }
     if want_trace:
         report["trace"] = trace.to_jsonable()
-    timings = {"greedy_s": t_greedy, "rounding_s": t_round, "oracle_s": t_oracle}
+    timings = {"greedy_s": t_greedy, "rounding_s": t_round, "oracle_s": t_oracle,
+               "lp_pivots": trace.lp_pivots, "lp_fallbacks": trace.lp_fallbacks,
+               "lp_max_gap": trace.lp_max_gap}
     return report, timings
 
 

@@ -74,8 +74,13 @@ class IterationRecord:
 
 @dataclass
 class GreedyTrace:
+    """Per-step records and the final y; the LP counters stay out of the JSON."""
+
     iterations: list[IterationRecord] = field(default_factory=list)
     final: FractionalSolution | None = None
+    lp_pivots: int = 0
+    lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
+    lp_max_gap: float = 0.0
 
     def to_jsonable(self) -> dict:
         return {
@@ -109,6 +114,9 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         else:
             omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
         sol = solve_inner_lp(omega, spec)
+        trace.lp_pivots += sol.pivots
+        trace.lp_fallbacks += sol.fell_back
+        trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
         if exact:

@@ -160,6 +160,10 @@ def validate(inst: Instance) -> None:
             raise InstanceValidationError(f"self-loop on user {u}")
         if not (0 < w <= 1):
             raise InstanceValidationError(f"edge weight {w} out of (0,1]")
+    if inst.model == "LT":
+        heavy = np.flatnonzero(lt_in_weights(inst.n, inst.edges) > 1 + 1e-12)
+        if heavy.size:
+            raise InstanceValidationError(f"LT incoming weights of user {heavy[0]} sum above 1")
     if inst.model == "TABLE":
         if inst.gamma_table is None:
             raise InstanceValidationError("model TABLE requires gamma_table")
@@ -358,11 +362,15 @@ def _random_coverage_table(n: int, rng: np.random.Generator) -> dict[frozenset, 
     return table
 
 
+def lt_in_weights(n: int, edges) -> np.ndarray:
+    """Sum of incoming edge weights per user, indexed 1..n (index 0 unused)."""
+    heads = [v for _, v, _ in edges]
+    return np.bincount(heads, weights=[w for _, _, w in edges], minlength=n + 1)
+
+
 def _rescale_lt_weights(n: int, edges: list) -> list:
     """Scale incoming weights so each node's in-weight sum stays <= 1."""
-    in_sum = np.zeros(n + 1)
-    for _, v, w in edges:
-        in_sum[v] += w
+    in_sum = lt_in_weights(n, edges)
     scale = {v: 0.99 / in_sum[v] for v in range(1, n + 1) if in_sum[v] > 1}
     return [
         (u, v, float(np.round(w * scale.get(v, 1.0), 6)))

@@ -120,17 +120,12 @@ def solve_optimal_policy(inst: Instance, util: CascadeUtility, cache=None):
     return Policy(support), float(sol.objective_value)
 
 
-def _coupling_rows(inst: Instance, allocations):
-    """alpha-membership indicator rows, one per user-coupon pair."""
-    k = len(allocations)
-    rows = {}
-    for v in range(1, inst.n + 1):
-        for d in range(1, inst.m + 1):
-            row = np.zeros(k)
-            for i, S in enumerate(allocations):
-                if (v, d) in S.pairs:
-                    row[i] = 1.0
-            rows[(v, d)] = row
+def _coupling_rows(inst: Instance, allocations) -> np.ndarray:
+    """alpha-membership indicator rows, one per user-coupon pair in (v, d) order."""
+    rows = np.zeros((inst.n * inst.m, len(allocations)))
+    for i, S in enumerate(allocations):
+        for v, d in S.pairs:
+            rows[(v - 1) * inst.m + d - 1, i] = 1.0
     return rows
 
 
@@ -145,14 +140,8 @@ def concave_extension_value(inst: Instance, util: CascadeUtility, y,
     allocations = enumerate_feasible_allocations(inst, respect_K=False)
     base_util = util.reference_q if use_reference else util
     f_vals, _ = _values(inst, base_util, allocations, cache)
-    k = len(allocations)
-    coupling = _coupling_rows(inst, allocations)
-    rows = [np.ones(k)]
-    bounds = [1.0]
-    for (v, d), row in coupling.items():
-        rows.append(row)
-        bounds.append(float(y[v - 1, d - 1]))
-    sol = solve_generic_lp(f_vals, np.array(rows), np.array(bounds))
+    A = np.vstack([np.ones(len(allocations)), _coupling_rows(inst, allocations)])
+    sol = solve_generic_lp(f_vals, A, np.concatenate([[1.0], y.reshape(-1)]))
     return float(sol.objective_value)
 
 
@@ -173,55 +162,23 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
         raise OracleError(f"mode {mode} needs an instance with budget_K")
     allocations = enumerate_feasible_allocations(inst, respect_K=False)
     f_vals, _ = _values(inst, util, allocations, cache)
-    k = len(allocations)
-    nm = inst.n * inst.m
-    nv = k + nm
-
-    def pair_col(v, d):
-        return k + (v - 1) * inst.m + (d - 1)
-
-    rows, bounds = [], []
-    row = np.zeros(nv)
-    row[:k] = 1.0
-    rows.append(row)
-    bounds.append(1.0)
-    coupling = _coupling_rows(inst, allocations)
-    for (v, d), alpha_row in coupling.items():
-        row = np.zeros(nv)
-        row[:k] = alpha_row
-        row[pair_col(v, d)] = -1.0
-        rows.append(row)
-        bounds.append(0.0)
-    for v in range(1, inst.n + 1):
-        row = np.zeros(nv)
-        for d in range(1, inst.m + 1):
-            row[pair_col(v, d)] = 1.0
-        rows.append(row)
-        bounds.append(1.0)
-    row = np.zeros(nv)
-    weights = inst.redemption_weights
-    for v in range(1, inst.n + 1):
-        for d in range(1, inst.m + 1):
-            row[pair_col(v, d)] = weights[v - 1, d - 1]
-    rows.append(row)
-    bounds.append(inst.budget_B)
+    k, n, m = len(allocations), inst.n, inst.m
+    nm = n * m
+    # Columns are alpha (k) then y flat (v, d).  Rows: alpha mass <= 1,
+    # coupling alpha-membership <= y, per-user caps, then the knapsacks.
+    # No y <= 1 rows: y >= 0 and the per-user caps imply them.
+    y_rows = [np.kron(np.eye(n), np.ones(m)), inst.redemption_weights.reshape(1, -1)]
+    bounds = [[1.0], np.zeros(nm), np.ones(n), [inst.budget_B]]
     if mode in ("PB1", "PB2"):
-        row = np.zeros(nv)
-        for v in range(1, inst.n + 1):
-            for d in range(1, inst.m + 1):
-                row[pair_col(v, d)] = float(inst.dist_cost[v - 1])
-        rows.append(row)
-        bounds.append(float(inst.budget_K) * (b if mode == "PB2" else 1.0))
-    for col in range(k, nv):
-        row = np.zeros(nv)
-        row[col] = 1.0
-        rows.append(row)
-        bounds.append(1.0)
-
-    c = np.zeros(nv)
-    c[:k] = f_vals
-    sol = solve_generic_lp(c, np.array(rows), np.array(bounds))
-    y_plus = sol.x[k:].reshape(inst.n, inst.m)
+        y_rows.append(np.repeat(inst.dist_cost, m)[None])
+        bounds.append([float(inst.budget_K) * (b if mode == "PB2" else 1.0)])
+    y_rows = np.vstack(y_rows)
+    A = np.block([[np.ones((1, k)), np.zeros((1, nm))],
+                  [_coupling_rows(inst, allocations), -np.eye(nm)],
+                  [np.zeros((len(y_rows), k)), y_rows]])
+    c = np.concatenate([f_vals, np.zeros(nm)])
+    sol = solve_generic_lp(c, A, np.concatenate(bounds))
+    y_plus = sol.x[k:].reshape(n, m)
     return y_plus, float(sol.objective_value)
 
 

@@ -2,19 +2,29 @@
 
 Problems are maximizations of a linear objective over {x >= 0, Ax <= b}
 with b >= 0, which covers every LP in this package: the per-iteration
-ascent direction (row caps, knapsacks, box) and the oracle LPs over policy
-or convex-combination weights.  The origin is always feasible, so a single
-primal simplex phase with Bland's rule suffices; every optimal solve is
-certified by the dual solution read off the final tableau.
+ascent direction (per-user caps and knapsacks) and the oracle LPs over
+policy or convex-combination weights.  The origin is always feasible, so a
+single primal simplex phase suffices.  It prices by Dantzig's rule and
+falls back to Bland's rule after a run of degenerate pivots, so every solve
+terminates; every optimal solve is certified by the dual solution read off
+the final tableau.
+
+No LP carries box rows y <= 1: with y >= 0, each user's cap
+sum_d y_vd <= 1 already bounds every entry of its row by 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from couponcascade.instance import Instance
+
+
+MAX_PIVOTS = 50_000
+DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
 class LpError(RuntimeError):
@@ -53,24 +63,19 @@ class PolytopeSpec:
         return PolytopeSpec(inst.n, inst.m, inst.redemption_weights,
                             inst.budget_B, dist, budget_K)
 
+    @cached_property
     def constraint_rows(self):
-        """(A, b) for {y flat >= 0, A y <= b}: caps, knapsack(s), box."""
-        nm = self.n * self.m
-        rows, bounds = [], []
-        for v in range(self.n):
-            row = np.zeros(nm)
-            row[v * self.m:(v + 1) * self.m] = 1.0
-            rows.append(row)
-            bounds.append(1.0)
-        rows.append(self.redemption_weights.reshape(-1))
-        bounds.append(self.budget_B)
+        """(A, b) for {y flat >= 0, A y <= b}: per-user caps, knapsack(s).
+
+        Built once per spec.  The box y <= 1 follows from the caps and y >= 0.
+        """
+        rows = [np.kron(np.eye(self.n), np.ones(self.m)),
+                self.redemption_weights.reshape(1, -1)]
+        bounds = [np.ones(self.n), [self.budget_B]]
         if self.budget_K is not None:
-            rows.append(np.repeat(self.dist_cost, self.m))
-            bounds.append(self.budget_K)
-        eye = np.eye(nm)
-        rows.extend(eye)
-        bounds.extend([1.0] * nm)
-        return np.array(rows), np.array(bounds)
+            rows.append(np.repeat(self.dist_cost, self.m)[None])
+            bounds.append([self.budget_K])
+        return np.vstack(rows), np.concatenate(bounds)
 
     def check_feasible(self, y: np.ndarray, tol: float = 1e-9) -> None:
         if np.any(y < -tol) or np.any(y > 1 + tol):
@@ -92,16 +97,26 @@ class LpSolution:
     status: str  # "optimal" (infeasible cannot occur: the origin is feasible)
     dual: np.ndarray
     duality_gap: float
+    pivots: int = 0
+    fell_back: bool = False  # Bland's rule took over from Dantzig's
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
 
 
 def simplex_maximize(c, A, b, tol: float = 1e-10):
-    """Primal simplex, slack start, Bland's rule (anti-cycling, deterministic).
+    """Primal simplex from the slack basis; Dantzig pricing, Bland fallback.
 
-    Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
-    Returns (x, value, dual).
+    Maximize c.x subject to A x <= b, x >= 0, with b >= 0.  The entering
+    column has the most negative reduced cost (Dantzig); the leaving row has
+    the smallest ratio, ties going to the lowest basic index.  Dantzig's
+    rule can cycle on degenerate vertices (Beale's example), so after
+    DEGENERATE_RUN consecutive pivots that leave the objective unchanged the
+    rest of the solve enters the lowest-index improving column instead,
+    which is Bland's rule and terminates from any basis (Bland, Math. Oper.
+    Res. 1977).  Each pivot is one rank-1 update of the dense tableau.
+
+    Returns (x, value, dual, pivots, fell_back).
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -117,43 +132,36 @@ def simplex_maximize(c, A, b, tol: float = 1e-10):
     T[:n_rows, n_vars:n_vars + n_rows] = np.eye(n_rows)
     T[:n_rows, -1] = b
     T[-1, :n_vars] = -c
-    basis = list(range(n_vars, n_vars + n_rows))
+    basis = np.arange(n_vars, n_vars + n_rows)
 
-    max_pivots = 50_000
-    for _ in range(max_pivots):
+    update = np.empty_like(T)  # the rank-1 term, reused by every pivot
+    degenerate, bland = 0, False
+    for pivots in range(MAX_PIVOTS):
         reduced = T[-1, :-1]
-        enter = -1
-        for j in range(n_vars + n_rows):
-            if reduced[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        improving = reduced < -tol
+        if not improving.any():
             break
+        enter = int(np.argmax(improving)) if bland else int(np.argmin(reduced))
         col = T[:n_rows, enter]
-        leave_row, best = -1, None
-        for i in range(n_rows):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave_row = i
-        if leave_row < 0:
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
             raise UnboundedError("LP is unbounded")
-        pivot = T[leave_row, enter]
-        T[leave_row] /= pivot
-        for i in range(n_rows + 1):
-            if i != leave_row and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave_row]
-        basis[leave_row] = enter
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        leave = ties[np.argmin(basis[ties])]
+        degenerate = degenerate + 1 if T[leave, -1] <= tol else 0
+        bland = bland or degenerate >= DEGENERATE_RUN
+        pivot_row = T[leave] / T[leave, enter]
+        T -= np.multiply.outer(T[:, enter], pivot_row, out=update)
+        T[leave] = pivot_row
+        basis[leave] = enter
     else:
         raise NumericError("pivot limit exceeded")
 
     x = np.zeros(n_vars + n_rows)
-    for i, var in enumerate(basis):
-        x[var] = T[i, -1]
+    x[basis] = T[:n_rows, -1]
     dual = T[-1, n_vars:n_vars + n_rows].copy()
-    return x[:n_vars], float(T[-1, -1]), dual
+    return x[:n_vars], float(T[-1, -1]), dual, pivots, bland
 
 
 def _certify(c, A, b, x, value, dual):
@@ -175,9 +183,9 @@ def solve_generic_lp(c, A, b) -> LpSolution:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, value, dual = simplex_maximize(c, A, b)
+    x, value, dual, pivots, fell_back = simplex_maximize(c, A, b)
     gap = _certify(c, A, b, x, value, dual)
-    return LpSolution(x, value, "optimal", dual, gap)
+    return LpSolution(x, value, "optimal", dual, gap, pivots, fell_back)
 
 
 def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec) -> LpSolution:
@@ -187,16 +195,11 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         raise LpError(f"weights must be {spec.n}x{spec.m}")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
-    nm = spec.n * spec.m
+    A, b = spec.constraint_rows
     if not weights.any():
         # Any feasible point is optimal; zero is the canonical choice.
-        zero = np.zeros(nm)
-        return LpSolution(zero, 0.0, "optimal", np.zeros(spec_row_count(spec)), 0.0)
-    A, b = spec.constraint_rows()
+        return LpSolution(np.zeros(A.shape[1]), 0.0, "optimal", np.zeros(len(b)), 0.0)
     sol = solve_generic_lp(weights.reshape(-1), A, b)
     spec.check_feasible(sol.matrix(spec.n, spec.m))
     return sol
 
-
-def spec_row_count(spec: PolytopeSpec) -> int:
-    return spec.n + 1 + (1 if spec.budget_K is not None else 0) + spec.n * spec.m

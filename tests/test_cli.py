@@ -160,6 +160,25 @@ class TestSolve:
         assert "timings" not in res.stdout
         assert "timings" in res.stderr
 
+    def test_timings_line_reports_lp_counters(self, base_instance):
+        res = cli("solve", "-i", base_instance, "--rounds", "100", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        line = next(x for x in res.stderr.splitlines() if x.startswith("timings: "))
+        timings = json.loads(line[len("timings: "):])
+        assert timings["lp_pivots"] > 0 and timings["lp_fallbacks"] == 0
+        assert 0.0 <= timings["lp_max_gap"] < 1e-8
+        assert "pivots" not in res.stdout
+
+    def test_heavy_lt_in_weights_exit_2(self, tmp_path):
+        bad = tmp_path / "lt.json"
+        bad.write_text(json.dumps({
+            "n": 3, "m": 1, "coupon_values": [1.0], "adoption": [[0.5], [0.5], [0.5]],
+            "budget_B": 1.0, "model": "LT", "edges": [[1, 2, 0.7], [3, 2, 0.5]],
+        }))
+        res = cli("solve", "-i", str(bad))
+        assert res.returncode == 2
+        assert res.stderr == "error: LT incoming weights of user 2 sum above 1\n"
+
     def test_oracle_enumerates_each_f_once(self, extended_instance, monkeypatch):
         # the policy LP and the three relaxations share one profile cache
         enumerated = []
@@ -247,6 +266,37 @@ class TestSampledModels:
         assert report["instance"]["extended"] is extended
         assert report["rounding"]["dist_budget_violations"] == 0
         assert 0 < report["rounding"]["f_mean"] <= inst.n
+
+
+class TestOracleFuzz:
+    """Generated n = 6 instances solve with their oracle block.  Bland's rule
+    alone exceeded the 50,000-pivot limit in the oracle LPs of IC seeds
+    5007, 5016 and 5019 and TABLE seeds 5027 and 5032."""
+
+    def test_bland_pivot_limit_instance_solves(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(6, 2, model="IC", edge_density=0.4, seed=5019), path)
+        res = cli("solve", "-i", str(path), "--rounds", "100")
+        assert res.returncode == 0, res.stderr
+        block = json.loads(res.stdout)["oracle"]
+        assert block["relaxation_PB"] >= block["policy_value"] - 1e-8
+
+    @pytest.mark.parametrize("model,seed,extended", [
+        ("IC", 5000, False), ("IC", 5016, False), ("IC", 5001, True), ("IC", 5007, True),
+        ("TABLE", 5000, False), ("TABLE", 5032, False), ("TABLE", 5001, True),
+        ("TABLE", 5027, True),
+    ])
+    def test_generated_instances_solve(self, tmp_path, model, seed, extended):
+        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+        save_instance(generate_random(6, 2, model=model, edge_density=0.4, seed=seed,
+                                      extension=extended), path)
+        res = CliRunner().invoke(main, ["solve", "-i", str(path), "--rounds", "100",
+                                        "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        block = json.loads(out.read_text())["oracle"]
+        assert block["relaxation_PB"] >= block["policy_value"] - 1e-8
+        if extended:
+            assert block["relaxation_PB1"] >= block["relaxation_PB2"] - 1e-8
 
 
 class TestOracleCmd:

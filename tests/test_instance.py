@@ -127,6 +127,22 @@ def test_lt_weights_rescaled():
     assert np.all(in_sum <= 1.0)
 
 
+def test_lt_heavy_in_weights_rejected_at_the_boundary():
+    edges = ((1, 2, 0.7), (3, 2, 0.5))
+    with pytest.raises(InstanceValidationError, match="user 2 sum above 1"):
+        Instance(n=3, m=1, coupon_values=[1.0], adoption=[[0.5]] * 3, budget_B=1.0,
+                 model="LT", edges=edges)
+    # the same weights are fine under IC, where they are independent probabilities
+    Instance(n=3, m=1, coupon_values=[1.0], adoption=[[0.5]] * 3, budget_B=1.0, edges=edges)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_generated_lt_instances_load(tmp_path, seed):
+    inst = generate_random(6, 2, edge_density=1.0, model="LT", seed=seed, extension=seed % 2 == 1)
+    save_instance(inst, tmp_path / "lt.json")
+    assert load_instance(tmp_path / "lt.json") == inst
+
+
 def test_digest_stable_and_distinct():
     a = generate_random(3, 2, seed=7)
     assert a.digest() == generate_random(3, 2, seed=7).digest()

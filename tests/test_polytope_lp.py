@@ -3,8 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from couponcascade import polytope_lp
 from couponcascade.polytope_lp import (
     LpError,
+    NumericError,
     PolytopeSpec,
     UnboundedError,
     simplex_maximize,
@@ -98,6 +100,45 @@ class TestSimplex:
         assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-9)
         assert sol.duality_gap <= 1e-8 * (1 + abs(sol.objective_value))
 
+    # Beale's example (Naval Res. Logist. Q. 1955): Dantzig's rule with a
+    # lowest-index ratio tie-break cycles through degenerate bases at the origin.
+    BEALE = ([0.75, -20.0, 0.5, -6.0],
+             np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+             np.array([0.0, 0.0, 1.0]))
+
+    def test_beale_cycling_example_solves(self):
+        sol = solve_generic_lp(*self.BEALE)  # certified by strong duality
+        assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
+        assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+        assert sol.fell_back and sol.pivots > polytope_lp.DEGENERATE_RUN
+
+    def test_beale_cycles_without_fallback(self, monkeypatch):
+        # The fallback is what ends the cycle: pure Dantzig exhausts the limit.
+        monkeypatch.setattr(polytope_lp, "DEGENERATE_RUN", polytope_lp.MAX_PIVOTS + 1)
+        monkeypatch.setattr(polytope_lp, "MAX_PIVOTS", 500)
+        with pytest.raises(NumericError, match="pivot limit"):
+            solve_generic_lp(*self.BEALE)
+
+    def test_reports_pivots_without_fallback(self):
+        sol = solve_generic_lp([2.0, 1.0], np.array([[1.0, 1.0], [1.0, 0.0]]),
+                               np.array([2.0, 1.0]))
+        assert sol.objective_value == pytest.approx(3.0)
+        assert sol.pivots == 2 and not sol.fell_back
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_degenerate_lp_matches_vertex_enumeration(self, seed):
+        # Small-integer data with zero right-hand sides: many ties and
+        # degenerate vertices.  The all-ones row keeps the LP bounded.
+        rng = np.random.default_rng(500 + seed)
+        n = 4
+        A = np.vstack([rng.integers(-2, 4, size=(3, n)), np.ones(n)]).astype(float)
+        b = np.concatenate([rng.integers(0, 2, size=3), [3]]).astype(float)
+        c = rng.integers(-2, 4, size=n).astype(float)
+        sol = solve_generic_lp(c, A, b)
+        brute = vertex_enumeration_oracle(c, A, b)
+        assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-9)
+        assert sol.duality_gap <= 1e-8 * (1 + abs(sol.objective_value))
+
 
 class TestInnerLp:
     def spec(self, n, m, weights, B, dist=None, K=None):
@@ -160,3 +201,37 @@ class TestInnerLp:
         spec = self.spec(2, 2, np.full((2, 2), 0.5), 1.5)
         sol = solve_inner_lp(np.ones((2, 2)), spec)
         spec.check_feasible(sol.matrix(2, 2))
+
+    def test_rows_have_no_box_and_are_built_once(self):
+        spec = self.spec(3, 2, np.full((3, 2), 0.5), 1.0, dist=[1.0, 1.0, 1.0], K=2.0)
+        A, b = spec.constraint_rows
+        assert A.shape == (3 + 2, 6) and b.shape == (5,)
+        assert spec.constraint_rows[0] is A
+        assert len(solve_inner_lp(np.zeros((3, 2)), spec).dual) == len(b)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 2), (4, 1), (3, 1)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extended_matches_vertex_enumeration_with_box(self, shape, seed):
+        # The oracle sees the full row set, box rows y <= 1 included, so a
+        # box bound the solver relies on being implied would show here.
+        n, m = shape
+        rng = np.random.default_rng(700 + 10 * seed + n)
+        weights = rng.uniform(0.1, 1.5, size=(n, m))
+        dist = rng.uniform(0.5, 2.0, size=n)
+        spec = self.spec(n, m, weights, rng.uniform(0.3, 2.5), dist=dist,
+                         K=rng.uniform(0.4, 1.0) * dist.sum())
+        omega = rng.uniform(0.0, 2.0, size=(n, m))
+        sol = solve_inner_lp(omega, spec)
+        rows, bounds = [], []
+        for v in range(n):
+            cap = np.zeros((n, m))
+            cap[v] = 1.0
+            rows.append(cap.reshape(-1))
+            bounds.append(1.0)
+        rows += [weights.reshape(-1), np.repeat(dist, m)]
+        bounds += [spec.budget_B, spec.budget_K]
+        rows.extend(np.eye(n * m))
+        bounds += [1.0] * (n * m)
+        brute = vertex_enumeration_oracle(omega.reshape(-1), np.array(rows), np.array(bounds))
+        assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-12)
+        spec.check_feasible(sol.matrix(n, m))
