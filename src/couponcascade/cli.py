@@ -42,6 +42,7 @@ EXIT_NUMERIC = 3
 COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
 STEP = click.FloatRange(0.0, 1.0, min_open=True)
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
+ORACLE_LIMIT = 4096  # largest (m+1)^n allocation count `solve` compares against the oracle
 
 # The exceptions `solve` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
 # is a bug and surfaces with its traceback.
@@ -90,15 +91,19 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
     spend = ((kept > 0) * costs).sum(axis=1)
     violations = int(np.sum(spend > (inst.budget_K or np.inf) + 1e-9)) if extended else 0
 
-    codes = kept @ ((inst.m + 1) ** np.arange(inst.n))
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    first = np.zeros(len(uniq), dtype=int)
-    first[inverse] = np.arange(len(codes))
-    values = np.zeros(len(uniq))
-    cost_vals = np.zeros(len(uniq))
+    # One f per distinct profile, taken in the order of the profiles'
+    # base-(m+1) codes, last user most significant; f_mc draws its coins in
+    # this order.  The codes overflow int64, so the group ranks are refined
+    # user by user instead.
+    inverse = np.zeros(len(kept), dtype=np.int64)
+    for v in reversed(range(inst.n)):
+        _, inverse = np.unique(inverse * (inst.m + 1) + kept[:, v], return_inverse=True)
+    first = np.zeros(inverse.max() + 1, dtype=int)
+    first[inverse] = np.arange(len(kept))
+    values = np.zeros(len(first))
+    cost_vals = np.zeros(len(first))
     for j, idx in enumerate(first):
-        profile = tuple(int(x) for x in kept[idx])
-        alloc = Allocation.from_profile(profile)
+        alloc = Allocation.from_profile(kept[idx].tolist())
         if util.exact:
             values[j] = f_exact(inst, util, alloc)
         else:
@@ -129,16 +134,14 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
 
 
 def _oracle_block(inst, util, extended, b):
-    cache = {}  # one f per coupon profile across the LPs
-    block = {"policy_value": oracle.solve_optimal_policy(inst, util, cache=cache)[1]}
+    block = {"policy_value": oracle.solve_optimal_policy(inst, util)[1]}
     for mode in ("PB", "PB1", "PB2") if extended else ("PB",):
-        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(
-            inst, util, mode, b=b, cache=cache)
+        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(inst, util, mode, b=b)
     return block
 
 
 def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
-              want_trace=False, with_oracle=True, oracle_limit=4096):
+              want_trace=False, with_oracle=True):
     """The solve pipeline shared by `solve` and `bench`."""
     inst = load_instance(path)
     util = make_utility(inst, mc_samples=mc_samples)
@@ -172,7 +175,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     oracle_vals = None
     ratio = None
     t_oracle = 0.0
-    if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= oracle_limit:
+    if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
         t0 = time.perf_counter()
         oracle_vals = _oracle_block(inst, util, extended, b)
         t_oracle = time.perf_counter() - t0
@@ -287,9 +290,8 @@ def oracle_cmd(path, b, points, seed, out):
         checks.append({"name": dominance.name, "ok": dominance.ok,
                        "max_violation": dominance.max_violation,
                        "witnesses": dominance.witnesses})
-        cache = {}  # one f per coupon profile across the LPs
-        _, policy_value = oracle.solve_optimal_policy(inst, util, cache=cache)
-        _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB", cache=cache)
+        _, policy_value = oracle.solve_optimal_policy(inst, util)
+        _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB")
         checks.append({
             "name": "relaxation_dominates_policy",
             "ok": pb_value >= policy_value - 1e-8,
@@ -297,8 +299,8 @@ def oracle_cmd(path, b, points, seed, out):
             "relaxation_value": pb_value,
         })
         if inst.budget_K is not None:
-            _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1", cache=cache)
-            _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b, cache=cache)
+            _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1")
+            _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
             checks.append({
                 "name": "scaled_relaxation_lower_bound",
                 "ok": pb2 >= b * pb1 - 1e-8,

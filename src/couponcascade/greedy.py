@@ -27,6 +27,9 @@ from couponcascade.objective import (
 from couponcascade.polytope_lp import NumericError, PolytopeSpec, solve_inner_lp
 
 
+F_ESTIMATE_SAMPLES = 200  # profile draws per sampled F in the trace
+
+
 class GreedyError(ValueError):
     pass
 
@@ -47,7 +50,6 @@ class GreedyConfig:
     seed: int = 0
     b: float = 0.25
     mode: str = "base"
-    f_estimate_samples: int = 200
 
     def step(self, inst: Instance) -> float:
         delta = self.delta if self.delta is not None else 1.0 / (inst.n * inst.m) ** 2
@@ -123,7 +125,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             f_est = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
         else:
             f_est = multilinear_F_mc(
-                inst, util, np.clip(y, 0.0, 1.0), cfg.f_estimate_samples, rng
+                inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
             )
         trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
     row_excess = y.sum(axis=1) - 1.0

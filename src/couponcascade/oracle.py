@@ -1,55 +1,59 @@
 """Brute-force ground truth for tiny instances.
 
-Enumerates every feasible allocation, solves the exact policy LP, the
-exact concave-extension relaxations, and certifies numerically that the
+Works on coupon profiles: a profile is a tuple holding each user's coupon,
+0 for none.  Enumerates every feasible profile, solves the exact policy LP,
+the exact concave-extension relaxations, and certifies numerically that the
 perturbed objective stays inside its submodular sandwich and that the
 relaxations dominate in the expected directions.  Everything here is
 independent of the solver path: it goes through exhaustive enumeration and
-the generic LP solver only.  In particular f is evaluated by enumerating
-the seed sets of the offered users (`f_exact` below), not by the closed
-form over the gamma vector that the solver uses.
+the generic LP solver only.  In particular f is a sum over explicit seed
+sets (`f_exact` below): every profile's Pr(U; S) for all 2^n seed sets U,
+times gamma(U) read through `value`, not the solver's fold over the gamma
+vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError, check_submodular_monotone
 from couponcascade.instance import Instance
-from couponcascade.objective import Allocation, cost_exact, pairs_to_profile
+from couponcascade.objective import Allocation
 from couponcascade.polytope_lp import solve_generic_lp
+
+# Largest Pr(U; S) block f_exact builds at once, in entries: rows of 2^n
+# seed-set probabilities, as many profiles as fit.
+BLOCK_ENTRIES = 1 << 16
 
 
 class OracleError(ValueError):
     pass
 
 
-def f_exact(inst: Instance, util: CascadeUtility, S, cache: dict | None = None) -> float:
-    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U), by enumerating the
-    seed sets of the offered users; `cache` memoizes f by coupon profile."""
+def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
+    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U) for every coupon profile S.
+
+    gamma(U) of all 2^n seed sets is read once through `util.value`; Pr(U;S)
+    is a product over users, one at a time, in blocks of BLOCK_ENTRIES.
+    """
     if not util.exact:
         raise UtilityError("f_exact needs an exactly evaluable utility")
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    profile = pairs_to_profile(pairs, inst.n)
-    if cache is not None and profile in cache:
-        return cache[profile]
-    offered = [v for v in range(1, inst.n + 1) if profile[v - 1]]
-    probs = [inst.p(v, profile[v - 1]) for v in offered]
-    total = 0.0
-    for r in range(len(offered) + 1):
-        for combo in combinations(range(len(offered)), r):
-            chosen = set(combo)
-            pr = 1.0
-            for i, p in enumerate(probs):
-                pr *= p if i in chosen else 1.0 - p
-            if pr:
-                total += pr * util.value(frozenset(offered[i] for i in chosen))
-    if cache is not None:
-        cache[profile] = total
-    return total
+    n = inst.n
+    profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
+    gamma = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
+                      for mask in range(1 << n)])
+    held = np.hstack([np.zeros((n, 1)), inst.adoption])[np.arange(n), profiles]
+    rows = max(1, BLOCK_ENTRIES >> n)
+    out = np.empty(len(profiles))
+    for start in range(0, len(profiles), rows):
+        p = held[start:start + rows]
+        pr = np.ones((len(p), 1))
+        for v in range(n):  # user v + 1 is the next bit of the seed-set index
+            pr = np.hstack([pr * (1.0 - p[:, v, None]), pr * p[:, v, None]])
+        out[start:start + rows] = pr @ gamma
+    return out
 
 
 @dataclass
@@ -63,51 +67,42 @@ class Policy:
         if abs(total - 1.0) > 1e-9:
             raise OracleError(f"policy probabilities sum to {total}, not 1")
 
-    def expected_value(self, values: dict) -> float:
-        return sum(p * values[alloc] for alloc, p in self.support)
-
 
 def enumerate_feasible_allocations(inst: Instance, respect_K: bool = True,
-                                   limit: int = 100_000) -> list[Allocation]:
-    """All allocations with at most one coupon per user, optionally filtered
-    by the hard distribution budget."""
+                                   limit: int = 100_000) -> list[tuple]:
+    """Every coupon profile (at most one coupon per user), in lexicographic
+    order, optionally filtered by the hard distribution budget."""
     count = (inst.m + 1) ** inst.n
     if count > limit:
         raise OracleError(f"enumeration of {count} allocations exceeds the limit {limit}")
-    allocations = []
-    for profile in product(range(inst.m + 1), repeat=inst.n):
-        if respect_K and inst.budget_K is not None:
-            spend = sum(inst.dist_cost[v] for v, d in enumerate(profile) if d)
-            if spend > inst.budget_K + 1e-12:
-                continue
-        allocations.append(Allocation.from_profile(profile))
-    return allocations
+    profiles = np.indices((inst.m + 1,) * inst.n).reshape(inst.n, -1).T
+    if respect_K and inst.budget_K is not None:
+        profiles = profiles[(profiles > 0) @ inst.dist_cost <= inst.budget_K + 1e-12]
+    return [tuple(row) for row in profiles.tolist()]
 
 
-def _values(inst: Instance, util: CascadeUtility, allocations, cache=None):
-    cache = {} if cache is None else cache
-    f_vals = np.array([f_exact(inst, util, S, cache) for S in allocations])
-    c_vals = np.array([cost_exact(inst, S) for S in allocations])
-    return f_vals, c_vals
+def _costs(inst: Instance, profiles) -> np.ndarray:
+    """Expected redemption cost of each profile: p_v(d) * value(d) summed over users."""
+    pay = np.hstack([np.zeros((inst.n, 1)), inst.adoption * inst.coupon_values])
+    return pay[np.arange(inst.n), np.asarray(profiles)].sum(axis=1)
 
 
-def solve_optimal_policy(inst: Instance, util: CascadeUtility, cache=None):
+def solve_optimal_policy(inst: Instance, util: CascadeUtility):
     """Exact optimum of the policy problem: the LP over allocation probabilities.
 
     Returns (Policy, optimal value).  The support of a basic optimum has at
-    most two allocations: only the mass and budget rows can bind.  `cache`
-    is `f_exact`'s.
+    most two allocations: only the mass and budget rows can bind.
     """
-    allocations = enumerate_feasible_allocations(inst)
-    f_vals, c_vals = _values(inst, util, allocations, cache)
-    k = len(allocations)
+    profiles = enumerate_feasible_allocations(inst)
+    k = len(profiles)
     # Mass <= 1 instead of == 1: padding with the empty allocation (f=c=0)
     # restores equality without changing the optimum.
-    A = np.vstack([np.ones(k), c_vals])
+    A = np.vstack([np.ones(k), _costs(inst, profiles)])
     b = np.array([1.0, inst.budget_B])
-    sol = solve_generic_lp(f_vals, A, b)
+    sol = solve_generic_lp(f_exact(inst, util, profiles), A, b)
     theta = sol.x
-    support = [(allocations[i], float(theta[i])) for i in range(k) if theta[i] > 1e-12]
+    support = [(Allocation.from_profile(profiles[i]), float(theta[i]))
+               for i in range(k) if theta[i] > 1e-12]
     slack = 1.0 - sum(p for _, p in support)
     if slack > 1e-12:
         empty = Allocation(())
@@ -120,39 +115,33 @@ def solve_optimal_policy(inst: Instance, util: CascadeUtility, cache=None):
     return Policy(support), float(sol.objective_value)
 
 
-def _coupling_rows(inst: Instance, allocations) -> np.ndarray:
+def _coupling_rows(inst: Instance, profiles) -> np.ndarray:
     """alpha-membership indicator rows, one per user-coupon pair in (v, d) order."""
-    rows = np.zeros((inst.n * inst.m, len(allocations)))
-    for i, S in enumerate(allocations):
-        for v, d in S.pairs:
-            rows[(v - 1) * inst.m + d - 1, i] = 1.0
-    return rows
+    held = np.asarray(profiles).T[:, None, :] == np.arange(1, inst.m + 1)[:, None]
+    return held.reshape(inst.n * inst.m, -1).astype(float)
 
 
-def concave_extension_value(inst: Instance, util: CascadeUtility, y,
-                            use_reference: bool = False, cache=None) -> float:
-    """The concave extension at a fixed fractional point, by exact LP.
+def concave_extension_value(inst: Instance, util: CascadeUtility, y) -> float:
+    """The concave extension at a fixed fractional point, by exact LP."""
+    profiles = enumerate_feasible_allocations(inst, respect_K=False)
+    return _extension_lp(inst, profiles, f_exact(inst, util, profiles), y)
 
-    With use_reference=True, evaluates the extension of the unperturbed
-    submodular objective instead.
-    """
-    y = np.asarray(y, dtype=float)
-    allocations = enumerate_feasible_allocations(inst, respect_K=False)
-    base_util = util.reference_q if use_reference else util
-    f_vals, _ = _values(inst, base_util, allocations, cache)
-    A = np.vstack([np.ones(len(allocations)), _coupling_rows(inst, allocations)])
-    sol = solve_generic_lp(f_vals, A, np.concatenate([[1.0], y.reshape(-1)]))
-    return float(sol.objective_value)
+
+def _extension_lp(inst: Instance, profiles, f_vals: np.ndarray, y) -> float:
+    """max sum_S alpha_S f(S) over alpha >= 0 with mass <= 1 and membership <= y."""
+    A = np.vstack([np.ones(len(profiles)), _coupling_rows(inst, profiles)])
+    b = np.concatenate([[1.0], np.asarray(y, dtype=float).reshape(-1)])
+    return float(solve_generic_lp(f_vals, A, b).objective_value)
 
 
 def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "PB",
-                             b: float = 0.25, cache=None):
+                             b: float = 0.25):
     """Exact optimum of the fractional relaxation: maximize the concave
     extension over the polytope.
 
     mode "PB" is the base polytope; "PB1" adds the distribution knapsack at
     its full budget K; "PB2" at the scaled budget b*K.  Solved as one joint
-    LP in the combination weights alpha and the matrix y.  `cache` is `f_exact`'s.
+    LP in the combination weights alpha and the matrix y.
 
     Returns (y_plus, value).
     """
@@ -160,9 +149,8 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
         raise OracleError(f"unknown relaxation mode {mode!r}")
     if mode != "PB" and inst.budget_K is None:
         raise OracleError(f"mode {mode} needs an instance with budget_K")
-    allocations = enumerate_feasible_allocations(inst, respect_K=False)
-    f_vals, _ = _values(inst, util, allocations, cache)
-    k, n, m = len(allocations), inst.n, inst.m
+    profiles = enumerate_feasible_allocations(inst, respect_K=False)
+    k, n, m = len(profiles), inst.n, inst.m
     nm = n * m
     # Columns are alpha (k) then y flat (v, d).  Rows: alpha mass <= 1,
     # coupling alpha-membership <= y, per-user caps, then the knapsacks.
@@ -174,9 +162,9 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
         bounds.append([float(inst.budget_K) * (b if mode == "PB2" else 1.0)])
     y_rows = np.vstack(y_rows)
     A = np.block([[np.ones((1, k)), np.zeros((1, nm))],
-                  [_coupling_rows(inst, allocations), -np.eye(nm)],
+                  [_coupling_rows(inst, profiles), -np.eye(nm)],
                   [np.zeros((len(y_rows), k)), y_rows]])
-    c = np.concatenate([f_vals, np.zeros(nm)])
+    c = np.concatenate([f_exact(inst, util, profiles), np.zeros(nm)])
     sol = solve_generic_lp(c, A, np.concatenate(bounds))
     y_plus = sol.x[k:].reshape(n, m)
     return y_plus, float(sol.objective_value)
@@ -197,26 +185,21 @@ def verify_eps_sandwich(inst: Instance, util: CascadeUtility) -> VerifierReport:
     monotone submodular along a fixed coupon-per-user grid."""
     reference = util.reference_q
     eps = util.epsilon
-    allocations = enumerate_feasible_allocations(inst, respect_K=False)
-    cache_f, cache_g = {}, {}
-    worst = 0.0
-    witnesses = []
-    for S in allocations:
-        f_val = f_exact(inst, util, S, cache_f)
-        g_val = f_exact(inst, reference, S, cache_g)
-        low, high = (1 - eps) * g_val, (1 + eps) * g_val
-        violation = max(low - f_val, f_val - high, 0.0)
-        if violation > 1e-9:
-            witnesses.append({"allocation": sorted(S.pairs), "f": f_val, "g": g_val})
-        worst = max(worst, violation)
+    profiles = enumerate_feasible_allocations(inst, respect_K=False)
+    f_vals = f_exact(inst, util, profiles)
+    g_vals = f_exact(inst, reference, profiles)
+    violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
+                           0.0)
+    worst = float(violation.max())
+    witnesses = [{"allocation": sorted(Allocation.from_profile(profiles[i]).pairs),
+                  "f": float(f_vals[i]), "g": float(g_vals[i])}
+                 for i in np.flatnonzero(violation > 1e-9)]
     # g restricted to one fixed coupon per user is a set function of the
     # offered-user set; it must inherit monotone submodularity.
-    grid_coupon = [((v - 1) % inst.m) + 1 for v in range(1, inst.n + 1)]
-    table = {}
-    for mask in range(1 << inst.n):
-        users = frozenset(v for v in range(1, inst.n + 1) if mask >> (v - 1) & 1)
-        pairs = frozenset((v, grid_coupon[v - 1]) for v in users)
-        table[users] = f_exact(inst, reference, pairs, cache_g)
+    offered = (np.arange(1 << inst.n)[:, None] >> np.arange(inst.n)) & 1
+    grid_g = f_exact(inst, reference, offered * (np.arange(inst.n) % inst.m + 1))
+    table = {frozenset(v + 1 for v in range(inst.n) if mask >> v & 1): float(g)
+             for mask, g in enumerate(grid_g)}
     grid_witness = check_submodular_monotone(table, inst.n)
     ok = worst <= 1e-9 and grid_witness is None
     details = {"epsilon": eps}
@@ -233,15 +216,17 @@ def verify_concave_dominance(inst: Instance, util: CascadeUtility,
     row-feasible fractional points."""
     eps = util.epsilon
     rng = np.random.default_rng(seed)
-    cache_f, cache_g = {}, {}
+    profiles = enumerate_feasible_allocations(inst, respect_K=False)
+    f_vals = f_exact(inst, util, profiles)
+    g_vals = f_exact(inst, util.reference_q, profiles)
     worst = 0.0
     witnesses = []
     for _ in range(points):
         y = rng.random((inst.n, inst.m))
         rows = y.sum(axis=1)
         y = y / np.maximum(rows, 1.0)[:, None]
-        f_plus = concave_extension_value(inst, util, y, cache=cache_f)
-        g_plus = concave_extension_value(inst, util, y, use_reference=True, cache=cache_g)
+        f_plus = _extension_lp(inst, profiles, f_vals, y)
+        g_plus = _extension_lp(inst, profiles, g_vals, y)
         violation = f_plus - (1 + eps) * g_plus
         if violation > 1e-8:
             witnesses.append({"y": y.tolist(), "f_plus": f_plus, "g_plus": g_plus})

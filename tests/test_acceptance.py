@@ -211,14 +211,13 @@ class TestExtensionConsistency:
         for n, m, seed in [(3, 3, 1), (3, 2, 2), (2, 2, 3)]:
             inst = generate_random(n, m, model="TABLE", seed=600 + seed)
             util = make_utility(inst)
-            cache = {}
-            for profile in _profiles(n, m):
+            profiles = list(_profiles(n, m))
+            for profile, f_S in zip(profiles, enumerated_f(inst, util, profiles)):
                 S = Allocation.from_profile(profile)
                 y = np.zeros((n, m))
                 for v, d in S.pairs:
                     y[v - 1, d - 1] = 1.0
-                err = abs(multilinear_F_exact(inst, util, y)
-                          - enumerated_f(inst, util, S, cache))
+                err = abs(multilinear_F_exact(inst, util, y) - f_S)
                 max_err = max(max_err, err)
         indicator_ok = max_err <= 1e-12
 

@@ -3,14 +3,15 @@ from itertools import product
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import run_cli as cli
-from couponcascade import cascade, oracle
-from couponcascade.cli import main, run_solve
-from couponcascade.instance import generate_random, save_instance
-from couponcascade.objective import pairs_to_profile
+from couponcascade import cascade, oracle, rounding
+from couponcascade.cli import _rounding_stats, main, run_solve
+from couponcascade.instance import generate_random, load_instance, save_instance
+from couponcascade.objective import Allocation, f_exact, f_mc
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
@@ -179,22 +180,59 @@ class TestSolve:
         assert res.returncode == 2
         assert res.stderr == "error: LT incoming weights of user 2 sum above 1\n"
 
-    def test_oracle_enumerates_each_f_once(self, extended_instance, monkeypatch):
-        # the policy LP and the three relaxations share one profile cache
-        enumerated = []
-        original = oracle.f_exact
+    def test_oracle_reads_f_once_per_lp(self, extended_instance, monkeypatch):
+        # the policy LP and the three relaxations each make one batched f call
+        batches, seed_sets = [], []
+        original_f, original_value = oracle.f_exact, cascade.CascadeUtility.value
 
-        def counted(inst, util, S, cache=None):
-            profile = pairs_to_profile(S.pairs, inst.n)
-            if cache is None or profile not in cache:
-                enumerated.append(profile)
-            return original(inst, util, S, cache)
+        def recorded_f(inst, util, profiles):
+            batches.append(list(profiles))
+            return original_f(inst, util, profiles)
 
-        monkeypatch.setattr(oracle, "f_exact", counted)
+        def counted_value(self, U):
+            seed_sets.append(U)
+            return original_value(self, U)
+
+        monkeypatch.setattr(oracle, "f_exact", recorded_f)
+        monkeypatch.setattr(cascade.CascadeUtility, "value", counted_value)
         report, _ = run_solve(extended_instance, None, 10_000, 200, 50, 0.25, 1)
-        assert set(report["oracle"]) == {"policy_value", "relaxation_PB", "relaxation_PB1",
-                                         "relaxation_PB2"}
-        assert sorted(enumerated) == sorted(product(range(3), repeat=3))
+        lps = {"policy_value", "relaxation_PB", "relaxation_PB1", "relaxation_PB2"}
+        assert set(report["oracle"]) == lps
+        inst = load_instance(extended_instance)
+        every = sorted(product(range(3), repeat=3))
+        affordable = [p for p in every
+                      if sum(inst.dist_cost[v] for v, d in enumerate(p) if d) <= inst.budget_K]
+        assert len(affordable) < len(every)
+        assert batches == [affordable] + [every] * 3
+        # 2^n gamma reads per LP, plus the solver's one gamma vector
+        assert len(seed_sets) <= (len(lps) + 1) * 2 ** inst.n
+
+
+class TestRoundingStats:
+    def test_profiles_past_int64_codes_stay_apart(self):
+        # 128^10 = 2^70: a profile's base-(m+1) code overflows int64 here
+        inst = generate_random(11, 127, model="TABLE", seed=1)
+        util = cascade.make_utility(inst)
+        y = np.zeros((11, 127))
+        y[:, 0] = 0.5
+        stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5), 10_000, False)
+        draws = rounding.round_partition_batch(y, 200, np.random.default_rng(5))
+        f_draws = [f_exact(inst, util, Allocation.from_profile(row)) for row in draws]
+        assert stats["f_mean"] == pytest.approx(np.mean(f_draws), rel=1e-12)
+
+    def test_sampled_f_drawn_in_profile_code_order(self):
+        # f_mc shares the rounding rng, so the order of distinct profiles fixes the report
+        inst = generate_random(4, 2, model="LT", seed=2)
+        util = cascade.make_utility(inst, mc_samples=500)
+        y = np.random.default_rng(3).uniform(0.0, 0.5, size=(4, 2))
+        stats = _rounding_stats(inst, util, y, 300, np.random.default_rng(9), 500, False)
+        rng = np.random.default_rng(9)
+        draws = rounding.round_partition_batch(y, 300, rng)
+        codes, inverse = np.unique(draws @ 3 ** np.arange(4), return_inverse=True)
+        assert len(codes) > 10
+        f_codes = [f_mc(inst, util, Allocation.from_profile(draws[inverse == j][0]), 500, rng)
+                   for j in range(len(codes))]
+        assert stats["f_mean"] == float(np.array(f_codes)[inverse].mean())
 
 
 BAD_NUMBERS = [

@@ -17,6 +17,7 @@ from couponcascade.objective import (
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
+    pairs_to_profile,
     seed_prob,
 )
 from couponcascade.oracle import f_exact as enumerated_f
@@ -242,10 +243,10 @@ class TestMarginals:
         assert np.all(np.abs(est - exact) <= 3 * 2 / np.sqrt(50_000) + 1e-9)
 
 
-def reference_F(inst, util, y, cache):
+def reference_F(inst, util, y):
     """F(y) by enumerating every entry mask, each f by the oracle's enumeration."""
     entries = [(v, d) for v in range(1, inst.n + 1) for d in range(1, inst.m + 1)]
-    total = 0.0
+    weights, profiles = [], []
     for mask in range(1 << len(entries)):
         weight, pairs = 1.0, []
         for i, (v, d) in enumerate(entries):
@@ -254,24 +255,22 @@ def reference_F(inst, util, y, cache):
                 pairs.append((v, d))
             else:
                 weight *= 1.0 - y[v - 1, d - 1]
-        if weight:
-            total += weight * enumerated_f(inst, util, pairs, cache)
-    return total
+        weights.append(weight)
+        profiles.append(pairs_to_profile(pairs, inst.n))
+    return float(np.dot(weights, enumerated_f(inst, util, profiles)))
 
 
-def reference_draws(inst, util, y, samples, rng, cache):
+def reference_draws(inst, util, y, samples, rng):
     """f of each sampled profile and the lift loop over every (v, d), by enumeration."""
     inclusion = rng.random((samples, inst.n, inst.m)) < y
     profiles = (inclusion * np.arange(1, inst.m + 1)).max(axis=2)
-    base = [enumerated_f(inst, util, Allocation.from_profile(p), cache) for p in profiles]
+    base = enumerated_f(inst, util, profiles)
     omega = np.zeros((inst.n, inst.m))
     for v in range(inst.n):
         for d in range(1, inst.m + 1):
-            for prof, b in zip(profiles, base):
-                lifted = prof.copy()
-                lifted[v] = max(lifted[v], d)
-                omega[v, d - 1] += enumerated_f(
-                    inst, util, Allocation.from_profile(lifted), cache) - b
+            lifted = profiles.copy()
+            lifted[:, v] = np.maximum(lifted[:, v], d)
+            omega[v, d - 1] = sum(enumerated_f(inst, util, lifted) - base)
     return np.mean(base), np.maximum(omega / samples, 0.0)
 
 
@@ -293,30 +292,28 @@ class TestClosedFormAgainstEnumeration:
     @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
     def test_f_exact(self, model, eps):
         inst, util, _ = closed_form_case(model, eps)
-        cache = {}
-        for profile in product(range(inst.m + 1), repeat=inst.n):
+        profiles = list(product(range(inst.m + 1), repeat=inst.n))
+        for profile, expected in zip(profiles, enumerated_f(inst, util, profiles)):
             S = Allocation.from_profile(profile)
-            assert f_exact(inst, util, S) == pytest.approx(
-                enumerated_f(inst, util, S, cache), abs=1e-12)
+            assert f_exact(inst, util, S) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
     def test_F_and_exact_marginals(self, model, eps):
         inst, util, y = closed_form_case(model, eps)
-        cache = {}
-        base = reference_F(inst, util, y, cache)
+        base = reference_F(inst, util, y)
         assert multilinear_F_exact(inst, util, y) == pytest.approx(base, abs=1e-12)
         omega = marginal_omega_exact(inst, util, y)
         for v in range(inst.n):
             for d in range(inst.m):
                 raised = y.copy()
                 raised[v, d] = 1.0
-                expected = max(reference_F(inst, util, raised, cache) - base, 0.0)
+                expected = max(reference_F(inst, util, raised) - base, 0.0)
                 assert omega[v, d] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
     def test_sampled_over_the_same_draws(self, model, eps):
         inst, util, y = closed_form_case(model, eps)
-        F_ref, omega_ref = reference_draws(inst, util, y, 40, np.random.default_rng(73), {})
+        F_ref, omega_ref = reference_draws(inst, util, y, 40, np.random.default_rng(73))
         omega = marginal_omega(inst, util, y, 40, np.random.default_rng(73))
         assert np.allclose(omega, omega_ref, rtol=0.0, atol=1e-12)
         F_est = multilinear_F_mc(inst, util, y, 40, np.random.default_rng(73))

@@ -1,6 +1,9 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
+from couponcascade import oracle
 from couponcascade.cascade import make_utility
 from couponcascade.instance import generate_random
 from couponcascade.objective import Allocation, cost_exact, f_exact
@@ -14,6 +17,89 @@ from couponcascade.oracle import (
     verify_eps_sandwich,
 )
 from conftest import modular_table, table_instance
+
+
+def enumerated_f(inst, util, profile):
+    """f of one coupon profile by enumerating the seed sets of its offered
+    users one combination at a time: the reference for `oracle.f_exact`."""
+    offered = [v for v in range(1, inst.n + 1) if profile[v - 1]]
+    probs = [inst.p(v, profile[v - 1]) for v in offered]
+    total = 0.0
+    for r in range(len(offered) + 1):
+        for combo in combinations(range(len(offered)), r):
+            chosen = set(combo)
+            pr = 1.0
+            for i, p in enumerate(probs):
+                pr *= p if i in chosen else 1.0 - p
+            if pr:
+                total += pr * util.value(frozenset(offered[i] for i in chosen))
+    return total
+
+
+class Bad:
+    """A fake perturbed utility whose values escape the claimed band."""
+
+    exact = True
+    epsilon = 0.1
+
+    def value(self, U):
+        return 10.0 if U else 0.0
+
+    @property
+    def reference_q(self):
+        class Ref:
+            exact = True
+
+            def value(self, U):
+                return float(len(U))
+        return Ref()
+
+
+class TestBatchedF:
+    @pytest.mark.parametrize("model,n,m", [("TABLE", 3, 3), ("IC", 4, 2)])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_matches_enumeration(self, model, n, m, eps):
+        inst = generate_random(n, m, model=model, edge_density=0.5, epsilon=eps, seed=81)
+        util = make_utility(inst)
+        profiles = enumerate_feasible_allocations(inst, respect_K=False)
+        expected = [enumerated_f(inst, util, p) for p in profiles]
+        assert np.allclose(oracle.f_exact(inst, util, profiles), expected, rtol=1e-12, atol=0)
+
+    def test_many_row_blocks(self):
+        inst = generate_random(10, 1, model="TABLE", epsilon=0.1, seed=82)
+        util = make_utility(inst)
+        profiles = enumerate_feasible_allocations(inst, respect_K=False)
+        rows = oracle.BLOCK_ENTRIES >> inst.n
+        assert len(profiles) >= 8 * rows  # the batch spans many blocks
+        values = oracle.f_exact(inst, util, profiles)
+        picks = sorted({0, rows - 1, rows, rows + 1, 5 * rows + 3, len(profiles) - 1}
+                       | set(range(7, len(profiles), 97)))
+        expected = [enumerated_f(inst, util, profiles[i]) for i in picks]
+        assert np.allclose(values[picks], expected, rtol=1e-12, atol=0)
+
+    def test_negative_control_utility(self):
+        inst = table_instance(modular_table([1.0, 1.0, 1.0]), [[0.5, 0.7], [0.2, 0.4], [0.9, 1.0]])
+        profiles = enumerate_feasible_allocations(inst)
+        for util in (Bad(), Bad().reference_q):
+            expected = [enumerated_f(inst, util, p) for p in profiles]
+            assert np.allclose(oracle.f_exact(inst, util, profiles), expected,
+                               rtol=1e-12, atol=0)
+
+    def test_one_value_per_seed_set(self):
+        inst = generate_random(4, 2, model="TABLE", seed=83)
+        util = make_utility(inst)
+        seen = []
+
+        class Counted:
+            exact = True
+
+            def value(self, U):
+                seen.append(U)
+                return util.value(U)
+
+        oracle.f_exact(inst, Counted(), enumerate_feasible_allocations(inst))
+        assert sorted(map(sorted, seen)) == sorted(
+            sorted(c) for r in range(5) for c in combinations(range(1, 5), r))
 
 
 class TestEnumeration:
@@ -30,6 +116,15 @@ class TestEnumeration:
                               dist_cost=np.array([5.0, 5.0]), budget_K=5.0)
         allocs = enumerate_feasible_allocations(inst)
         assert len(allocs) == 3  # empty, {1}, {2}; both together cost 10 > 5
+
+    def test_profiles_in_lexicographic_order(self):
+        inst = generate_random(4, 2, model="TABLE", seed=84, extension=True)
+        affordable = [p for p in product(range(3), repeat=4)
+                      if sum(inst.dist_cost[v] for v, d in enumerate(p) if d) <= inst.budget_K]
+        assert 0 < len(affordable) < 3 ** 4
+        assert enumerate_feasible_allocations(inst) == affordable
+        assert enumerate_feasible_allocations(inst, respect_K=False) == list(
+            product(range(3), repeat=4))
 
     def test_size_limit(self):
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
@@ -90,8 +185,8 @@ class TestConcaveRelaxation:
                              coupon_values=inst.coupon_values, budget_B=100.0)
         util = make_utility(big)
         _, value = solve_concave_relaxation(big, util, "PB")
-        best = max(f_exact(big, util, S)
-                   for S in enumerate_feasible_allocations(big))
+        best = max(f_exact(big, util, Allocation.from_profile(p))
+                   for p in enumerate_feasible_allocations(big))
         assert value == pytest.approx(best, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -147,23 +242,6 @@ class TestSandwichVerifier:
         assert report.ok
 
     def test_negative_control(self):
-        # a fake perturbed utility whose values escape the claimed band
-        class Bad:
-            exact = True
-            epsilon = 0.1
-
-            def value(self, U, rng=None):
-                return 10.0 if U else 0.0
-
-            @property
-            def reference_q(self):
-                class Ref:
-                    exact = True
-
-                    def value(self, U, rng=None):
-                        return float(len(U))
-                return Ref()
-
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
         report = verify_eps_sandwich(inst, Bad())
         assert not report.ok
