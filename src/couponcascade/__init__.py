@@ -10,7 +10,7 @@ approximation guarantees.
 """
 
 from couponcascade.instance import Instance, generate_random, load_instance, save_instance
-from couponcascade.objective import Allocation, FractionalSolution
+from couponcascade.objective import FractionalSolution
 from couponcascade.greedy import GreedyConfig, continuous_greedy, approximation_beta
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "generate_random",
     "load_instance",
     "save_instance",
-    "Allocation",
     "FractionalSolution",
     "GreedyConfig",
     "continuous_greedy",

@@ -12,7 +12,6 @@ submodular reference around for certification.
 from __future__ import annotations
 
 import hashlib
-from itertools import combinations
 
 import numpy as np
 
@@ -269,39 +268,3 @@ def make_eps_perturbed(base: CascadeUtility, epsilon: float, perturb_seed: int) 
         base.kind, base.n, base.edges, base.table,
         epsilon=epsilon, perturb_seed=perturb_seed, mc_samples=base.mc_samples,
     )
-
-
-def check_submodular_monotone(table: dict[frozenset, float], n: int):
-    """Exhaustively check a tabulated set function on {1..n}.
-
-    Returns None when the table is monotone and submodular, else a witness:
-    ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, Y, x) when
-    the diminishing-returns inequality fails for X subset of Y.
-    """
-    if n > 12:
-        raise UtilityError("exhaustive check limited to n <= 12")
-    users = list(range(1, n + 1))
-    sets = []
-    for r in range(n + 1):
-        sets.extend(frozenset(c) for c in combinations(users, r))
-    for s in sets:
-        if s not in table:
-            raise UtilityError(f"gamma table is missing subset {sorted(s)}")
-    for X in sets:
-        for x in users:
-            if x in X:
-                continue
-            if table[X | {x}] < table[X] - 1e-12:
-                return ("monotone", X, x)
-    for Y in sets:
-        for X in sets:
-            if not X <= Y:
-                continue
-            for x in users:
-                if x in Y:
-                    continue
-                gain_x = table[X | {x}] - table[X]
-                gain_y = table[Y | {x}] - table[Y]
-                if gain_x < gain_y - 1e-12:
-                    return ("submodular", X, Y, x)
-    return None

@@ -31,7 +31,7 @@ from couponcascade.instance import (
     InstanceValidationError,
     load_instance,
 )
-from couponcascade.objective import Allocation, cost_exact, f_exact, f_mc
+from couponcascade.objective import cost_exact, f_exact, f_mc
 from couponcascade.polytope_lp import LpError
 
 SCHEMA_VERSION = 1
@@ -100,17 +100,12 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
         _, inverse = np.unique(inverse * (inst.m + 1) + kept[:, v], return_inverse=True)
     first = np.zeros(inverse.max() + 1, dtype=int)
     first[inverse] = np.arange(len(kept))
-    values = np.zeros(len(first))
-    cost_vals = np.zeros(len(first))
-    for j, idx in enumerate(first):
-        alloc = Allocation.from_profile(kept[idx].tolist())
-        if util.exact:
-            values[j] = f_exact(inst, util, alloc)
-        else:
-            values[j] = f_mc(inst, util, alloc, mc_samples, rng)
-        cost_vals[j] = cost_exact(inst, alloc)
+    if util.exact:
+        values = f_exact(inst, util, kept[first])
+    else:
+        values = np.array([f_mc(inst, util, kept[i], mc_samples, rng) for i in first])
     f_draws = values[inverse]
-    c_draws = cost_vals[inverse]
+    c_draws = cost_exact(inst, kept[first])[inverse]
     stats = {
         "rounds": rounds,
         "f_mean": float(f_draws.mean()),
@@ -281,6 +276,7 @@ def oracle_cmd(path, b, points, seed, out):
         util = make_utility(inst)
         if not util.exact:
             _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
+        oracle.check_size(inst)
         checks = []
         sandwich = oracle.verify_eps_sandwich(inst, util)
         checks.append({"name": sandwich.name, "ok": sandwich.ok,

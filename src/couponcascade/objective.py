@@ -1,71 +1,37 @@
-"""The cascade objective: seed probabilities, f, costs and the multilinear extension.
+"""The cascade objective: f, expected costs and the multilinear extension.
 
-An allocation S offers at most one coupon per user; each offered user
-independently accepts and becomes a seed.  f(S) is the expected cascade
-over the random seed set, c(S) its expected redemption cost, and F(y) the
-multilinear extension of f over fractional user-coupon matrices.
+An allocation is a coupon profile: an n-vector holding each user's coupon,
+0 for none.  Each offered user v independently accepts, with probability
+p_v(d_v), and becomes a seed.  f(S) is the expected cascade over the random
+seed set, c(S) its expected redemption cost, and F(y) the multilinear
+extension of f over fractional user-coupon matrices.  f and c take a batch
+of profiles as the rows of a (k, n) array.
 
-Coupon values are strictly increasing, so f depends only on each user's
-highest coupon, and user v seeds independently: with probability p_v(d_v)
-under an allocation, and with q_v(y) = sum_d y_vd prod_{k>d} (1 - y_vk)
-p_v(d) when the entries y_vd are drawn independently.  f, F and their
-marginals are therefore contractions of the utility's gamma vector
-(`CascadeUtility.gamma_vector`) with per-user seed probabilities q, which
-are affine in each q_v: a marginal is the change in q_v times the slope
-E[gamma | q_v = 1] - E[gamma | q_v = 0].
+F draws the entries y_vd independently, so a draw may offer a user several
+coupons.  Coupon values are strictly increasing, so only the highest one
+counts, and user v seeds with probability q_v(y) = sum_d y_vd prod_{k>d}
+(1 - y_vk) p_v(d).  f, F and their marginals are therefore contractions of
+the utility's gamma vector (`CascadeUtility.gamma_vector`) with per-user
+seed probabilities q, which are affine in each q_v: a marginal is the
+change in q_v times the slope E[gamma | q_v = 1] - E[gamma | q_v = 0].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.instance import Instance
 
+# Largest block of the fold f_exact makes at once, in entries: rows of 2^n
+# gamma values, as many profiles as fit.
+BLOCK_ENTRIES = 1 << 20
 
-class AllocationError(ValueError):
+
+class FractionalError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A set of user-coupon pairs with at most one coupon per user."""
-
-    pairs: frozenset
-
-    def __init__(self, pairs):
-        pairs = frozenset((int(v), int(d)) for v, d in pairs)
-        users = [v for v, _ in pairs]
-        if len(users) != len(set(users)):
-            raise AllocationError("a user may hold at most one coupon")
-        if any(d < 1 for _, d in pairs):
-            raise AllocationError("coupon indices are 1-based; 0 is the rounding dummy")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def coupon_of(self, v: int):
-        for user, d in self.pairs:
-            if user == v:
-                return d
-        return None
-
-    def profile(self, n: int) -> tuple:
-        prof = [0] * n
-        for v, d in self.pairs:
-            prof[v - 1] = d
-        return tuple(prof)
-
-    @staticmethod
-    def from_profile(profile) -> "Allocation":
-        return Allocation((v + 1, d) for v, d in enumerate(profile) if d)
 
 
 @dataclass
@@ -77,43 +43,7 @@ class FractionalSolution:
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         if np.any(self.y < -1e-9) or np.any(self.y > 1 + 1e-9):
-            raise AllocationError("fractional entries must lie in [0,1]")
-
-
-def highest_coupon(pairs, v: int):
-    """The highest coupon offered to v, or None.
-
-    Accepts unvalidated multi-coupon pair sets; with strictly increasing
-    coupon values the highest index carries the highest value.
-    """
-    best = None
-    for user, d in pairs:
-        if user == v and (best is None or d > best):
-            best = d
-    return best
-
-
-def pairs_to_profile(pairs, n: int) -> tuple:
-    prof = [0] * n
-    for v, d in pairs:
-        if d > prof[v - 1]:
-            prof[v - 1] = d
-    return tuple(prof)
-
-
-def seed_prob(inst: Instance, S, U) -> float:
-    """Probability that exactly the users in U accept their offers.
-
-    A user with no coupon never seeds (p_v(none) = 0).
-    """
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    prof = pairs_to_profile(pairs, inst.n)
-    prob = 1.0
-    U = frozenset(U)
-    for v in range(1, inst.n + 1):
-        p = inst.p(v, prof[v - 1]) if prof[v - 1] else 0.0
-        prob *= p if v in U else 1.0 - p
-    return prob
+            raise FractionalError("fractional entries must lie in [0,1]")
 
 
 def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
@@ -141,66 +71,52 @@ def _slopes(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _held_probs(inst: Instance, profiles: np.ndarray) -> np.ndarray:
-    """q_v = p_v(highest coupon), 0 for none, for profiles of shape (..., n)."""
+    """q_v = p_v(coupon), 0 for none, for profiles of shape (..., n)."""
     return np.hstack([np.zeros((inst.n, 1)), inst.adoption])[np.arange(inst.n), profiles]
 
 
-def f_exact(inst: Instance, util: CascadeUtility, S) -> float:
-    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U), exactly."""
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    profile = np.array(pairs_to_profile(pairs, inst.n))
-    return float(_expected_gamma(util.gamma_vector(), _held_probs(inst, profile)))
+def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
+    """f(S) for every coupon profile S, a row of the (k, n) array `profiles`.
+
+    Each f is the gamma vector folded with the profile's seed
+    probabilities, BLOCK_ENTRIES at a time.
+    """
+    gamma = util.gamma_vector()
+    held = _held_probs(inst, np.asarray(profiles, dtype=int))
+    rows = max(1, BLOCK_ENTRIES >> inst.n)
+    out = np.empty(len(held))
+    for start in range(0, len(held), rows):
+        out[start:start + rows] = _expected_gamma(gamma, held[start:start + rows])
+    return out
 
 
-def f_mc(inst: Instance, util: CascadeUtility, S, samples: int,
+def f_mc(inst: Instance, util: CascadeUtility, profile, samples: int,
          rng: np.random.Generator) -> float:
-    """Unbiased estimate of f(S): sample seed sets by independent coins and
-    read each one's gamma from the utility's vector."""
+    """Unbiased estimate of f for one coupon profile: sample seed sets by
+    independent coins and read each one's gamma from the utility's vector."""
     if samples < 1:
         raise UtilityError("need at least one sample")
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    prof = pairs_to_profile(pairs, inst.n)
-    offered = [v for v in range(1, inst.n + 1) if prof[v - 1]]
-    if not offered:
+    profile = np.asarray(profile, dtype=int)
+    offered = np.flatnonzero(profile)
+    if not len(offered):
         return 0.0
-    probs = np.array([inst.p(v, prof[v - 1]) for v in offered])
+    probs = inst.adoption[offered, profile[offered] - 1]
     coins = rng.random((samples, len(offered))) < probs
-    masks = coins @ (1 << (np.array(offered) - 1))
+    masks = coins @ (1 << offered)
     return float(util.gamma_vector()[masks].sum() / samples)
 
 
-def cost_exact(inst: Instance, S) -> float:
-    """Expected redemption cost: sum of p_v(d) * value(d) over offered pairs."""
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    prof = pairs_to_profile(pairs, inst.n)
-    return sum(
-        inst.p(v, d) * inst.value_of(d)
-        for v, d in enumerate(prof, start=1) if d
-    )
-
-
-def cost_brute_force(inst: Instance, S) -> float:
-    """The double-sum definition of c(S): E over seed sets of the redeemed values.
-
-    Independent oracle for cost_exact; enumerates all 2^n seed sets.
-    """
-    pairs = S.pairs if isinstance(S, Allocation) else S
-    prof = pairs_to_profile(pairs, inst.n)
-    users = list(range(1, inst.n + 1))
-    total = 0.0
-    for r in range(inst.n + 1):
-        for combo in combinations(users, r):
-            U = frozenset(combo)
-            pr = seed_prob(inst, pairs, U)
-            redeemed = sum(inst.value_of(prof[u - 1]) for u in U if prof[u - 1])
-            total += pr * redeemed
-    return total
+def cost_exact(inst: Instance, profiles) -> np.ndarray:
+    """Expected redemption cost of each coupon profile, a row of the (k, n)
+    array `profiles`: p_v(d) * value(d) summed over the offered users."""
+    pay = np.hstack([np.zeros((inst.n, 1)), inst.redemption_weights])
+    return pay[np.arange(inst.n), np.asarray(profiles, dtype=int)].sum(axis=1)
 
 
 def _as_matrix(y, inst: Instance) -> np.ndarray:
     y = y.y if isinstance(y, FractionalSolution) else np.asarray(y, dtype=float)
     if y.shape != (inst.n, inst.m):
-        raise AllocationError(f"expected a {inst.n}x{inst.m} matrix, got {y.shape}")
+        raise FractionalError(f"expected a {inst.n}x{inst.m} matrix, got {y.shape}")
     return y
 
 

@@ -15,21 +15,36 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from couponcascade.cascade import CascadeUtility, UtilityError, check_submodular_monotone
+from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.instance import Instance
-from couponcascade.objective import Allocation
 from couponcascade.polytope_lp import solve_generic_lp
 
 # Largest Pr(U; S) block f_exact builds at once, in entries: rows of 2^n
 # seed-set probabilities, as many profiles as fit.
 BLOCK_ENTRIES = 1 << 16
 
+# Largest (m+1)^n profile count the suite enumerates, and the largest n whose
+# set pairs the submodularity check walks.
+ENUMERATION_LIMIT = 100_000
+SUBMODULAR_CHECK_MAX_N = 12
+
 
 class OracleError(ValueError):
     pass
+
+
+def check_size(inst: Instance) -> None:
+    """Raise OracleError unless every check of the suite can enumerate inst."""
+    count = (inst.m + 1) ** inst.n
+    if count > ENUMERATION_LIMIT:
+        raise OracleError(f"enumeration of {count} allocations exceeds the limit "
+                          f"{ENUMERATION_LIMIT}")
+    if inst.n > SUBMODULAR_CHECK_MAX_N:
+        raise OracleError(f"exhaustive check limited to n <= {SUBMODULAR_CHECK_MAX_N}")
 
 
 def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
@@ -56,11 +71,47 @@ def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
     return out
 
 
+def check_submodular_monotone(table: dict[frozenset, float], n: int):
+    """Exhaustively check a tabulated set function on {1..n}.
+
+    Returns None when the table is monotone and submodular, else a witness:
+    ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, Y, x) when
+    the diminishing-returns inequality fails for X subset of Y.
+    """
+    if n > SUBMODULAR_CHECK_MAX_N:
+        raise OracleError(f"exhaustive check limited to n <= {SUBMODULAR_CHECK_MAX_N}")
+    users = list(range(1, n + 1))
+    sets = []
+    for r in range(n + 1):
+        sets.extend(frozenset(c) for c in combinations(users, r))
+    for s in sets:
+        if s not in table:
+            raise UtilityError(f"gamma table is missing subset {sorted(s)}")
+    for X in sets:
+        for x in users:
+            if x in X:
+                continue
+            if table[X | {x}] < table[X] - 1e-12:
+                return ("monotone", X, x)
+    for Y in sets:
+        for X in sets:
+            if not X <= Y:
+                continue
+            for x in users:
+                if x in Y:
+                    continue
+                gain_x = table[X | {x}] - table[X]
+                gain_y = table[Y | {x}] - table[Y]
+                if gain_x < gain_y - 1e-12:
+                    return ("submodular", X, Y, x)
+    return None
+
+
 @dataclass
 class Policy:
     """A finite distribution over allocations."""
 
-    support: list  # (Allocation, probability) with probability > 0
+    support: list  # (coupon profile tuple, probability) with probability > 0
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
@@ -69,7 +120,7 @@ class Policy:
 
 
 def enumerate_feasible_allocations(inst: Instance, respect_K: bool = True,
-                                   limit: int = 100_000) -> list[tuple]:
+                                   limit: int = ENUMERATION_LIMIT) -> list[tuple]:
     """Every coupon profile (at most one coupon per user), in lexicographic
     order, optionally filtered by the hard distribution budget."""
     count = (inst.m + 1) ** inst.n
@@ -101,14 +152,13 @@ def solve_optimal_policy(inst: Instance, util: CascadeUtility):
     b = np.array([1.0, inst.budget_B])
     sol = solve_generic_lp(f_exact(inst, util, profiles), A, b)
     theta = sol.x
-    support = [(Allocation.from_profile(profiles[i]), float(theta[i]))
-               for i in range(k) if theta[i] > 1e-12]
+    support = [(profiles[i], float(theta[i])) for i in range(k) if theta[i] > 1e-12]
     slack = 1.0 - sum(p for _, p in support)
     if slack > 1e-12:
-        empty = Allocation(())
-        for i, (alloc, p) in enumerate(support):
-            if len(alloc) == 0:
-                support[i] = (alloc, p + slack)
+        empty = (0,) * inst.n
+        for i, (profile, p) in enumerate(support):
+            if profile == empty:
+                support[i] = (profile, p + slack)
                 break
         else:
             support.append((empty, slack))
@@ -191,7 +241,7 @@ def verify_eps_sandwich(inst: Instance, util: CascadeUtility) -> VerifierReport:
     violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
                            0.0)
     worst = float(violation.max())
-    witnesses = [{"allocation": sorted(Allocation.from_profile(profiles[i]).pairs),
+    witnesses = [{"allocation": [(v + 1, d) for v, d in enumerate(profiles[i]) if d],
                   "f": float(f_vals[i]), "g": float(g_vals[i])}
                  for i in np.flatnonzero(violation > 1e-9)]
     # g restricted to one fixed coupon per user is a set function of the

@@ -1,34 +1,24 @@
-"""Randomized rounding of fractional solutions into concrete allocations.
+"""Randomized rounding of fractional solutions into coupon profiles.
 
-For the one-coupon-per-user constraint, swap rounding degenerates to an
-independent per-user categorical draw: user v receives coupon d with
-probability y_vd and nothing with the leftover mass.  Two equivalent
-implementations are provided and cross-validated.  The extended model adds
-a conflict-resolution pass that restores the hard distribution budget by
-keeping pairs in nondecreasing cost order.
+A coupon profile holds each user's coupon, 0 for none; a batch of draws is
+a (draws, n) array of them.  For the one-coupon-per-user constraint, swap
+rounding degenerates to an independent per-user categorical draw: user v
+receives coupon d with probability y_vd and nothing with the leftover
+mass.  The extended model adds a conflict-resolution pass that restores the
+hard distribution budget by keeping offers in nondecreasing
+distribution-cost order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from couponcascade.instance import Instance
-from couponcascade.objective import Allocation, FractionalSolution
+from couponcascade.objective import FractionalSolution
 
 
 class RoundingError(ValueError):
     pass
-
-
-@dataclass
-class RoundingOutcome:
-    """Final allocation T, the pre-resolution draw I, and what was dropped."""
-
-    allocation: Allocation
-    pre_resolution: Allocation
-    discarded: list
 
 
 def _as_matrix(y) -> np.ndarray:
@@ -38,19 +28,6 @@ def _as_matrix(y) -> np.ndarray:
     if np.any(y.sum(axis=1) > 1 + 1e-9):
         raise RoundingError("per-user mass above 1; not a matroid polytope point")
     return np.clip(y, 0.0, None)
-
-
-def round_partition(y, rng: np.random.Generator) -> Allocation:
-    """Independently per user, draw coupon d with probability y_vd (dummy otherwise)."""
-    y = _as_matrix(y)
-    pairs = []
-    for v in range(1, y.shape[0] + 1):
-        cum = np.cumsum(y[v - 1])
-        r = rng.random()
-        d = int(np.searchsorted(cum, r, side="right")) + 1
-        if d <= y.shape[1]:
-            pairs.append((v, d))
-    return Allocation(pairs)
 
 
 def round_partition_batch(y, draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,61 +43,13 @@ def round_partition_batch(y, draws: int, rng: np.random.Generator) -> np.ndarray
     return selected
 
 
-def swap_round_merge(y, rng: np.random.Generator) -> Allocation:
-    """Merge-based swap rounding; distributionally identical to round_partition.
-
-    Per user, two fractional entries are repeatedly merged into one carrying
-    their combined mass (the survivor chosen proportionally); the last entry
-    is then kept with probability equal to the row mass.
-    """
-    y = _as_matrix(y)
-    pairs = []
-    for v in range(1, y.shape[0] + 1):
-        entries = [(d, y[v - 1, d - 1]) for d in range(1, y.shape[1] + 1) if y[v - 1, d - 1] > 0]
-        while len(entries) > 1:
-            (d1, m1), (d2, m2) = entries[0], entries[1]
-            keep = d1 if rng.random() < m1 / (m1 + m2) else d2
-            entries = [(keep, m1 + m2)] + entries[2:]
-        if entries:
-            d, mass = entries[0]
-            if rng.random() < mass:
-                pairs.append((v, d))
-    return Allocation(pairs)
-
-
-def _cost_order(inst: Instance, pairs):
-    return sorted(pairs, key=lambda vd: (inst.dist_cost[vd[0] - 1], vd[0]))
-
-
-def resolve_conflicts(I: Allocation, inst: Instance, K: float | None = None) -> RoundingOutcome:
-    """Keep pairs of I in nondecreasing distribution-cost order while the
-    cumulative cost stays within the hard budget K; drop the rest."""
-    K = inst.budget_K if K is None else K
-    if K is None:
-        raise RoundingError("conflict resolution needs a distribution budget")
-    kept, discarded, spent = [], [], 0.0
-    for v, d in _cost_order(inst, I.pairs):
-        cost = float(inst.dist_cost[v - 1])
-        if spent + cost <= K + 1e-12:
-            kept.append((v, d))
-            spent += cost
-        else:
-            discarded.append((v, d))
-    return RoundingOutcome(Allocation(kept), I, discarded)
-
-
-def round_extended(y, inst: Instance, rng: np.random.Generator,
-                   K: float | None = None) -> RoundingOutcome:
-    """Dummy-coupon rounding followed by conflict resolution (extended model)."""
-    I = round_partition(y, rng)
-    return resolve_conflicts(I, inst, K)
-
-
 def resolve_conflicts_batch(selected: np.ndarray, inst: Instance,
                             K: float | None = None) -> np.ndarray:
-    """Vectorized conflict resolution over a batch of rounded draws.
+    """Conflict resolution over a batch of rounded draws, one profile per row.
 
-    The keep/drop order depends only on per-user costs, so the scan order is
+    Keeps each draw's offers in nondecreasing distribution-cost order, ties
+    by user, while the cumulative cost stays within the hard budget K; the
+    rest are set to 0.  The keep/drop order depends only on per-user costs, so the scan order is
     fixed across draws and the prefix sums vectorize.
     """
     K = inst.budget_K if K is None else K

@@ -16,15 +16,7 @@ import pytest
 from couponcascade.cascade import make_utility
 from couponcascade.greedy import GreedyConfig, approximation_beta, continuous_greedy, extension_prefactor
 from couponcascade.instance import generate_random, save_instance
-from couponcascade.objective import (
-    Allocation,
-    cost_brute_force,
-    cost_exact,
-    f_exact,
-    multilinear_F_exact,
-    multilinear_F_mc,
-    seed_prob,
-)
+from couponcascade.objective import cost_exact, f_exact, multilinear_F_exact, multilinear_F_mc
 from couponcascade.oracle import (
     f_exact as enumerated_f,
     solve_concave_relaxation,
@@ -33,12 +25,9 @@ from couponcascade.oracle import (
     verify_eps_sandwich,
 )
 from couponcascade.polytope_lp import PolytopeSpec, solve_inner_lp
-from couponcascade.rounding import (
-    resolve_conflicts_batch,
-    round_partition_batch,
-    swap_round_merge,
-)
+from couponcascade.rounding import resolve_conflicts_batch, round_partition_batch
 from conftest import modular_table, run_cli, table_instance
+from reference import Allocation, cost_brute_force, seed_prob, swap_round_merge
 from test_polytope_lp import mckp_fractional_oracle
 
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
@@ -61,10 +50,7 @@ def _rounded_f_mean(inst, util, y, draws, rng, extended=False):
     uniq, inverse = np.unique(codes, return_inverse=True)
     first = np.zeros(len(uniq), dtype=int)
     first[inverse] = np.arange(len(codes))
-    vals = np.array([
-        f_exact(inst, util, Allocation.from_profile(tuple(int(x) for x in kept[i])))
-        for i in first
-    ])
+    vals = f_exact(inst, util, kept[first])
     return float(vals[inverse].mean()), sel, kept
 
 
@@ -233,7 +219,7 @@ class TestExtensionConsistency:
             exact = multilinear_F_exact(inst, util, y)
             est = multilinear_F_mc(inst, util, y, samples, np.random.default_rng(620 + k))
             # conservative per-draw spread bound: f ranges within [0, f(full)]
-            f_full = f_exact(inst, util, Allocation.from_profile((2, 2, 2)))
+            f_full = f_exact(inst, util, [(2, 2, 2)])[0]
             se_bound = (f_full / 2.0) / math.sqrt(samples)
             sigmas = abs(est - exact) / se_bound
             worst_sigmas = max(worst_sigmas, sigmas)
@@ -338,7 +324,7 @@ class TestProbabilityNormalization:
                 S = Allocation.from_profile(profile)
                 worst_cost = max(
                     worst_cost,
-                    abs(cost_exact(inst, S) - cost_brute_force(inst, S)))
+                    abs(cost_exact(inst, [profile])[0] - cost_brute_force(inst, S)))
         ok = worst <= 1e-12 and worst_cost <= 1e-12
         _verdict(
             "7 probability normalization", ok,

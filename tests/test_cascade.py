@@ -7,13 +7,13 @@ from couponcascade import cascade
 from couponcascade.cascade import (
     CascadeUtility,
     UtilityError,
-    check_submodular_monotone,
     gamma_ic_exact,
     gamma_sampled,
     make_eps_perturbed,
     make_utility,
     perturb_factor,
 )
+from couponcascade.oracle import check_submodular_monotone
 from conftest import ic_instance, modular_table
 
 

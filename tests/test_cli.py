@@ -11,7 +11,7 @@ from conftest import run_cli as cli
 from couponcascade import cascade, oracle, rounding
 from couponcascade.cli import _rounding_stats, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
-from couponcascade.objective import Allocation, f_exact, f_mc
+from couponcascade.objective import f_exact, f_mc
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
@@ -217,8 +217,7 @@ class TestRoundingStats:
         y[:, 0] = 0.5
         stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5), 10_000, False)
         draws = rounding.round_partition_batch(y, 200, np.random.default_rng(5))
-        f_draws = [f_exact(inst, util, Allocation.from_profile(row)) for row in draws]
-        assert stats["f_mean"] == pytest.approx(np.mean(f_draws), rel=1e-12)
+        assert stats["f_mean"] == pytest.approx(np.mean(f_exact(inst, util, draws)), rel=1e-12)
 
     def test_sampled_f_drawn_in_profile_code_order(self):
         # f_mc shares the rounding rng, so the order of distinct profiles fixes the report
@@ -230,8 +229,7 @@ class TestRoundingStats:
         draws = rounding.round_partition_batch(y, 300, rng)
         codes, inverse = np.unique(draws @ 3 ** np.arange(4), return_inverse=True)
         assert len(codes) > 10
-        f_codes = [f_mc(inst, util, Allocation.from_profile(draws[inverse == j][0]), 500, rng)
-                   for j in range(len(codes))]
+        f_codes = [f_mc(inst, util, draws[inverse == j][0], 500, rng) for j in range(len(codes))]
         assert stats["f_mean"] == float(np.array(f_codes)[inverse].mean())
 
 
@@ -386,6 +384,17 @@ class TestOracleCmd:
         res = cli("oracle", "-i", str(path))
         assert res.returncode == 3
         assert "enumeration" in res.stderr
+
+    def test_size_rules_checked_before_any_f(self, tmp_path, monkeypatch):
+        # 2^13 profiles are within the enumeration limit; n = 13 is not
+        path = tmp_path / "n13.json"
+        save_instance(generate_random(13, 1, model="IC", edge_density=0.08, seed=1), path)
+        calls = []
+        monkeypatch.setattr(oracle, "f_exact", lambda *args: calls.append(args))
+        res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
+        assert res.exit_code == 3
+        assert res.stderr == "error: exhaustive check limited to n <= 12\n"
+        assert calls == []
 
 
 class TestBench:

@@ -1,27 +1,24 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from couponcascade.cascade import make_eps_perturbed, make_utility, CascadeUtility
+from couponcascade import objective
 from couponcascade.instance import generate_random
 from couponcascade.objective import (
-    Allocation,
-    AllocationError,
-    cost_brute_force,
     cost_exact,
     f_exact,
     f_mc,
-    highest_coupon,
     marginal_omega,
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
-    pairs_to_profile,
-    seed_prob,
 )
 from couponcascade.oracle import f_exact as enumerated_f
 from conftest import ic_instance, modular_table, table_instance
+from reference import Allocation, AllocationError, cost_brute_force, pairs_to_profile, seed_prob
 
 
 def no_edge_instance(adoption, **kw):
@@ -43,18 +40,6 @@ class TestAllocation:
         alloc = Allocation([(1, 2), (3, 1)])
         assert alloc.profile(3) == (2, 0, 1)
         assert Allocation.from_profile((2, 0, 1)) == alloc
-
-
-class TestHighestCoupon:
-    def test_single(self):
-        assert highest_coupon({(1, 2)}, 1) == 2
-
-    def test_absent(self):
-        assert highest_coupon(set(), 1) is None
-
-    def test_multi_coupon_takes_highest_value(self):
-        # values strictly increasing, so the higher index wins
-        assert highest_coupon({(1, 1), (1, 2)}, 1) == 2
 
 
 class TestSeedProb:
@@ -94,33 +79,31 @@ class TestFExact:
     def test_empty_allocation(self):
         inst = no_edge_instance([[0.5], [0.5]])
         util = make_utility(inst)
-        assert f_exact(inst, util, Allocation(())) == 0.0
+        assert f_exact(inst, util, [(0, 0)])[0] == 0.0
 
     def test_counting_utility(self):
         # gamma(U) = |U|, p = 0.5 each: expectation 0.25*0+0.25+0.25+0.25*2 = 1
         inst = no_edge_instance([[0.5], [0.5]])
         util = make_utility(inst)
-        S = Allocation([(1, 1), (2, 1)])
-        assert f_exact(inst, util, S) == pytest.approx(1.0)
+        assert f_exact(inst, util, [(1, 1)])[0] == pytest.approx(1.0)
 
     def test_submodular_table(self):
         table = {frozenset(): 0.0, frozenset({1}): 1.0,
                  frozenset({2}): 1.0, frozenset({1, 2}): 1.5}
         inst = table_instance(table, [[0.5], [0.5]])
         util = make_utility(inst)
-        S = Allocation([(1, 1), (2, 1)])
-        assert f_exact(inst, util, S) == pytest.approx(0.875)
+        assert f_exact(inst, util, [(1, 1)])[0] == pytest.approx(0.875)
 
     def test_monotone_in_allocation(self):
         inst = generate_random(3, 2, model="TABLE", seed=21)
         util = make_utility(inst)
         for profile in product(range(3), repeat=3):
-            base = f_exact(inst, util, Allocation.from_profile(profile))
+            base = f_exact(inst, util, [profile])[0]
             for v in range(3):
                 if profile[v] == 0:
                     lifted = list(profile)
                     lifted[v] = 1
-                    bigger = f_exact(inst, util, Allocation.from_profile(tuple(lifted)))
+                    bigger = f_exact(inst, util, [lifted])[0]
                     assert bigger >= base - 1e-12
 
     def test_eps_sandwich_against_reference(self):
@@ -128,32 +111,47 @@ class TestFExact:
         inst = generate_random(3, 2, model="TABLE", epsilon=0.15, seed=31)
         util = make_utility(inst)
         ref = util.reference_q
-        for profile in product(range(3), repeat=3):
-            S = Allocation.from_profile(profile)
-            f = f_exact(inst, util, S)
-            g = f_exact(inst, ref, S)
+        profiles = list(product(range(3), repeat=3))
+        for f, g in zip(f_exact(inst, util, profiles), f_exact(inst, ref, profiles)):
             assert (1 - 0.15) * g - 1e-12 <= f <= (1 + 0.15) * g + 1e-12
+
+
+    def test_row_blocks_bound_memory(self):
+        # unblocked, the fold over 4096 profiles at n = 15 takes about 0.5 GB
+        inst = generate_random(15, 1, model="IC", edge_density=0.05, seed=1)
+        util = make_utility(inst)
+        util.gamma_vector()  # cached, so its build stays outside the traced window
+        profiles = (np.arange(4096)[:, None] >> np.arange(15)) & 1
+        tracemalloc.start()
+        try:
+            values = f_exact(inst, util, profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * objective.BLOCK_ENTRIES * 8
+        rows = objective.BLOCK_ENTRIES >> inst.n
+        for i in (0, rows - 1, rows, len(profiles) - 1):
+            assert values[i] == f_exact(inst, util, profiles[i:i + 1])[0]
 
 
 class TestFMc:
     def test_empty(self, rng):
         inst = no_edge_instance([[0.5]])
         util = make_utility(inst)
-        assert f_mc(inst, util, Allocation(()), 100, rng) == 0.0
+        assert f_mc(inst, util, (0,), 100, rng) == 0.0
 
     def test_degenerate_coins(self, rng):
         inst = no_edge_instance([[1.0], [1.0]])
         util = make_utility(inst)
-        S = Allocation([(1, 1), (2, 1)])
-        assert f_mc(inst, util, S, 10, rng) == util.value({1, 2})
+        assert f_mc(inst, util, (1, 1), 10, rng) == util.value({1, 2})
 
     def test_matches_exact(self):
         inst = generate_random(3, 2, seed=41)
         util = make_utility(inst)
-        S = Allocation([(1, 2), (2, 1), (3, 2)])
-        exact = f_exact(inst, util, S)
+        profile = (2, 1, 2)
+        exact = f_exact(inst, util, [profile])[0]
         rng = np.random.default_rng(5)
-        est = f_mc(inst, util, S, 100_000, rng)
+        est = f_mc(inst, util, profile, 100_000, rng)
         # f is bounded by n=3; a generous 3-sigma envelope
         assert abs(est - exact) <= 3 * 3 / np.sqrt(100_000)
 
@@ -161,17 +159,18 @@ class TestFMc:
 class TestCost:
     def test_empty(self):
         inst = no_edge_instance([[0.5]])
-        assert cost_exact(inst, Allocation(())) == 0.0
+        assert cost_exact(inst, [(0,)])[0] == 0.0
 
     def test_single_bernoulli(self):
         inst = no_edge_instance([[0.5]], coupon_values=np.array([2.0]))
-        assert cost_exact(inst, Allocation([(1, 1)])) == pytest.approx(1.0)
+        assert cost_exact(inst, [(1,)])[0] == pytest.approx(1.0)
 
     def test_factorization_matches_double_sum(self):
         inst = no_edge_instance([[0.5], [0.25]], coupon_values=np.array([2.0]))
         S = Allocation([(1, 1), (2, 1)])
-        assert cost_exact(inst, S) == pytest.approx(0.5 * 2 + 0.25 * 2)
-        assert cost_exact(inst, S) == pytest.approx(cost_brute_force(inst, S), abs=1e-12)
+        cost = cost_exact(inst, [S.profile(2)])[0]
+        assert cost == pytest.approx(0.5 * 2 + 0.25 * 2)
+        assert cost == pytest.approx(cost_brute_force(inst, S), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_factorization_random(self, seed):
@@ -179,7 +178,8 @@ class TestCost:
         rng = np.random.default_rng(seed)
         profile = tuple(rng.integers(0, 3, size=4).tolist())
         S = Allocation.from_profile(profile)
-        assert cost_exact(inst, S) == pytest.approx(cost_brute_force(inst, S), abs=1e-12)
+        assert cost_exact(inst, [profile])[0] == pytest.approx(cost_brute_force(inst, S),
+                                                              abs=1e-12)
 
 
 class TestMultilinear:
@@ -192,7 +192,7 @@ class TestMultilinear:
             for v, d in S.pairs:
                 y[v - 1, d - 1] = 1.0
             assert multilinear_F_exact(inst, util, y) == pytest.approx(
-                f_exact(inst, util, S), abs=1e-12)
+                f_exact(inst, util, [profile])[0], abs=1e-12)
 
     def test_zero_matrix(self):
         inst = generate_random(2, 2, model="TABLE", seed=52)
@@ -204,7 +204,7 @@ class TestMultilinear:
         util = make_utility(inst)
         y = np.zeros((2, 2))
         y[0, 1] = 0.5
-        expected = 0.5 * f_exact(inst, util, Allocation([(1, 2)]))
+        expected = 0.5 * f_exact(inst, util, [(2, 0)])[0]
         assert multilinear_F_exact(inst, util, y) == pytest.approx(expected, abs=1e-12)
 
     def test_mc_matches_exact(self):
@@ -224,7 +224,7 @@ class TestMarginals:
         omega = marginal_omega(inst, util, np.zeros((3, 2)), 50, rng)
         for v in range(1, 4):
             for d in range(1, 3):
-                single = f_exact(inst, util, Allocation([(v, d)]))
+                single = f_exact(inst, util, [Allocation([(v, d)]).profile(3)])[0]
                 assert omega[v - 1, d - 1] == pytest.approx(single, abs=1e-9)
 
     def test_saturated_entry_is_zero(self, rng):
@@ -288,14 +288,26 @@ def closed_form_case(model, eps):
     return inst, make_utility(inst), y
 
 
+# objective.f_exact folds BLOCK_ENTRIES >> n profiles at a time: 256 at
+# n = 12, so the 4096 profiles of an n = 12 case span 16 row blocks.
+F_EXACT_CASES = [pytest.param(*case.values, 3, id=case.id) for case in CLOSED_FORM_CASES] + [
+    pytest.param(model, 0.1, 12, id=f"{model}-eps0.1-n12-row-blocks") for model in ("TABLE", "IC")
+]
+
+
 class TestClosedFormAgainstEnumeration:
-    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
-    def test_f_exact(self, model, eps):
-        inst, util, _ = closed_form_case(model, eps)
+    @pytest.mark.parametrize("model,eps,n", F_EXACT_CASES)
+    def test_f_exact(self, model, eps, n):
+        if n == 3:
+            inst, util, _ = closed_form_case(model, eps)
+        else:
+            inst = generate_random(n, 1, model=model, edge_density=0.1, epsilon=eps, seed=74)
+            util = make_utility(inst)
         profiles = list(product(range(inst.m + 1), repeat=inst.n))
-        for profile, expected in zip(profiles, enumerated_f(inst, util, profiles)):
-            S = Allocation.from_profile(profile)
-            assert f_exact(inst, util, S) == pytest.approx(expected, abs=1e-12)
+        expected = enumerated_f(inst, util, profiles)
+        got = f_exact(inst, util, profiles)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
     def test_F_and_exact_marginals(self, model, eps):

@@ -6,7 +6,7 @@ import pytest
 from couponcascade import oracle
 from couponcascade.cascade import make_utility
 from couponcascade.instance import generate_random
-from couponcascade.objective import Allocation, cost_exact, f_exact
+from couponcascade.objective import cost_exact, f_exact
 from couponcascade.oracle import (
     OracleError,
     concave_extension_value,
@@ -139,7 +139,7 @@ class TestOptimalPolicy:
         util = make_utility(inst)
         policy, value = solve_optimal_policy(inst, util)
         assert value == pytest.approx(0.5 * 2.0)
-        assert any(len(a) == 1 for a, p in policy.support if p > 0.5)
+        assert any(np.count_nonzero(a) == 1 for a, p in policy.support if p > 0.5)
 
     def test_unaffordable_means_empty(self):
         # cheapest nonempty allocation costs 0.5; budget below that
@@ -157,11 +157,11 @@ class TestOptimalPolicy:
                               [[1.0]], coupon_values=np.array([2.0]), budget_B=1.0)
         util = make_utility(inst)
         policy, value = solve_optimal_policy(inst, util)
-        S = Allocation([(1, 1)])
-        theta_star = inst.budget_B / cost_exact(inst, S)
-        assert value == pytest.approx(theta_star * f_exact(inst, util, S))
-        probs = {tuple(sorted(a.pairs)): p for a, p in policy.support}
-        assert probs[((1, 1),)] == pytest.approx(theta_star)
+        S = [(1,)]
+        theta_star = inst.budget_B / cost_exact(inst, S)[0]
+        assert value == pytest.approx(theta_star * f_exact(inst, util, S)[0])
+        probs = dict(policy.support)
+        assert probs[(1,)] == pytest.approx(theta_star)
 
     def test_support_size_at_most_two(self):
         for seed in range(5):
@@ -174,7 +174,7 @@ class TestOptimalPolicy:
         inst = generate_random(3, 2, model="TABLE", seed=17)
         util = make_utility(inst)
         policy, _ = solve_optimal_policy(inst, util)
-        expected_cost = sum(p * cost_exact(inst, a) for a, p in policy.support)
+        expected_cost = sum(p * cost_exact(inst, [a])[0] for a, p in policy.support)
         assert expected_cost <= inst.budget_B + 1e-9
 
 
@@ -185,8 +185,7 @@ class TestConcaveRelaxation:
                              coupon_values=inst.coupon_values, budget_B=100.0)
         util = make_utility(big)
         _, value = solve_concave_relaxation(big, util, "PB")
-        best = max(f_exact(big, util, Allocation.from_profile(p))
-                   for p in enumerate_feasible_allocations(big))
+        best = max(f_exact(big, util, enumerate_feasible_allocations(big)))
         assert value == pytest.approx(best, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -210,11 +209,9 @@ class TestConcaveRelaxation:
     def test_extension_at_integral_point_dominates_f(self):
         inst = generate_random(2, 2, model="TABLE", seed=19)
         util = make_utility(inst)
-        S = Allocation([(1, 2), (2, 1)])
-        y = np.zeros((2, 2))
-        for v, d in S.pairs:
-            y[v - 1, d - 1] = 1.0
-        assert concave_extension_value(inst, util, y) >= f_exact(inst, util, S) - 1e-9
+        y = np.array([[0.0, 1.0], [1.0, 0.0]])
+        f_S = f_exact(inst, util, [(2, 1)])[0]
+        assert concave_extension_value(inst, util, y) >= f_S - 1e-9
 
     def test_zero_point_is_zero(self):
         inst = generate_random(2, 2, model="TABLE", seed=20)
