@@ -3,9 +3,10 @@
 Starting from y = 0, each of the ceil(1/delta) iterations estimates the
 multilinear marginals, solves the linear ascent problem over the polytope
 (with the distribution knapsack scaled to b*K in extended mode) and moves
-y by delta times the optimal direction.  The per-step increment keeps
-every intermediate y inside the t-scaled polytope, and the final y inside
-the full polytope.
+y by delta times the optimal direction.  Only the objective of that LP
+changes from step to step, so each step warm-starts from the previous
+step's optimal basis.  The per-step increment keeps every intermediate y
+inside the t-scaled polytope, and the final y inside the full polytope.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class GreedyTrace:
     lp_pivots: int = 0
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
+    lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
 
     def to_jsonable(self) -> dict:
         return {
@@ -107,6 +109,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     y = np.zeros((inst.n, inst.m))
     trace = GreedyTrace()
     t = 0.0
+    sol = None
     for k in range(steps):
         # Clip the last step so the total time is exactly 1 even when 1/delta
         # is not integral; otherwise the row caps would be overshot.
@@ -115,7 +118,9 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             omega = marginal_omega_exact(inst, util, y)
         else:
             omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
-        sol = solve_inner_lp(omega, spec)
+        start = None if sol is None else sol.final
+        sol = solve_inner_lp(omega, spec, start=start)
+        trace.lp_direction_changes += start is not None and sol.pivots > 0
         trace.lp_pivots += sol.pivots
         trace.lp_fallbacks += sol.fell_back
         trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)

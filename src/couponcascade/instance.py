@@ -327,7 +327,10 @@ def generate_random(
     budget_K = None
     if extension:
         dist_cost = np.round(rng.uniform(0.5, 2.0, size=n), 6)
+        # A share of the total, but never below one user's cost: a smaller K
+        # would leave that user unallocatable, which validate() rejects.
         budget_K = float(np.round(rng.uniform(0.6, 0.95) * float(np.sum(dist_cost)), 6))
+        budget_K = max(budget_K, float(dist_cost.max()))
 
     return Instance(
         n=n,

@@ -7,7 +7,9 @@ policy or convex-combination weights.  The origin is always feasible, so a
 single primal simplex phase suffices.  It prices by Dantzig's rule and
 falls back to Bland's rule after a run of degenerate pivots, so every solve
 terminates; every optimal solve is certified by the dual solution read off
-the final tableau.
+the final tableau.  Any basis of {Ax <= b} stays primal feasible when only
+c changes, so an LP may warm-start from the final tableau of an earlier
+solve over the same (A, b): the ascent's per-step LPs do.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -99,13 +101,14 @@ class LpSolution:
     duality_gap: float
     pivots: int = 0
     fell_back: bool = False  # Bland's rule took over from Dantzig's
+    final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
 
 
-def simplex_maximize(c, A, b, tol: float = 1e-10):
-    """Primal simplex from the slack basis; Dantzig pricing, Bland fallback.
+def simplex_maximize(c, A, b, tol: float = 1e-10, start=None):
+    """Primal simplex from the slack basis or `start`; Dantzig pricing, Bland fallback.
 
     Maximize c.x subject to A x <= b, x >= 0, with b >= 0.  The entering
     column has the most negative reduced cost (Dantzig); the leaving row has
@@ -116,7 +119,13 @@ def simplex_maximize(c, A, b, tol: float = 1e-10):
     which is Bland's rule and terminates from any basis (Bland, Math. Oper.
     Res. 1977).  Each pivot is one rank-1 update of the dense tableau.
 
-    Returns (x, value, dual, pivots, fell_back).
+    `start` is the final (tableau, basis) of an earlier solve over the same
+    A and b.  Its constraint rows B^-1 [A I b] are kept and only the
+    objective row is rebuilt for c, as c_B B^-1 [A I b] - [c 0 0]; the
+    pivot limit and the degenerate-run counter apply to this solve alone.
+
+    Returns (x, value, dual, pivots, fell_back, final), where final is the
+    (tableau, basis) to pass as a later `start`.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -127,12 +136,21 @@ def simplex_maximize(c, A, b, tol: float = 1e-10):
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise NumericError("non-finite LP data")
 
-    T = np.zeros((n_rows + 1, n_vars + n_rows + 1))
-    T[:n_rows, :n_vars] = A
-    T[:n_rows, n_vars:n_vars + n_rows] = np.eye(n_rows)
-    T[:n_rows, -1] = b
-    T[-1, :n_vars] = -c
-    basis = np.arange(n_vars, n_vars + n_rows)
+    if start is None:
+        T = np.zeros((n_rows + 1, n_vars + n_rows + 1))
+        T[:n_rows, :n_vars] = A
+        T[:n_rows, n_vars:n_vars + n_rows] = np.eye(n_rows)
+        T[:n_rows, -1] = b
+        T[-1, :n_vars] = -c
+        basis = np.arange(n_vars, n_vars + n_rows)
+    else:
+        T, basis = start[0].copy(), start[1].copy()
+        if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
+            raise LpError("start tableau does not match the LP's shape")
+        costs = np.zeros(n_vars + n_rows)
+        costs[:n_vars] = c
+        T[-1] = costs[basis] @ T[:n_rows]
+        T[-1, :n_vars] -= c
 
     update = np.empty_like(T)  # the rank-1 term, reused by every pivot
     degenerate, bland = 0, False
@@ -161,7 +179,7 @@ def simplex_maximize(c, A, b, tol: float = 1e-10):
     x = np.zeros(n_vars + n_rows)
     x[basis] = T[:n_rows, -1]
     dual = T[-1, n_vars:n_vars + n_rows].copy()
-    return x[:n_vars], float(T[-1, -1]), dual, pivots, bland
+    return x[:n_vars], float(T[-1, -1]), dual, pivots, bland, (T, basis)
 
 
 def _certify(c, A, b, x, value, dual):
@@ -178,18 +196,22 @@ def _certify(c, A, b, x, value, dual):
     return gap
 
 
-def solve_generic_lp(c, A, b) -> LpSolution:
+def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     """Maximize c.x over {x >= 0, A x <= b} with certificate."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, value, dual, pivots, fell_back = simplex_maximize(c, A, b)
+    x, value, dual, pivots, fell_back, final = simplex_maximize(c, A, b, start=start)
     gap = _certify(c, A, b, x, value, dual)
-    return LpSolution(x, value, "optimal", dual, gap, pivots, fell_back)
+    return LpSolution(x, value, "optimal", dual, gap, pivots, fell_back, final)
 
 
-def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec) -> LpSolution:
-    """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope."""
+def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> LpSolution:
+    """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope.
+
+    `start` is the `final` of an earlier solution over the same spec; the
+    solve warm-starts from its basis.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (spec.n, spec.m):
         raise LpError(f"weights must be {spec.n}x{spec.m}")
@@ -198,8 +220,10 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     A, b = spec.constraint_rows
     if not weights.any():
         # Any feasible point is optimal; zero is the canonical choice.
-        return LpSolution(np.zeros(A.shape[1]), 0.0, "optimal", np.zeros(len(b)), 0.0)
-    sol = solve_generic_lp(weights.reshape(-1), A, b)
+        # The start's basis passes on to the next solve.
+        return LpSolution(np.zeros(A.shape[1]), 0.0, "optimal", np.zeros(len(b)), 0.0,
+                          final=start)
+    sol = solve_generic_lp(weights.reshape(-1), A, b, start)
     spec.check_feasible(sol.matrix(spec.n, spec.m))
     return sol
 

@@ -168,6 +168,8 @@ class TestSolve:
         timings = json.loads(line[len("timings: "):])
         assert timings["lp_pivots"] > 0 and timings["lp_fallbacks"] == 0
         assert 0.0 <= timings["lp_max_gap"] < 1e-8
+        # 36 steps at nm = 6; each counted step pivoted at least once
+        assert 0 < timings["lp_direction_changes"] <= min(35, timings["lp_pivots"])
         assert "pivots" not in res.stdout
 
     def test_heavy_lt_in_weights_exit_2(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from couponcascade import greedy, polytope_lp
 from couponcascade.cascade import make_utility
 from couponcascade.greedy import (
     GreedyConfig,
@@ -101,6 +102,54 @@ class TestContinuousGreedy:
         util = make_utility(inst)
         with pytest.raises(GreedyError, match="b must lie"):
             continuous_greedy(inst, util, GreedyConfig(mode="extended", b=0.9))
+
+
+class TestWarmStartedAscent:
+    """Each step's LP warm-starts from the previous step's optimal basis."""
+
+    CASES = [
+        ("TABLE", False, dict(n=3, m=3, seed=1)),
+        ("TABLE", True, dict(n=4, m=2, seed=6, epsilon=0.1)),
+        ("IC", False, dict(n=4, m=2, seed=2, edge_density=0.6)),
+        ("IC", True, dict(n=3, m=3, seed=1, edge_density=0.6)),
+    ]
+
+    @staticmethod
+    def run(model, extended, kwargs):
+        inst = generate_random(model=model, extension=extended, **kwargs)
+        cfg = GreedyConfig(seed=0, mode="extended" if extended else "base")
+        return continuous_greedy(inst, make_utility(inst), cfg)
+
+    @pytest.mark.parametrize("model,extended,kwargs", CASES)
+    def test_same_ascent_as_cold_starts_with_fewer_pivots(self, model, extended, kwargs,
+                                                          monkeypatch):
+        warm = self.run(model, extended, kwargs)
+        monkeypatch.setattr(greedy, "solve_inner_lp",
+                            lambda omega, spec, start=None: polytope_lp.solve_inner_lp(omega, spec))
+        cold = self.run(model, extended, kwargs)
+        assert np.allclose(warm.final.y, cold.final.y, rtol=0, atol=1e-12)
+        assert len(warm.iterations) == len(cold.iterations)
+        for a, b in zip(warm.iterations, cold.iterations):
+            assert a.f_estimate == pytest.approx(b.f_estimate, rel=1e-12, abs=1e-12)
+        assert warm.lp_pivots < cold.lp_pivots
+
+    @pytest.mark.parametrize("model,extended,kwargs", CASES)
+    def test_direction_changes_count_the_steps_that_pivot(self, model, extended, kwargs,
+                                                          monkeypatch):
+        solutions = []
+
+        def recording(omega, spec, start=None):
+            solutions.append(polytope_lp.solve_inner_lp(omega, spec, start=start))
+            return solutions[-1]
+
+        monkeypatch.setattr(greedy, "solve_inner_lp", recording)
+        trace = self.run(model, extended, kwargs)
+        moved = [sol.pivots > 0 for sol in solutions[1:]]
+        assert trace.lp_direction_changes == sum(moved)
+        assert 0 < trace.lp_direction_changes < len(trace.iterations) - 1
+        for prev, sol, pivoted in zip(solutions, solutions[1:], moved):
+            if not pivoted:  # no pivot: the same vertex, so the same direction
+                assert np.array_equal(sol.x, prev.x)
 
 
 class TestBeta:

@@ -119,6 +119,55 @@ def test_generate_extension_valid():
     assert np.all(inst.dist_cost <= inst.budget_K)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_generate_extension_always_allocatable(n, m):
+    # K is drawn as a share of the total cost and raised to the largest
+    # single cost when the share falls below it; never otherwise.
+    raised = 0
+    for seed in range(200):
+        inst = generate_random(n, m, model="TABLE", seed=seed, extension=True)
+        top, total = float(inst.dist_cost.max()), float(inst.dist_cost.sum())
+        assert top <= inst.budget_K
+        if inst.budget_K == top:
+            raised += 1
+        else:
+            assert 0.6 * total - 1e-6 <= inst.budget_K <= 0.95 * total + 1e-6
+    assert raised > 0
+
+
+# The benchmark ladders' generator arguments (n, m, model, edge_density,
+# epsilon, seed, extension) and their digests, from before K was raised to
+# the largest cost: every instance that was valid then keeps its contents.
+LADDER_DIGESTS = [
+    ((3, 3, "TABLE", 0.3, 0.0, 1, False), "aa1cc5a750f323d71befb5c2ac8cfabd83e86842991d2943834ed5823ec31fac"),
+    ((4, 3, "TABLE", 0.3, 0.1, 6, True), "971feb2470007a58cce07a0c7725b4c2f714c04048b08e14563ad08541035e5c"),
+    ((2, 8, "TABLE", 0.3, 0.1, 7, True), "cf1509d5dd9ea141e38067682683ce50a28581c46a0b00f1e92cb8263a4224d4"),
+    ((3, 5, "TABLE", 0.3, 0.0, 4, False), "090879d8df9878e72926a84da448c6277c0e0d49500fc8a7835f2f4a03abeb54"),
+    ((5, 3, "TABLE", 0.3, 0.0, 2, True), "fb5d52fd45ec6086eef2280c6be2697294970b7d2d17d49a1e8ee9a97883f7e7"),
+    ((4, 4, "TABLE", 0.3, 0.1, 5, False), "cde55907e6854a17226e5f39dfef20c9bc971fa8b2aa6034181f0095fe6683b8"),
+    ((6, 2, "TABLE", 0.3, 0.1, 3, False), "ccbf07ce3cdd8883b1d09df1d0225aad4aa435734f9e2eddce3357c6c0987af0"),
+    ((4, 3, "IC", 11 / 12, 0.0, 2, False), "c348b5b620ac8fcbc228bbba43bffb02145c48ac7f77ba7be326a91a06a69dd9"),
+    ((5, 2, "IC", 0.6, 0.0, 7, True), "81bbeb21f6225e2c70bf6786136ec75c2427e990512f974467a8009b8777cf77"),
+    ((4, 4, "IC", 11 / 12, 0.0, 6, True), "15ad340a2fdce5ec018241c6c0742eb724534e4ddafe5736d58f36d7f75f5c58"),
+    ((5, 2, "IC", 0.7, 0.0, 3, False), "691f03f30d4052b33bee580460b70c569c6fd776b2c657d704a5aaeabc059aeb"),
+    ((6, 2, "IC", 0.4, 0.0, 1, False), "13dff711cfeb38486a7e151394d50db815b42bf062d6d7896c28f8a270734a68"),
+    ((4, 10, "TABLE", 0.3, 0.0, 3, False), "a27a23dcd8fd33d4289fea328cd55a9ef8b371ba78861f296ac1dfd5a9990409"),
+    ((5, 10, "TABLE", 0.3, 0.0, 5, True), "d745e8f1f404875744f030337348ca19f917331fa49afb443c5c8a9ea6872e25"),
+    ((3, 50, "TABLE", 0.3, 0.0, 4, False), "5403374ff858b5076e900709917dcabdec43a6916aa9c4f5217cc89869197200"),
+    ((4, 20, "TABLE", 0.3, 0.0, 2, False), "861e305acfcc344d16f544bca185d3b586b46ab579c95f5cbb0c8376cc0a308e"),
+    ((3, 100, "TABLE", 0.3, 0.0, 1, False), "6971cc6cbd90881ee2f675288136a035b31c909df22ce1e3fecf172a3fa9eb69"),
+]
+
+
+@pytest.mark.parametrize("args,digest", LADDER_DIGESTS)
+def test_valid_generated_instances_keep_their_digests(args, digest):
+    n, m, model, density, eps, seed, extension = args
+    inst = generate_random(n, m, edge_density=density, model=model, epsilon=eps,
+                           seed=seed, extension=extension)
+    assert inst.digest() == digest
+
+
 def test_lt_weights_rescaled():
     inst = generate_random(5, 1, edge_density=1.0, model="LT", seed=2)
     in_sum = np.zeros(6)

@@ -235,3 +235,108 @@ class TestInnerLp:
         brute = vertex_enumeration_oracle(omega.reshape(-1), np.array(rows), np.array(bounds))
         assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-12)
         spec.check_feasible(sol.matrix(n, m))
+
+
+class TestWarmStart:
+    """Ascent LPs share (A, b) and warm-start from the previous optimal basis."""
+
+    @staticmethod
+    def specs():
+        rng = np.random.default_rng(900)
+        n, m = 4, 3
+        weights = rng.uniform(0.1, 1.5, size=(n, m))
+        dist = rng.uniform(0.5, 2.0, size=n)
+        base = PolytopeSpec(n, m, weights, 0.4 * weights.sum() / m)
+        extended = PolytopeSpec(n, m, weights, 0.4 * weights.sum() / m, dist, 0.5 * dist.sum())
+        return {"base": base, "extended": extended}
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequence_matches_cold_solves(self, kind, seed):
+        spec = self.specs()[kind]
+        A, b = spec.constraint_rows
+        rng = np.random.default_rng(seed)
+        sol, warm_pivots, cold_pivots = None, 0, 0
+        for _ in range(30):
+            omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
+            sol = solve_inner_lp(omega, spec, start=None if sol is None else sol.final)
+            cold = solve_inner_lp(omega, spec)
+            assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            polytope_lp._certify(omega.reshape(-1), A, b, sol.x, sol.objective_value, sol.dual)
+            spec.check_feasible(sol.matrix(spec.n, spec.m))
+            warm_pivots += sol.pivots
+            cold_pivots += cold.pivots
+        assert warm_pivots < cold_pivots
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    def test_scaled_objective_keeps_the_basis(self, kind):
+        spec = self.specs()[kind]
+        omega = np.random.default_rng(3).uniform(0.0, 2.0, size=(spec.n, spec.m))
+        first = solve_inner_lp(omega, spec)
+        assert first.pivots > 0
+        for scale in (1.0, 0.25, 7.0):
+            again = solve_inner_lp(scale * omega, spec, start=first.final)
+            assert again.pivots == 0 and not again.fell_back
+            assert np.array_equal(again.x, first.x)
+            assert again.objective_value == pytest.approx(scale * first.objective_value, rel=1e-12)
+
+    def test_start_is_not_modified(self):
+        spec = self.specs()["base"]
+        rng = np.random.default_rng(4)
+        first = solve_inner_lp(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec)
+        tableau, basis = first.final[0].copy(), first.final[1].copy()
+        solve_inner_lp(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec, start=first.final)
+        assert np.array_equal(first.final[0], tableau) and np.array_equal(first.final[1], basis)
+
+    def test_zero_weights_pass_the_start_on(self):
+        spec = self.specs()["base"]
+        first = solve_inner_lp(np.ones((spec.n, spec.m)), spec)
+        idle = solve_inner_lp(np.zeros((spec.n, spec.m)), spec, start=first.final)
+        assert idle.objective_value == 0.0 and idle.final is first.final
+
+    def test_mismatched_start_rejected(self):
+        small = PolytopeSpec(1, 1, np.array([[1.0]]), 0.5)
+        spec = self.specs()["base"]
+        start = solve_inner_lp(np.array([[1.0]]), small).final
+        with pytest.raises(LpError, match="start tableau"):
+            solve_inner_lp(np.ones((spec.n, spec.m)), spec, start=start)
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_sequence_terminates_through_bland(self, kind, seed, monkeypatch):
+        # Half-integer costs, small-integer omega with many zeros and ties:
+        # degenerate vertices everywhere.  With Bland's rule taking over at
+        # the first degenerate pivot, the fallback runs from warm starts.
+        monkeypatch.setattr(polytope_lp, "DEGENERATE_RUN", 1)
+        rng = np.random.default_rng(40 + seed)
+        n, m = 4, 3
+        weights = 0.5 * rng.integers(1, 3, size=(n, m))
+        dist = np.ones(n) if kind == "extended" else None
+        spec = PolytopeSpec(n, m, weights, float(rng.integers(1, 4)), dist,
+                            2.0 if kind == "extended" else None)
+        sol, fallbacks = None, 0
+        for _ in range(40):
+            omega = rng.integers(0, 3, size=(n, m)).astype(float)
+            omega[rng.random((n, m)) < 0.4] = 0.0
+            sol = solve_inner_lp(omega, spec, start=None if sol is None else sol.final)
+            fallbacks += sol.fell_back
+            if kind == "base":
+                expected = mckp_fractional_oracle(omega, weights, spec.budget_B)
+            else:
+                expected = solve_inner_lp(omega, spec).objective_value
+            assert sol.objective_value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            spec.check_feasible(sol.matrix(n, m))
+        assert fallbacks > 0
+
+    def test_beale_from_a_warm_start_falls_back_and_solves(self):
+        # A zero objective makes no pivot, so its final tableau is the slack
+        # basis; Beale's objective from there cycles under Dantzig's rule
+        # until the fallback, whose degenerate-run counter starts afresh.
+        c, A, b = TestSimplex.BEALE
+        idle = solve_generic_lp(np.zeros(4), A, b)
+        assert idle.pivots == 0
+        sol = solve_generic_lp(c, A, b, start=idle.final)
+        assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
+        assert sol.fell_back and sol.pivots > polytope_lp.DEGENERATE_RUN
+        again = solve_generic_lp(c, A, b, start=sol.final)
+        assert again.pivots == 0 and not again.fell_back
