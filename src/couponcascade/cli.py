@@ -116,15 +116,18 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
         "dist_budget_violations": violations,
     }
     if extended:
-        survival = {}
-        for v in range(1, inst.n + 1):
-            for d in range(1, inst.m + 1):
-                in_pre = pre[:, v - 1] == d
-                if in_pre.sum() == 0:
-                    continue
-                surv = float((kept[in_pre, v - 1] == d).mean())
-                survival[f"{v},{d}"] = {"draws": int(in_pre.sum()), "rate": surv}
-        stats["survival"] = survival
+        # draws and survivors of each drawn (v, d), counted by key v*(m+1) + d
+        keys = np.arange(inst.n) * (inst.m + 1) + pre
+        size = inst.n * (inst.m + 1)
+        draws = np.bincount(keys.ravel(), minlength=size).reshape(inst.n, -1)
+        kept_draws = np.bincount(keys[kept == pre], minlength=size).reshape(inst.n, -1)
+        stats["survival"] = {
+            f"{v},{d}": {"draws": int(draws[v - 1, d]),
+                         "rate": float(kept_draws[v - 1, d] / draws[v - 1, d])}
+            for v in range(1, inst.n + 1)
+            for d in range(1, inst.m + 1)
+            if draws[v - 1, d]
+        }
     return stats
 
 
@@ -216,7 +219,8 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                "lp_pivots": trace.lp_pivots,
                "lp_direction_changes": trace.lp_direction_changes,
                "lp_fallbacks": trace.lp_fallbacks,
-               "lp_max_gap": trace.lp_max_gap}
+               "lp_max_gap": trace.lp_max_gap,
+               "marginals_s": trace.marginals_s, "F_s": trace.F_s, "lp_s": trace.lp_s}
     return report, timings
 
 

@@ -12,6 +12,7 @@ inside the t-scaled polytope, and the final y inside the full polytope.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,8 @@ class IterationRecord:
 
 @dataclass
 class GreedyTrace:
-    """Per-step records and the final y; the LP counters stay out of the JSON."""
+    """Per-step records and the final y; the LP counters and the seconds spent
+    in marginals, F and ascent LPs stay out of the JSON."""
 
     iterations: list[IterationRecord] = field(default_factory=list)
     final: FractionalSolution | None = None
@@ -85,6 +87,9 @@ class GreedyTrace:
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
+    marginals_s: float = 0.0
+    F_s: float = 0.0
+    lp_s: float = 0.0
 
     def to_jsonable(self) -> dict:
         return {
@@ -114,24 +119,31 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         # Clip the last step so the total time is exactly 1 even when 1/delta
         # is not integral; otherwise the row caps would be overshot.
         h = min(delta, 1.0 - t)
+        t0 = time.perf_counter()
         if exact:
             omega = marginal_omega_exact(inst, util, y)
         else:
             omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+        t1 = time.perf_counter()
         start = None if sol is None else sol.final
         sol = solve_inner_lp(omega, spec, start=start)
+        t2 = time.perf_counter()
+        trace.marginals_s += t1 - t0
+        trace.lp_s += t2 - t1
         trace.lp_direction_changes += start is not None and sol.pivots > 0
         trace.lp_pivots += sol.pivots
         trace.lp_fallbacks += sol.fell_back
         trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
+        t0 = time.perf_counter()
         if exact:
             f_est = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
         else:
             f_est = multilinear_F_mc(
                 inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
             )
+        trace.F_s += time.perf_counter() - t0
         trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):

@@ -14,6 +14,13 @@ counts, and user v seeds with probability q_v(y) = sum_d y_vd prod_{k>d}
 the utility's gamma vector (`CascadeUtility.gamma_vector`) with per-user
 seed probabilities q, which are affine in each q_v: a marginal is the
 change in q_v times the slope E[gamma | q_v = 1] - E[gamma | q_v = 0].
+
+E[gamma] folds the users out of the vector one at a time, highest bit
+first.  All n slopes come from that fold and one pass back, as in
+reverse-mode differentiation: the fold keeps the difference between the
+halves of each level, and the pass back carries the seed-set distribution
+of the users below v and dots it with level v's difference.  That is
+O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.
 """
 
 from __future__ import annotations
@@ -61,13 +68,35 @@ def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
 
 
 def _slopes(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q."""
-    out = np.empty(q.shape)
-    for v in range(q.shape[-1]):
-        split = gamma.reshape(-1, 2, 1 << v)
-        rise = (split[:, 1] - split[:, 0]).ravel()  # gamma(U + v) - gamma(U), U without v
-        out[..., v] = _expected_gamma(rise, np.delete(q, v, axis=-1))
-    return out
+    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q.
+
+    q is one n-vector or a (k, n) batch, taken BLOCK_ENTRIES >> n rows at a
+    time, each by the fold and pass back of the module docstring: O(2^n)
+    work per row, and a row's slopes do not depend on its block.
+    """
+    n = q.shape[-1]
+    rows = q.reshape(-1, n)
+    out = np.empty(rows.shape)
+    step = max(1, BLOCK_ENTRIES >> n)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        coins = np.empty((len(block), 2, n, 1))  # coins[:, 1, v] = q_v, coins[:, 0, v] = 1 - q_v
+        coins[:, 1, :, 0] = block
+        coins[:, 0, :, 0] = 1.0 - block
+        g = gamma[None]
+        rises = []
+        for v in reversed(range(n)):
+            half = 1 << v
+            rise = g[:, half:] - g[:, :half]
+            rises.append(rise)
+            g = g[:, :half] + rise * coins[:, 1, v]
+        below = np.ones((len(block), 1))  # Pr[each seed set among the users below v]
+        for v, rise in enumerate(reversed(rises)):
+            if v:
+                below = (coins[:, :, v - 1] * below[:, None]).reshape(len(block), -1)
+            # a plain row sum: einsum's sum of a long row changes with the row count
+            out[start:start + step, v] = (below * rise).sum(axis=1)
+    return out.reshape(q.shape)
 
 
 def _held_probs(inst: Instance, profiles: np.ndarray) -> np.ndarray:
@@ -123,18 +152,16 @@ def _as_matrix(y, inst: Instance) -> np.ndarray:
 def _seed_probs(y: np.ndarray, p: np.ndarray):
     """q_v(y), and the change in q_v from raising each entry y_vd to 1.
 
-    Raising y_vd to 1 matters only when no higher coupon is drawn, and then
-    it replaces what the coupons below d give (probability `below`) by
-    p_v(d) whenever d itself was not drawn.
+    Coupon d is v's highest with probability y_vd * prod_{k>d} (1 - y_vk);
+    `top` weighs that by p_v(d), and q_v sums it.  Raising y_vd to 1 makes d
+    the highest whenever no coupon from d up was drawn (`none_from`), and
+    takes away what the coupons below d gave.
     """
-    n, m = y.shape
-    below = np.zeros((n, m))
-    q = np.zeros(n)
-    for d in range(m):
-        below[:, d] = q
-        q = y[:, d] * p[:, d] + (1.0 - y[:, d]) * q
-    none_above = np.hstack([np.cumprod((1.0 - y)[:, :0:-1], axis=1)[:, ::-1], np.ones((n, 1))])
-    return q, (1.0 - y) * (p - below) * none_above
+    none_from = np.cumprod((1.0 - y)[:, ::-1], axis=1)[:, ::-1]
+    none_above = np.hstack([none_from[:, 1:], np.ones((len(y), 1))])
+    top = p * y * none_above
+    upto = np.cumsum(top, axis=1)
+    return upto[:, -1], none_from * p - (upto - top)
 
 
 def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
@@ -164,16 +191,23 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers.
 
     The same R-draws serve all nm entries, which cancels most of the noise
-    in the differences.  Adding [vd] to R moves only q_v, from p_v(R_v) to
-    p_v(max(R_v, d)), so each difference is that gain times the draw's
-    slope for v.  Negative estimates are clamped to zero so the ascent LP
-    never chases sampling noise downhill.
+    in the differences.  Adding [vd] to R moves only q_v, and only in draws
+    whose coupon r for v lies below d, from p_v(r) to p_v(d); so each
+    difference is that gain times the draw's slope for v.  With W_vr the
+    slopes summed over the draws holding r for v, omega_vd = sum_{r<d}
+    W_vr (p_v(d) - p_v(r)) / samples.  Negative estimates are clamped to
+    zero so the ascent LP never chases sampling noise downhill.
     """
+    n, m = inst.n, inst.m
     profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
-    held = _held_probs(inst, profiles)
-    lifted = _held_probs(inst, np.maximum(profiles[:, None, :], np.arange(1, inst.m + 1)[:, None]))
-    slopes = _slopes(util.gamma_vector(), held)
-    omega = np.einsum("sdv,sv->vd", lifted - held[:, None, :], slopes) / samples
+    slopes = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
+    keys = np.arange(n) * (m + 1) + profiles  # (v, the coupon r the draw holds for v)
+    held = np.bincount(keys.ravel(), weights=slopes.ravel(), minlength=n * (m + 1))
+    held = held.reshape(n, m + 1)  # W_vr
+    p_held = np.hstack([np.zeros((n, 1)), inst.adoption])  # p_v(r), 0 for none
+    below = np.cumsum(held, axis=1)[:, :m]  # sum_{r<d} W_vr
+    below_paid = np.cumsum(held * p_held, axis=1)[:, :m]  # sum_{r<d} W_vr p_v(r)
+    omega = (inst.adoption * below - below_paid) / samples
     return np.maximum(omega, 0.0)
 
 

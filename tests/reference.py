@@ -16,6 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from couponcascade.instance import Instance
+from couponcascade.objective import _as_matrix as _as_fractional
+from couponcascade.objective import _draw_profiles, _expected_gamma, _held_probs
 from couponcascade.rounding import RoundingError, _as_matrix
 
 
@@ -173,3 +175,61 @@ def round_extended(y, inst: Instance, rng: np.random.Generator,
     """Dummy-coupon rounding followed by conflict resolution (extended model)."""
     I = round_partition(y, rng)
     return resolve_conflicts(I, inst, K)
+
+
+def slopes_per_user(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q."""
+    out = np.empty(q.shape)
+    for v in range(q.shape[-1]):
+        split = gamma.reshape(-1, 2, 1 << v)
+        rise = (split[:, 1] - split[:, 0]).ravel()  # gamma(U + v) - gamma(U), U without v
+        out[..., v] = _expected_gamma(rise, np.delete(q, v, axis=-1))
+    return out
+
+
+def seed_probs_loop(y: np.ndarray, p: np.ndarray):
+    """q_v(y), and the change in q_v from raising each entry y_vd to 1.
+
+    Raising y_vd to 1 matters only when no higher coupon is drawn, and then
+    it replaces what the coupons below d give (probability `below`) by
+    p_v(d) whenever d itself was not drawn.
+    """
+    n, m = y.shape
+    below = np.zeros((n, m))
+    q = np.zeros(n)
+    for d in range(m):
+        below[:, d] = q
+        q = y[:, d] * p[:, d] + (1.0 - y[:, d]) * q
+    none_above = np.hstack([np.cumprod((1.0 - y)[:, :0:-1], axis=1)[:, ::-1], np.ones((n, 1))])
+    return q, (1.0 - y) * (p - below) * none_above
+
+
+def marginal_omega_lifted(inst: Instance, util, y, samples: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers.
+
+    The same R-draws serve all nm entries, which cancels most of the noise
+    in the differences.  Adding [vd] to R moves only q_v, from p_v(R_v) to
+    p_v(max(R_v, d)), so each difference is that gain times the draw's
+    slope for v.  Negative estimates are clamped to zero so the ascent LP
+    never chases sampling noise downhill.
+    """
+    profiles = _draw_profiles(inst, _as_fractional(y, inst), samples, rng)
+    held = _held_probs(inst, profiles)
+    lifted = _held_probs(inst, np.maximum(profiles[:, None, :], np.arange(1, inst.m + 1)[:, None]))
+    slopes = slopes_per_user(util.gamma_vector(), held)
+    omega = np.einsum("sdv,sv->vd", lifted - held[:, None, :], slopes) / samples
+    return np.maximum(omega, 0.0)
+
+
+def survival_loop(pre: np.ndarray, kept: np.ndarray, n: int, m: int) -> dict:
+    """Per drawn (v, d): how often conflict resolution kept it, pairs with draws only."""
+    survival = {}
+    for v in range(1, n + 1):
+        for d in range(1, m + 1):
+            in_pre = pre[:, v - 1] == d
+            if in_pre.sum() == 0:
+                continue
+            surv = float((kept[in_pre, v - 1] == d).mean())
+            survival[f"{v},{d}"] = {"draws": int(in_pre.sum()), "rate": surv}
+    return survival

@@ -12,6 +12,7 @@ from couponcascade import cascade, oracle, rounding
 from couponcascade.cli import _rounding_stats, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
 from couponcascade.objective import f_exact, f_mc
+from reference import survival_loop
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
@@ -170,6 +171,9 @@ class TestSolve:
         assert 0.0 <= timings["lp_max_gap"] < 1e-8
         # 36 steps at nm = 6; each counted step pivoted at least once
         assert 0 < timings["lp_direction_changes"] <= min(35, timings["lp_pivots"])
+        # seconds in the ascent's three layers, each inside the greedy's own time
+        layers = [timings["marginals_s"], timings["F_s"], timings["lp_s"]]
+        assert min(layers) > 0 and sum(layers) <= timings["greedy_s"]
         assert "pivots" not in res.stdout
 
     def test_heavy_lt_in_weights_exit_2(self, tmp_path):
@@ -233,6 +237,19 @@ class TestRoundingStats:
         assert len(codes) > 10
         f_codes = [f_mc(inst, util, draws[inverse == j][0], 500, rng) for j in range(len(codes))]
         assert stats["f_mean"] == float(np.array(f_codes)[inverse].mean())
+
+    def test_survival_matches_the_pair_loop(self):
+        inst = generate_random(5, 10, model="TABLE", seed=4, extension=True)
+        util = cascade.make_utility(inst)
+        y = np.random.default_rng(6).random((5, 10))
+        y *= 0.9 / y.sum(axis=1, keepdims=True)
+        y[0, 3] = 0.0  # a pair never drawn gets no entry
+        stats = _rounding_stats(inst, util, y, 1000, np.random.default_rng(7), 10_000, True)
+        pre = rounding.round_partition_batch(y, 1000, np.random.default_rng(7))
+        expected = survival_loop(pre, rounding.resolve_conflicts_batch(pre, inst), 5, 10)
+        assert list(stats["survival"].items()) == list(expected.items())
+        assert "1,4" not in expected
+        assert 0 < min(s["rate"] for s in expected.values()) < 1
 
 
 BAD_NUMBERS = [

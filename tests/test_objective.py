@@ -18,7 +18,16 @@ from couponcascade.objective import (
 )
 from couponcascade.oracle import f_exact as enumerated_f
 from conftest import ic_instance, modular_table, table_instance
-from reference import Allocation, AllocationError, cost_brute_force, pairs_to_profile, seed_prob
+from reference import (
+    Allocation,
+    AllocationError,
+    cost_brute_force,
+    marginal_omega_lifted,
+    pairs_to_profile,
+    seed_prob,
+    seed_probs_loop,
+    slopes_per_user,
+)
 
 
 def no_edge_instance(adoption, **kw):
@@ -330,3 +339,93 @@ class TestClosedFormAgainstEnumeration:
         assert np.allclose(omega, omega_ref, rtol=0.0, atol=1e-12)
         F_est = multilinear_F_mc(inst, util, y, 40, np.random.default_rng(73))
         assert F_est == pytest.approx(F_ref, abs=1e-12)
+
+
+def utility_gamma(n):
+    """The gamma vector of a generated utility on n users (IC at n = 15, where a
+    table would be slow to draw)."""
+    if n < 15:
+        inst = generate_random(n, 1, model="TABLE", epsilon=0.1, seed=81)
+    else:
+        inst = generate_random(n, 1, model="IC", edge_density=0.05, seed=1)
+    return make_utility(inst).gamma_vector()
+
+
+def with_certain_users(q):
+    """q with user 1 never seeding and, when there are two or more users, the
+    last always seeding, in every row."""
+    q = q.copy()
+    q[..., 0] = 0.0
+    if q.shape[-1] > 1:
+        q[..., -1] = 1.0
+    return q
+
+
+class TestKernelsAgainstReference:
+    """The fold-and-back slopes, the loop-free seed probabilities and the
+    bincount sampled marginals against the kernels they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    def test_slopes_one_q(self, n):
+        gamma = utility_gamma(n)
+        q = with_certain_users(np.random.default_rng(n).random(n))
+        got = objective._slopes(gamma, q)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, slopes_per_user(gamma, q), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    def test_slopes_batch(self, n):
+        # 40 rows span two row blocks at n = 15 (32 rows each)
+        gamma = utility_gamma(n)
+        q = np.random.default_rng(n).random((40, n))
+        q[:20] = with_certain_users(q[:20])
+        q[20:25] = 0.0
+        q[25:30] = 1.0
+        got = objective._slopes(gamma, q)
+        assert got.shape == (40, n)
+        np.testing.assert_allclose(got, slopes_per_user(gamma, q), rtol=1e-12, atol=0)
+
+    def test_slope_row_blocks_bound_memory(self):
+        # keeping every level of 200 rows at once takes about 175 MB at n = 15
+        n = 15
+        gamma = utility_gamma(n)
+        q = np.random.default_rng(2).random((200, n))
+        tracemalloc.start()
+        try:
+            slopes = objective._slopes(gamma, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * objective.BLOCK_ENTRIES * 8
+        rows = objective.BLOCK_ENTRIES >> n
+        for i in (0, rows - 1, rows, len(q) - 1):
+            assert np.array_equal(slopes[i], objective._slopes(gamma, q[i:i + 1])[0])
+            assert np.array_equal(slopes[i], objective._slopes(gamma, q[i]))
+
+    @pytest.mark.parametrize("m", [1, 3, 100])
+    def test_seed_probs(self, m):
+        rng = np.random.default_rng(m)
+        y = rng.random((6, m)) / m
+        y[0] = 0.0
+        y[1] = 1.0
+        y[2, -1] = 1.0
+        y[3, 0] = 1.0
+        y[4, ::2] = 0.0
+        p = rng.random((6, m))
+        q, gain = objective._seed_probs(y, p)
+        q_ref, gain_ref = seed_probs_loop(y, p)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gain, gain_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n,m", [(4, 1), (5, 10), (3, 100)])
+    def test_sampled_marginals(self, n, m):
+        inst = generate_random(n, m, model="TABLE", epsilon=0.1, seed=82)
+        util = make_utility(inst)
+        y = np.random.default_rng(m).random((n, m)) / m
+        y[0, -1] = 1.0
+        y[1] = 0.0
+        ours, theirs = np.random.default_rng(83), np.random.default_rng(83)
+        omega = marginal_omega(inst, util, y, 200, ours)
+        expected = marginal_omega_lifted(inst, util, y, 200, theirs)
+        np.testing.assert_allclose(omega, expected, rtol=1e-12, atol=0)
+        assert ours.random() == theirs.random()
