@@ -132,8 +132,13 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
 
 
 def _oracle_block(inst, util, extended, b):
+    if not extended:
+        # Without a distribution budget the policy LP and PB are one LP over
+        # the same profiles and rows: solve it once.
+        _, value = oracle.solve_concave_relaxation(inst, util, "PB")
+        return {"policy_value": value, "relaxation_PB": value}
     block = {"policy_value": oracle.solve_optimal_policy(inst, util)[1]}
-    for mode in ("PB", "PB1", "PB2") if extended else ("PB",):
+    for mode in ("PB", "PB1", "PB2"):
         _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(inst, util, mode, b=b)
     return block
 
@@ -283,17 +288,13 @@ def oracle_cmd(path, b, points, seed, out):
         if not util.exact:
             _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
         oracle.check_size(inst)
-        checks = []
-        sandwich = oracle.verify_eps_sandwich(inst, util)
-        checks.append({"name": sandwich.name, "ok": sandwich.ok,
-                       "max_violation": sandwich.max_violation,
-                       "witnesses": sandwich.witnesses})
-        dominance = oracle.verify_concave_dominance(inst, util, points=points, seed=seed)
-        checks.append({"name": dominance.name, "ok": dominance.ok,
-                       "max_violation": dominance.max_violation,
-                       "witnesses": dominance.witnesses})
-        _, policy_value = oracle.solve_optimal_policy(inst, util)
-        _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB")
+        checks = [{"name": r.name, "ok": r.ok, "max_violation": r.max_violation,
+                   "witnesses": r.witnesses}
+                  for r in (oracle.verify_eps_sandwich(inst, util),
+                            oracle.verify_concave_dominance(inst, util, points=points,
+                                                            seed=seed))]
+        block = _oracle_block(inst, util, inst.budget_K is not None, b)
+        policy_value, pb_value = block["policy_value"], block["relaxation_PB"]
         checks.append({
             "name": "relaxation_dominates_policy",
             "ok": pb_value >= policy_value - 1e-8,
@@ -301,8 +302,7 @@ def oracle_cmd(path, b, points, seed, out):
             "relaxation_value": pb_value,
         })
         if inst.budget_K is not None:
-            _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1")
-            _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
+            pb1, pb2 = block["relaxation_PB1"], block["relaxation_PB2"]
             checks.append({
                 "name": "scaled_relaxation_lower_bound",
                 "ok": pb2 >= b * pb1 - 1e-8,

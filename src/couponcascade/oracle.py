@@ -1,15 +1,17 @@
 """Brute-force ground truth for tiny instances.
 
 Works on coupon profiles: a profile is a tuple holding each user's coupon,
-0 for none.  Enumerates every feasible profile, solves the exact policy LP,
-the exact concave-extension relaxations, and certifies numerically that the
-perturbed objective stays inside its submodular sandwich and that the
-relaxations dominate in the expected directions.  Everything here is
-independent of the solver path: it goes through exhaustive enumeration and
-the generic LP solver only.  In particular f is a sum over explicit seed
-sets (`f_exact` below): every profile's Pr(U; S) for all 2^n seed sets U,
-times gamma(U) read through `value`, not the solver's fold over the gamma
-vector.
+0 for none.  Enumerates every feasible profile, solves the exact policy LP
+and the exact concave-extension relaxations, and certifies numerically that
+the perturbed objective stays inside its submodular sandwich and that the
+relaxations dominate in the expected directions.  Every relaxation is solved
+as a profile LP over the combination weights alone, and its optimum is
+certified against the joint LP in the weights and y by a lifted dual.
+Everything here is independent of the solver path: it goes through
+exhaustive enumeration and the generic LP solver only.  In particular f is
+a sum over explicit seed sets (`f_exact` below): every profile's Pr(U; S)
+for all 2^n seed sets U, times gamma(U) read through `value`, not the
+solver's fold over the gamma vector.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.instance import Instance
-from couponcascade.polytope_lp import solve_generic_lp
+from couponcascade.polytope_lp import NumericError, _certify, solve_generic_lp
 
 # Largest Pr(U; S) block f_exact builds at once, in entries: rows of 2^n
 # seed-set probabilities, as many profiles as fit.
@@ -138,6 +140,19 @@ def _costs(inst: Instance, profiles) -> np.ndarray:
     return pay[np.arange(inst.n), np.asarray(profiles)].sum(axis=1)
 
 
+def _profile_rows(inst: Instance, profiles, k_bound: float | None = None):
+    """(A, b) of the LP over profile weights alpha >= 0: mass <= 1 and
+    expected redemption cost <= B; with k_bound, also expected distribution
+    cost, sum_S alpha_S a(S) <= k_bound, where a(S) is the dist_cost of the
+    users S offers to."""
+    rows = [np.ones(len(profiles)), _costs(inst, profiles)]
+    bounds = [1.0, inst.budget_B]
+    if k_bound is not None:
+        rows.append((np.asarray(profiles) > 0) @ inst.dist_cost)
+        bounds.append(k_bound)
+    return np.vstack(rows), np.array(bounds)
+
+
 def solve_optimal_policy(inst: Instance, util: CascadeUtility):
     """Exact optimum of the policy problem: the LP over allocation probabilities.
 
@@ -148,9 +163,7 @@ def solve_optimal_policy(inst: Instance, util: CascadeUtility):
     k = len(profiles)
     # Mass <= 1 instead of == 1: padding with the empty allocation (f=c=0)
     # restores equality without changing the optimum.
-    A = np.vstack([np.ones(k), _costs(inst, profiles)])
-    b = np.array([1.0, inst.budget_B])
-    sol = solve_generic_lp(f_exact(inst, util, profiles), A, b)
+    sol = solve_generic_lp(f_exact(inst, util, profiles), *_profile_rows(inst, profiles))
     theta = sol.x
     support = [(profiles[i], float(theta[i])) for i in range(k) if theta[i] > 1e-12]
     slack = 1.0 - sum(p for _, p in support)
@@ -190,34 +203,59 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
     extension over the polytope.
 
     mode "PB" is the base polytope; "PB1" adds the distribution knapsack at
-    its full budget K; "PB2" at the scaled budget b*K.  Solved as one joint
-    LP in the combination weights alpha and the matrix y.
+    its full budget K; "PB2" at the scaled budget b*K.  The relaxation is a
+    joint LP in the combination weights alpha and the matrix y, but y only
+    has to cover the coupling of alpha: every y row (caps, knapsacks) has
+    nonnegative coefficients, and the caps hold because sum alpha <= 1.  So
+    it is solved as the profile LP over alpha alone, with the rows of
+    `_profile_rows`; in base mode that is the policy LP itself.  The optimum
+    is then certified against the joint LP (`_certify_joint`).
 
-    Returns (y_plus, value).
+    Returns (y_plus, value), y_plus the coupling of the optimal alpha.
     """
     if mode not in ("PB", "PB1", "PB2"):
         raise OracleError(f"unknown relaxation mode {mode!r}")
     if mode != "PB" and inst.budget_K is None:
         raise OracleError(f"mode {mode} needs an instance with budget_K")
     profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    k, n, m = len(profiles), inst.n, inst.m
+    k_bound = None if mode == "PB" else float(inst.budget_K) * (b if mode == "PB2" else 1.0)
+    f_vals = f_exact(inst, util, profiles)
+    sol = solve_generic_lp(f_vals, *_profile_rows(inst, profiles, k_bound))
+    coupling = _coupling_rows(inst, profiles)
+    y_plus = coupling @ sol.x
+    _certify_joint(inst, coupling, f_vals, k_bound, sol, y_plus)
+    return y_plus.reshape(inst.n, inst.m), float(sol.objective_value)
+
+
+def _certify_joint(inst: Instance, coupling, f_vals, k_bound, sol, y_plus) -> None:
+    """Certify a profile-LP optimum as the optimum of the joint LP in (alpha, y).
+
+    The joint LP has columns alpha (k) then y flat (v, d), and rows: alpha
+    mass <= 1, coupling alpha-membership <= y, per-user caps, then the
+    knapsacks (no y <= 1 rows: y >= 0 and the caps imply them).  Its primal
+    is (alpha, coupling(alpha)), checked against A x <= b.  Its dual is lifted
+    from the profile LP's duals (lambda, mu, kappa): the coupling rows get
+    pi_vd = mu * w_vd + kappa * a_v, the caps get zero.  Raises NumericError
+    when either fails.
+    """
+    k, n, m = len(f_vals), inst.n, inst.m
     nm = n * m
-    # Columns are alpha (k) then y flat (v, d).  Rows: alpha mass <= 1,
-    # coupling alpha-membership <= y, per-user caps, then the knapsacks.
-    # No y <= 1 rows: y >= 0 and the per-user caps imply them.
     y_rows = [np.kron(np.eye(n), np.ones(m)), inst.redemption_weights.reshape(1, -1)]
     bounds = [[1.0], np.zeros(nm), np.ones(n), [inst.budget_B]]
-    if mode in ("PB1", "PB2"):
+    if k_bound is not None:
         y_rows.append(np.repeat(inst.dist_cost, m)[None])
-        bounds.append([float(inst.budget_K) * (b if mode == "PB2" else 1.0)])
+        bounds.append([k_bound])
     y_rows = np.vstack(y_rows)
     A = np.block([[np.ones((1, k)), np.zeros((1, nm))],
-                  [_coupling_rows(inst, profiles), -np.eye(nm)],
+                  [coupling, -np.eye(nm)],
                   [np.zeros((len(y_rows), k)), y_rows]])
-    c = np.concatenate([f_exact(inst, util, profiles), np.zeros(nm)])
-    sol = solve_generic_lp(c, A, np.concatenate(bounds))
-    y_plus = sol.x[k:].reshape(n, m)
-    return y_plus, float(sol.objective_value)
+    b = np.concatenate(bounds)
+    c = np.concatenate([f_vals, np.zeros(nm)])
+    x = np.concatenate([sol.x, y_plus])
+    if np.any(x < -1e-9) or np.any(A @ x > b + 1e-9 * (1 + b)):
+        raise NumericError("relaxation optimum violates the joint LP's rows")
+    dual = np.concatenate([sol.dual[:1], y_rows[n:].T @ sol.dual[1:], np.zeros(n), sol.dual[1:]])
+    _certify(c, A, b, x, float(c @ x), dual)
 
 
 @dataclass

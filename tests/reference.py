@@ -5,7 +5,9 @@ follow the paper's definitions over sets of user-coupon pairs instead: seed
 probabilities and the double-sum cost by enumerating seed sets, and scalar
 rounders that draw one user at a time (the per-user categorical draw and
 merge-based swap rounding) with cost-ordered conflict resolution.  Tests
-compare the program's batched, profile-based code against them.
+compare the program's batched, profile-based code against them.  The
+module also keeps earlier forms of the program's kernels, and the joint
+(alpha, y) LP of the concave relaxation solved as one LP.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import numpy as np
 from couponcascade.instance import Instance
 from couponcascade.objective import _as_matrix as _as_fractional
 from couponcascade.objective import _draw_profiles, _expected_gamma, _held_probs
+from couponcascade.oracle import (
+    OracleError,
+    _coupling_rows,
+    enumerate_feasible_allocations,
+    f_exact,
+)
+from couponcascade.polytope_lp import solve_generic_lp
 from couponcascade.rounding import RoundingError, _as_matrix
 
 
@@ -233,3 +242,38 @@ def survival_loop(pre: np.ndarray, kept: np.ndarray, n: int, m: int) -> dict:
             surv = float((kept[in_pre, v - 1] == d).mean())
             survival[f"{v},{d}"] = {"draws": int(in_pre.sum()), "rate": surv}
     return survival
+
+
+def solve_concave_relaxation_joint(inst: Instance, util, mode: str = "PB", b: float = 0.25):
+    """Exact optimum of the fractional relaxation: maximize the concave
+    extension over the polytope.
+
+    mode "PB" is the base polytope; "PB1" adds the distribution knapsack at
+    its full budget K; "PB2" at the scaled budget b*K.  Solved as one joint
+    LP in the combination weights alpha and the matrix y.
+
+    Returns (y_plus, value).
+    """
+    if mode not in ("PB", "PB1", "PB2"):
+        raise OracleError(f"unknown relaxation mode {mode!r}")
+    if mode != "PB" and inst.budget_K is None:
+        raise OracleError(f"mode {mode} needs an instance with budget_K")
+    profiles = enumerate_feasible_allocations(inst, respect_K=False)
+    k, n, m = len(profiles), inst.n, inst.m
+    nm = n * m
+    # Columns are alpha (k) then y flat (v, d).  Rows: alpha mass <= 1,
+    # coupling alpha-membership <= y, per-user caps, then the knapsacks.
+    # No y <= 1 rows: y >= 0 and the per-user caps imply them.
+    y_rows = [np.kron(np.eye(n), np.ones(m)), inst.redemption_weights.reshape(1, -1)]
+    bounds = [[1.0], np.zeros(nm), np.ones(n), [inst.budget_B]]
+    if mode in ("PB1", "PB2"):
+        y_rows.append(np.repeat(inst.dist_cost, m)[None])
+        bounds.append([float(inst.budget_K) * (b if mode == "PB2" else 1.0)])
+    y_rows = np.vstack(y_rows)
+    A = np.block([[np.ones((1, k)), np.zeros((1, nm))],
+                  [_coupling_rows(inst, profiles), -np.eye(nm)],
+                  [np.zeros((len(y_rows), k)), y_rows]])
+    c = np.concatenate([f_exact(inst, util, profiles), np.zeros(nm)])
+    sol = solve_generic_lp(c, A, np.concatenate(bounds))
+    y_plus = sol.x[k:].reshape(n, m)
+    return y_plus, float(sol.objective_value)

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 
 from conftest import run_cli as cli
 from couponcascade import cascade, oracle, rounding
-from couponcascade.cli import _rounding_stats, main, run_solve
+from couponcascade.cascade import make_utility
+from couponcascade.cli import _jsonify, _rounding_stats, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
 from couponcascade.objective import f_exact, f_mc
 from reference import survival_loop
@@ -354,8 +355,32 @@ class TestOracleFuzz:
             assert block["relaxation_PB1"] >= block["relaxation_PB2"] - 1e-8
 
 
+def separate_solve_checks(path, b=0.25):
+    """The checks of an `oracle` report as separate solves build them: the
+    policy LP and one relaxation per mode, each solved on its own."""
+    inst = load_instance(path)
+    util = make_utility(inst)
+    checks = []
+    for verifier in (oracle.verify_eps_sandwich(inst, util),
+                     oracle.verify_concave_dominance(inst, util, points=5, seed=0)):
+        checks.append({"name": verifier.name, "ok": verifier.ok,
+                       "max_violation": verifier.max_violation,
+                       "witnesses": verifier.witnesses})
+    _, policy_value = oracle.solve_optimal_policy(inst, util)
+    _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB")
+    checks.append({"name": "relaxation_dominates_policy",
+                   "ok": pb_value >= policy_value - 1e-8,
+                   "policy_value": policy_value, "relaxation_value": pb_value})
+    if inst.budget_K is not None:
+        _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1")
+        _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
+        checks.append({"name": "scaled_relaxation_lower_bound", "ok": pb2 >= b * pb1 - 1e-8,
+                       "b": b, "full_value": pb1, "scaled_value": pb2})
+    return json.loads(json.dumps(_jsonify(checks)))
+
+
 class TestOracleCmd:
-    def test_valid_instance_all_pass(self, extended_instance):
+    def test_valid_instance_all_pass(self, base_instance, extended_instance):
         res = cli("oracle", "-i", extended_instance)
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
@@ -363,6 +388,16 @@ class TestOracleCmd:
         names = {c["name"] for c in report["checks"]}
         assert {"eps_sandwich", "concave_dominance", "relaxation_dominates_policy",
                 "scaled_relaxation_lower_bound"} <= names
+        # the report equals the one built from separate solves, bit for bit;
+        # in base mode the policy LP is the PB relaxation's profile LP
+        assert report["checks"] == separate_solve_checks(extended_instance)
+        res = cli("oracle", "-i", base_instance)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["all_ok"]
+        assert [c["name"] for c in report["checks"]] == [
+            "eps_sandwich", "concave_dominance", "relaxation_dominates_policy"]
+        assert report["checks"] == separate_solve_checks(base_instance)
 
     def test_negative_control_fails(self, tmp_path):
         # strictly supermodular utility: the grid submodularity check trips

@@ -1,3 +1,5 @@
+import json
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from couponcascade import oracle
 from couponcascade.cascade import make_utility
-from couponcascade.instance import generate_random
+from couponcascade.instance import generate_random, save_instance
 from couponcascade.objective import cost_exact, f_exact
 from couponcascade.oracle import (
     OracleError,
@@ -16,7 +18,9 @@ from couponcascade.oracle import (
     verify_concave_dominance,
     verify_eps_sandwich,
 )
-from conftest import modular_table, table_instance
+from couponcascade.polytope_lp import NumericError, solve_generic_lp
+from conftest import modular_table, run_cli, table_instance
+from reference import solve_concave_relaxation_joint
 
 
 def enumerated_f(inst, util, profile):
@@ -225,6 +229,107 @@ class TestConcaveRelaxation:
             solve_concave_relaxation(inst, util, "PB1")
         with pytest.raises(OracleError, match="unknown relaxation"):
             solve_concave_relaxation(inst, util, "XX")
+
+
+def joint_y_violation(inst, y, k_bound):
+    """Largest excess of y over the joint LP's y rows and the box."""
+    excess = [-y.min(), y.max() - 1.0, y.sum(axis=1).max() - 1.0,
+              float(np.sum(inst.redemption_weights * y)) - inst.budget_B]
+    if k_bound is not None:
+        excess.append(float(np.sum(inst.dist_cost[:, None] * y)) - k_bound)
+    return max(excess)
+
+
+class TestRelaxationAgainstJointLp:
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 1), (3, 3), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("extension", [False, True])
+    @pytest.mark.parametrize("model", ["TABLE", "IC"])
+    def test_matches_joint_lp(self, model, extension, eps, n, m):
+        inst = generate_random(n, m, model=model, edge_density=0.5, epsilon=eps,
+                               seed=91 + 10 * n + m, extension=extension)
+        util = make_utility(inst)
+        for mode in ("PB", "PB1", "PB2") if extension else ("PB",):
+            y_plus, value = solve_concave_relaxation(inst, util, mode, b=0.25)
+            _, joint = solve_concave_relaxation_joint(inst, util, mode, b=0.25)
+            assert abs(value - joint) <= 1e-12 * abs(joint), (mode, value, joint)
+            k_bound = None if mode == "PB" else inst.budget_K * (0.25 if mode == "PB2" else 1)
+            assert y_plus.shape == (n, m)
+            assert joint_y_violation(inst, y_plus, k_bound) <= 1e-9
+
+    def test_base_mode_is_the_policy_lp(self):
+        for seed in range(3):
+            inst = generate_random(4, 2, model="TABLE", seed=seed, epsilon=0.1)
+            util = make_utility(inst)
+            assert solve_concave_relaxation(inst, util, "PB")[1] == \
+                solve_optimal_policy(inst, util)[1]
+
+
+class TestJointCertificate:
+    """The lifted certificate rejects a profile-LP optimum that is not the
+    joint LP's: here the profile LP loses its distribution-knapsack row."""
+
+    @pytest.fixture
+    def binding(self):
+        # the distribution knapsack binds in PB2: PB's value is higher
+        inst = generate_random(4, 2, model="TABLE", seed=5, extension=True)
+        util = make_utility(inst)
+        _, pb2 = solve_concave_relaxation(inst, util, "PB2")
+        _, pb = solve_concave_relaxation(inst, util, "PB")
+        assert pb > pb2 * (1 + 1e-6)
+        return inst, util, pb2
+
+    def test_dropped_row_fails_the_primal_check(self, binding, monkeypatch):
+        inst, util, pb2 = binding
+        values = []
+
+        def without_k_row(c, A, b, start=None):
+            sol = solve_generic_lp(c, A[:2], b[:2])
+            values.append(sol.objective_value)
+            # a dual that prices the dropped row at zero passes the dual checks
+            sol.dual = np.append(sol.dual, 0.0)
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_generic_lp", without_k_row)
+        with pytest.raises(NumericError, match="joint LP's rows"):
+            solve_concave_relaxation(inst, util, "PB2")
+        assert values[0] > pb2 * (1 + 1e-6)
+
+    def test_unpriced_row_fails_the_dual_check(self, binding, monkeypatch):
+        inst, util, _ = binding
+
+        def kappa_zero(c, A, b, start=None):
+            sol = solve_generic_lp(c, A, b)
+            assert sol.dual[2] > 0
+            sol.dual[2] = 0.0
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_generic_lp", kappa_zero)
+        with pytest.raises(NumericError):
+            solve_concave_relaxation(inst, util, "PB2")
+
+
+class TestLargeRelaxation:
+    """TABLE 7x4, 78,125 profiles: the joint (alpha, y) LP of PB stalled here
+    (exit 3 after 268 s); the profile LP takes a few pivots."""
+
+    PB_VALUE = 11.969456458100987
+
+    def test_pb_value(self):
+        inst = generate_random(7, 4, model="TABLE", seed=1)
+        start = time.perf_counter()
+        _, value = solve_concave_relaxation(inst, make_utility(inst), "PB")
+        assert time.perf_counter() - start < 60
+        assert abs(value - self.PB_VALUE) <= 1e-12 * self.PB_VALUE
+
+    def test_oracle_command(self, tmp_path):
+        path = tmp_path / "d7.json"
+        save_instance(generate_random(7, 4, model="TABLE", seed=1), path)
+        start = time.perf_counter()
+        res = run_cli("oracle", "-i", str(path), "--points", "1")
+        assert time.perf_counter() - start < 60
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["all_ok"] is True
 
 
 class TestSandwichVerifier:
