@@ -1,12 +1,18 @@
 """Continuous greedy ascent over the constrained matroid-knapsack polytope.
 
-Starting from y = 0, each of the ceil(1/delta) iterations estimates the
-multilinear marginals, solves the linear ascent problem over the polytope
+Starting from y = 0, each of the ceil(1/delta) iterations (N of them when
+1/delta is within rounding of an integer N) estimates the multilinear
+marginals, solves the linear ascent problem over the polytope
 (with the distribution knapsack scaled to b*K in extended mode) and moves
 y by delta times the optimal direction.  Only the objective of that LP
 changes from step to step, so each step warm-starts from the previous
 step's optimal basis.  The per-step increment keeps every intermediate y
 inside the t-scaled polytope, and the final y inside the full polytope.
+
+Each step records F at the y it reached.  Exact marginals return F at the
+y they are taken at, so a step's F comes from the next step's marginals,
+and only the last step evaluates F itself.  Sampled marginals do not, and
+each sampled step draws its own F estimate.
 """
 
 from __future__ import annotations
@@ -79,7 +85,11 @@ class IterationRecord:
 @dataclass
 class GreedyTrace:
     """Per-step records and the final y; the LP counters and the seconds spent
-    in marginals, F and ascent LPs stay out of the JSON."""
+    in marginals, F and ascent LPs stay out of the JSON.
+
+    On the exact path `F_s` is the one final F: every other step's F comes
+    from the marginals' fold and is counted in `marginals_s`.
+    """
 
     iterations: list[IterationRecord] = field(default_factory=list)
     final: FractionalSolution | None = None
@@ -101,11 +111,19 @@ class GreedyTrace:
         }
 
 
+def _step_count(delta: float) -> int:
+    """ceil(1/delta), except that a 1/delta within rounding of an integer N
+    gives N steps: 1/(1/49) is 49.00000000000001 in floating point."""
+    ratio = 1.0 / delta
+    near = round(ratio)
+    return near if abs(ratio - near) <= 1e-12 * ratio else math.ceil(ratio)
+
+
 def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -> GreedyTrace:
     """Run the ascent and return the per-iteration trace with the final y."""
     cfg.validate(inst)
     delta = cfg.step(inst)
-    steps = math.ceil(1.0 / delta)
+    steps = _step_count(delta)
     spec = PolytopeSpec.from_instance(
         inst, k_scale=cfg.b if cfg.mode == "extended" else None
     )
@@ -121,7 +139,9 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         h = min(delta, 1.0 - t)
         t0 = time.perf_counter()
         if exact:
-            omega = marginal_omega_exact(inst, util, y)
+            omega, f_here = marginal_omega_exact(inst, util, y)
+            if trace.iterations:  # F at the y the previous step reached
+                trace.iterations[-1].f_estimate = f_here
         else:
             omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
         t1 = time.perf_counter()
@@ -136,19 +156,22 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
-        t0 = time.perf_counter()
-        if exact:
-            f_est = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
-        else:
+        f_est = None  # the next step's marginals fill it in
+        if not exact:
+            t0 = time.perf_counter()
             f_est = multilinear_F_mc(
                 inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
             )
-        trace.F_s += time.perf_counter() - t0
+            trace.F_s += time.perf_counter() - t0
         trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
+    if exact:
+        t0 = time.perf_counter()
+        trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
+        trace.F_s += time.perf_counter() - t0
     trace.final = FractionalSolution(y)
     return trace
 

@@ -20,7 +20,9 @@ first.  All n slopes come from that fold and one pass back, as in
 reverse-mode differentiation: the fold keeps the difference between the
 halves of each level, and the pass back carries the seed-set distribution
 of the users below v and dots it with level v's difference.  That is
-O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.
+O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.  The
+fold ends at E[gamma](q), which is F(y) for q = q(y), so the exact
+marginals return F(y) as well at no extra cost.
 """
 
 from __future__ import annotations
@@ -67,16 +69,19 @@ def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
     return g[..., 0]
 
 
-def _slopes(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q.
+def _slopes(gamma: np.ndarray, q: np.ndarray):
+    """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q,
+    and E[gamma], shaped like q without its last axis.
 
     q is one n-vector or a (k, n) batch, taken BLOCK_ENTRIES >> n rows at a
     time, each by the fold and pass back of the module docstring: O(2^n)
-    work per row, and a row's slopes do not depend on its block.
+    work per row, and a row's results do not depend on its block.  E[gamma]
+    is where the fold ends.
     """
     n = q.shape[-1]
     rows = q.reshape(-1, n)
     out = np.empty(rows.shape)
+    expected = np.empty(len(rows))
     step = max(1, BLOCK_ENTRIES >> n)
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
@@ -90,13 +95,14 @@ def _slopes(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
             rise = g[:, half:] - g[:, :half]
             rises.append(rise)
             g = g[:, :half] + rise * coins[:, 1, v]
+        expected[start:start + step] = g[:, 0]
         below = np.ones((len(block), 1))  # Pr[each seed set among the users below v]
         for v, rise in enumerate(reversed(rises)):
             if v:
                 below = (coins[:, :, v - 1] * below[:, None]).reshape(len(block), -1)
             # a plain row sum: einsum's sum of a long row changes with the row count
             out[start:start + step, v] = (below * rise).sum(axis=1)
-    return out.reshape(q.shape)
+    return out.reshape(q.shape), expected.reshape(q.shape[:-1])
 
 
 def _held_probs(inst: Instance, profiles: np.ndarray) -> np.ndarray:
@@ -200,7 +206,7 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     """
     n, m = inst.n, inst.m
     profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
-    slopes = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
+    slopes, _ = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
     keys = np.arange(n) * (m + 1) + profiles  # (v, the coupon r the draw holds for v)
     held = np.bincount(keys.ravel(), weights=slopes.ravel(), minlength=n * (m + 1))
     held = held.reshape(n, m + 1)  # W_vr
@@ -211,7 +217,9 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     return np.maximum(omega, 0.0)
 
 
-def marginal_omega_exact(inst: Instance, util: CascadeUtility, y) -> np.ndarray:
-    """Exact marginals F(y with y_vd raised to 1) - F(y), clamped at zero."""
+def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):
+    """Exact marginals F(y with y_vd raised to 1) - F(y), clamped at zero,
+    and F(y), both from one fold."""
     q, gain = _seed_probs(_as_matrix(y, inst), inst.adoption)
-    return np.maximum(gain * _slopes(util.gamma_vector(), q)[:, None], 0.0)
+    slopes, F = _slopes(util.gamma_vector(), q)
+    return np.maximum(gain * slopes[:, None], 0.0), float(F)

@@ -80,14 +80,18 @@ class PolytopeSpec:
         return np.vstack(rows), np.concatenate(bounds)
 
     def check_feasible(self, y: np.ndarray, tol: float = 1e-9) -> None:
-        if np.any(y < -tol) or np.any(y > 1 + tol):
+        # ndarray methods, not the np.any / np.sum wrappers: the ascent runs
+        # this every step, and at desk scale the wrappers cost as much as the
+        # arithmetic.  Comparisons, not y.min(): the min of an array holding
+        # a NaN is NaN, which would hide a violating entry beside it.
+        if (y < -tol).any() or (y > 1 + tol).any():
             raise NumericError("box constraint violated")
-        if np.any(y.sum(axis=1) > 1 + tol):
+        if (y.sum(axis=1) > 1 + tol).any():
             raise NumericError("per-user cap violated")
-        if float(np.sum(self.redemption_weights * y)) > self.budget_B + tol * (1 + self.budget_B):
+        if float((self.redemption_weights * y).sum()) > self.budget_B + tol * (1 + self.budget_B):
             raise NumericError("redemption knapsack violated")
         if self.budget_K is not None:
-            spend = float(np.sum(self.dist_cost[:, None] * y))
+            spend = float((self.dist_cost[:, None] * y).sum())
             if spend > self.budget_K + tol * (1 + self.budget_K):
                 raise NumericError("distribution knapsack violated")
 
@@ -131,9 +135,9 @@ def simplex_maximize(c, A, b, tol: float = 1e-10, start=None):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n_rows, n_vars = A.shape
-    if np.any(b < 0):
+    if (b < 0).any():
         raise LpError("right-hand sides must be nonnegative (origin-feasible form)")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise NumericError("non-finite LP data")
 
     if start is None:
@@ -185,10 +189,10 @@ def simplex_maximize(c, A, b, tol: float = 1e-10, start=None):
 def _certify(c, A, b, x, value, dual):
     """Strong-duality certificate; raises NumericError when it fails."""
     scale = 1.0 + abs(value)
-    if np.any(dual < -1e-8):
+    if (dual < -1e-8).any():
         raise NumericError("dual infeasible: negative multiplier")
     slack = A.T @ dual - c
-    if np.any(slack < -1e-8 * scale):
+    if (slack < -1e-8 * scale).any():
         raise NumericError("dual infeasible: reduced cost below zero")
     gap = abs(float(b @ dual) - value)
     if gap > 1e-8 * scale:
@@ -215,7 +219,7 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> LpSol
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (spec.n, spec.m):
         raise LpError(f"weights must be {spec.n}x{spec.m}")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+    if not np.isfinite(weights).all() or (weights < 0).any():
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
     A, b = spec.constraint_rows
     if not weights.any():

@@ -6,8 +6,9 @@ probabilities and the double-sum cost by enumerating seed sets, and scalar
 rounders that draw one user at a time (the per-user categorical draw and
 merge-based swap rounding) with cost-ordered conflict resolution.  Tests
 compare the program's batched, profile-based code against them.  The
-module also keeps earlier forms of the program's kernels, and the joint
-(alpha, y) LP of the concave relaxation solved as one LP.
+module also keeps earlier forms of the program's kernels, the joint
+(alpha, y) LP of the concave relaxation solved as one LP, and the LP input
+and output guards written with the np.any / np.all wrappers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from couponcascade.oracle import (
     enumerate_feasible_allocations,
     f_exact,
 )
-from couponcascade.polytope_lp import solve_generic_lp
+from couponcascade.polytope_lp import LpError, NumericError, solve_generic_lp
 from couponcascade.rounding import RoundingError, _as_matrix
 
 
@@ -277,3 +278,51 @@ def solve_concave_relaxation_joint(inst: Instance, util, mode: str = "PB", b: fl
     sol = solve_generic_lp(c, A, np.concatenate(bounds))
     y_plus = sol.x[k:].reshape(n, m)
     return y_plus, float(sol.objective_value)
+
+
+def check_feasible_wrappers(spec, y: np.ndarray, tol: float = 1e-9) -> None:
+    """`PolytopeSpec.check_feasible` with the np.any / np.sum wrappers."""
+    if np.any(y < -tol) or np.any(y > 1 + tol):
+        raise NumericError("box constraint violated")
+    if np.any(y.sum(axis=1) > 1 + tol):
+        raise NumericError("per-user cap violated")
+    if float(np.sum(spec.redemption_weights * y)) > spec.budget_B + tol * (1 + spec.budget_B):
+        raise NumericError("redemption knapsack violated")
+    if spec.budget_K is not None:
+        spend = float(np.sum(spec.dist_cost[:, None] * y))
+        if spend > spec.budget_K + tol * (1 + spec.budget_K):
+            raise NumericError("distribution knapsack violated")
+
+
+def inner_weights_guard_wrappers(weights, spec) -> None:
+    """The weight guard of `solve_inner_lp`, with the np.any / np.all wrappers."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (spec.n, spec.m):
+        raise LpError(f"weights must be {spec.n}x{spec.m}")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise LpError("weights must be finite and nonnegative (clamp before solving)")
+
+
+def simplex_input_guards_wrappers(c, A, b) -> None:
+    """The input guards of `simplex_maximize`, with the np.any / np.all wrappers."""
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0):
+        raise LpError("right-hand sides must be nonnegative (origin-feasible form)")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NumericError("non-finite LP data")
+
+
+def certify_wrappers(c, A, b, x, value, dual):
+    """`polytope_lp._certify` with the np.any wrappers."""
+    scale = 1.0 + abs(value)
+    if np.any(dual < -1e-8):
+        raise NumericError("dual infeasible: negative multiplier")
+    slack = A.T @ dual - c
+    if np.any(slack < -1e-8 * scale):
+        raise NumericError("dual infeasible: reduced cost below zero")
+    gap = abs(float(b @ dual) - value)
+    if gap > 1e-8 * scale:
+        raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
+    return gap

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from couponcascade import greedy, polytope_lp
+from couponcascade import greedy, objective, polytope_lp
 from couponcascade.cascade import make_utility
 from couponcascade.greedy import (
     GreedyConfig,
@@ -150,6 +150,81 @@ class TestWarmStartedAscent:
         for prev, sol, pivoted in zip(solutions, solutions[1:], moved):
             if not pivoted:  # no pivot: the same vertex, so the same direction
                 assert np.array_equal(sol.x, prev.x)
+
+
+class TestStepCount:
+    def test_canonical_step_count_for_every_nm(self):
+        # 1/(1/49) rounds to 49.00000000000001, whose ceiling is one step too many
+        for nm in range(1, 400):
+            assert greedy._step_count(1.0 / nm ** 2) == nm ** 2
+
+    @pytest.mark.parametrize("delta,steps", [(0.3, 4), (0.05, 20), (0.1, 10), (1.0, 1),
+                                             (1 / 3 - 1e-6, 4)])
+    def test_explicit_steps(self, delta, steps):
+        assert greedy._step_count(delta) == steps
+
+    @pytest.mark.parametrize("n,m", [(7, 1), (7, 2), (7, 4)])
+    def test_nm_where_the_ceiling_overshoots(self, n, m):
+        inst = generate_random(n, m, model="TABLE", seed=1)
+        trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
+        times = [rec.t for rec in trace.iterations]
+        assert len(times) == (n * m) ** 2
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert abs(times[-1] - 1.0) <= 1e-12
+
+
+class TestFFromTheFold:
+    """On the exact path each step's F comes from the next step's marginals,
+    and only the last one from its own multilinear_F_exact call."""
+
+    @pytest.mark.parametrize("model,extended,kwargs", TestWarmStartedAscent.CASES)
+    def test_every_record_is_F_at_its_y(self, model, extended, kwargs, monkeypatch):
+        points = []
+
+        def recording(inst, util, y):
+            points.append(y.copy())
+            return objective.marginal_omega_exact(inst, util, y)
+
+        monkeypatch.setattr(greedy, "marginal_omega_exact", recording)
+        inst = generate_random(model=model, extension=extended, **kwargs)
+        util = make_utility(inst)
+        trace = TestWarmStartedAscent.run(model, extended, kwargs)
+        reached = points[1:] + [trace.final.y]  # the y each step moved to
+        assert len(reached) == len(trace.iterations)
+        for rec, y in zip(trace.iterations, reached):
+            assert rec.f_estimate is not None
+            F = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
+            assert rec.f_estimate == pytest.approx(F, rel=1e-12, abs=0)
+        assert trace.iterations[-1].f_estimate == multilinear_F_exact(inst, util, trace.final.y)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(greedy, name)
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(greedy, name, counting)
+        return calls
+
+    def test_exact_ascent_evaluates_F_once(self, monkeypatch):
+        exact_calls = self.count_calls(monkeypatch, "multilinear_F_exact")
+        sampled_calls = self.count_calls(monkeypatch, "multilinear_F_mc")
+        inst = generate_random(3, 2, model="TABLE", seed=7)
+        trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
+        assert len(trace.iterations) == 36
+        assert len(exact_calls) == 1 and not sampled_calls
+
+    def test_sampled_ascent_estimates_F_every_step(self, monkeypatch):
+        exact_calls = self.count_calls(monkeypatch, "multilinear_F_exact")
+        sampled_calls = self.count_calls(monkeypatch, "multilinear_F_mc")
+        inst = generate_random(3, 2, model="TABLE", seed=10)
+        cfg = GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)
+        trace = continuous_greedy(inst, make_utility(inst), cfg)
+        assert len(sampled_calls) == len(trace.iterations) == 10
+        assert not exact_calls
 
 
 class TestBeta:

@@ -247,7 +247,7 @@ class TestMarginals:
         inst = generate_random(2, 1, model="TABLE", seed=63)
         util = make_utility(inst)
         y = np.array([[0.4], [0.6]])
-        exact = marginal_omega_exact(inst, util, y)
+        exact, _ = marginal_omega_exact(inst, util, y)
         est = marginal_omega(inst, util, y, 50_000, np.random.default_rng(7))
         assert np.all(np.abs(est - exact) <= 3 * 2 / np.sqrt(50_000) + 1e-9)
 
@@ -323,7 +323,8 @@ class TestClosedFormAgainstEnumeration:
         inst, util, y = closed_form_case(model, eps)
         base = reference_F(inst, util, y)
         assert multilinear_F_exact(inst, util, y) == pytest.approx(base, abs=1e-12)
-        omega = marginal_omega_exact(inst, util, y)
+        omega, F = marginal_omega_exact(inst, util, y)
+        assert F == pytest.approx(base, abs=1e-12)
         for v in range(inst.n):
             for d in range(inst.m):
                 raised = y.copy()
@@ -369,9 +370,10 @@ class TestKernelsAgainstReference:
     def test_slopes_one_q(self, n):
         gamma = utility_gamma(n)
         q = with_certain_users(np.random.default_rng(n).random(n))
-        got = objective._slopes(gamma, q)
-        assert got.shape == (n,)
+        got, F = objective._slopes(gamma, q)
+        assert got.shape == (n,) and F.shape == ()
         np.testing.assert_allclose(got, slopes_per_user(gamma, q), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(F, objective._expected_gamma(gamma, q), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 15])
     def test_slopes_batch(self, n):
@@ -381,9 +383,10 @@ class TestKernelsAgainstReference:
         q[:20] = with_certain_users(q[:20])
         q[20:25] = 0.0
         q[25:30] = 1.0
-        got = objective._slopes(gamma, q)
-        assert got.shape == (40, n)
+        got, F = objective._slopes(gamma, q)
+        assert got.shape == (40, n) and F.shape == (40,)
         np.testing.assert_allclose(got, slopes_per_user(gamma, q), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(F, objective._expected_gamma(gamma, q), rtol=1e-12, atol=0)
 
     def test_slope_row_blocks_bound_memory(self):
         # keeping every level of 200 rows at once takes about 175 MB at n = 15
@@ -392,15 +395,17 @@ class TestKernelsAgainstReference:
         q = np.random.default_rng(2).random((200, n))
         tracemalloc.start()
         try:
-            slopes = objective._slopes(gamma, q)
+            slopes, F = objective._slopes(gamma, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * objective.BLOCK_ENTRIES * 8
         rows = objective.BLOCK_ENTRIES >> n
         for i in (0, rows - 1, rows, len(q) - 1):
-            assert np.array_equal(slopes[i], objective._slopes(gamma, q[i:i + 1])[0])
-            assert np.array_equal(slopes[i], objective._slopes(gamma, q[i]))
+            one, F_one = objective._slopes(gamma, q[i:i + 1])
+            assert np.array_equal(slopes[i], one[0]) and F[i] == F_one[0]
+            one, F_one = objective._slopes(gamma, q[i])
+            assert np.array_equal(slopes[i], one) and F[i] == F_one
 
     @pytest.mark.parametrize("m", [1, 3, 100])
     def test_seed_probs(self, m):

@@ -13,6 +13,12 @@ from couponcascade.polytope_lp import (
     solve_generic_lp,
     solve_inner_lp,
 )
+from reference import (
+    certify_wrappers,
+    check_feasible_wrappers,
+    inner_weights_guard_wrappers,
+    simplex_input_guards_wrappers,
+)
 
 
 def mckp_fractional_oracle(profit, weight, budget):
@@ -340,3 +346,178 @@ class TestWarmStart:
         assert sol.fell_back and sol.pivots > polytope_lp.DEGENERATE_RUN
         again = solve_generic_lp(c, A, b, start=sol.final)
         assert again.pivots == 0 and not again.fell_back
+
+
+def outcome(fn, *args):
+    """("passed", result) or the (class, message) of what fn raised.
+
+    Non-finite data may make the arithmetic warn; both sides see the same
+    arithmetic, so warnings are silenced and only the outcome is compared.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return "passed", repr(fn(*args))
+    except Exception as exc:  # the class is compared, so catch them all
+        return type(exc), str(exc)
+
+
+def ulps(x):
+    """x and its two floating-point neighbours."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -1.0, -5e-324, -0.0, 0.0]
+
+
+class TestGuardsAgainstWrappers:
+    """The LP guards written with ndarray methods against copies that use
+    the np.any / np.all / np.sum wrappers (tests/reference.py): each input
+    passes both or makes both raise the same class with the same message."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def spec(rng, n, m, extended):
+        dist = rng.uniform(0.5, 2.0, size=n) if extended else None
+        return PolytopeSpec(n, m, rng.uniform(0.1, 1.5, size=(n, m)), rng.uniform(0.3, 2.5),
+                            dist, rng.uniform(0.3, 1.0) * dist.sum() if extended else None)
+
+    def feasible_cases(self, rng, spec):
+        """y arrays on and around every threshold check_feasible compares with."""
+        n, m, tol = spec.n, spec.m, self.TOL
+        cases = [rng.uniform(0.0, 1.0 / m, size=(n, m)) for _ in range(20)]
+        cases += [rng.uniform(-2 * tol, 1.0, size=(n, m)) for _ in range(10)]
+        base = rng.uniform(0.0, 0.5 / m, size=(n, m))
+        for edge in ulps(-tol) + ulps(1 + tol):
+            y = base.copy()
+            y[rng.integers(n), rng.integers(m)] = edge
+            cases.append(y)
+        for v in range(n):  # row v sums to 1 + tol, then one ulp either side
+            y = base.copy()
+            y[v, -1] = 0.0
+            y[v, -1] = 1 + tol - y[v].sum()
+            for last in ulps(y[v, -1]):
+                y = y.copy()
+                y[v, -1] = last
+                cases.append(y)
+        for row in cases[:5]:  # entries that are not finite, alone and beside a violation
+            for value in SPECIAL[:3]:
+                y = row.copy()
+                y[rng.integers(n), rng.integers(m)] = value
+                cases.append(y)
+                y = y.copy()
+                y[rng.integers(n), rng.integers(m)] = -1.0
+                cases.append(y)
+        return cases
+
+    @staticmethod
+    def at_budget(spec, y, weights, field, tol, **fixed):
+        """Specs whose knapsack `field` puts the spend of y exactly at, and one
+        ulp around, the check's own threshold: budget (1 + tol) + tol."""
+        spend = float(np.sum(weights * y))
+        specs = []
+        for budget in ulps((spend - tol) / (1 + tol)):
+            values = dict(spec.__dict__, **fixed)
+            values.pop("constraint_rows", None)
+            values[field] = budget
+            specs.append(PolytopeSpec(**values))
+        return specs
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_feasible(self, extended, seed):
+        rng = np.random.default_rng(900 + seed)
+        spec = self.spec(rng, 3, 2, extended)
+        pairs = [(spec, y) for y in self.feasible_cases(rng, spec)]
+        y = rng.uniform(0.0, 0.5 / spec.m, size=(spec.n, spec.m))
+        pairs += [(s, y) for s in self.at_budget(spec, y, spec.redemption_weights,
+                                                  "budget_B", self.TOL)]
+        if extended:  # with room in the redemption knapsack
+            pairs += [(s, y) for s in self.at_budget(spec, y, spec.dist_cost[:, None],
+                                                      "budget_K", self.TOL, budget_B=1e9)]
+        seen = set()
+        for spec_i, y in pairs:
+            got = outcome(spec_i.check_feasible, y)
+            assert got == outcome(check_feasible_wrappers, spec_i, y)
+            seen.add(got[1] if got[0] != "passed" else "passed")
+        assert "passed" in seen and "box constraint violated" in seen
+        assert "per-user cap violated" in seen and "redemption knapsack violated" in seen
+        if extended:
+            assert "distribution knapsack violated" in seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inner_lp_weight_guard(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        spec = self.spec(rng, 3, 2, extended=bool(seed % 2))
+        cases = [rng.uniform(0.0, 2.0, size=(3, 2)), np.zeros((3, 2)), np.zeros((2, 3)),
+                 [[1.0, 2.0]] * 3, np.ones(6)]
+        for value in SPECIAL:
+            for count in (1, 2):
+                w = rng.uniform(0.0, 2.0, size=(3, 2))
+                w.flat[rng.choice(6, size=count, replace=False)] = value
+                cases.append(w)
+        w = rng.uniform(0.0, 2.0, size=(3, 2))
+        w[0, 0], w[1, 1] = np.nan, -1.0
+        cases.append(w)
+        seen = set()
+        for w in cases:
+            ref = outcome(inner_weights_guard_wrappers, w, spec)
+            got = outcome(solve_inner_lp, w, spec)
+            assert (got[0] == "passed") == (ref[0] == "passed")
+            if ref[0] != "passed":
+                assert got == ref
+            seen.add(ref[0])
+        assert seen == {"passed", LpError}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simplex_input_guards(self, seed):
+        # A > 0 keeps every LP that passes the guards bounded, so the
+        # simplex itself raises nothing
+        rng = np.random.default_rng(980 + seed)
+        cases = []
+        for _ in range(10):
+            c, A, b = rng.normal(size=3), rng.uniform(0.1, 1.0, (2, 3)), rng.uniform(0, 1, 2)
+            cases.append((c, A, b))
+            for target in range(3):
+                for value in SPECIAL:
+                    data = [c.copy(), A.copy(), b.copy()]
+                    data[target].flat[rng.integers(data[target].size)] = value
+                    cases.append(tuple(data))
+                    b_neg = data[2].copy()
+                    b_neg[rng.integers(2)] = -rng.uniform(0, 1)  # a negative rhs beside it
+                    cases.append((data[0], data[1], b_neg))
+        seen = set()
+        for c, A, b in cases:
+            ref = outcome(simplex_input_guards_wrappers, c, A, b)
+            got = outcome(simplex_maximize, c, A, b)
+            assert (got[0] == "passed") == (ref[0] == "passed")
+            if ref[0] != "passed":
+                assert got == ref
+            seen.add(ref[0])
+        assert seen == {"passed", LpError, NumericError}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certify(self, seed):
+        rng = np.random.default_rng(990 + seed)
+        c, A, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, (3, 4)), rng.uniform(0.5, 1, 3)
+        sol = solve_generic_lp(c, A, b)
+        args = [(c, A, b, sol.x, sol.objective_value, sol.dual)]
+        for _ in range(10):
+            dual = sol.dual.copy()
+            i = rng.integers(len(dual))
+            for value in ulps(-1e-8) + SPECIAL[:3]:
+                dual[i] = value
+                args.append((c, A, b, sol.x, sol.objective_value, dual.copy()))
+            args.append((c, A, b, sol.x, sol.objective_value + rng.normal() * 1e-7, sol.dual))
+            c_bad = c.copy()
+            c_bad[rng.integers(len(c))] += rng.choice([1e-3, np.nan, np.inf])
+            args.append((c_bad, A, b, sol.x, sol.objective_value, sol.dual))
+            args.append((c, A, b, sol.x, rng.choice([np.nan, np.inf]), sol.dual))
+        seen = set()
+        for a in args:
+            got = outcome(polytope_lp._certify, *a)
+            assert got == outcome(certify_wrappers, *a)
+            seen.add(got[1] if got[0] != "passed" else "passed")
+        assert {"passed", "dual infeasible: negative multiplier",
+                "dual infeasible: reduced cost below zero"} <= seen
+        assert any("duality gap" in message for message in seen)
