@@ -10,7 +10,6 @@ approximation guarantees.
 """
 
 from couponcascade.instance import Instance, generate_random, load_instance, save_instance
-from couponcascade.objective import FractionalSolution
 from couponcascade.greedy import GreedyConfig, continuous_greedy, approximation_beta
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "generate_random",
     "load_instance",
     "save_instance",
-    "FractionalSolution",
     "GreedyConfig",
     "continuous_greedy",
     "approximation_beta",

@@ -40,7 +40,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
-STEP = click.FloatRange(0.0, 1.0, min_open=True)
+STEP = click.FloatRange(1e-6, 1.0)  # at most 10^6 ascent steps
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
 ORACLE_LIMIT = 4096  # largest (m+1)^n allocation count `solve` compares against the oracle
 
@@ -79,8 +79,10 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
-    """Monte-Carlo rounding statistics over `rounds` independent draws."""
+def _rounding_stats(inst, util, y, rounds, rng, mc_samples):
+    """Monte-Carlo rounding statistics over `rounds` independent draws; an
+    instance with a budget_K also gets conflict resolution."""
+    extended = inst.budget_K is not None
     selections = rounding.round_partition_batch(y, rounds, rng)
     pre = selections
     if extended:
@@ -89,7 +91,7 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
         kept = selections
     costs = np.asarray(inst.dist_cost, dtype=float)
     spend = ((kept > 0) * costs).sum(axis=1)
-    violations = int(np.sum(spend > (inst.budget_K or np.inf) + 1e-9)) if extended else 0
+    violations = int(np.sum(spend > inst.budget_K + 1e-9)) if extended else 0
 
     # One f per distinct profile, taken in the order of the profiles'
     # base-(m+1) codes, last user most significant; f_mc draws its coins in
@@ -131,8 +133,8 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples, extended):
     return stats
 
 
-def _oracle_block(inst, util, extended, b):
-    if not extended:
+def _oracle_block(inst, util, b):
+    if inst.budget_K is None:
         # Without a distribution budget the policy LP and PB are one LP over
         # the same profiles and rows: solve it once.
         _, value = oracle.solve_concave_relaxation(inst, util, "PB")
@@ -155,16 +157,15 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
         samples_per_marginal=None if exact_ok else marginal_samples,
         seed=seed,
         b=b,
-        mode="extended" if extended else "base",
     )
     t0 = time.perf_counter()
     trace = greedy.continuous_greedy(inst, util, cfg)
     t_greedy = time.perf_counter() - t0
-    y = trace.final.y
+    y = trace.final
 
     round_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     t0 = time.perf_counter()
-    stats = _rounding_stats(inst, util, y, rounds, round_rng, mc_samples, extended)
+    stats = _rounding_stats(inst, util, y, rounds, round_rng, mc_samples)
     t_round = time.perf_counter() - t0
 
     beta = greedy.approximation_beta(inst.epsilon, inst.n)
@@ -180,7 +181,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     t_oracle = 0.0
     if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
         t0 = time.perf_counter()
-        oracle_vals = _oracle_block(inst, util, extended, b)
+        oracle_vals = _oracle_block(inst, util, b)
         t_oracle = time.perf_counter() - t0
         reference = oracle_vals["relaxation_PB1" if extended else "relaxation_PB"]
         if reference > 0:
@@ -204,7 +205,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
         },
         "config": {
             "delta": cfg.step(inst),
-            "mode": cfg.mode,
+            "mode": "extended" if extended else "base",
             "b": b if extended else None,
             "seed": seed,
             "rounds": rounds,
@@ -293,7 +294,7 @@ def oracle_cmd(path, b, points, seed, out):
                   for r in (oracle.verify_eps_sandwich(inst, util),
                             oracle.verify_concave_dominance(inst, util, points=points,
                                                             seed=seed))]
-        block = _oracle_block(inst, util, inst.budget_K is not None, b)
+        block = _oracle_block(inst, util, b)
         policy_value, pb_value = block["policy_value"], block["relaxation_PB"]
         checks.append({
             "name": "relaxation_dominates_policy",

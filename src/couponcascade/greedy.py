@@ -26,7 +26,6 @@ import numpy as np
 from couponcascade.cascade import CascadeUtility
 from couponcascade.instance import Instance
 from couponcascade.objective import (
-    FractionalSolution,
     marginal_omega,
     marginal_omega_exact,
     multilinear_F_exact,
@@ -50,14 +49,14 @@ class GreedyConfig:
     requests exact marginals and exact F; otherwise both are sampled, with
     common random numbers for the marginals.  Either way the utility's
     gamma vector (`CascadeUtility.gamma_vector`) must exist, so n <= 15.
-    Extended mode scales the distribution knapsack to b*K.
+    An instance with a budget_K runs in extended mode, which scales the
+    distribution knapsack to b*K; any other instance ignores b.
     """
 
     delta: float | None = None
     samples_per_marginal: int | None = None
     seed: int = 0
     b: float = 0.25
-    mode: str = "base"
 
     def step(self, inst: Instance) -> float:
         delta = self.delta if self.delta is not None else 1.0 / (inst.n * inst.m) ** 2
@@ -66,13 +65,8 @@ class GreedyConfig:
         return delta
 
     def validate(self, inst: Instance) -> None:
-        if self.mode not in ("base", "extended"):
-            raise GreedyError(f"unknown mode {self.mode!r}")
-        if self.mode == "extended":
-            if inst.budget_K is None:
-                raise GreedyError("extended mode needs an instance with budget_K")
-            if not 0 < self.b <= 0.5:
-                raise GreedyError("scaling factor b must lie in (0, 1/2]")
+        if inst.budget_K is not None and not 0 < self.b <= 0.5:
+            raise GreedyError("scaling factor b must lie in (0, 1/2]")
 
 
 @dataclass
@@ -84,15 +78,15 @@ class IterationRecord:
 
 @dataclass
 class GreedyTrace:
-    """Per-step records and the final y; the LP counters and the seconds spent
-    in marginals, F and ascent LPs stay out of the JSON.
+    """Per-step records and the final (n, m) array y; the LP counters and the
+    seconds spent in marginals, F and ascent LPs stay out of the JSON.
 
     On the exact path `F_s` is the one final F: every other step's F comes
     from the marginals' fold and is counted in `marginals_s`.
     """
 
     iterations: list[IterationRecord] = field(default_factory=list)
-    final: FractionalSolution | None = None
+    final: np.ndarray | None = None
     lp_pivots: int = 0
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
@@ -107,7 +101,7 @@ class GreedyTrace:
                 {"t": rec.t, "lp_value": rec.lp_value, "f_estimate": rec.f_estimate}
                 for rec in self.iterations
             ],
-            "final_y": self.final.y.tolist(),
+            "final_y": self.final.tolist(),
         }
 
 
@@ -125,7 +119,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     delta = cfg.step(inst)
     steps = _step_count(delta)
     spec = PolytopeSpec.from_instance(
-        inst, k_scale=cfg.b if cfg.mode == "extended" else None
+        inst, k_scale=None if inst.budget_K is None else cfg.b
     )
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -172,7 +166,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         t0 = time.perf_counter()
         trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
         trace.F_s += time.perf_counter() - t0
-    trace.final = FractionalSolution(y)
+    trace.final = y
     return trace
 
 

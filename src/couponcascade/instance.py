@@ -82,24 +82,11 @@ class Instance:
         object.__setattr__(self, "perturb_seed", _whole(self.perturb_seed, "perturb_seed"))
         validate(self)
 
-    # numpy fields break the generated __eq__; compare the abstract value.
+    # numpy fields break the generated __eq__; compare the JSON form `digest` hashes.
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and np.array_equal(self.coupon_values, other.coupon_values)
-            and np.array_equal(self.adoption, other.adoption)
-            and np.array_equal(self.dist_cost, other.dist_cost)
-            and self.budget_B == other.budget_B
-            and self.budget_K == other.budget_K
-            and self.edges == other.edges
-            and self.model == other.model
-            and self.gamma_table == other.gamma_table
-            and self.epsilon == other.epsilon
-            and self.perturb_seed == other.perturb_seed
-        )
+        return _to_jsonable(self) == _to_jsonable(other)
 
     def value_of(self, d: int) -> float:
         """Monetary value of coupon d (1-based)."""

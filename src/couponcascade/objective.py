@@ -27,8 +27,6 @@ marginals return F(y) as well at no extra cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError
@@ -41,18 +39,6 @@ BLOCK_ENTRIES = 1 << 20
 
 class FractionalError(ValueError):
     pass
-
-
-@dataclass
-class FractionalSolution:
-    """An n x m matrix of inclusion probabilities y_vd in [0, 1]."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        if np.any(self.y < -1e-9) or np.any(self.y > 1 + 1e-9):
-            raise FractionalError("fractional entries must lie in [0,1]")
 
 
 def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
@@ -149,7 +135,7 @@ def cost_exact(inst: Instance, profiles) -> np.ndarray:
 
 
 def _as_matrix(y, inst: Instance) -> np.ndarray:
-    y = y.y if isinstance(y, FractionalSolution) else np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     if y.shape != (inst.n, inst.m):
         raise FractionalError(f"expected a {inst.n}x{inst.m} matrix, got {y.shape}")
     return y

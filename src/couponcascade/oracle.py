@@ -121,13 +121,13 @@ class Policy:
             raise OracleError(f"policy probabilities sum to {total}, not 1")
 
 
-def enumerate_feasible_allocations(inst: Instance, respect_K: bool = True,
-                                   limit: int = ENUMERATION_LIMIT) -> list[tuple]:
+def enumerate_feasible_allocations(inst: Instance, respect_K: bool = True) -> list[tuple]:
     """Every coupon profile (at most one coupon per user), in lexicographic
     order, optionally filtered by the hard distribution budget."""
     count = (inst.m + 1) ** inst.n
-    if count > limit:
-        raise OracleError(f"enumeration of {count} allocations exceeds the limit {limit}")
+    if count > ENUMERATION_LIMIT:
+        raise OracleError(f"enumeration of {count} allocations exceeds the limit "
+                          f"{ENUMERATION_LIMIT}")
     profiles = np.indices((inst.m + 1,) * inst.n).reshape(inst.n, -1).T
     if respect_K and inst.budget_K is not None:
         profiles = profiles[(profiles > 0) @ inst.dist_cost <= inst.budget_K + 1e-12]

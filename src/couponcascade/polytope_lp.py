@@ -79,20 +79,20 @@ class PolytopeSpec:
             bounds.append([self.budget_K])
         return np.vstack(rows), np.concatenate(bounds)
 
-    def check_feasible(self, y: np.ndarray, tol: float = 1e-9) -> None:
+    def check_feasible(self, y: np.ndarray) -> None:
         # ndarray methods, not the np.any / np.sum wrappers: the ascent runs
         # this every step, and at desk scale the wrappers cost as much as the
         # arithmetic.  Comparisons, not y.min(): the min of an array holding
         # a NaN is NaN, which would hide a violating entry beside it.
-        if (y < -tol).any() or (y > 1 + tol).any():
+        if (y < -1e-9).any() or (y > 1 + 1e-9).any():
             raise NumericError("box constraint violated")
-        if (y.sum(axis=1) > 1 + tol).any():
+        if (y.sum(axis=1) > 1 + 1e-9).any():
             raise NumericError("per-user cap violated")
-        if float((self.redemption_weights * y).sum()) > self.budget_B + tol * (1 + self.budget_B):
+        if float((self.redemption_weights * y).sum()) > self.budget_B + 1e-9 * (1 + self.budget_B):
             raise NumericError("redemption knapsack violated")
         if self.budget_K is not None:
             spend = float((self.dist_cost[:, None] * y).sum())
-            if spend > self.budget_K + tol * (1 + self.budget_K):
+            if spend > self.budget_K + 1e-9 * (1 + self.budget_K):
                 raise NumericError("distribution knapsack violated")
 
 
@@ -100,7 +100,6 @@ class PolytopeSpec:
 class LpSolution:
     x: np.ndarray
     objective_value: float
-    status: str  # "optimal" (infeasible cannot occur: the origin is feasible)
     dual: np.ndarray
     duality_gap: float
     pivots: int = 0
@@ -111,7 +110,7 @@ class LpSolution:
         return self.x.reshape(n, m)
 
 
-def simplex_maximize(c, A, b, tol: float = 1e-10, start=None):
+def simplex_maximize(c, A, b, start=None):
     """Primal simplex from the slack basis or `start`; Dantzig pricing, Bland fallback.
 
     Maximize c.x subject to A x <= b, x >= 0, with b >= 0.  The entering
@@ -160,18 +159,18 @@ def simplex_maximize(c, A, b, tol: float = 1e-10, start=None):
     degenerate, bland = 0, False
     for pivots in range(MAX_PIVOTS):
         reduced = T[-1, :-1]
-        improving = reduced < -tol
+        improving = reduced < -1e-10
         if not improving.any():
             break
         enter = int(np.argmax(improving)) if bland else int(np.argmin(reduced))
         col = T[:n_rows, enter]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > 1e-10)
         if not rows.size:
             raise UnboundedError("LP is unbounded")
         ratios = T[rows, -1] / col[rows]
         ties = rows[ratios == ratios.min()]
         leave = ties[np.argmin(basis[ties])]
-        degenerate = degenerate + 1 if T[leave, -1] <= tol else 0
+        degenerate = degenerate + 1 if T[leave, -1] <= 1e-10 else 0
         bland = bland or degenerate >= DEGENERATE_RUN
         pivot_row = T[leave] / T[leave, enter]
         T -= np.multiply.outer(T[:, enter], pivot_row, out=update)
@@ -207,7 +206,7 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     b = np.asarray(b, dtype=float)
     x, value, dual, pivots, fell_back, final = simplex_maximize(c, A, b, start=start)
     gap = _certify(c, A, b, x, value, dual)
-    return LpSolution(x, value, "optimal", dual, gap, pivots, fell_back, final)
+    return LpSolution(x, value, dual, gap, pivots, fell_back, final)
 
 
 def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> LpSolution:
@@ -225,8 +224,7 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> LpSol
     if not weights.any():
         # Any feasible point is optimal; zero is the canonical choice.
         # The start's basis passes on to the next solve.
-        return LpSolution(np.zeros(A.shape[1]), 0.0, "optimal", np.zeros(len(b)), 0.0,
-                          final=start)
+        return LpSolution(np.zeros(A.shape[1]), 0.0, np.zeros(len(b)), 0.0, final=start)
     sol = solve_generic_lp(weights.reshape(-1), A, b, start)
     spec.check_feasible(sol.matrix(spec.n, spec.m))
     return sol

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from couponcascade.instance import Instance
-from couponcascade.objective import FractionalSolution
 
 
 class RoundingError(ValueError):
@@ -22,7 +21,7 @@ class RoundingError(ValueError):
 
 
 def _as_matrix(y) -> np.ndarray:
-    y = y.y if isinstance(y, FractionalSolution) else np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     if np.any(y < -1e-9):
         raise RoundingError("negative fractional entry")
     if np.any(y.sum(axis=1) > 1 + 1e-9):
@@ -31,7 +30,7 @@ def _as_matrix(y) -> np.ndarray:
 
 
 def round_partition_batch(y, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """(draws, n) matrix of selected coupons, 0 meaning no coupon."""
+    """(draws, n) matrix of coupons drawn from the (n, m) array y, 0 meaning none."""
     y = _as_matrix(y)
     n, m = y.shape
     cum = np.cumsum(y, axis=1)
@@ -43,24 +42,23 @@ def round_partition_batch(y, draws: int, rng: np.random.Generator) -> np.ndarray
     return selected
 
 
-def resolve_conflicts_batch(selected: np.ndarray, inst: Instance,
-                            K: float | None = None) -> np.ndarray:
+def resolve_conflicts_batch(selected: np.ndarray, inst: Instance) -> np.ndarray:
     """Conflict resolution over a batch of rounded draws, one profile per row.
 
     Keeps each draw's offers in nondecreasing distribution-cost order, ties
-    by user, while the cumulative cost stays within the hard budget K; the
-    rest are set to 0.  The keep/drop order depends only on per-user costs, so the scan order is
-    fixed across draws and the prefix sums vectorize.
+    by user, while the cumulative cost stays within the instance's hard
+    budget K; the rest are set to 0.  The keep/drop order depends only on
+    per-user costs, so the scan order is fixed across draws and the prefix
+    sums vectorize.
     """
-    K = inst.budget_K if K is None else K
-    if K is None:
+    if inst.budget_K is None:
         raise RoundingError("conflict resolution needs a distribution budget")
     n = selected.shape[1]
     order = sorted(range(n), key=lambda i: (inst.dist_cost[i], i))
     costs = np.asarray(inst.dist_cost, dtype=float)[order]
     alloc = selected[:, order] > 0
     cum = np.cumsum(alloc * costs, axis=1)
-    keep_sorted = alloc & (cum <= K + 1e-12)
+    keep_sorted = alloc & (cum <= inst.budget_K + 1e-12)
     kept = np.zeros_like(selected)
     for pos, i in enumerate(order):
         kept[:, i] = np.where(keep_sorted[:, pos], selected[:, i], 0)

@@ -65,7 +65,7 @@ class TestApproximationRatio:
             util = make_utility(inst)
             trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
             rng = np.random.default_rng(seed)
-            f_mean, _, _ = _rounded_f_mean(inst, util, trace.final.y, 2000, rng)
+            f_mean, _, _ = _rounded_f_mean(inst, util, trace.final, 2000, rng)
             _, reference = solve_concave_relaxation(inst, util, "PB")
             ratios.append(f_mean / reference)
         ratios = np.array(ratios)
@@ -94,11 +94,10 @@ class TestExtensionRatio:
             inst = generate_random(3, 2, model="TABLE", seed=400 + seed,
                                    extension=True)
             util = make_utility(inst)
-            cfg = GreedyConfig(seed=0, mode="extended", b=b)
-            trace = continuous_greedy(inst, util, cfg)
+            trace = continuous_greedy(inst, util, GreedyConfig(seed=0, b=b))
             rng = np.random.default_rng(1000 + seed)
             f_mean, sel, kept = _rounded_f_mean(
-                inst, util, trace.final.y, draws, rng, extended=True)
+                inst, util, trace.final, draws, rng, extended=True)
 
             spend = ((kept > 0) * np.asarray(inst.dist_cost)).sum(axis=1)
             violations_total += int(np.sum(spend > inst.budget_K + 1e-9))

@@ -222,7 +222,7 @@ class TestRoundingStats:
         util = cascade.make_utility(inst)
         y = np.zeros((11, 127))
         y[:, 0] = 0.5
-        stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5), 10_000, False)
+        stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5), 10_000)
         draws = rounding.round_partition_batch(y, 200, np.random.default_rng(5))
         assert stats["f_mean"] == pytest.approx(np.mean(f_exact(inst, util, draws)), rel=1e-12)
 
@@ -231,7 +231,7 @@ class TestRoundingStats:
         inst = generate_random(4, 2, model="LT", seed=2)
         util = cascade.make_utility(inst, mc_samples=500)
         y = np.random.default_rng(3).uniform(0.0, 0.5, size=(4, 2))
-        stats = _rounding_stats(inst, util, y, 300, np.random.default_rng(9), 500, False)
+        stats = _rounding_stats(inst, util, y, 300, np.random.default_rng(9), 500)
         rng = np.random.default_rng(9)
         draws = rounding.round_partition_batch(y, 300, rng)
         codes, inverse = np.unique(draws @ 3 ** np.arange(4), return_inverse=True)
@@ -245,7 +245,7 @@ class TestRoundingStats:
         y = np.random.default_rng(6).random((5, 10))
         y *= 0.9 / y.sum(axis=1, keepdims=True)
         y[0, 3] = 0.0  # a pair never drawn gets no entry
-        stats = _rounding_stats(inst, util, y, 1000, np.random.default_rng(7), 10_000, True)
+        stats = _rounding_stats(inst, util, y, 1000, np.random.default_rng(7), 10_000)
         pre = rounding.round_partition_batch(y, 1000, np.random.default_rng(7))
         expected = survival_loop(pre, rounding.resolve_conflicts_batch(pre, inst), 5, 10)
         assert list(stats["survival"].items()) == list(expected.items())
@@ -255,7 +255,7 @@ class TestRoundingStats:
 
 BAD_NUMBERS = [
     ("--rounds", "0"), ("--rounds", "-5"), ("--mc-samples", "0"),
-    ("--marginal-samples", "0"), ("--delta", "0"), ("--delta", "2"),
+    ("--marginal-samples", "0"), ("--delta", "0"), ("--delta", "1e-9"), ("--delta", "2"),
     ("--b", "0"), ("--b", "0.6"),
 ]
 

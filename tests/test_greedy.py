@@ -30,28 +30,29 @@ class TestContinuousGreedy:
         inst = single_pair_instance()
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        assert trace.final.y[0, 0] == pytest.approx(1.0)
+        assert trace.final[0, 0] == pytest.approx(1.0)
         assert trace.iterations[-1].f_estimate == pytest.approx(1.0)
 
     def test_tiny_budget_pins_y_near_zero(self):
         inst = single_pair_instance(budget_B=1e-6)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        assert trace.final.y[0, 0] <= 1e-6 + 1e-12
+        assert trace.final[0, 0] <= 1e-6 + 1e-12
         assert trace.iterations[-1].f_estimate <= 1e-6 + 1e-12
 
     def test_final_point_feasible(self):
         inst = generate_random(3, 2, model="TABLE", seed=5)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        PolytopeSpec.from_instance(inst).check_feasible(trace.final.y)
+        PolytopeSpec.from_instance(inst).check_feasible(trace.final)
 
-    def test_extended_final_point_feasible(self):
+    @pytest.mark.parametrize("b", [0.1, 0.25, 0.5])
+    def test_extended_final_point_feasible(self, b):
+        # an instance with budget_K runs in extended mode: y meets b*K
         inst = generate_random(3, 2, model="TABLE", seed=6, extension=True)
         util = make_utility(inst)
-        cfg = GreedyConfig(seed=0, mode="extended", b=0.25)
-        trace = continuous_greedy(inst, util, cfg)
-        PolytopeSpec.from_instance(inst, k_scale=0.25).check_feasible(trace.final.y)
+        trace = continuous_greedy(inst, util, GreedyConfig(seed=0, b=b))
+        PolytopeSpec.from_instance(inst, k_scale=b).check_feasible(trace.final)
 
     def test_monotone_progress_with_exact_marginals(self):
         inst = generate_random(3, 2, model="TABLE", seed=7)
@@ -65,7 +66,7 @@ class TestContinuousGreedy:
         inst = generate_random(2, 2, model="TABLE", seed=8)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        f_final = multilinear_F_exact(inst, util, trace.final.y)
+        f_final = multilinear_F_exact(inst, util, trace.final)
         _, f_plus = solve_concave_relaxation(inst, util, "PB")
         assert f_final >= (1 - 1 / math.e - 0.05) * f_plus
 
@@ -73,7 +74,7 @@ class TestContinuousGreedy:
         inst = generate_random(3, 2, model="TABLE", seed=9)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(delta=0.3, seed=0))
-        PolytopeSpec.from_instance(inst).check_feasible(trace.final.y)
+        PolytopeSpec.from_instance(inst).check_feasible(trace.final)
         assert trace.iterations[-1].t == pytest.approx(1.0)
 
     def test_sampled_marginals_run(self):
@@ -81,27 +82,27 @@ class TestContinuousGreedy:
         util = make_utility(inst)
         cfg = GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)
         trace = continuous_greedy(inst, util, cfg)
-        PolytopeSpec.from_instance(inst).check_feasible(trace.final.y)
+        PolytopeSpec.from_instance(inst).check_feasible(trace.final)
 
     def test_sampled_marginals_deterministic(self):
         inst = generate_random(3, 2, model="TABLE", seed=10)
         util = make_utility(inst)
         cfg = GreedyConfig(delta=0.2, samples_per_marginal=30, seed=4)
-        a = continuous_greedy(inst, util, cfg).final.y
-        b = continuous_greedy(inst, util, cfg).final.y
+        a = continuous_greedy(inst, util, cfg).final
+        b = continuous_greedy(inst, util, cfg).final
         assert np.array_equal(a, b)
-
-    def test_extended_mode_requires_budget_K(self):
-        inst = generate_random(2, 1, model="TABLE", seed=11)
-        util = make_utility(inst)
-        with pytest.raises(GreedyError, match="budget_K"):
-            continuous_greedy(inst, util, GreedyConfig(mode="extended"))
 
     def test_bad_b_rejected(self):
         inst = generate_random(2, 1, model="TABLE", seed=11, extension=True)
         util = make_utility(inst)
         with pytest.raises(GreedyError, match="b must lie"):
-            continuous_greedy(inst, util, GreedyConfig(mode="extended", b=0.9))
+            continuous_greedy(inst, util, GreedyConfig(b=0.9))
+
+    def test_base_instance_ignores_b(self):
+        inst = generate_random(2, 1, model="TABLE", seed=11)
+        util = make_utility(inst)
+        base = continuous_greedy(inst, util, GreedyConfig()).final
+        assert np.array_equal(continuous_greedy(inst, util, GreedyConfig(b=0.9)).final, base)
 
 
 class TestWarmStartedAscent:
@@ -117,8 +118,7 @@ class TestWarmStartedAscent:
     @staticmethod
     def run(model, extended, kwargs):
         inst = generate_random(model=model, extension=extended, **kwargs)
-        cfg = GreedyConfig(seed=0, mode="extended" if extended else "base")
-        return continuous_greedy(inst, make_utility(inst), cfg)
+        return continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
 
     @pytest.mark.parametrize("model,extended,kwargs", CASES)
     def test_same_ascent_as_cold_starts_with_fewer_pivots(self, model, extended, kwargs,
@@ -127,7 +127,7 @@ class TestWarmStartedAscent:
         monkeypatch.setattr(greedy, "solve_inner_lp",
                             lambda omega, spec, start=None: polytope_lp.solve_inner_lp(omega, spec))
         cold = self.run(model, extended, kwargs)
-        assert np.allclose(warm.final.y, cold.final.y, rtol=0, atol=1e-12)
+        assert np.allclose(warm.final, cold.final, rtol=0, atol=1e-12)
         assert len(warm.iterations) == len(cold.iterations)
         for a, b in zip(warm.iterations, cold.iterations):
             assert a.f_estimate == pytest.approx(b.f_estimate, rel=1e-12, abs=1e-12)
@@ -189,13 +189,13 @@ class TestFFromTheFold:
         inst = generate_random(model=model, extension=extended, **kwargs)
         util = make_utility(inst)
         trace = TestWarmStartedAscent.run(model, extended, kwargs)
-        reached = points[1:] + [trace.final.y]  # the y each step moved to
+        reached = points[1:] + [trace.final]  # the y each step moved to
         assert len(reached) == len(trace.iterations)
         for rec, y in zip(trace.iterations, reached):
             assert rec.f_estimate is not None
             F = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
             assert rec.f_estimate == pytest.approx(F, rel=1e-12, abs=0)
-        assert trace.iterations[-1].f_estimate == multilinear_F_exact(inst, util, trace.final.y)
+        assert trace.iterations[-1].f_estimate == multilinear_F_exact(inst, util, trace.final)
 
     @staticmethod
     def count_calls(monkeypatch, name):

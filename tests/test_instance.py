@@ -99,6 +99,48 @@ def test_generate_deterministic():
     assert a != generate_random(3, 2, seed=8)
 
 
+def _table(n, bump=0.0):
+    """The cardinality table over users 1..n, with gamma({1}) raised by `bump`."""
+    table = {frozenset(v + 1 for v in range(n) if mask >> v & 1): float(bin(mask).count("1"))
+             for mask in range(1 << n)}
+    table[frozenset({1})] += bump
+    return table
+
+
+_EQ_BASE = dict(n=2, m=2, coupon_values=[1.0, 2.0], adoption=[[0.5, 0.6], [0.4, 0.9]],
+                budget_B=2.0, dist_cost=[0.5, 0.2], budget_K=1.0, edges=((1, 2, 0.5),),
+                model="TABLE", gamma_table=_table(2), epsilon=0.0, perturb_seed=0)
+
+
+@pytest.mark.parametrize("field,changes", [
+    ("n", dict(n=3, adoption=[[0.5, 0.6], [0.4, 0.9], [0.3, 0.7]], dist_cost=[0.5, 0.2, 0.1],
+               gamma_table=_table(3))),
+    ("m", dict(m=3, coupon_values=[1.0, 2.0, 3.0], adoption=[[0.5, 0.6, 0.7], [0.4, 0.9, 1.0]])),
+    ("coupon_values", dict(coupon_values=[1.0, 3.0])),
+    ("adoption", dict(adoption=[[0.5, 0.6], [0.4, 0.8]])),
+    ("dist_cost", dict(dist_cost=[0.5, 0.3])),
+    ("budget_B", dict(budget_B=3.0)),
+    ("budget_K", dict(budget_K=2.0)),
+    ("edges", dict(edges=((1, 2, 0.25),))),
+    ("model", dict(model="IC", gamma_table=None)),  # only TABLE may carry a gamma_table
+    ("gamma_table", dict(gamma_table=_table(2, bump=0.5))),
+    ("epsilon", dict(epsilon=0.1)),
+    ("perturb_seed", dict(perturb_seed=1)),
+])
+def test_instances_differing_in_one_field_compare_unequal(field, changes):
+    assert field in changes
+    base = Instance(**_EQ_BASE)
+    other = Instance(**{**_EQ_BASE, **changes})
+    assert base != other and other != base
+    assert base == Instance(**_EQ_BASE)
+
+
+def test_equal_instances_built_differently_compare_equal():
+    fields = dict(_EQ_BASE, budget_K=None, perturb_seed=2)
+    assert Instance(**dict(fields, dist_cost=None)) == Instance(
+        **dict(fields, dist_cost=np.zeros(2), perturb_seed=2.0))
+
+
 def test_generate_density_extremes():
     empty = generate_random(3, 1, edge_density=0.0, seed=1)
     assert empty.edges == ()

@@ -130,10 +130,11 @@ class TestEnumeration:
         assert enumerate_feasible_allocations(inst, respect_K=False) == list(
             product(range(3), repeat=4))
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
+        monkeypatch.setattr(oracle, "ENUMERATION_LIMIT", 2)
         with pytest.raises(OracleError, match="enumeration"):
-            enumerate_feasible_allocations(inst, limit=2)
+            enumerate_feasible_allocations(inst)
 
 
 class TestOptimalPolicy:
