@@ -226,6 +226,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                "lp_direction_changes": trace.lp_direction_changes,
                "lp_fallbacks": trace.lp_fallbacks,
                "lp_max_gap": trace.lp_max_gap,
+               "marginal_windows": trace.marginal_windows,
                "marginals_s": trace.marginals_s, "F_s": trace.F_s, "lp_s": trace.lp_s}
     return report, timings
 

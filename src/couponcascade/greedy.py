@@ -9,6 +9,17 @@ changes from step to step, so each step warm-starts from the previous
 step's optimal basis.  The per-step increment keeps every intermediate y
 inside the t-scaled polytope, and the final y inside the full polytope.
 
+Most steps keep the previous basis, and so move along the same direction.
+The exact path therefore takes the steps in windows: from a kept basis it
+lays out the next WINDOW points along that basis's direction, takes all
+their marginals in one batched fold, and hands the stack to one
+`solve_inner_lp` call, which keeps the leading steps the basis is still
+optimal for and solves the first one it is not.  The points after that
+step are dropped and the next window starts where it ended.  Each kept
+point is the one the one-step loop would reach, bit for bit.  The sampled
+path runs windows of one step: its marginals and F draw from one shared
+generator, and speculative draws would shift every later one.
+
 Each step records F at the y it reached.  Exact marginals return F at the
 y they are taken at, so a step's F comes from the next step's marginals,
 and only the last step evaluates F itself.  Sampled marginals do not, and
@@ -31,10 +42,11 @@ from couponcascade.objective import (
     multilinear_F_exact,
     multilinear_F_mc,
 )
-from couponcascade.polytope_lp import NumericError, PolytopeSpec, solve_inner_lp
+from couponcascade.polytope_lp import NumericError, PolytopeSpec, basis_vertex, solve_inner_lp
 
 
 F_ESTIMATE_SAMPLES = 200  # profile draws per sampled F in the trace
+WINDOW = 8  # exact-path steps whose marginals one batched fold takes at once
 
 
 class GreedyError(ValueError):
@@ -91,6 +103,7 @@ class GreedyTrace:
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
+    marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     marginals_s: float = 0.0
     F_s: float = 0.0
     lp_s: float = 0.0
@@ -126,38 +139,51 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     y = np.zeros((inst.n, inst.m))
     trace = GreedyTrace()
     t = 0.0
-    sol = None
-    for k in range(steps):
-        # Clip the last step so the total time is exactly 1 even when 1/delta
-        # is not integral; otherwise the row caps would be overshot.
-        h = min(delta, 1.0 - t)
+    start = None  # the basis of the last solve, which the next one starts from
+    while len(trace.iterations) < steps:
+        window = min(WINDOW if exact and start is not None else 1,
+                     steps - len(trace.iterations))
+        points = np.empty((window, inst.n, inst.m))
+        points[0] = y
+        if window > 1:  # the points the window reaches if the basis holds
+            direction = basis_vertex(start, spec.n * spec.m).reshape(inst.n, inst.m)
+            ahead = t
+            for j in range(1, window):
+                h = min(delta, 1.0 - ahead)
+                points[j] = points[j - 1] + h * direction
+                ahead += h
         t0 = time.perf_counter()
         if exact:
-            omega, f_here = marginal_omega_exact(inst, util, y)
-            if trace.iterations:  # F at the y the previous step reached
-                trace.iterations[-1].f_estimate = f_here
+            omega, f_at = marginal_omega_exact(inst, util, points)
         else:
-            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)[None]
         t1 = time.perf_counter()
-        start = None if sol is None else sol.final
-        sol = solve_inner_lp(omega, spec, start=start)
+        solutions = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
+        trace.marginal_windows += 1
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
-        trace.lp_direction_changes += start is not None and sol.pivots > 0
-        trace.lp_pivots += sol.pivots
-        trace.lp_fallbacks += sol.fell_back
-        trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
-        y = y + h * sol.matrix(inst.n, inst.m)
-        t += h
-        f_est = None  # the next step's marginals fill it in
-        if not exact:
-            t0 = time.perf_counter()
-            f_est = multilinear_F_mc(
-                inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
-            )
-            trace.F_s += time.perf_counter() - t0
-        trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
+        for j, sol in enumerate(solutions):
+            if exact and trace.iterations:  # F at the y the previous step reached
+                trace.iterations[-1].f_estimate = float(f_at[j])
+            # Clip the last step so the total time is exactly 1 even when
+            # 1/delta is not integral; otherwise the row caps would be overshot.
+            h = min(delta, 1.0 - t)
+            trace.lp_direction_changes += start is not None and sol.pivots > 0
+            trace.lp_pivots += sol.pivots
+            trace.lp_fallbacks += sol.fell_back
+            trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
+            y = y + h * sol.matrix(inst.n, inst.m)
+            t += h
+            f_est = None  # the next step's marginals fill it in
+            if not exact:
+                t0 = time.perf_counter()
+                f_est = multilinear_F_mc(
+                    inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
+                )
+                trace.F_s += time.perf_counter() - t0
+            trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
+        start = solutions[-1].final
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")

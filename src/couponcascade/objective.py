@@ -134,10 +134,12 @@ def cost_exact(inst: Instance, profiles) -> np.ndarray:
     return pay[np.arange(inst.n), np.asarray(profiles, dtype=int)].sum(axis=1)
 
 
-def _as_matrix(y, inst: Instance) -> np.ndarray:
+def _as_matrix(y, inst: Instance, stacked: bool = False) -> np.ndarray:
+    """y as an (n, m) float matrix; with `stacked`, a (J, n, m) stack of them."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (inst.n, inst.m):
-        raise FractionalError(f"expected a {inst.n}x{inst.m} matrix, got {y.shape}")
+    if y.ndim != 2 + stacked or y.shape[-2:] != (inst.n, inst.m):
+        what = "stack of" if stacked else "a"
+        raise FractionalError(f"expected {what} {inst.n}x{inst.m} matrix, got {y.shape}")
     return y
 
 
@@ -147,13 +149,13 @@ def _seed_probs(y: np.ndarray, p: np.ndarray):
     Coupon d is v's highest with probability y_vd * prod_{k>d} (1 - y_vk);
     `top` weighs that by p_v(d), and q_v sums it.  Raising y_vd to 1 makes d
     the highest whenever no coupon from d up was drawn (`none_from`), and
-    takes away what the coupons below d gave.
+    takes away what the coupons below d gave.  y may be a stack of matrices.
     """
-    none_from = np.cumprod((1.0 - y)[:, ::-1], axis=1)[:, ::-1]
-    none_above = np.hstack([none_from[:, 1:], np.ones((len(y), 1))])
+    none_from = np.cumprod((1.0 - y)[..., ::-1], axis=-1)[..., ::-1]
+    none_above = np.concatenate([none_from[..., 1:], np.ones(y.shape[:-1] + (1,))], axis=-1)
     top = p * y * none_above
-    upto = np.cumsum(top, axis=1)
-    return upto[:, -1], none_from * p - (upto - top)
+    upto = np.cumsum(top, axis=-1)
+    return upto[..., -1], none_from * p - (upto - top)
 
 
 def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
@@ -205,7 +207,13 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
 
 def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):
     """Exact marginals F(y with y_vd raised to 1) - F(y), clamped at zero,
-    and F(y), both from one fold."""
-    q, gain = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    and F(y), both from one fold.
+
+    y may also be a (J, n, m) stack of points; then the marginals come as a
+    stack and F as a J-vector, from one batched fold.
+    """
+    y = _as_matrix(y, inst, stacked=np.ndim(y) == 3)
+    q, gain = _seed_probs(y, inst.adoption)
     slopes, F = _slopes(util.gamma_vector(), q)
-    return np.maximum(gain * slopes[:, None], 0.0), float(F)
+    omega = np.maximum(gain * slopes[..., None], 0.0)
+    return (omega, F) if y.ndim == 3 else (omega, float(F))

@@ -23,7 +23,7 @@ import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.instance import Instance
-from couponcascade.polytope_lp import NumericError, _certify, solve_generic_lp
+from couponcascade.polytope_lp import LpSolution, NumericError, _certify, solve_generic_lp
 
 # Largest Pr(U; S) block f_exact builds at once, in entries: rows of 2^n
 # seed-set probabilities, as many profiles as fit.
@@ -187,14 +187,18 @@ def _coupling_rows(inst: Instance, profiles) -> np.ndarray:
 def concave_extension_value(inst: Instance, util: CascadeUtility, y) -> float:
     """The concave extension at a fixed fractional point, by exact LP."""
     profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    return _extension_lp(inst, profiles, f_exact(inst, util, profiles), y)
+    return _extension_lp(inst, profiles, f_exact(inst, util, profiles), y).objective_value
 
 
-def _extension_lp(inst: Instance, profiles, f_vals: np.ndarray, y) -> float:
-    """max sum_S alpha_S f(S) over alpha >= 0 with mass <= 1 and membership <= y."""
+def _extension_lp(inst: Instance, profiles, f_vals: np.ndarray, y, start=None) -> LpSolution:
+    """max sum_S alpha_S f(S) over alpha >= 0 with mass <= 1 and membership <= y.
+
+    `start` is the `final` of an earlier extension LP at the same y: the
+    rows are the same, so the solve warm-starts from its basis.
+    """
     A = np.vstack([np.ones(len(profiles)), _coupling_rows(inst, profiles)])
     b = np.concatenate([[1.0], np.asarray(y, dtype=float).reshape(-1)])
-    return float(solve_generic_lp(f_vals, A, b).objective_value)
+    return solve_generic_lp(f_vals, A, b, start)
 
 
 def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "PB",
@@ -301,7 +305,9 @@ def verify_concave_dominance(inst: Instance, util: CascadeUtility,
                              points: int = 5, seed: int = 0) -> VerifierReport:
     """Check that the extension of the perturbed objective never exceeds
     (1+eps) times the extension of its submodular reference, on random
-    row-feasible fractional points."""
+    row-feasible fractional points.  At each point both extension LPs
+    share their rows, so the reference's warm-starts from the perturbed
+    one's final tableau."""
     eps = util.epsilon
     rng = np.random.default_rng(seed)
     profiles = enumerate_feasible_allocations(inst, respect_K=False)
@@ -313,8 +319,11 @@ def verify_concave_dominance(inst: Instance, util: CascadeUtility,
         y = rng.random((inst.n, inst.m))
         rows = y.sum(axis=1)
         y = y / np.maximum(rows, 1.0)[:, None]
-        f_plus = _extension_lp(inst, profiles, f_vals, y)
-        g_plus = _extension_lp(inst, profiles, g_vals, y)
+        f_sol = _extension_lp(inst, profiles, f_vals, y)
+        g_sol = _extension_lp(inst, profiles, g_vals, y, start=f_sol.final)
+        # Both values as c.x at the optimal vertex: with eps = 0 the warm
+        # start keeps f's vertex, and f and g compare equal bit for bit.
+        f_plus, g_plus = float(f_vals @ f_sol.x), float(g_vals @ g_sol.x)
         violation = f_plus - (1 + eps) * g_plus
         if violation > 1e-8:
             witnesses.append({"y": y.tolist(), "f_plus": f_plus, "g_plus": g_plus})

@@ -9,7 +9,11 @@ falls back to Bland's rule after a run of degenerate pivots, so every solve
 terminates; every optimal solve is certified by the dual solution read off
 the final tableau.  Any basis of {Ax <= b} stays primal feasible when only
 c changes, so an LP may warm-start from the final tableau of an earlier
-solve over the same (A, b): the ascent's per-step LPs do.
+solve over the same (A, b): the ascent's per-step LPs do, and so do the
+oracle's extension LPs.  The ascent also checks a window of several steps'
+objectives against one kept basis at once (`solve_inner_lp` with a stack
+of weights): one matrix product gives every row's objective row, and only
+the first row on which the basis is not optimal needs a simplex solve.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -179,23 +183,36 @@ def simplex_maximize(c, A, b, start=None):
     else:
         raise NumericError("pivot limit exceeded")
 
-    x = np.zeros(n_vars + n_rows)
-    x[basis] = T[:n_rows, -1]
     dual = T[-1, n_vars:n_vars + n_rows].copy()
-    return x[:n_vars], float(T[-1, -1]), dual, pivots, bland, (T, basis)
+    return basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, pivots, bland, (T, basis)
+
+
+def basis_vertex(final, n_vars: int) -> np.ndarray:
+    """The first n_vars coordinates of the vertex of a (tableau, basis) pair:
+    the basic variables read off the right-hand column, the rest zero."""
+    T, basis = final
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:-1, -1]
+    return x[:n_vars]
 
 
 def _certify(c, A, b, x, value, dual):
-    """Strong-duality certificate; raises NumericError when it fails."""
-    scale = 1.0 + abs(value)
+    """Strong-duality certificate; raises NumericError when it fails.
+
+    c, value and dual may carry a leading axis: a stack of LPs over the same
+    (A, b), every row certified with the same tolerances and the message of
+    the first row that fails.  Returns the gap, or one gap per row.
+    """
+    scale = 1.0 + np.abs(value)
     if (dual < -1e-8).any():
         raise NumericError("dual infeasible: negative multiplier")
-    slack = A.T @ dual - c
-    if (slack < -1e-8 * scale).any():
+    slack = np.einsum("...r,rn->...n", dual, A) - c
+    if (slack < -1e-8 * np.reshape(scale, (-1, 1))).any():
         raise NumericError("dual infeasible: reduced cost below zero")
-    gap = abs(float(b @ dual) - value)
-    if gap > 1e-8 * scale:
-        raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
+    gap = abs(dual @ b - value) if np.ndim(value) else abs(float(b @ dual) - value)
+    wide = np.atleast_1d(gap)[np.atleast_1d(gap > 1e-8 * scale)]
+    if wide.size:
+        raise NumericError(f"duality gap {wide[0]:.3e} exceeds tolerance")
     return gap
 
 
@@ -209,23 +226,66 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     return LpSolution(x, value, dual, gap, pivots, fell_back, final)
 
 
-def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> LpSolution:
+def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope.
 
     `start` is the `final` of an earlier solution over the same spec; the
     solve warm-starts from its basis.
+
+    weights may also be a (J, n, m) stack, the objectives of J successive
+    ascent steps.  Then every row's objective row over the start's basis
+    comes from one matrix product, and the leading rows on which that
+    basis is optimal (simplex_maximize's stopping test, for a nonzero
+    objective) keep it without a pivot and are certified together.  The
+    first row it fails is solved from the start as above; the rows after it
+    are dropped.  Returns the list of solutions, one per row kept.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (spec.n, spec.m):
+    if weights.ndim not in (2, 3) or weights.shape[-2:] != (spec.n, spec.m):
         raise LpError(f"weights must be {spec.n}x{spec.m}")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
     A, b = spec.constraint_rows
-    if not weights.any():
+    if weights.ndim == 2:
+        return _solve_inner(weights.reshape(-1), spec, A, b, start)
+    rows = weights.reshape(len(weights), -1)
+    kept = [] if start is None else _kept_by_basis(rows, spec, A, b, start)
+    if len(kept) < len(rows):
+        kept.append(_solve_inner(rows[len(kept)], spec, A, b, start))
+    return kept
+
+
+def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
+    if not c.any():
         # Any feasible point is optimal; zero is the canonical choice.
         # The start's basis passes on to the next solve.
         return LpSolution(np.zeros(A.shape[1]), 0.0, np.zeros(len(b)), 0.0, final=start)
-    sol = solve_generic_lp(weights.reshape(-1), A, b, start)
+    sol = solve_generic_lp(c, A, b, start)
     spec.check_feasible(sol.matrix(spec.n, spec.m))
     return sol
+
+
+def _kept_by_basis(C, spec: PolytopeSpec, A, b, start) -> list[LpSolution]:
+    """Solutions for the leading rows of C on which start's basis is optimal."""
+    T, basis = start
+    n_rows, n_vars = A.shape
+    if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
+        raise LpError("start tableau does not match the LP's shape")
+    costs = np.zeros((len(C), n_vars + n_rows))
+    costs[:, :n_vars] = C
+    # einsum, not @: a matrix product would make OpenBLAS map its gemm
+    # buffer, a quarter MB of resident memory that no other LP here needs.
+    objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
+    objective[:, :n_vars] -= C
+    optimal = ~(objective[:, :-1] < -1e-10).any(axis=1) & C.any(axis=1)
+    kept = len(C) if optimal.all() else int(optimal.argmin())
+    if not kept:
+        return []
+    x = basis_vertex(start, n_vars)
+    spec.check_feasible(x.reshape(spec.n, spec.m))
+    values = objective[:kept, -1]
+    duals = objective[:kept, n_vars:n_vars + n_rows]
+    gaps = _certify(C[:kept], A, b, x, values, duals)
+    return [LpSolution(x, float(value), dual, float(gap), final=start)
+            for value, dual, gap in zip(values, duals, gaps)]
 

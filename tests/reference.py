@@ -7,8 +7,10 @@ rounders that draw one user at a time (the per-user categorical draw and
 merge-based swap rounding) with cost-ordered conflict resolution.  Tests
 compare the program's batched, profile-based code against them.  The
 module also keeps earlier forms of the program's kernels, the joint
-(alpha, y) LP of the concave relaxation solved as one LP, and the LP input
-and output guards written with the np.any / np.all wrappers.
+(alpha, y) LP of the concave relaxation solved as one LP, the LP input
+and output guards written with the np.any / np.all wrappers, and the
+continuous greedy loop that takes one step, with one marginal evaluation
+and one ascent LP, at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +20,36 @@ from itertools import combinations
 
 import numpy as np
 
+from couponcascade.greedy import (
+    F_ESTIMATE_SAMPLES,
+    GreedyTrace,
+    IterationRecord,
+    _step_count,
+)
 from couponcascade.instance import Instance
 from couponcascade.objective import _as_matrix as _as_fractional
-from couponcascade.objective import _draw_profiles, _expected_gamma, _held_probs
+from couponcascade.objective import (
+    _draw_profiles,
+    _expected_gamma,
+    _held_probs,
+    marginal_omega,
+    marginal_omega_exact,
+    multilinear_F_exact,
+    multilinear_F_mc,
+)
 from couponcascade.oracle import (
     OracleError,
     _coupling_rows,
     enumerate_feasible_allocations,
     f_exact,
 )
-from couponcascade.polytope_lp import LpError, NumericError, solve_generic_lp
+from couponcascade.polytope_lp import (
+    LpError,
+    NumericError,
+    PolytopeSpec,
+    solve_generic_lp,
+    solve_inner_lp,
+)
 from couponcascade.rounding import RoundingError, _as_matrix
 
 
@@ -326,3 +348,50 @@ def certify_wrappers(c, A, b, x, value, dual):
     if gap > 1e-8 * scale:
         raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
     return gap
+
+
+def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
+    """`greedy.continuous_greedy` one step at a time: each step takes its own
+    marginals and solves its own ascent LP, warm-started from the previous
+    step's basis.  On the exact path a step's F comes from the next step's
+    marginals, and the last one from multilinear_F_exact."""
+    cfg.validate(inst)
+    delta = cfg.step(inst)
+    steps = _step_count(delta)
+    spec = PolytopeSpec.from_instance(
+        inst, k_scale=None if inst.budget_K is None else cfg.b
+    )
+    exact = cfg.samples_per_marginal is None
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    y = np.zeros((inst.n, inst.m))
+    trace = GreedyTrace()
+    t = 0.0
+    sol = None
+    for _ in range(steps):
+        h = min(delta, 1.0 - t)
+        if exact:
+            omega, f_here = marginal_omega_exact(inst, util, y)
+            if trace.iterations:
+                trace.iterations[-1].f_estimate = f_here
+        else:
+            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+        start = None if sol is None else sol.final
+        sol = solve_inner_lp(omega, spec, start=start)
+        trace.marginal_windows += 1
+        trace.lp_direction_changes += start is not None and sol.pivots > 0
+        trace.lp_pivots += sol.pivots
+        trace.lp_fallbacks += sol.fell_back
+        trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
+        y = y + h * sol.matrix(inst.n, inst.m)
+        t += h
+        f_est = None
+        if not exact:
+            f_est = multilinear_F_mc(inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng)
+        trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
+    if np.any(y.sum(axis=1) - 1.0 > 1e-9):
+        raise NumericError("ascent left the per-user cap; step accounting is broken")
+    y = np.clip(y, 0.0, 1.0)
+    if exact:
+        trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
+    trace.final = y
+    return trace

@@ -172,6 +172,8 @@ class TestSolve:
         assert 0.0 <= timings["lp_max_gap"] < 1e-8
         # 36 steps at nm = 6; each counted step pivoted at least once
         assert 0 < timings["lp_direction_changes"] <= min(35, timings["lp_pivots"])
+        # exact marginals: one evaluation per window of steps, so fewer than steps
+        assert 0 < timings["marginal_windows"] < 36
         # seconds in the ascent's three layers, each inside the greedy's own time
         layers = [timings["marginals_s"], timings["F_s"], timings["lp_s"]]
         assert min(layers) > 0 and sum(layers) <= timings["greedy_s"]

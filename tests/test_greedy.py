@@ -17,6 +17,7 @@ from couponcascade.objective import multilinear_F_exact
 from couponcascade.oracle import solve_concave_relaxation
 from couponcascade.polytope_lp import PolytopeSpec
 from conftest import table_instance
+import reference
 
 
 def single_pair_instance(budget_B=1.0):
@@ -139,17 +140,121 @@ class TestWarmStartedAscent:
         solutions = []
 
         def recording(omega, spec, start=None):
-            solutions.append(polytope_lp.solve_inner_lp(omega, spec, start=start))
-            return solutions[-1]
+            kept = polytope_lp.solve_inner_lp(omega, spec, start=start)
+            solutions.extend(kept)  # one solution per step taken
+            return kept
 
         monkeypatch.setattr(greedy, "solve_inner_lp", recording)
         trace = self.run(model, extended, kwargs)
+        assert len(solutions) == len(trace.iterations)
         moved = [sol.pivots > 0 for sol in solutions[1:]]
         assert trace.lp_direction_changes == sum(moved)
         assert 0 < trace.lp_direction_changes < len(trace.iterations) - 1
         for prev, sol, pivoted in zip(solutions, solutions[1:], moved):
             if not pivoted:  # no pivot: the same vertex, so the same direction
                 assert np.array_equal(sol.x, prev.x)
+
+
+def same_ascent(got, want, rel=1e-14):
+    """Windowed and one-step traces agree: y bit for bit, the per-step LP
+    values and F to rel, and the LP counters exactly."""
+    assert np.array_equal(got.final, want.final)
+    assert len(got.iterations) == len(want.iterations)
+    for a, b in zip(got.iterations, want.iterations):
+        assert a.t == b.t
+        for x, z in ((a.lp_value, b.lp_value), (a.f_estimate, b.f_estimate)):
+            assert abs(x - z) <= rel * abs(z)
+    assert (got.lp_pivots, got.lp_direction_changes, got.lp_fallbacks) == \
+        (want.lp_pivots, want.lp_direction_changes, want.lp_fallbacks)
+
+
+class TestWindowedAscent:
+    """The exact path checks windows of steps against a kept basis at once;
+    it must take the steps the one-step loop in tests/reference.py takes."""
+
+    FUZZ = [(model, extended, eps, shape, seed)
+            for model in ("TABLE", "IC")
+            for extended in (False, True)
+            for eps in (0.0, 0.1)
+            for shape, seed in (((7, 1), 31), ((7, 2), 32))]
+
+    @staticmethod
+    def instance(model, extended, eps, shape, seed):
+        n, m = shape
+        return generate_random(n, m, model=model, epsilon=eps, seed=seed + 10 * extended,
+                               extension=extended, edge_density=0.25)
+
+    @pytest.mark.parametrize("model,extended,eps,shape,seed", FUZZ)
+    def test_matches_one_step_reference(self, model, extended, eps, shape, seed):
+        inst = self.instance(model, extended, eps, shape, seed)
+        util = make_utility(inst)
+        got = continuous_greedy(inst, util, GreedyConfig(seed=0))
+        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        same_ascent(got, want)
+        assert want.marginal_windows == len(want.iterations) == (shape[0] * shape[1]) ** 2
+        assert got.marginal_windows < len(got.iterations)  # the windows took several steps
+
+    @pytest.mark.parametrize("delta,steps", [(0.3, 4), (0.095, 11), (0.45, 3)])
+    @pytest.mark.parametrize("case", FUZZ[1::5])
+    def test_explicit_step_and_clipped_windows(self, case, delta, steps):
+        # 1/delta is not integral, so the last step is clipped, and the last
+        # window is cut short at the last step
+        inst = self.instance(*case)
+        util = make_utility(inst)
+        cfg = GreedyConfig(delta=delta)
+        got = continuous_greedy(inst, util, cfg)
+        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        assert len(got.iterations) == steps and got.iterations[-1].t == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("case", FUZZ[::3])
+    def test_sampled_path_takes_one_step_per_window(self, case):
+        inst = self.instance(*case)
+        util = make_utility(inst)
+        cfg = GreedyConfig(delta=0.05, samples_per_marginal=40, seed=3)
+        got = continuous_greedy(inst, util, cfg)
+        want = reference.continuous_greedy_stepwise(inst, util, cfg)
+        same_ascent(got, want)
+        assert got.marginal_windows == len(got.iterations) == 20
+
+    def test_window_is_capped(self):
+        inst = self.instance(*self.FUZZ[1])
+        util = make_utility(inst)
+        sizes = []
+
+        def recording(inst, util, y):
+            sizes.append(len(y))
+            return objective.marginal_omega_exact(inst, util, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "marginal_omega_exact", recording)
+            trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
+        assert sizes[0] == 1 and max(sizes) == greedy.WINDOW
+        assert len(sizes) == trace.marginal_windows
+
+    def test_zero_marginals_from_the_first_step(self):
+        inst = table_instance({frozenset(): 0.0, frozenset({1}): 0.0, frozenset({2}): 0.0,
+                               frozenset({1, 2}): 0.0}, [[1.0, 1.0], [0.5, 0.7]])
+        util = make_utility(inst)
+        cfg = GreedyConfig(delta=0.1)
+        got = continuous_greedy(inst, util, cfg)
+        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        assert not got.final.any() and got.lp_pivots == 0
+        assert all(rec.lp_value == 0.0 for rec in got.iterations)
+
+    def test_zero_marginals_in_the_middle_of_a_run(self):
+        # gamma({1, 2}) = 0 makes each user's slope 1 - 2 q of the other:
+        # once both seed with probability 1/2 every marginal clamps to zero
+        # and y stops, while the kept basis passes on
+        inst = table_instance({frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 1.0,
+                               frozenset({1, 2}): 0.0}, [[1.0], [1.0]])
+        util = make_utility(inst)
+        cfg = GreedyConfig(delta=0.05)
+        got = continuous_greedy(inst, util, cfg)
+        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        values = [rec.lp_value for rec in got.iterations]
+        first_zero = values.index(0.0)
+        assert 0 < first_zero < len(values) - 1 and not any(values[first_zero:])
+        assert values[0] > 0 and got.final[0, 0] == pytest.approx(0.55)
 
 
 class TestStepCount:
@@ -179,16 +284,20 @@ class TestFFromTheFold:
 
     @pytest.mark.parametrize("model,extended,kwargs", TestWarmStartedAscent.CASES)
     def test_every_record_is_F_at_its_y(self, model, extended, kwargs, monkeypatch):
+        # the one-step reference takes each step's marginals at the y the
+        # step before it reached, and reaches the same points bit for bit
         points = []
 
         def recording(inst, util, y):
             points.append(y.copy())
             return objective.marginal_omega_exact(inst, util, y)
 
-        monkeypatch.setattr(greedy, "marginal_omega_exact", recording)
+        monkeypatch.setattr(reference, "marginal_omega_exact", recording)
         inst = generate_random(model=model, extension=extended, **kwargs)
         util = make_utility(inst)
         trace = TestWarmStartedAscent.run(model, extended, kwargs)
+        stepwise = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        assert np.array_equal(stepwise.final, trace.final)
         reached = points[1:] + [trace.final]  # the y each step moved to
         assert len(reached) == len(trace.iterations)
         for rec, y in zip(trace.iterations, reached):

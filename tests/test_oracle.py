@@ -362,3 +362,21 @@ class TestDominanceVerifier:
         inst = generate_random(3, 2, model="TABLE", seed=25, epsilon=eps)
         report = verify_concave_dominance(inst, make_utility(inst), points=4)
         assert report.ok
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reference_lp_warm_starts_from_the_perturbed_one(self, eps, seed):
+        # same rows, another objective: the warm start reaches the cold optimum
+        inst = generate_random(3, 3, model="TABLE", seed=40 + seed, epsilon=eps)
+        util = make_utility(inst)
+        profiles = enumerate_feasible_allocations(inst, respect_K=False)
+        f_vals = f_exact(inst, util, profiles)
+        g_vals = f_exact(inst, util.reference_q, profiles)
+        y = np.random.default_rng(seed).random((3, 3)) / 3.0
+        f_sol = oracle._extension_lp(inst, profiles, f_vals, y)
+        warm = oracle._extension_lp(inst, profiles, g_vals, y, start=f_sol.final)
+        cold = oracle._extension_lp(inst, profiles, g_vals, y)
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+        assert warm.pivots <= cold.pivots
+        if eps == 0.0:  # the reference is the objective itself
+            assert warm.pivots == 0

@@ -348,6 +348,112 @@ class TestWarmStart:
         assert again.pivots == 0 and not again.fell_back
 
 
+class TestStackedInnerLp:
+    """solve_inner_lp on a (J, n, m) stack: the leading rows the start's basis
+    still solves are kept without a pivot, the first row it fails is solved
+    from the start, and the rows after it are dropped."""
+
+    specs = staticmethod(TestWarmStart.specs)
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_single_warm_solves(self, kind, seed):
+        spec = self.specs()[kind]
+        rng = np.random.default_rng(60 + seed)
+        omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
+        first = solve_inner_lp(omega, spec)
+        other = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
+        stack = np.stack([omega, 0.5 * omega, 3.0 * omega, other, omega, omega])
+        single = [solve_inner_lp(w, spec, start=first.final) for w in stack[:4]]
+        assert [sol.pivots for sol in single[:3]] == [0, 0, 0] and single[3].pivots > 0
+        kept = solve_inner_lp(stack, spec, start=first.final)
+        assert len(kept) == 4
+        for got, want in zip(kept[:3], single):
+            assert got.pivots == 0 and not got.fell_back and got.final is first.final
+            assert np.array_equal(got.x, first.x)
+            assert got.objective_value == pytest.approx(want.objective_value, rel=1e-14)
+            assert np.allclose(got.dual, want.dual, rtol=1e-14, atol=1e-15)
+        last = kept[3]
+        assert (last.pivots, last.objective_value) == (single[3].pivots, single[3].objective_value)
+        assert np.array_equal(last.x, single[3].x)
+
+    def test_zero_row_ends_the_run(self):
+        spec = self.specs()["base"]
+        omega = np.random.default_rng(7).uniform(0.0, 2.0, size=(spec.n, spec.m))
+        first = solve_inner_lp(omega, spec)
+        stack = np.stack([omega, np.zeros_like(omega), omega])
+        kept = solve_inner_lp(stack, spec, start=first.final)
+        assert len(kept) == 2 and kept[0].pivots == 0
+        assert kept[1].objective_value == 0.0 and not kept[1].x.any()
+        assert kept[1].final is first.final
+
+    def test_without_start_solves_the_first_row(self):
+        spec = self.specs()["extended"]
+        stack = np.random.default_rng(8).uniform(0.0, 2.0, size=(3, spec.n, spec.m))
+        (sol,) = solve_inner_lp(stack, spec)
+        cold = solve_inner_lp(stack[0], spec)
+        assert sol.objective_value == cold.objective_value and np.array_equal(sol.x, cold.x)
+
+    def test_mismatched_start_rejected(self):
+        small = PolytopeSpec(1, 1, np.array([[1.0]]), 0.5)
+        spec = self.specs()["base"]
+        start = solve_inner_lp(np.array([[1.0]]), small).final
+        with pytest.raises(LpError, match="start tableau"):
+            solve_inner_lp(np.ones((4, spec.n, spec.m)), spec, start=start)
+        tableau, basis = solve_inner_lp(np.ones((spec.n, spec.m)), spec).final
+        with pytest.raises(LpError, match="start tableau"):
+            solve_inner_lp(np.ones((4, spec.n, spec.m)), spec, start=(tableau, basis[:-1]))
+
+    def test_weight_guard_covers_every_row(self):
+        spec = self.specs()["base"]
+        stack = np.ones((3, spec.n, spec.m))
+        stack[2, 0, 0] = -1.0
+        with pytest.raises(LpError, match="nonnegative"):
+            solve_inner_lp(stack, spec)
+        with pytest.raises(LpError, match="weights must be"):
+            solve_inner_lp(np.ones((3, spec.m, spec.n + 1)), spec)
+
+
+class TestStackedCertify:
+    """_certify on stacked c, values and duals: every row with the single-LP
+    tolerances, and the message of the single certificate of the row that
+    fails."""
+
+    @staticmethod
+    def rows(seed, count=3):
+        rng = np.random.default_rng(seed)
+        A, b = rng.uniform(0.1, 1.0, (3, 5)), rng.uniform(0.5, 1.0, 3)
+        C = rng.uniform(0.1, 1.0, (count, 5))
+        sols = [solve_generic_lp(c, A, b) for c in C]
+        return (C, A, b, sols[0].x, np.array([sol.objective_value for sol in sols]),
+                np.array([sol.dual for sol in sols]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clean_rows_return_each_gap(self, seed):
+        C, A, b, x, values, duals = self.rows(70 + seed)
+        gaps = polytope_lp._certify(C, A, b, x, values, duals)
+        for j in range(len(C)):
+            single = polytope_lp._certify(C[j], A, b, x, float(values[j]), duals[j])
+            assert gaps[j] == pytest.approx(single, abs=1e-15)
+
+    @pytest.mark.parametrize("row", [1, 2])
+    @pytest.mark.parametrize("fault", ["dual", "reduced cost", "gap"])
+    def test_a_later_row_fails_with_the_single_message(self, row, fault):
+        C, A, b, x, values, duals = self.rows(80 + row)
+        if fault == "dual":
+            duals[row, 1] = -1e-6
+        elif fault == "reduced cost":
+            C[row, np.argmin(duals[row] @ A - C[row])] += 1e-3  # a column with zero slack
+        else:
+            values[row] += 1e-3 * (1.0 + values[row])
+        with pytest.raises(NumericError) as single:
+            polytope_lp._certify(C[row], A, b, x, float(values[row]), duals[row])
+        with pytest.raises(NumericError) as stacked:
+            polytope_lp._certify(C, A, b, x, values, duals)
+        assert str(stacked.value) == str(single.value)
+        polytope_lp._certify(C[:row], A, b, x, values[:row], duals[:row])  # the rows before pass
+
+
 def outcome(fn, *args):
     """("passed", result) or the (class, message) of what fn raised.
 
