@@ -133,15 +133,15 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples):
     return stats
 
 
-def _oracle_block(inst, util, b):
-    if inst.budget_K is None:
+def _oracle_block(table, b):
+    if table.inst.budget_K is None:
         # Without a distribution budget the policy LP and PB are one LP over
         # the same profiles and rows: solve it once.
-        _, value = oracle.solve_concave_relaxation(inst, util, "PB")
+        _, value = oracle.solve_concave_relaxation(table, "PB")
         return {"policy_value": value, "relaxation_PB": value}
-    block = {"policy_value": oracle.solve_optimal_policy(inst, util)[1]}
+    block = {"policy_value": oracle.solve_optimal_policy(table)[1]}
     for mode in ("PB", "PB1", "PB2"):
-        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(inst, util, mode, b=b)
+        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(table, mode, b=b)
     return block
 
 
@@ -181,7 +181,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     t_oracle = 0.0
     if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
         t0 = time.perf_counter()
-        oracle_vals = _oracle_block(inst, util, b)
+        oracle_vals = _oracle_block(oracle.ProfileTable(inst, util), b)
         t_oracle = time.perf_counter() - t0
         reference = oracle_vals["relaxation_PB1" if extended else "relaxation_PB"]
         if reference > 0:
@@ -244,7 +244,8 @@ def main():
               help="Live-edge worlds sampled per utility (LT, and IC above 20 edges); "
                    "also the coin draws per rounded profile of such a utility.")
 @click.option("--marginal-samples", type=COUNT, default=200, show_default=True,
-              help="Samples per marginal when exact evaluation is infeasible.")
+              help="Profile draws per ascent step when exact evaluation is "
+                   "infeasible; they serve both the marginals and F.")
 @click.option("--rounds", type=COUNT, default=1000, show_default=True)
 @click.option("--b", type=SCALE_B, default=0.25, show_default=True,
               help="Distribution-knapsack scaling in extended mode.")
@@ -290,12 +291,12 @@ def oracle_cmd(path, b, points, seed, out):
         if not util.exact:
             _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
         oracle.check_size(inst)
+        table = oracle.ProfileTable(inst, util)
         checks = [{"name": r.name, "ok": r.ok, "max_violation": r.max_violation,
                    "witnesses": r.witnesses}
-                  for r in (oracle.verify_eps_sandwich(inst, util),
-                            oracle.verify_concave_dominance(inst, util, points=points,
-                                                            seed=seed))]
-        block = _oracle_block(inst, util, b)
+                  for r in (oracle.verify_eps_sandwich(table),
+                            oracle.verify_concave_dominance(table, points=points, seed=seed))]
+        block = _oracle_block(table, b)
         policy_value, pb_value = block["policy_value"], block["relaxation_PB"]
         checks.append({
             "name": "relaxation_dominates_policy",

@@ -16,14 +16,14 @@ their marginals in one batched fold, and hands the stack to one
 `solve_inner_lp` call, which keeps the leading steps the basis is still
 optimal for and solves the first one it is not.  The points after that
 step are dropped and the next window starts where it ended.  Each kept
-point is the one the one-step loop would reach, bit for bit.  The sampled
-path runs windows of one step: its marginals and F draw from one shared
-generator, and speculative draws would shift every later one.
+point is the one the one-step loop would reach, bit for bit.  A step whose
+LP gained nothing (value 0) leaves y where it was, so the next window is
+one step.  The sampled path runs windows of one step: speculative draws
+from its generator would shift every later one.
 
-Each step records F at the y it reached.  Exact marginals return F at the
-y they are taken at, so a step's F comes from the next step's marginals,
-and only the last step evaluates F itself.  Sampled marginals do not, and
-each sampled step draws its own F estimate.
+Each step records F at the y it reached.  Both kinds of marginals return F
+at the y they are taken at, exactly or over their own draws, so a step's F
+comes from the next step's marginals; only the last step evaluates F itself.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from couponcascade.objective import (
 from couponcascade.polytope_lp import NumericError, PolytopeSpec, basis_vertex, solve_inner_lp
 
 
-F_ESTIMATE_SAMPLES = 200  # profile draws per sampled F in the trace
 WINDOW = 8  # exact-path steps whose marginals one batched fold takes at once
 
 
@@ -58,8 +57,8 @@ class GreedyConfig:
     """Knobs of the ascent.
 
     delta=None means the canonical 1/(nm)^2 step.  samples_per_marginal=None
-    requests exact marginals and exact F; otherwise both are sampled, with
-    common random numbers for the marginals.  Either way the utility's
+    requests exact marginals and exact F; otherwise both are sampled, each
+    step's marginals and F from the same draws.  Either way the utility's
     gamma vector (`CascadeUtility.gamma_vector`) must exist, so n <= 15.
     An instance with a budget_K runs in extended mode, which scales the
     distribution knapsack to b*K; any other instance ignores b.
@@ -93,8 +92,8 @@ class GreedyTrace:
     """Per-step records and the final (n, m) array y; the LP counters and the
     seconds spent in marginals, F and ascent LPs stay out of the JSON.
 
-    On the exact path `F_s` is the one final F: every other step's F comes
-    from the marginals' fold and is counted in `marginals_s`.
+    `F_s` is the one final F on both paths: every other step's F comes from
+    the marginals and is counted in `marginals_s`.
     """
 
     iterations: list[IterationRecord] = field(default_factory=list)
@@ -140,9 +139,9 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     trace = GreedyTrace()
     t = 0.0
     start = None  # the basis of the last solve, which the next one starts from
+    moved = False  # whether the last step's LP had anything to gain
     while len(trace.iterations) < steps:
-        window = min(WINDOW if exact and start is not None else 1,
-                     steps - len(trace.iterations))
+        window = min(WINDOW if exact and moved else 1, steps - len(trace.iterations))
         points = np.empty((window, inst.n, inst.m))
         points[0] = y
         if window > 1:  # the points the window reaches if the basis holds
@@ -156,7 +155,8 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
         else:
-            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)[None]
+            omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+            omega, f_at = omega[None], [f_here]
         t1 = time.perf_counter()
         solutions = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
@@ -164,7 +164,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
         for j, sol in enumerate(solutions):
-            if exact and trace.iterations:  # F at the y the previous step reached
+            if trace.iterations:  # F at the y the previous step reached
                 trace.iterations[-1].f_estimate = float(f_at[j])
             # Clip the last step so the total time is exactly 1 even when
             # 1/delta is not integral; otherwise the row caps would be overshot.
@@ -175,23 +175,19 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
             y = y + h * sol.matrix(inst.n, inst.m)
             t += h
-            f_est = None  # the next step's marginals fill it in
-            if not exact:
-                t0 = time.perf_counter()
-                f_est = multilinear_F_mc(
-                    inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng
-                )
-                trace.F_s += time.perf_counter() - t0
-            trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
+            # the next step's marginals, or the final F, fill in f_estimate
+            trace.iterations.append(IterationRecord(t, sol.objective_value, None))
         start = solutions[-1].final
+        moved = solutions[-1].objective_value != 0
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
-    if exact:
-        t0 = time.perf_counter()
-        trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
-        trace.F_s += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    trace.iterations[-1].f_estimate = (
+        multilinear_F_exact(inst, util, y) if exact
+        else multilinear_F_mc(inst, util, y, cfg.samples_per_marginal, rng))
+    trace.F_s = time.perf_counter() - t0
     trace.final = y
     return trace
 

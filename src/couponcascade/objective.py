@@ -21,8 +21,8 @@ reverse-mode differentiation: the fold keeps the difference between the
 halves of each level, and the pass back carries the seed-set distribution
 of the users below v and dots it with level v's difference.  That is
 O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.  The
-fold ends at E[gamma](q), which is F(y) for q = q(y), so the exact
-marginals return F(y) as well at no extra cost.
+fold ends at E[gamma](q), which is F(y) for q = q(y), so the marginals
+return F(y) as well at no extra cost, exactly or over their draws.
 """
 
 from __future__ import annotations
@@ -181,8 +181,9 @@ def multilinear_F_mc(inst: Instance, util: CascadeUtility, y, samples: int,
 
 
 def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers.
+                   rng: np.random.Generator):
+    """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers,
+    and F(y) as the mean f over the same draws, where their folds end.
 
     The same R-draws serve all nm entries, which cancels most of the noise
     in the differences.  Adding [vd] to R moves only q_v, and only in draws
@@ -194,7 +195,7 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     """
     n, m = inst.n, inst.m
     profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
-    slopes, _ = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
+    slopes, f_draws = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
     keys = np.arange(n) * (m + 1) + profiles  # (v, the coupon r the draw holds for v)
     held = np.bincount(keys.ravel(), weights=slopes.ravel(), minlength=n * (m + 1))
     held = held.reshape(n, m + 1)  # W_vr
@@ -202,7 +203,7 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     below = np.cumsum(held, axis=1)[:, :m]  # sum_{r<d} W_vr
     below_paid = np.cumsum(held * p_held, axis=1)[:, :m]  # sum_{r<d} W_vr p_v(r)
     omega = (inst.adoption * below - below_paid) / samples
-    return np.maximum(omega, 0.0)
+    return np.maximum(omega, 0.0), float(f_draws.mean())
 
 
 def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):

@@ -1,12 +1,13 @@
 """Brute-force ground truth for tiny instances.
 
 Works on coupon profiles: a profile is a tuple holding each user's coupon,
-0 for none.  Enumerates every feasible profile, solves the exact policy LP
-and the exact concave-extension relaxations, and certifies numerically that
-the perturbed objective stays inside its submodular sandwich and that the
-relaxations dominate in the expected directions.  Every relaxation is solved
-as a profile LP over the combination weights alone, and its optimum is
-certified against the joint LP in the weights and y by a lifted dual.
+0 for none.  Enumerates every profile, solves the exact policy LP and the
+exact concave-extension relaxations, and certifies numerically that the
+perturbed objective stays inside its submodular sandwich and that the
+relaxations dominate in the expected directions; every LP and check of a
+run reads one `ProfileTable`.  Every relaxation is solved as a profile LP
+over the combination weights alone, and its optimum is certified against
+the joint LP in the weights and y by a lifted dual.
 Everything here is independent of the solver path: it goes through
 exhaustive enumeration and the generic LP solver only.  In particular f is
 a sum over explicit seed sets (`f_exact` below): every profile's Pr(U; S)
@@ -17,6 +18,7 @@ solver's fold over the gamma vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -121,88 +123,94 @@ class Policy:
             raise OracleError(f"policy probabilities sum to {total}, not 1")
 
 
-def enumerate_feasible_allocations(inst: Instance, respect_K: bool = True) -> list[tuple]:
-    """Every coupon profile (at most one coupon per user), in lexicographic
-    order, optionally filtered by the hard distribution budget."""
+def enumerate_feasible_allocations(inst: Instance) -> list[tuple]:
+    """Every coupon profile (at most one coupon per user), in lexicographic order."""
     count = (inst.m + 1) ** inst.n
     if count > ENUMERATION_LIMIT:
         raise OracleError(f"enumeration of {count} allocations exceeds the limit "
                           f"{ENUMERATION_LIMIT}")
-    profiles = np.indices((inst.m + 1,) * inst.n).reshape(inst.n, -1).T
-    if respect_K and inst.budget_K is not None:
-        profiles = profiles[(profiles > 0) @ inst.dist_cost <= inst.budget_K + 1e-12]
-    return [tuple(row) for row in profiles.tolist()]
+    return list(map(tuple, np.indices((inst.m + 1,) * inst.n).reshape(inst.n, -1).T.tolist()))
 
 
-def _costs(inst: Instance, profiles) -> np.ndarray:
-    """Expected redemption cost of each profile: p_v(d) * value(d) summed over users."""
-    pay = np.hstack([np.zeros((inst.n, 1)), inst.adoption * inst.coupon_values])
-    return pay[np.arange(inst.n), np.asarray(profiles)].sum(axis=1)
+@dataclass(eq=False)
+class ProfileTable:
+    """Every coupon profile of one instance, as a (k, n) array in
+    lexicographic order, and what the oracle's LPs and checks read off them,
+    each computed on first use: one table serves a whole oracle run."""
+
+    inst: Instance
+    util: CascadeUtility
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        return np.array(enumerate_feasible_allocations(self.inst))
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return f_exact(self.inst, self.util, self.profiles)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """f of the unperturbed reference utility."""
+        return f_exact(self.inst, self.util.reference_q, self.profiles)
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """alpha-membership indicator rows, one per user-coupon pair in (v, d) order."""
+        held = self.profiles.T[:, None, :] == np.arange(1, self.inst.m + 1)[:, None]
+        return held.reshape(self.inst.n * self.inst.m, -1).astype(float)
+
+    @cached_property
+    def within_K(self) -> np.ndarray:
+        """The profiles within the hard distribution budget K: all without one."""
+        K = np.inf if self.inst.budget_K is None else self.inst.budget_K
+        return (self.profiles > 0) @ self.inst.dist_cost <= K + 1e-12
 
 
-def _profile_rows(inst: Instance, profiles, k_bound: float | None = None):
+def _profile_rows(table: ProfileTable, k_bound: float | None = None):
     """(A, b) of the LP over profile weights alpha >= 0: mass <= 1 and
     expected redemption cost <= B; with k_bound, also expected distribution
     cost, sum_S alpha_S a(S) <= k_bound, where a(S) is the dist_cost of the
     users S offers to."""
-    rows = [np.ones(len(profiles)), _costs(inst, profiles)]
+    inst, profiles = table.inst, table.profiles
+    pay = np.hstack([np.zeros((inst.n, 1)), inst.redemption_weights])
+    rows = [np.ones(len(profiles)), pay[np.arange(inst.n), profiles].sum(axis=1)]
     bounds = [1.0, inst.budget_B]
     if k_bound is not None:
-        rows.append((np.asarray(profiles) > 0) @ inst.dist_cost)
+        rows.append((profiles > 0) @ inst.dist_cost)
         bounds.append(k_bound)
     return np.vstack(rows), np.array(bounds)
 
 
-def solve_optimal_policy(inst: Instance, util: CascadeUtility):
-    """Exact optimum of the policy problem: the LP over allocation probabilities.
+def solve_optimal_policy(table: ProfileTable):
+    """Exact optimum of the policy problem: the LP over probabilities of allocations within K.
 
     Returns (Policy, optimal value).  The support of a basic optimum has at
     most two allocations: only the mass and budget rows can bind.
     """
-    profiles = enumerate_feasible_allocations(inst)
-    k = len(profiles)
-    # Mass <= 1 instead of == 1: padding with the empty allocation (f=c=0)
-    # restores equality without changing the optimum.
-    sol = solve_generic_lp(f_exact(inst, util, profiles), *_profile_rows(inst, profiles))
-    theta = sol.x
-    support = [(profiles[i], float(theta[i])) for i in range(k) if theta[i] > 1e-12]
-    slack = 1.0 - sum(p for _, p in support)
-    if slack > 1e-12:
-        empty = (0,) * inst.n
-        for i, (profile, p) in enumerate(support):
-            if profile == empty:
-                support[i] = (profile, p + slack)
-                break
-        else:
-            support.append((empty, slack))
+    keep = np.flatnonzero(table.within_K)
+    A, b = _profile_rows(table)
+    # Mass <= 1 instead of == 1: padding with the empty allocation (f=c=0),
+    # the first profile, restores equality without changing the optimum.
+    sol = solve_generic_lp(table.f[keep], A[:, keep], b)
+    sol.x[0] += max(0.0, 1.0 - sol.x.sum())
+    support = [(tuple(table.profiles[i].tolist()), float(p))
+               for i, p in zip(keep, sol.x) if p > 1e-12]
     return Policy(support), float(sol.objective_value)
 
 
-def _coupling_rows(inst: Instance, profiles) -> np.ndarray:
-    """alpha-membership indicator rows, one per user-coupon pair in (v, d) order."""
-    held = np.asarray(profiles).T[:, None, :] == np.arange(1, inst.m + 1)[:, None]
-    return held.reshape(inst.n * inst.m, -1).astype(float)
-
-
-def concave_extension_value(inst: Instance, util: CascadeUtility, y) -> float:
-    """The concave extension at a fixed fractional point, by exact LP."""
-    profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    return _extension_lp(inst, profiles, f_exact(inst, util, profiles), y).objective_value
-
-
-def _extension_lp(inst: Instance, profiles, f_vals: np.ndarray, y, start=None) -> LpSolution:
+def _extension_lp(table: ProfileTable, f_vals: np.ndarray, y, start=None) -> LpSolution:
     """max sum_S alpha_S f(S) over alpha >= 0 with mass <= 1 and membership <= y.
 
     `start` is the `final` of an earlier extension LP at the same y: the
     rows are the same, so the solve warm-starts from its basis.
     """
-    A = np.vstack([np.ones(len(profiles)), _coupling_rows(inst, profiles)])
+    A = np.vstack([np.ones(len(f_vals)), table.coupling])
     b = np.concatenate([[1.0], np.asarray(y, dtype=float).reshape(-1)])
     return solve_generic_lp(f_vals, A, b, start)
 
 
-def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "PB",
-                             b: float = 0.25):
+def solve_concave_relaxation(table: ProfileTable, mode: str = "PB", b: float = 0.25):
     """Exact optimum of the fractional relaxation: maximize the concave
     extension over the polytope.
 
@@ -217,17 +225,15 @@ def solve_concave_relaxation(inst: Instance, util: CascadeUtility, mode: str = "
 
     Returns (y_plus, value), y_plus the coupling of the optimal alpha.
     """
+    inst = table.inst
     if mode not in ("PB", "PB1", "PB2"):
         raise OracleError(f"unknown relaxation mode {mode!r}")
     if mode != "PB" and inst.budget_K is None:
         raise OracleError(f"mode {mode} needs an instance with budget_K")
-    profiles = enumerate_feasible_allocations(inst, respect_K=False)
     k_bound = None if mode == "PB" else float(inst.budget_K) * (b if mode == "PB2" else 1.0)
-    f_vals = f_exact(inst, util, profiles)
-    sol = solve_generic_lp(f_vals, *_profile_rows(inst, profiles, k_bound))
-    coupling = _coupling_rows(inst, profiles)
-    y_plus = coupling @ sol.x
-    _certify_joint(inst, coupling, f_vals, k_bound, sol, y_plus)
+    sol = solve_generic_lp(table.f, *_profile_rows(table, k_bound))
+    y_plus = table.coupling @ sol.x
+    _certify_joint(inst, table.coupling, table.f, k_bound, sol, y_plus)
     return y_plus.reshape(inst.n, inst.m), float(sol.objective_value)
 
 
@@ -271,28 +277,25 @@ class VerifierReport:
     details: dict = field(default_factory=dict)
 
 
-def verify_eps_sandwich(inst: Instance, util: CascadeUtility) -> VerifierReport:
-    """Check (1-eps) g(S) <= f(S) <= (1+eps) g(S) over every feasible
-    allocation, g built from the unperturbed reference; also check that g is
-    monotone submodular along a fixed coupon-per-user grid."""
-    reference = util.reference_q
-    eps = util.epsilon
-    profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    f_vals = f_exact(inst, util, profiles)
-    g_vals = f_exact(inst, reference, profiles)
+def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
+    """Check (1-eps) g(S) <= f(S) <= (1+eps) g(S) over every allocation, g
+    built from the unperturbed reference; also check that g is monotone
+    submodular along a fixed coupon-per-user grid."""
+    inst, reference, eps = table.inst, table.util.reference_q, table.util.epsilon
+    f_vals, g_vals = table.f, table.g
     violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
                            0.0)
     worst = float(violation.max())
-    witnesses = [{"allocation": [(v + 1, d) for v, d in enumerate(profiles[i]) if d],
+    witnesses = [{"allocation": [(v + 1, d) for v, d in enumerate(table.profiles[i]) if d],
                   "f": float(f_vals[i]), "g": float(g_vals[i])}
                  for i in np.flatnonzero(violation > 1e-9)]
     # g restricted to one fixed coupon per user is a set function of the
     # offered-user set; it must inherit monotone submodularity.
     offered = (np.arange(1 << inst.n)[:, None] >> np.arange(inst.n)) & 1
     grid_g = f_exact(inst, reference, offered * (np.arange(inst.n) % inst.m + 1))
-    table = {frozenset(v + 1 for v in range(inst.n) if mask >> v & 1): float(g)
-             for mask, g in enumerate(grid_g)}
-    grid_witness = check_submodular_monotone(table, inst.n)
+    grid = {frozenset(v + 1 for v in range(inst.n) if mask >> v & 1): float(g)
+            for mask, g in enumerate(grid_g)}
+    grid_witness = check_submodular_monotone(grid, inst.n)
     ok = worst <= 1e-9 and grid_witness is None
     details = {"epsilon": eps}
     if grid_witness is not None:
@@ -301,26 +304,24 @@ def verify_eps_sandwich(inst: Instance, util: CascadeUtility) -> VerifierReport:
     return VerifierReport("eps_sandwich", ok, worst, witnesses, details)
 
 
-def verify_concave_dominance(inst: Instance, util: CascadeUtility,
-                             points: int = 5, seed: int = 0) -> VerifierReport:
+def verify_concave_dominance(table: ProfileTable, points: int = 5,
+                             seed: int = 0) -> VerifierReport:
     """Check that the extension of the perturbed objective never exceeds
     (1+eps) times the extension of its submodular reference, on random
     row-feasible fractional points.  At each point both extension LPs
     share their rows, so the reference's warm-starts from the perturbed
     one's final tableau."""
-    eps = util.epsilon
+    inst, eps = table.inst, table.util.epsilon
     rng = np.random.default_rng(seed)
-    profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    f_vals = f_exact(inst, util, profiles)
-    g_vals = f_exact(inst, util.reference_q, profiles)
+    f_vals, g_vals = table.f, table.g
     worst = 0.0
     witnesses = []
     for _ in range(points):
         y = rng.random((inst.n, inst.m))
         rows = y.sum(axis=1)
         y = y / np.maximum(rows, 1.0)[:, None]
-        f_sol = _extension_lp(inst, profiles, f_vals, y)
-        g_sol = _extension_lp(inst, profiles, g_vals, y, start=f_sol.final)
+        f_sol = _extension_lp(table, f_vals, y)
+        g_sol = _extension_lp(table, g_vals, y, start=f_sol.final)
         # Both values as c.x at the optimal vertex: with eps = 0 the warm
         # start keeps f's vertex, and f and g compare equal bit for bit.
         f_plus, g_plus = float(f_vals @ f_sol.x), float(g_vals @ g_sol.x)

@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from couponcascade.greedy import (
-    F_ESTIMATE_SAMPLES,
     GreedyTrace,
     IterationRecord,
     _step_count,
@@ -37,12 +36,7 @@ from couponcascade.objective import (
     multilinear_F_exact,
     multilinear_F_mc,
 )
-from couponcascade.oracle import (
-    OracleError,
-    _coupling_rows,
-    enumerate_feasible_allocations,
-    f_exact,
-)
+from couponcascade.oracle import OracleError, ProfileTable
 from couponcascade.polytope_lp import (
     LpError,
     NumericError,
@@ -281,8 +275,8 @@ def solve_concave_relaxation_joint(inst: Instance, util, mode: str = "PB", b: fl
         raise OracleError(f"unknown relaxation mode {mode!r}")
     if mode != "PB" and inst.budget_K is None:
         raise OracleError(f"mode {mode} needs an instance with budget_K")
-    profiles = enumerate_feasible_allocations(inst, respect_K=False)
-    k, n, m = len(profiles), inst.n, inst.m
+    table = ProfileTable(inst, util)
+    k, n, m = len(table.profiles), inst.n, inst.m
     nm = n * m
     # Columns are alpha (k) then y flat (v, d).  Rows: alpha mass <= 1,
     # coupling alpha-membership <= y, per-user caps, then the knapsacks.
@@ -294,9 +288,9 @@ def solve_concave_relaxation_joint(inst: Instance, util, mode: str = "PB", b: fl
         bounds.append([float(inst.budget_K) * (b if mode == "PB2" else 1.0)])
     y_rows = np.vstack(y_rows)
     A = np.block([[np.ones((1, k)), np.zeros((1, nm))],
-                  [_coupling_rows(inst, profiles), -np.eye(nm)],
+                  [table.coupling, -np.eye(nm)],
                   [np.zeros((len(y_rows), k)), y_rows]])
-    c = np.concatenate([f_exact(inst, util, profiles), np.zeros(nm)])
+    c = np.concatenate([table.f, np.zeros(nm)])
     sol = solve_generic_lp(c, A, np.concatenate(bounds))
     y_plus = sol.x[k:].reshape(n, m)
     return y_plus, float(sol.objective_value)
@@ -353,8 +347,9 @@ def certify_wrappers(c, A, b, x, value, dual):
 def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
     """`greedy.continuous_greedy` one step at a time: each step takes its own
     marginals and solves its own ascent LP, warm-started from the previous
-    step's basis.  On the exact path a step's F comes from the next step's
-    marginals, and the last one from multilinear_F_exact."""
+    step's basis.  A step's F comes from the next step's marginals, and the
+    last one from multilinear_F_exact, or from multilinear_F_mc over
+    samples_per_marginal draws."""
     cfg.validate(inst)
     delta = cfg.step(inst)
     steps = _step_count(delta)
@@ -371,10 +366,10 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
         h = min(delta, 1.0 - t)
         if exact:
             omega, f_here = marginal_omega_exact(inst, util, y)
-            if trace.iterations:
-                trace.iterations[-1].f_estimate = f_here
         else:
-            omega = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+            omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+        if trace.iterations:
+            trace.iterations[-1].f_estimate = f_here
         start = None if sol is None else sol.final
         sol = solve_inner_lp(omega, spec, start=start)
         trace.marginal_windows += 1
@@ -384,14 +379,14 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
         trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
-        f_est = None
-        if not exact:
-            f_est = multilinear_F_mc(inst, util, np.clip(y, 0.0, 1.0), F_ESTIMATE_SAMPLES, rng)
-        trace.iterations.append(IterationRecord(t, sol.objective_value, f_est))
+        trace.iterations.append(IterationRecord(t, sol.objective_value, None))
     if np.any(y.sum(axis=1) - 1.0 > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
     if exact:
         trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
+    else:
+        trace.iterations[-1].f_estimate = multilinear_F_mc(
+            inst, util, y, cfg.samples_per_marginal, rng)
     trace.final = y
     return trace

@@ -18,6 +18,7 @@ from couponcascade.greedy import GreedyConfig, approximation_beta, continuous_gr
 from couponcascade.instance import generate_random, save_instance
 from couponcascade.objective import cost_exact, f_exact, multilinear_F_exact, multilinear_F_mc
 from couponcascade.oracle import (
+    ProfileTable,
     f_exact as enumerated_f,
     solve_concave_relaxation,
     solve_optimal_policy,
@@ -66,7 +67,7 @@ class TestApproximationRatio:
             trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
             rng = np.random.default_rng(seed)
             f_mean, _, _ = _rounded_f_mean(inst, util, trace.final, 2000, rng)
-            _, reference = solve_concave_relaxation(inst, util, "PB")
+            _, reference = solve_concave_relaxation(ProfileTable(inst, util), "PB")
             ratios.append(f_mean / reference)
         ratios = np.array(ratios)
         elapsed = time.perf_counter() - t0
@@ -108,7 +109,7 @@ class TestExtensionRatio:
                         worst_survival = min(
                             worst_survival, float((kept[pre, v] == d).mean()))
 
-            _, pb1 = solve_concave_relaxation(inst, util, "PB1")
+            _, pb1 = solve_concave_relaxation(ProfileTable(inst, util), "PB1")
             bound = (1 - 2 * b) * b * approximation_beta(inst.epsilon, inst.n) * pb1
             worst_margin = min(worst_margin, f_mean - bound)
         ok = (violations_total == 0
@@ -134,18 +135,18 @@ class TestLemmaSuite:
             extended = k % 3 == 0
             inst = generate_random(3, 2, model="TABLE", seed=500 + k,
                                    epsilon=eps, extension=extended)
-            util = make_utility(inst)
-            if not verify_eps_sandwich(inst, util).ok:
+            table = ProfileTable(inst, make_utility(inst))
+            if not verify_eps_sandwich(table).ok:
                 violations += 1
-            _, policy_value = solve_optimal_policy(inst, util)
-            _, pb = solve_concave_relaxation(inst, util, "PB")
+            _, policy_value = solve_optimal_policy(table)
+            _, pb = solve_concave_relaxation(table, "PB")
             if pb < policy_value - 1e-8:
                 violations += 1
-            if not verify_concave_dominance(inst, util, points=3, seed=k).ok:
+            if not verify_concave_dominance(table, points=3, seed=k).ok:
                 violations += 1
             if extended:
-                _, pb1 = solve_concave_relaxation(inst, util, "PB1")
-                _, pb2 = solve_concave_relaxation(inst, util, "PB2", b=0.25)
+                _, pb1 = solve_concave_relaxation(table, "PB1")
+                _, pb2 = solve_concave_relaxation(table, "PB2", b=0.25)
                 if pb2 < 0.25 * pb1 - 1e-8:
                     violations += 1
         elapsed = time.perf_counter() - t0
@@ -168,7 +169,7 @@ class TestLemmaSuite:
                 return Ref()
 
         control = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
-        bad_report = verify_eps_sandwich(control, Escapes())
+        bad_report = verify_eps_sandwich(ProfileTable(control, Escapes()))
         controls_caught = (not bad_report.ok) and bool(bad_report.witnesses)
 
         # negative control: a supermodular table must trip the sandwich check
@@ -177,7 +178,7 @@ class TestLemmaSuite:
              frozenset({1, 2}): 1.0},
             [[0.5], [0.5]],
         )
-        supermod_report = verify_eps_sandwich(supermod, make_utility(supermod))
+        supermod_report = verify_eps_sandwich(ProfileTable(supermod, make_utility(supermod)))
         controls_caught = controls_caught and not supermod_report.ok
 
         ok = violations == 0 and controls_caught and elapsed < 120

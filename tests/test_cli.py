@@ -189,32 +189,37 @@ class TestSolve:
         assert res.returncode == 2
         assert res.stderr == "error: LT incoming weights of user 2 sum above 1\n"
 
-    def test_oracle_reads_f_once_per_lp(self, extended_instance, monkeypatch):
-        # the policy LP and the three relaxations each make one batched f call
-        batches, seed_sets = [], []
+    def test_oracle_block_reads_f_once(self, extended_instance, monkeypatch):
+        # the policy LP and the three relaxations read one table: one
+        # enumeration and one batched f over every profile
+        batches, enumerations, seed_sets = [], [], []
         original_f, original_value = oracle.f_exact, cascade.CascadeUtility.value
+        original_enumerate = oracle.enumerate_feasible_allocations
 
         def recorded_f(inst, util, profiles):
-            batches.append(list(profiles))
+            batches.append([tuple(p) for p in profiles.tolist()])
             return original_f(inst, util, profiles)
+
+        def recorded_enumerate(inst):
+            enumerations.append(original_enumerate(inst))
+            return enumerations[-1]
 
         def counted_value(self, U):
             seed_sets.append(U)
             return original_value(self, U)
 
         monkeypatch.setattr(oracle, "f_exact", recorded_f)
+        monkeypatch.setattr(oracle, "enumerate_feasible_allocations", recorded_enumerate)
         monkeypatch.setattr(cascade.CascadeUtility, "value", counted_value)
         report, _ = run_solve(extended_instance, None, 10_000, 200, 50, 0.25, 1)
         lps = {"policy_value", "relaxation_PB", "relaxation_PB1", "relaxation_PB2"}
         assert set(report["oracle"]) == lps
         inst = load_instance(extended_instance)
         every = sorted(product(range(3), repeat=3))
-        affordable = [p for p in every
-                      if sum(inst.dist_cost[v] for v, d in enumerate(p) if d) <= inst.budget_K]
-        assert len(affordable) < len(every)
-        assert batches == [affordable] + [every] * 3
-        # 2^n gamma reads per LP, plus the solver's one gamma vector
-        assert len(seed_sets) <= (len(lps) + 1) * 2 ** inst.n
+        assert enumerations == [every]
+        assert batches == [every]
+        # 2^n gamma reads for the one f, plus the solver's one gamma vector
+        assert len(seed_sets) <= 2 * 2 ** inst.n
 
 
 class TestRoundingStats:
@@ -359,23 +364,24 @@ class TestOracleFuzz:
 
 def separate_solve_checks(path, b=0.25):
     """The checks of an `oracle` report as separate solves build them: the
-    policy LP and one relaxation per mode, each solved on its own."""
+    policy LP and one relaxation per mode, each solved on its own table."""
     inst = load_instance(path)
     util = make_utility(inst)
     checks = []
-    for verifier in (oracle.verify_eps_sandwich(inst, util),
-                     oracle.verify_concave_dominance(inst, util, points=5, seed=0)):
+    for verifier in (oracle.verify_eps_sandwich(oracle.ProfileTable(inst, util)),
+                     oracle.verify_concave_dominance(oracle.ProfileTable(inst, util),
+                                                     points=5, seed=0)):
         checks.append({"name": verifier.name, "ok": verifier.ok,
                        "max_violation": verifier.max_violation,
                        "witnesses": verifier.witnesses})
-    _, policy_value = oracle.solve_optimal_policy(inst, util)
-    _, pb_value = oracle.solve_concave_relaxation(inst, util, "PB")
+    _, policy_value = oracle.solve_optimal_policy(oracle.ProfileTable(inst, util))
+    _, pb_value = oracle.solve_concave_relaxation(oracle.ProfileTable(inst, util), "PB")
     checks.append({"name": "relaxation_dominates_policy",
                    "ok": pb_value >= policy_value - 1e-8,
                    "policy_value": policy_value, "relaxation_value": pb_value})
     if inst.budget_K is not None:
-        _, pb1 = oracle.solve_concave_relaxation(inst, util, "PB1")
-        _, pb2 = oracle.solve_concave_relaxation(inst, util, "PB2", b=b)
+        _, pb1 = oracle.solve_concave_relaxation(oracle.ProfileTable(inst, util), "PB1")
+        _, pb2 = oracle.solve_concave_relaxation(oracle.ProfileTable(inst, util), "PB2", b=b)
         checks.append({"name": "scaled_relaxation_lower_bound", "ok": pb2 >= b * pb1 - 1e-8,
                        "b": b, "full_value": pb1, "scaled_value": pb2})
     return json.loads(json.dumps(_jsonify(checks)))
@@ -414,6 +420,22 @@ class TestOracleCmd:
         report = json.loads(res.stdout)
         sandwich = next(c for c in report["checks"] if c["name"] == "eps_sandwich")
         assert sandwich["ok"] is False and report["all_ok"] is False
+
+    def test_one_table_for_every_check(self, extended_instance, monkeypatch):
+        # f and g over every profile, and g over the sandwich's grid: every
+        # check and LP reads the same table
+        calls = []
+        original = oracle.f_exact
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "f_exact", counted)
+        res = CliRunner().invoke(main, ["oracle", "-i", extended_instance])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["all_ok"] is True
+        assert len(calls) == 3
 
     def test_one_live_edge_pass(self, tmp_path, monkeypatch):
         # the unperturbed reference reuses the perturbed utility's IC vector

@@ -14,7 +14,7 @@ from couponcascade.greedy import (
 )
 from couponcascade.instance import generate_random
 from couponcascade.objective import multilinear_F_exact
-from couponcascade.oracle import solve_concave_relaxation
+from couponcascade.oracle import ProfileTable, solve_concave_relaxation
 from couponcascade.polytope_lp import PolytopeSpec
 from conftest import table_instance
 import reference
@@ -68,7 +68,7 @@ class TestContinuousGreedy:
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
         f_final = multilinear_F_exact(inst, util, trace.final)
-        _, f_plus = solve_concave_relaxation(inst, util, "PB")
+        _, f_plus = solve_concave_relaxation(ProfileTable(inst, util), "PB")
         assert f_final >= (1 - 1 / math.e - 0.05) * f_plus
 
     def test_coarse_delta_still_feasible(self):
@@ -256,6 +256,27 @@ class TestWindowedAscent:
         assert 0 < first_zero < len(values) - 1 and not any(values[first_zero:])
         assert values[0] > 0 and got.final[0, 0] == pytest.approx(0.55)
 
+    def test_zero_step_takes_a_one_point_window(self):
+        # after a step whose LP gained nothing y stands still: each later
+        # window folds the one point it keeps
+        inst = table_instance({frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 1.0,
+                               frozenset({1, 2}): 0.0}, [[1.0], [1.0]])
+        util = make_utility(inst)
+        sizes = []
+
+        def recording(inst, util, y):
+            sizes.append(len(y))
+            return objective.marginal_omega_exact(inst, util, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "marginal_omega_exact", recording)
+            got = continuous_greedy(inst, util, GreedyConfig(delta=0.05))
+        zero_steps = sum(rec.lp_value == 0.0 for rec in got.iterations)
+        assert zero_steps == 9
+        # the first zero step ends a window; every later one is a window of one
+        assert sizes == [1, 8, 8] + [1] * (zero_steps - 1)
+        assert sum(sizes) == 25  # 53 when every zero step folds a full window
+
 
 class TestStepCount:
     def test_canonical_step_count_for_every_nm(self):
@@ -326,14 +347,36 @@ class TestFFromTheFold:
         assert len(trace.iterations) == 36
         assert len(exact_calls) == 1 and not sampled_calls
 
-    def test_sampled_ascent_estimates_F_every_step(self, monkeypatch):
+    def test_sampled_ascent_evaluates_F_once(self, monkeypatch):
         exact_calls = self.count_calls(monkeypatch, "multilinear_F_exact")
         sampled_calls = self.count_calls(monkeypatch, "multilinear_F_mc")
         inst = generate_random(3, 2, model="TABLE", seed=10)
         cfg = GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)
         trace = continuous_greedy(inst, make_utility(inst), cfg)
-        assert len(sampled_calls) == len(trace.iterations) == 10
-        assert not exact_calls
+        assert len(trace.iterations) == 10
+        assert len(sampled_calls) == 1 and not exact_calls
+        assert all(isinstance(rec.f_estimate, float) for rec in trace.iterations)
+
+    def test_sampled_records_are_F_over_the_next_steps_draws(self, monkeypatch):
+        # each record's F is the mean f over the draws of the next step's
+        # marginals, the last one from samples_per_marginal draws of its own
+        inst = generate_random(3, 2, model="TABLE", seed=10)
+        util = make_utility(inst)
+        cfg = GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)
+        draws = []
+        draw = objective._draw_profiles
+
+        def recording(inst, y, samples, rng):
+            draws.append(draw(inst, y, samples, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(objective, "_draw_profiles", recording)
+        trace = continuous_greedy(inst, util, cfg)
+        assert len(draws) == len(trace.iterations) + 1
+        assert all(len(profiles) == 50 for profiles in draws)
+        for rec, profiles in zip(trace.iterations, draws[1:]):
+            F = objective.f_exact(inst, util, profiles).mean()
+            assert rec.f_estimate == pytest.approx(F, rel=1e-12, abs=0)
 
 
 class TestBeta:

@@ -230,7 +230,8 @@ class TestMarginals:
     def test_at_zero_matches_singletons(self, rng):
         inst = generate_random(3, 2, model="TABLE", seed=61)
         util = make_utility(inst)
-        omega = marginal_omega(inst, util, np.zeros((3, 2)), 50, rng)
+        omega, F = marginal_omega(inst, util, np.zeros((3, 2)), 50, rng)
+        assert F == 0.0
         for v in range(1, 4):
             for d in range(1, 3):
                 single = f_exact(inst, util, [Allocation([(v, d)]).profile(3)])[0]
@@ -240,7 +241,7 @@ class TestMarginals:
         inst = generate_random(2, 1, model="TABLE", seed=62)
         util = make_utility(inst)
         y = np.array([[1.0], [0.0]])
-        omega = marginal_omega(inst, util, y, 200, rng)
+        omega, _ = marginal_omega(inst, util, y, 200, rng)
         assert omega[0, 0] == 0.0
 
     def test_sampled_tracks_exact(self):
@@ -248,8 +249,9 @@ class TestMarginals:
         util = make_utility(inst)
         y = np.array([[0.4], [0.6]])
         exact, _ = marginal_omega_exact(inst, util, y)
-        est = marginal_omega(inst, util, y, 50_000, np.random.default_rng(7))
+        est, F_est = marginal_omega(inst, util, y, 50_000, np.random.default_rng(7))
         assert np.all(np.abs(est - exact) <= 3 * 2 / np.sqrt(50_000) + 1e-9)
+        assert abs(F_est - multilinear_F_exact(inst, util, y)) <= 3 * 2 / np.sqrt(50_000)
 
 
 def reference_F(inst, util, y):
@@ -336,10 +338,12 @@ class TestClosedFormAgainstEnumeration:
     def test_sampled_over_the_same_draws(self, model, eps):
         inst, util, y = closed_form_case(model, eps)
         F_ref, omega_ref = reference_draws(inst, util, y, 40, np.random.default_rng(73))
-        omega = marginal_omega(inst, util, y, 40, np.random.default_rng(73))
+        omega, F_draws = marginal_omega(inst, util, y, 40, np.random.default_rng(73))
         assert np.allclose(omega, omega_ref, rtol=0.0, atol=1e-12)
         F_est = multilinear_F_mc(inst, util, y, 40, np.random.default_rng(73))
         assert F_est == pytest.approx(F_ref, abs=1e-12)
+        # the marginals' F is the mean f over their own draws
+        assert F_draws == pytest.approx(F_est, rel=1e-12, abs=1e-12)
 
 
 def utility_gamma(n):
@@ -430,7 +434,7 @@ class TestKernelsAgainstReference:
         y[0, -1] = 1.0
         y[1] = 0.0
         ours, theirs = np.random.default_rng(83), np.random.default_rng(83)
-        omega = marginal_omega(inst, util, y, 200, ours)
+        omega, _ = marginal_omega(inst, util, y, 200, ours)
         expected = marginal_omega_lifted(inst, util, y, 200, theirs)
         np.testing.assert_allclose(omega, expected, rtol=1e-12, atol=0)
         assert ours.random() == theirs.random()

@@ -11,7 +11,7 @@ from couponcascade.instance import generate_random, save_instance
 from couponcascade.objective import cost_exact, f_exact
 from couponcascade.oracle import (
     OracleError,
-    concave_extension_value,
+    ProfileTable,
     enumerate_feasible_allocations,
     solve_concave_relaxation,
     solve_optimal_policy,
@@ -65,14 +65,14 @@ class TestBatchedF:
     def test_matches_enumeration(self, model, n, m, eps):
         inst = generate_random(n, m, model=model, edge_density=0.5, epsilon=eps, seed=81)
         util = make_utility(inst)
-        profiles = enumerate_feasible_allocations(inst, respect_K=False)
+        profiles = enumerate_feasible_allocations(inst)
         expected = [enumerated_f(inst, util, p) for p in profiles]
         assert np.allclose(oracle.f_exact(inst, util, profiles), expected, rtol=1e-12, atol=0)
 
     def test_many_row_blocks(self):
         inst = generate_random(10, 1, model="TABLE", epsilon=0.1, seed=82)
         util = make_utility(inst)
-        profiles = enumerate_feasible_allocations(inst, respect_K=False)
+        profiles = enumerate_feasible_allocations(inst)
         rows = oracle.BLOCK_ENTRIES >> inst.n
         assert len(profiles) >= 8 * rows  # the batch spans many blocks
         values = oracle.f_exact(inst, util, profiles)
@@ -118,17 +118,20 @@ class TestEnumeration:
     def test_distribution_filter(self):
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]],
                               dist_cost=np.array([5.0, 5.0]), budget_K=5.0)
-        allocs = enumerate_feasible_allocations(inst)
-        assert len(allocs) == 3  # empty, {1}, {2}; both together cost 10 > 5
+        table = ProfileTable(inst, make_utility(inst))
+        assert len(enumerate_feasible_allocations(inst)) == 4
+        # empty, {1}, {2}; both together cost 10 > 5
+        assert table.profiles[table.within_K].tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_profiles_in_lexicographic_order(self):
         inst = generate_random(4, 2, model="TABLE", seed=84, extension=True)
         affordable = [p for p in product(range(3), repeat=4)
                       if sum(inst.dist_cost[v] for v, d in enumerate(p) if d) <= inst.budget_K]
         assert 0 < len(affordable) < 3 ** 4
-        assert enumerate_feasible_allocations(inst) == affordable
-        assert enumerate_feasible_allocations(inst, respect_K=False) == list(
-            product(range(3), repeat=4))
+        table = ProfileTable(inst, make_utility(inst))
+        assert list(map(tuple, table.profiles[table.within_K].tolist())) == affordable
+        assert enumerate_feasible_allocations(inst) == list(product(range(3), repeat=4))
+        assert table.profiles.tolist() == list(map(list, product(range(3), repeat=4)))
 
     def test_size_limit(self, monkeypatch):
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
@@ -142,7 +145,7 @@ class TestOptimalPolicy:
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 2.0},
                               [[0.5]], budget_B=10.0)
         util = make_utility(inst)
-        policy, value = solve_optimal_policy(inst, util)
+        policy, value = solve_optimal_policy(ProfileTable(inst, util))
         assert value == pytest.approx(0.5 * 2.0)
         assert any(np.count_nonzero(a) == 1 for a, p in policy.support if p > 0.5)
 
@@ -151,7 +154,7 @@ class TestOptimalPolicy:
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 2.0},
                               [[0.5]], budget_B=0.01)
         util = make_utility(inst)
-        policy, value = solve_optimal_policy(inst, util)
+        policy, value = solve_optimal_policy(ProfileTable(inst, util))
         # the only way to spend within budget is heavy mass on the empty set
         assert value == pytest.approx(0.01 / 0.5 * 1.0, rel=1e-9)
 
@@ -161,7 +164,7 @@ class TestOptimalPolicy:
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 3.0},
                               [[1.0]], coupon_values=np.array([2.0]), budget_B=1.0)
         util = make_utility(inst)
-        policy, value = solve_optimal_policy(inst, util)
+        policy, value = solve_optimal_policy(ProfileTable(inst, util))
         S = [(1,)]
         theta_star = inst.budget_B / cost_exact(inst, S)[0]
         assert value == pytest.approx(theta_star * f_exact(inst, util, S)[0])
@@ -172,15 +175,30 @@ class TestOptimalPolicy:
         for seed in range(5):
             inst = generate_random(3, 2, model="TABLE", seed=seed)
             util = make_utility(inst)
-            policy, _ = solve_optimal_policy(inst, util)
+            policy, _ = solve_optimal_policy(ProfileTable(inst, util))
             assert len(policy.support) <= 2
 
     def test_policy_is_feasible(self):
         inst = generate_random(3, 2, model="TABLE", seed=17)
         util = make_utility(inst)
-        policy, _ = solve_optimal_policy(inst, util)
+        policy, _ = solve_optimal_policy(ProfileTable(inst, util))
         expected_cost = sum(p * cost_exact(inst, [a])[0] for a, p in policy.support)
         assert expected_cost <= inst.budget_B + 1e-9
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extended_policy_keeps_to_K(self, seed):
+        # the policy LP's columns are the profiles within K, and only those
+        inst = generate_random(3, 2, model="TABLE", seed=seed, extension=True)
+        util = make_utility(inst)
+        policy, value = solve_optimal_policy(ProfileTable(inst, util))
+        affordable = [p for p in product(range(3), repeat=3)
+                      if sum(inst.dist_cost[v] for v, d in enumerate(p) if d) <= inst.budget_K]
+        assert len(affordable) < 3 ** 3
+        A = np.vstack([np.ones(len(affordable)), cost_exact(inst, affordable)])
+        want = solve_generic_lp(f_exact(inst, util, affordable), A, [1.0, inst.budget_B])
+        assert value == pytest.approx(want.objective_value, rel=1e-12)
+        assert all(profile in affordable for profile, _ in policy.support)
 
 
 class TestConcaveRelaxation:
@@ -189,7 +207,7 @@ class TestConcaveRelaxation:
         big = table_instance(inst.gamma_table, inst.adoption,
                              coupon_values=inst.coupon_values, budget_B=100.0)
         util = make_utility(big)
-        _, value = solve_concave_relaxation(big, util, "PB")
+        _, value = solve_concave_relaxation(ProfileTable(big, util), "PB")
         best = max(f_exact(big, util, enumerate_feasible_allocations(big)))
         assert value == pytest.approx(best, rel=1e-8)
 
@@ -198,8 +216,8 @@ class TestConcaveRelaxation:
         inst = generate_random(3, 2, model="TABLE", seed=seed,
                                epsilon=0.1 if seed % 2 else 0.0)
         util = make_utility(inst)
-        _, policy_value = solve_optimal_policy(inst, util)
-        _, relax_value = solve_concave_relaxation(inst, util, "PB")
+        _, policy_value = solve_optimal_policy(ProfileTable(inst, util))
+        _, relax_value = solve_concave_relaxation(ProfileTable(inst, util), "PB")
         assert relax_value >= policy_value - 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -207,8 +225,8 @@ class TestConcaveRelaxation:
         inst = generate_random(3, 2, model="TABLE", seed=seed, extension=True)
         util = make_utility(inst)
         b = 0.25
-        _, pb1 = solve_concave_relaxation(inst, util, "PB1")
-        _, pb2 = solve_concave_relaxation(inst, util, "PB2", b=b)
+        _, pb1 = solve_concave_relaxation(ProfileTable(inst, util), "PB1")
+        _, pb2 = solve_concave_relaxation(ProfileTable(inst, util), "PB2", b=b)
         assert pb2 >= b * pb1 - 1e-8
 
     def test_extension_at_integral_point_dominates_f(self):
@@ -216,20 +234,22 @@ class TestConcaveRelaxation:
         util = make_utility(inst)
         y = np.array([[0.0, 1.0], [1.0, 0.0]])
         f_S = f_exact(inst, util, [(2, 1)])[0]
-        assert concave_extension_value(inst, util, y) >= f_S - 1e-9
+        table = ProfileTable(inst, util)
+        assert oracle._extension_lp(table, table.f, y).objective_value >= f_S - 1e-9
 
     def test_zero_point_is_zero(self):
         inst = generate_random(2, 2, model="TABLE", seed=20)
-        util = make_utility(inst)
-        assert concave_extension_value(inst, util, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-12)
+        table = ProfileTable(inst, make_utility(inst))
+        value = oracle._extension_lp(table, table.f, np.zeros((2, 2))).objective_value
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_mode_validation(self):
         inst = generate_random(2, 1, model="TABLE", seed=21)
         util = make_utility(inst)
         with pytest.raises(OracleError, match="budget_K"):
-            solve_concave_relaxation(inst, util, "PB1")
+            solve_concave_relaxation(ProfileTable(inst, util), "PB1")
         with pytest.raises(OracleError, match="unknown relaxation"):
-            solve_concave_relaxation(inst, util, "XX")
+            solve_concave_relaxation(ProfileTable(inst, util), "XX")
 
 
 def joint_y_violation(inst, y, k_bound):
@@ -251,7 +271,7 @@ class TestRelaxationAgainstJointLp:
                                seed=91 + 10 * n + m, extension=extension)
         util = make_utility(inst)
         for mode in ("PB", "PB1", "PB2") if extension else ("PB",):
-            y_plus, value = solve_concave_relaxation(inst, util, mode, b=0.25)
+            y_plus, value = solve_concave_relaxation(ProfileTable(inst, util), mode, b=0.25)
             _, joint = solve_concave_relaxation_joint(inst, util, mode, b=0.25)
             assert abs(value - joint) <= 1e-12 * abs(joint), (mode, value, joint)
             k_bound = None if mode == "PB" else inst.budget_K * (0.25 if mode == "PB2" else 1)
@@ -262,8 +282,8 @@ class TestRelaxationAgainstJointLp:
         for seed in range(3):
             inst = generate_random(4, 2, model="TABLE", seed=seed, epsilon=0.1)
             util = make_utility(inst)
-            assert solve_concave_relaxation(inst, util, "PB")[1] == \
-                solve_optimal_policy(inst, util)[1]
+            assert solve_concave_relaxation(ProfileTable(inst, util), "PB")[1] == \
+                solve_optimal_policy(ProfileTable(inst, util))[1]
 
 
 class TestJointCertificate:
@@ -275,8 +295,8 @@ class TestJointCertificate:
         # the distribution knapsack binds in PB2: PB's value is higher
         inst = generate_random(4, 2, model="TABLE", seed=5, extension=True)
         util = make_utility(inst)
-        _, pb2 = solve_concave_relaxation(inst, util, "PB2")
-        _, pb = solve_concave_relaxation(inst, util, "PB")
+        _, pb2 = solve_concave_relaxation(ProfileTable(inst, util), "PB2")
+        _, pb = solve_concave_relaxation(ProfileTable(inst, util), "PB")
         assert pb > pb2 * (1 + 1e-6)
         return inst, util, pb2
 
@@ -293,7 +313,7 @@ class TestJointCertificate:
 
         monkeypatch.setattr(oracle, "solve_generic_lp", without_k_row)
         with pytest.raises(NumericError, match="joint LP's rows"):
-            solve_concave_relaxation(inst, util, "PB2")
+            solve_concave_relaxation(ProfileTable(inst, util), "PB2")
         assert values[0] > pb2 * (1 + 1e-6)
 
     def test_unpriced_row_fails_the_dual_check(self, binding, monkeypatch):
@@ -307,7 +327,7 @@ class TestJointCertificate:
 
         monkeypatch.setattr(oracle, "solve_generic_lp", kappa_zero)
         with pytest.raises(NumericError):
-            solve_concave_relaxation(inst, util, "PB2")
+            solve_concave_relaxation(ProfileTable(inst, util), "PB2")
 
 
 class TestLargeRelaxation:
@@ -319,7 +339,7 @@ class TestLargeRelaxation:
     def test_pb_value(self):
         inst = generate_random(7, 4, model="TABLE", seed=1)
         start = time.perf_counter()
-        _, value = solve_concave_relaxation(inst, make_utility(inst), "PB")
+        _, value = solve_concave_relaxation(ProfileTable(inst, make_utility(inst)), "PB")
         assert time.perf_counter() - start < 60
         assert abs(value - self.PB_VALUE) <= 1e-12 * self.PB_VALUE
 
@@ -336,17 +356,17 @@ class TestLargeRelaxation:
 class TestSandwichVerifier:
     def test_eps_zero_trivially_tight(self):
         inst = generate_random(3, 2, model="TABLE", seed=22)
-        report = verify_eps_sandwich(inst, make_utility(inst))
+        report = verify_eps_sandwich(ProfileTable(inst, make_utility(inst)))
         assert report.ok and report.max_violation == 0.0
 
     def test_perturbed_passes_by_construction(self):
         inst = generate_random(3, 2, model="TABLE", seed=23, epsilon=0.2)
-        report = verify_eps_sandwich(inst, make_utility(inst))
+        report = verify_eps_sandwich(ProfileTable(inst, make_utility(inst)))
         assert report.ok
 
     def test_negative_control(self):
         inst = table_instance(modular_table([1.0, 1.0]), [[0.5], [0.5]])
-        report = verify_eps_sandwich(inst, Bad())
+        report = verify_eps_sandwich(ProfileTable(inst, Bad()))
         assert not report.ok
         assert report.witnesses
 
@@ -354,13 +374,13 @@ class TestSandwichVerifier:
 class TestDominanceVerifier:
     def test_eps_zero_equality(self):
         inst = generate_random(2, 2, model="TABLE", seed=24)
-        report = verify_concave_dominance(inst, make_utility(inst), points=3)
+        report = verify_concave_dominance(ProfileTable(inst, make_utility(inst)), points=3)
         assert report.ok and report.max_violation == 0.0
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_perturbed_dominated(self, eps):
         inst = generate_random(3, 2, model="TABLE", seed=25, epsilon=eps)
-        report = verify_concave_dominance(inst, make_utility(inst), points=4)
+        report = verify_concave_dominance(ProfileTable(inst, make_utility(inst)), points=4)
         assert report.ok
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
@@ -368,14 +388,11 @@ class TestDominanceVerifier:
     def test_reference_lp_warm_starts_from_the_perturbed_one(self, eps, seed):
         # same rows, another objective: the warm start reaches the cold optimum
         inst = generate_random(3, 3, model="TABLE", seed=40 + seed, epsilon=eps)
-        util = make_utility(inst)
-        profiles = enumerate_feasible_allocations(inst, respect_K=False)
-        f_vals = f_exact(inst, util, profiles)
-        g_vals = f_exact(inst, util.reference_q, profiles)
+        table = ProfileTable(inst, make_utility(inst))
         y = np.random.default_rng(seed).random((3, 3)) / 3.0
-        f_sol = oracle._extension_lp(inst, profiles, f_vals, y)
-        warm = oracle._extension_lp(inst, profiles, g_vals, y, start=f_sol.final)
-        cold = oracle._extension_lp(inst, profiles, g_vals, y)
+        f_sol = oracle._extension_lp(table, table.f, y)
+        warm = oracle._extension_lp(table, table.g, y, start=f_sol.final)
+        cold = oracle._extension_lp(table, table.g, y)
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
         assert warm.pivots <= cold.pivots
         if eps == 0.0:  # the reference is the objective itself
