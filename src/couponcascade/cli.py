@@ -40,9 +40,15 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
-STEP = click.FloatRange(1e-6, 1.0)  # at most 10^6 ascent steps
+MAX_STEPS = 10**6  # the most ascent steps a solve takes
+STEP = click.FloatRange(1.0 / MAX_STEPS, 1.0)
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
 ORACLE_LIMIT = 4096  # largest (m+1)^n allocation count `solve` compares against the oracle
+
+
+class StepCountError(ValueError):
+    """The default step 1/(nm)^2 would take more than MAX_STEPS ascent steps."""
+
 
 # The exceptions `solve` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
 # is a bug and surfaces with its traceback.
@@ -149,6 +155,11 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
               want_trace=False, with_oracle=True):
     """The solve pipeline shared by `solve` and `bench`."""
     inst = load_instance(path)
+    if delta is None:
+        steps = greedy._step_count(greedy.GreedyConfig().step(inst))
+        if steps > MAX_STEPS:
+            raise StepCountError(f"n*m = {inst.n * inst.m}: the default step 1/(nm)^2 would "
+                                 f"take {steps} ascent steps, more than {MAX_STEPS}; give --delta")
     util = make_utility(inst, mc_samples=mc_samples)
     extended = inst.budget_K is not None
     exact_ok = util.exact and inst.n * inst.m <= 16
@@ -227,6 +238,9 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                "lp_fallbacks": trace.lp_fallbacks,
                "lp_max_gap": trace.lp_max_gap,
                "marginal_windows": trace.marginal_windows,
+               "points_folded": trace.points_folded,
+               "planned_windows": trace.planned_windows,
+               "planned_steps_kept": trace.planned_steps_kept,
                "marginals_s": trace.marginals_s, "F_s": trace.F_s, "lp_s": trace.lp_s}
     return report, timings
 
@@ -239,7 +253,8 @@ def main():
 @main.command()
 @click.option("-i", "--instance", "path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", type=STEP, default=None, help="Ascent step; default 1/(nm)^2.")
+@click.option("--delta", type=STEP, default=None,
+              help="Ascent step; default 1/(nm)^2, for n*m up to 1000.")
 @click.option("--mc-samples", type=COUNT, default=10_000, show_default=True,
               help="Live-edge worlds sampled per utility (LT, and IC above 20 edges); "
                    "also the coin draws per rounded profile of such a utility.")
@@ -260,7 +275,7 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
             path, delta, mc_samples, marginal_samples, rounds, b, seed,
             want_trace=trace, with_oracle=not no_oracle,
         )
-    except INPUT_ERRORS as exc:
+    except INPUT_ERRORS + (StepCountError,) as exc:
         _fail(EXIT_USAGE, str(exc))
     except NUMERIC_ERRORS as exc:
         _fail(EXIT_NUMERIC, str(exc))
@@ -341,7 +356,8 @@ def oracle_cmd(path, b, points, seed, out):
 def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
     """Run the solve pipeline over every instance in a directory.
 
-    Exits 3 after the report if a solve failed with a numeric error.
+    Exits 3 after the report if a solve failed with a numeric error, and 2
+    at once if an instance needs --delta.
     """
     paths = sorted(Path(directory).glob("*.json"))
     rows = []
@@ -352,6 +368,8 @@ def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
             report, _ = run_solve(
                 str(path), delta, mc_samples, marginal_samples, rounds, b, seed,
             )
+        except StepCountError as exc:  # a usage error: the run needs --delta
+            _fail(EXIT_USAGE, str(exc))
         except INPUT_ERRORS + NUMERIC_ERRORS as exc:  # keep going; mark the failed row
             numeric_failure = numeric_failure or isinstance(exc, NUMERIC_ERRORS)
             rows.append({"path": str(path), "failed": True,

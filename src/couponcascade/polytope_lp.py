@@ -11,9 +11,15 @@ the final tableau.  Any basis of {Ax <= b} stays primal feasible when only
 c changes, so an LP may warm-start from the final tableau of an earlier
 solve over the same (A, b): the ascent's per-step LPs do, and so do the
 oracle's extension LPs.  The ascent also checks a window of several steps'
-objectives against one kept basis at once (`solve_inner_lp` with a stack
-of weights): one matrix product gives every row's objective row, and only
-the first row on which the basis is not optimal needs a simplex solve.
+objectives at once (`solve_inner_lp` with a stack of weights) against a
+planned path: each step keeps the basis before it or enters one column.
+`replay_pivots` builds the path's tableaux with the simplex's own pivot
+(`_pivot`, its ratio test and rank-1 update), so a planned tableau is the
+one the simplex would reach, bit for bit.  One product gives every row's
+objective row.  A row is kept when the simplex, started from the row
+before, would do as planned: stop at once where the basis is kept, or take
+exactly the planned Dantzig pivot and stop.  Only the first row that fails
+needs a simplex solve.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -109,6 +115,7 @@ class LpSolution:
     pivots: int = 0
     fell_back: bool = False  # Bland's rule took over from Dantzig's
     final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
+    planned: bool = False  # kept as a planned path planned it, without a simplex solve
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
@@ -167,24 +174,61 @@ def simplex_maximize(c, A, b, start=None):
         if not improving.any():
             break
         enter = int(np.argmax(improving)) if bland else int(np.argmin(reduced))
-        col = T[:n_rows, enter]
-        rows = np.flatnonzero(col > 1e-10)
-        if not rows.size:
-            raise UnboundedError("LP is unbounded")
-        ratios = T[rows, -1] / col[rows]
-        ties = rows[ratios == ratios.min()]
-        leave = ties[np.argmin(basis[ties])]
-        degenerate = degenerate + 1 if T[leave, -1] <= 1e-10 else 0
+        step = _pivot(T, basis, enter, update)
+        degenerate = degenerate + 1 if step <= 1e-10 else 0
         bland = bland or degenerate >= DEGENERATE_RUN
-        pivot_row = T[leave] / T[leave, enter]
-        T -= np.multiply.outer(T[:, enter], pivot_row, out=update)
-        T[leave] = pivot_row
-        basis[leave] = enter
     else:
         raise NumericError("pivot limit exceeded")
 
     dual = T[-1, n_vars:n_vars + n_rows].copy()
     return basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, pivots, bland, (T, basis)
+
+
+def _pivot(T, basis, enter: int, update) -> float:
+    """One simplex pivot of (T, basis) in place, entering column `enter`.
+
+    The ratio test picks the leaving row: the smallest ratio of right-hand
+    side to a positive entry of the column, ties going to the lowest basic
+    index.  The pivot is one rank-1 update of the dense tableau, built in
+    `update`, a buffer of T's shape.  Each constraint row's new entries
+    depend only on the constraint rows, so the same pivot from the same
+    constraint rows gives the same ones, bit for bit, whatever the objective
+    row holds.  Returns the leaving row's right-hand side before the pivot:
+    zero for a degenerate pivot, which does not move the vertex.
+    """
+    col = T[:-1, enter]
+    rows = (col > 1e-10).nonzero()[0]
+    if not rows.size:
+        raise UnboundedError("LP is unbounded")
+    ratios = T[rows, -1] / col[rows]
+    ties = rows[ratios == ratios.min()]
+    leave = ties[basis[ties].argmin()]
+    step = T[leave, -1]
+    pivot_row = T[leave] / T[leave, enter]
+    T -= np.multiply(T[:, enter, None], pivot_row, out=update)
+    T[leave] = pivot_row
+    basis[leave] = enter
+    return step
+
+
+def replay_pivots(start, enters) -> list:
+    """The (tableau, basis) pair each of a run of planned ascent steps ends on.
+
+    Each step's entry in `enters` is None, to keep the basis before it, or
+    the column that enters by one simplex pivot (`_pivot`).  A pivoted pair
+    is then the final that `simplex_maximize`, started from the pair before
+    (`start` for the first step), reaches when its Dantzig rule enters that
+    column and the pivot leaves an optimal basis; its constraint rows are
+    bit for bit those of the simplex.  A kept basis repeats the same pair.
+    """
+    path, final = [], start
+    for enter in enters:
+        if enter is not None:
+            T, basis = final[0].copy(), final[1].copy()
+            _pivot(T, basis, enter, np.empty_like(T))
+            final = (T, basis)
+        path.append(final)
+    return path
 
 
 def basis_vertex(final, n_vars: int) -> np.ndarray:
@@ -226,19 +270,23 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     return LpSolution(x, value, dual, gap, pivots, fell_back, final)
 
 
-def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
+def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=None):
     """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope.
 
     `start` is the `final` of an earlier solution over the same spec; the
     solve warm-starts from its basis.
 
     weights may also be a (J, n, m) stack, the objectives of J successive
-    ascent steps.  Then every row's objective row over the start's basis
-    comes from one matrix product, and the leading rows on which that
-    basis is optimal (simplex_maximize's stopping test, for a nonzero
-    objective) keep it without a pivot and are certified together.  The
-    first row it fails is solved from the start as above; the rows after it
-    are dropped.  Returns the list of solutions, one per row kept.
+    ascent steps, and `path` the final each step is planned to end on
+    (`replay_pivots`; by default every step keeps the start's basis).  Row
+    j is kept without a simplex solve when `simplex_maximize`, started from
+    row j-1's planned final, would end on row j's: for a kept basis, that
+    basis is optimal; for a planned pivot, Dantzig's rule enters the
+    planned column and the pivot leaves an optimal basis.  The objective
+    must be nonzero.  One product gives every row's objective row, and the
+    leading rows that pass are certified together.  The first row that
+    fails is solved from its predecessor's final as above, and the rows
+    after it are dropped.  Returns the list of solutions, one per row kept.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (2, 3) or weights.shape[-2:] != (spec.n, spec.m):
@@ -249,9 +297,12 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     if weights.ndim == 2:
         return _solve_inner(weights.reshape(-1), spec, A, b, start)
     rows = weights.reshape(len(weights), -1)
-    kept = [] if start is None else _kept_by_basis(rows, spec, A, b, start)
+    if start is None:
+        return [_solve_inner(rows[0], spec, A, b, None)]
+    finals = [start] + list(path if path is not None else [start] * len(rows))
+    kept = _kept_along(rows, spec, A, b, finals)
     if len(kept) < len(rows):
-        kept.append(_solve_inner(rows[len(kept)], spec, A, b, start))
+        kept.append(_solve_inner(rows[len(kept)], spec, A, b, finals[len(kept)]))
     return kept
 
 
@@ -265,27 +316,71 @@ def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
     return sol
 
 
-def _kept_by_basis(C, spec: PolytopeSpec, A, b, start) -> list[LpSolution]:
-    """Solutions for the leading rows of C on which start's basis is optimal."""
-    T, basis = start
+def _kept_along(C, spec: PolytopeSpec, A, b, finals) -> list[LpSolution]:
+    """Solutions for the leading rows of C that end on their planned final
+    without a simplex solve: row j starts from finals[j] and is planned to
+    end on finals[j + 1]."""
     n_rows, n_vars = A.shape
+    T, basis = finals[0]
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
         raise LpError("start tableau does not match the LP's shape")
+    C = C[:len(finals) - 1]
+    finals = finals[:len(C) + 1]
+    pivoted = np.array([after is not before for before, after in zip(finals, finals[1:])])
+    replayed = pivoted.any()
     costs = np.zeros((len(C), n_vars + n_rows))
     costs[:, :n_vars] = C
     # einsum, not @: a matrix product would make OpenBLAS map its gemm
     # buffer, a quarter MB of resident memory that no other LP here needs.
-    objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
+    if replayed:
+        tableaux = np.stack([final[0][:n_rows] for final in finals])
+        bases = np.stack([final[1] for final in finals])
+        objective = np.einsum("jr,jrc->jc", np.take_along_axis(costs, bases[:-1], axis=1),
+                              tableaux[:-1])
+    else:  # the start's basis all along; one tableau, not a stack of copies, is faster
+        objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
     objective[:, :n_vars] -= C
-    optimal = ~(objective[:, :-1] < -1e-10).any(axis=1) & C.any(axis=1)
-    kept = len(C) if optimal.all() else int(optimal.argmin())
+    ok = C.any(axis=1)
+    if replayed:
+        ok &= _dantzig_pivots(objective, tableaux, bases, pivoted)
+    ok &= ~(objective[:, :-1] < -1e-10).any(axis=1)
+    kept = len(C) if ok.all() else int(ok.argmin())
     if not kept:
         return []
-    x = basis_vertex(start, n_vars)
-    spec.check_feasible(x.reshape(spec.n, spec.m))
     values = objective[:kept, -1]
     duals = objective[:kept, n_vars:n_vars + n_rows]
-    gaps = _certify(C[:kept], A, b, x, values, duals)
-    return [LpSolution(x, float(value), dual, float(gap), final=start)
-            for value, dual, gap in zip(values, duals, gaps)]
+    gaps = _certify(C[:kept], A, b, None, values, duals)
+    solutions = []
+    for j in range(kept):
+        final = finals[j + 1]
+        if j == 0 or pivoted[j]:
+            x = basis_vertex(final, n_vars)
+            spec.check_feasible(x.reshape(spec.n, spec.m))
+        solutions.append(LpSolution(x, float(values[j]), duals[j], float(gaps[j]),
+                                    int(pivoted[j]), final=final, planned=True))
+    return solutions
 
+
+def _dantzig_pivots(objective, tableaux, bases, pivoted):
+    """Whether, in each row with a planned pivot, Dantzig's rule in
+    simplex_maximize enters the planned column from the objective row
+    `objective[j]`.  Applies the pivots to those rows, so they become the
+    objective rows of the planned bases.
+
+    tableaux and bases are the constraint rows and bases of the J + 1
+    finals; a planned pivot changes one basic variable, and the ratio test
+    that chose it ran on the same constraint rows as the simplex's would.
+    """
+    moved = bases[1:] != bases[:-1]
+    leave = moved.argmax(axis=1)
+    steps = np.arange(len(leave))
+    enter = bases[1:][steps, leave]
+    entering = objective[steps, enter]
+    others = objective[:, :-1].copy()
+    others[steps, enter] = np.inf
+    # It must lead every other column by more than rounding: this product
+    # and the simplex's sum the same terms in different orders.
+    dantzig = (entering < -1e-10) & (entering < others.min(axis=1) - 1e-10)
+    # the simplex's own update of the objective row
+    objective -= np.where(pivoted, entering, 0.0)[:, None] * tableaux[1:][steps, leave]
+    return dantzig | ~pivoted

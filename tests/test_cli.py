@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import run_cli as cli
-from couponcascade import cascade, oracle, rounding
+from couponcascade import cascade, greedy, oracle, rounding
 from couponcascade.cascade import make_utility
 from couponcascade.cli import _jsonify, _rounding_stats, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
@@ -174,6 +174,8 @@ class TestSolve:
         assert 0 < timings["lp_direction_changes"] <= min(35, timings["lp_pivots"])
         # exact marginals: one evaluation per window of steps, so fewer than steps
         assert 0 < timings["marginal_windows"] < 36
+        assert 36 <= timings["points_folded"] <= 8 * timings["marginal_windows"]
+        assert 0 <= timings["planned_windows"] <= timings["planned_steps_kept"] <= 36
         # seconds in the ascent's three layers, each inside the greedy's own time
         layers = [timings["marginals_s"], timings["F_s"], timings["lp_s"]]
         assert min(layers) > 0 and sum(layers) <= timings["greedy_s"]
@@ -301,6 +303,47 @@ def _dense_ic(**kw):
     inst = generate_random(6, 2, model="IC", edge_density=0.8, seed=3, **kw)
     assert len(inst.edges) > cascade.EXACT_EDGE_LIMIT
     return inst
+
+
+class TestDefaultStep:
+    """The default step 1/(nm)^2 takes (nm)^2 steps; past 10^6 of them,
+    as many as the smallest --delta allows, solve and bench exit 2."""
+
+    REASON = ("error: n*m = 1002: the default step 1/(nm)^2 would take 1004004 "
+              "ascent steps, more than 1000000; give --delta\n")
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("wide")
+        save_instance(generate_random(2, 501, model="TABLE", seed=1), directory / "wide.json")
+        return directory
+
+    def test_solve_exits_2(self, wide):
+        res = cli("solve", "-i", str(wide / "wide.json"))
+        assert res.returncode == 2
+        assert res.stderr == self.REASON and res.stdout == ""
+
+    def test_bench_exits_2(self, wide):
+        res = cli("bench", "-d", str(wide))
+        assert res.returncode == 2
+        assert res.stderr == self.REASON and res.stdout == ""
+
+    @pytest.mark.parametrize("m,delta", [(500, None), (501, "0.5")])
+    def test_ascent_runs_within_the_limit(self, tmp_path, monkeypatch, m, delta):
+        # n*m = 1000 takes exactly 10^6 default steps; --delta lifts the check
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(2, m, model="TABLE", seed=1), path)
+        calls = []
+
+        def stopped(inst, util, cfg):
+            calls.append(cfg.step(inst))
+            raise greedy.GreedyError("stopped before the ascent")
+
+        monkeypatch.setattr(greedy, "continuous_greedy", stopped)
+        args = ["solve", "-i", str(path)] + (["--delta", delta] if delta else [])
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 3 and "stopped before the ascent" in res.stderr
+        assert calls == [1e-6 if delta is None else 0.5]
 
 
 class TestSampledModels:

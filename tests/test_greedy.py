@@ -126,7 +126,8 @@ class TestWarmStartedAscent:
                                                           monkeypatch):
         warm = self.run(model, extended, kwargs)
         monkeypatch.setattr(greedy, "solve_inner_lp",
-                            lambda omega, spec, start=None: polytope_lp.solve_inner_lp(omega, spec))
+                            lambda omega, spec, start=None, path=None:
+                            polytope_lp.solve_inner_lp(omega, spec))
         cold = self.run(model, extended, kwargs)
         assert np.allclose(warm.final, cold.final, rtol=0, atol=1e-12)
         assert len(warm.iterations) == len(cold.iterations)
@@ -139,8 +140,8 @@ class TestWarmStartedAscent:
                                                           monkeypatch):
         solutions = []
 
-        def recording(omega, spec, start=None):
-            kept = polytope_lp.solve_inner_lp(omega, spec, start=start)
+        def recording(omega, spec, start=None, path=None):
+            kept = polytope_lp.solve_inner_lp(omega, spec, start=start, path=path)
             solutions.extend(kept)  # one solution per step taken
             return kept
 
@@ -194,6 +195,24 @@ class TestWindowedAscent:
         assert want.marginal_windows == len(want.iterations) == (shape[0] * shape[1]) ** 2
         assert got.marginal_windows < len(got.iterations)  # the windows took several steps
 
+    # The one-step LP zigzags between a few bases: each switch is one pivot
+    # that returns to a basis of the last few steps.
+    ZIGZAG = [dict(n=5, m=3, model="TABLE", seed=2, extension=True),
+              dict(n=4, m=3, model="IC", seed=2, edge_density=11 / 12)]
+
+    @pytest.mark.parametrize("kwargs", ZIGZAG)
+    def test_zigzag_replays_its_pivots(self, kwargs):
+        inst = generate_random(**kwargs)
+        assert inst.model == "TABLE" or len(inst.edges) == 11
+        util = make_utility(inst)
+        got = continuous_greedy(inst, util, GreedyConfig(seed=0))
+        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        same_ascent(got, want)
+        # fewer windows than direction changes: windows kept planned pivots
+        assert got.marginal_windows < got.lp_direction_changes
+        assert 0 < got.planned_windows and got.planned_steps_kept > got.planned_windows
+        assert got.marginal_windows <= got.points_folded
+
     @pytest.mark.parametrize("delta,steps", [(0.3, 4), (0.095, 11), (0.45, 3)])
     @pytest.mark.parametrize("case", FUZZ[1::5])
     def test_explicit_step_and_clipped_windows(self, case, delta, steps):
@@ -216,20 +235,44 @@ class TestWindowedAscent:
         same_ascent(got, want)
         assert got.marginal_windows == len(got.iterations) == 20
 
-    def test_window_is_capped(self):
-        inst = self.instance(*self.FUZZ[1])
-        util = make_utility(inst)
-        sizes = []
+    @staticmethod
+    def record_windows(monkeypatch):
+        """(points folded, steps taken, whether every point was kept) per window."""
+        windows = []
+        fold, solve = greedy.marginal_omega_exact, greedy.solve_inner_lp
 
-        def recording(inst, util, y):
-            sizes.append(len(y))
-            return objective.marginal_omega_exact(inst, util, y)
+        def folding(inst, util, y):
+            windows.append([len(y)])
+            return fold(inst, util, y)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(greedy, "marginal_omega_exact", recording)
-            trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        assert sizes[0] == 1 and max(sizes) == greedy.WINDOW
-        assert len(sizes) == trace.marginal_windows
+        def solving(omega, spec, start=None, path=None):
+            kept = solve(omega, spec, start=start, path=path)
+            windows[-1] += [len(kept), len(kept) == len(omega) and kept[-1].planned]
+            return kept
+
+        monkeypatch.setattr(greedy, "marginal_omega_exact", folding)
+        monkeypatch.setattr(greedy, "solve_inner_lp", solving)
+        return windows
+
+    def test_window_doubles_along_a_kept_run(self, monkeypatch):
+        # TABLE 6x4 changes direction 10 times in 576 steps: long kept runs
+        windows = self.record_windows(monkeypatch)
+        inst = generate_random(6, 4, model="TABLE", seed=3)
+        trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
+        assert len(windows) == trace.marginal_windows
+        assert sum(points for points, _, _ in windows) == trace.points_folded
+        assert windows[0] == [1, 1, False]  # the cold first step
+        size, taken = greedy.WINDOW, 1
+        for points, steps, kept_all in windows[1:]:
+            assert points == min(size, len(trace.iterations) - taken)
+            size = min(2 * size, greedy.MAX_WINDOW) if kept_all else greedy.WINDOW
+            taken += steps
+        sizes = [points for points, _, _ in windows]
+        assert sizes[:5] == [1, 8, 16, 32, greedy.MAX_WINDOW]
+        # the cap holds along the run, and the first failure resets the size
+        first_failure = next(i for i, w in enumerate(windows[1:], 1) if not w[2])
+        assert sizes[first_failure] == greedy.MAX_WINDOW
+        assert sizes[first_failure + 1] == greedy.WINDOW
 
     def test_zero_marginals_from_the_first_step(self):
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 0.0, frozenset({2}): 0.0,
@@ -273,9 +316,10 @@ class TestWindowedAscent:
             got = continuous_greedy(inst, util, GreedyConfig(delta=0.05))
         zero_steps = sum(rec.lp_value == 0.0 for rec in got.iterations)
         assert zero_steps == 9
-        # the first zero step ends a window; every later one is a window of one
-        assert sizes == [1, 8, 8] + [1] * (zero_steps - 1)
-        assert sum(sizes) == 25  # 53 when every zero step folds a full window
+        # the first zero step ends a window, which reached to the last step
+        # after a fully kept one; every later zero step is a window of one
+        assert sizes == [1, 8, 11] + [1] * (zero_steps - 1)
+        assert sum(sizes) == got.points_folded == 28
 
 
 class TestStepCount:
