@@ -10,28 +10,34 @@ step's optimal basis.  The per-step increment keeps every intermediate y
 inside the t-scaled polytope, and the final y inside the full polytope.
 
 Most steps keep the previous basis, and so move along the same direction;
-where the direction does change, the LP often zigzags, one pivot at a time,
-among a few bases.  The exact path therefore takes the steps in windows.
-Each step's basis is recorded, with the column its LP's one pivot entered.
-When the bases of the last 2p steps repeat with a period p <= MAX_PERIOD
-and every step of that cycle kept its basis or took one pivot, the window
-plans the cycle onwards: `replay_pivots` builds each planned step's
-(tableau, basis) from the one before with the simplex's own pivot.
-Otherwise every step of the window keeps the last basis.  The window lays
-out its points along the planned vertices, takes all their marginals in one
-batched fold, and hands the stack to one `solve_inner_lp` call, which keeps
-the leading steps whose LP the simplex would solve exactly as planned and
-solves the first one it would not.  The points after that step are dropped
-and the next window starts where it ended.  Each kept point is the one the
-one-step loop would reach, bit for bit.
+where the direction does change, the LP often returns, by the same pivots,
+to bases it has left before.  The exact path therefore takes the steps in
+windows, planned from a record of each basis's last two exits: the basis
+the step after it ended on, the columns that step's simplex entered, in
+order, and how many steps the basis had been held.  A window plans a
+recorded switch where both exits agree on the next basis and the columns,
+after as many steps as the earlier exit held the basis, and otherwise
+keeps the basis; `replay_pivots` builds each planned step's (tableau,
+basis) from the one before with the simplex's own pivots.
+The window lays out its points along the planned vertices, takes all their
+marginals in one batched fold, and hands the stack to one `solve_inner_lp`
+call.  That call keeps the leading steps whose LP the simplex would solve
+exactly as planned, and solves the first one it cannot keep; when that
+solve ends on the planned final it checks the rest of the plan, and
+otherwise the points after that step are dropped and the next window
+starts where it ended.  Each kept point is the one the one-step loop would
+reach, bit for bit.
 
 A window starts at WINDOW points and one that keeps every step doubles the
-next, up to MAX_WINDOW; the first step that fails the plan resets it to
-WINDOW.  So a long kept run, or a cycle that holds, costs few folds, while
-after a failure speculation backs off to WINDOW points and their replayed
-pivots; where no cycle shows, nothing is replayed.  A step whose LP gained nothing
-(value 0) leaves y where it was, so the next window is one step.  The
-sampled path runs windows of one step: speculative draws from its
+next, up to MAX_WINDOW; a window that keeps fewer resets it to WINDOW.
+After two windows in a row that kept none of their planned steps, the
+windows are one point, solved by the plain warm simplex without a layout
+or a stacked check, until one of them keeps its basis, which resumes at
+WINDOW; a recorded switch ahead always gets WINDOW points.  So a long kept
+run, or a switch that repeats, costs few folds, and a run of switches
+nobody recorded costs one point each.  A step whose LP gained nothing
+(value 0) leaves y where it was, so the next window is one point.  The
+sampled path runs windows of one point: speculative draws from its
 generator would shift every later one.
 
 Each step records F at the y it reached.  Both kinds of marginals return F
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +72,6 @@ from couponcascade.polytope_lp import (
 
 WINDOW = 8  # exact-path steps whose marginals one batched fold takes at first
 MAX_WINDOW = 64  # a window that keeps every step doubles the next, up to this
-MAX_PERIOD = 6  # the longest cycle of bases a window replays
 
 
 class GreedyError(ValueError):
@@ -126,8 +130,10 @@ class GreedyTrace:
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     points_folded: int = 0  # points those evaluations took, kept or not
-    planned_windows: int = 0  # windows laid out along a replayed pivot cycle
+    planned_windows: int = 0  # windows laid out along a recorded switch
     planned_steps_kept: int = 0  # steps of those windows kept as planned, without a simplex solve
+    one_point_windows: int = 0  # windows of one point, solved by the plain warm simplex
+    continued_solves: int = 0  # steps the simplex solved onto their window's plan
     marginals_s: float = 0.0
     F_s: float = 0.0
     lp_s: float = 0.0
@@ -165,17 +171,22 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     t = 0.0
     start = None  # the basis of the last solve, which the next one starts from
     moved = False  # whether the last step's LP had anything to gain
-    size = WINDOW
-    history = deque(maxlen=2 * MAX_PERIOD)  # (basis, its one entering column) per step
+    size, failures = WINDOW, 0  # the next window's points; windows in a row that kept no step
+    record = {}  # basis -> its last two exits: (next basis, columns entered, steps held)
+    basis, held = None, 0  # the last step's basis, as bytes, and the steps it has been held
     while len(trace.iterations) < steps:
-        window = min(size if exact and moved else 1, steps - len(trace.iterations))
-        cycle = _pivot_cycle(history) if window > 1 else None
-        path = ([start] * window if cycle is None else
-                replay_pivots(start, [cycle[j % len(cycle)] for j in range(window)]))
-        points = _layout(y, t, delta, path)
+        left = steps - len(trace.iterations)
+        path, points, switched = None, y[None], False  # one point, by the plain warm simplex
+        if exact and moved and left > 1:
+            plan = _plan(record, basis, held, min(max(size, WINDOW), left))
+            switched = any(plan)
+            if size > 1 or switched:
+                path = replay_pivots(start, plan)
+                points = _layout(y, t, delta, path)
         t0 = time.perf_counter()
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
+            f_at = f_at.tolist()
         else:
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega, f_at = omega[None], [f_here]
@@ -183,13 +194,15 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         solutions = solve_inner_lp(omega, spec, start=start, path=path)
         t2 = time.perf_counter()
         trace.marginal_windows += 1
-        trace.points_folded += window
-        trace.planned_windows += cycle is not None
+        trace.points_folded += len(points)
+        trace.one_point_windows += path is None
+        trace.planned_windows += switched
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
+        records = trace.iterations
         for j, sol in enumerate(solutions):
-            if trace.iterations:  # F at the y the previous step reached
-                trace.iterations[-1].f_estimate = float(f_at[j])
+            if records:  # F at the y the previous step reached
+                records[-1].f_estimate = f_at[j]
             # Clip the last step so the total time is exactly 1 even when
             # 1/delta is not integral; otherwise the row caps would be overshot.
             h = min(delta, 1.0 - t)
@@ -197,19 +210,38 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             trace.lp_pivots += sol.pivots
             trace.lp_fallbacks += sol.fell_back
             trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
-            trace.planned_steps_kept += cycle is not None and sol.planned
-            y = y + h * sol.matrix(inst.n, inst.m)
+            trace.planned_steps_kept += switched and sol.planned
+            trace.continued_solves += sol.continued
             t += h
             # the next step's marginals, or the final F, fill in f_estimate
-            trace.iterations.append(IterationRecord(t, sol.objective_value, None))
-        if exact:  # sampled windows take one step and plan nothing
-            befores = [start] + [sol.final for sol in solutions[:-1]]
-            for before, sol in zip(befores[-history.maxlen:], solutions[-history.maxlen:]):
-                history.append(_history_entry(before, sol))
-        start = solutions[-1].final
-        moved = solutions[-1].objective_value != 0
-        kept_all = len(solutions) == window and solutions[-1].planned
-        size = min(2 * size, MAX_WINDOW) if kept_all else WINDOW
+            records.append(IterationRecord(t, sol.objective_value, None))
+            if sol.entered:
+                after = sol.final[1].tobytes()
+                if basis is not None:
+                    record[basis] = (record.get(basis, (None, None))[1],
+                                     (after, sol.entered, held))
+                basis, held = after, 0
+            held += 1
+        last, taken = solutions[-1], len(solutions)
+        # Each point of the layout is the y the steps before it reach when
+        # they end on their plan, bit for bit, as the steps of this window did.
+        if taken < len(points) and (last.planned or last.continued):
+            y = points[taken]
+        else:
+            y = points[taken - 1] + h * last.matrix(inst.n, inst.m)
+        start = last.final
+        moved = last.objective_value != 0
+        on_plan = sum(sol.planned or sol.continued for sol in solutions)
+        if path is None:
+            if size == 1 and not solutions[0].pivots:
+                size, failures = WINDOW, 0
+        elif on_plan == len(path):
+            size, failures = min(2 * len(path), MAX_WINDOW), 0
+        elif on_plan:
+            size, failures = WINDOW, 0
+        else:
+            failures += 1
+            size = 1 if failures >= 2 else WINDOW
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
@@ -223,6 +255,26 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     return trace
 
 
+def _plan(record, basis, held, count):
+    """The columns each of the next `count` steps is planned to enter, from
+    a basis held for `held` steps.  Where the basis's last two exits agree
+    on the next basis and the columns entered, the switch is planned after
+    as many steps as the earlier of them held it, so that holds which repeat
+    or alternate are both followed; every other step enters nothing and
+    keeps the basis."""
+    plan = []
+    while len(plan) < count:
+        exits = record.get(basis)
+        if exits is None or exits[0] is None or exits[0][:2] != exits[1][:2]:
+            break  # no switch this basis is sure to take: it is kept
+        basis, entered, hold = exits[0]
+        if hold < held:
+            break
+        plan += [()] * (hold - held) + [entered]
+        held = 1
+    return (plan + [()] * count)[:count]
+
+
 def _layout(y, t, delta, path):
     """The points a window reaches if each step ends on its planned final:
     y at time t, then each point one step along the vertex of the final
@@ -230,48 +282,19 @@ def _layout(y, t, delta, path):
     so each point is the one that loop reaches, bit for bit."""
     moves = np.empty((len(path),) + y.shape)
     moves[0] = y
-    if len(path) == 1:
-        return moves
     lengths, ahead = [], t
     for _ in path[1:]:
         h = min(delta, 1.0 - ahead)  # the clipped last step, as in the loop
         lengths.append(h)
         ahead += h
-    vertices, rows = [basis_vertex(path[0], y.size)], [0]
-    for before, after in zip(path, path[1:-1]):
-        if after is not before:
-            vertices.append(basis_vertex(after, y.size))
+    vertices, rows = [basis_vertex(path[0][1], y.size)], [0]
+    for entered, final in path[1:-1]:
+        if entered:
+            vertices.append(basis_vertex(final, y.size))
         rows.append(len(vertices) - 1)
     np.multiply(np.array(lengths)[:, None], np.array(vertices)[rows],
                 out=moves[1:].reshape(len(path) - 1, -1))
     return np.add.accumulate(moves, axis=0)
-
-
-def _history_entry(start, sol):
-    """A step's basis, as bytes, and the column its LP's one warm pivot
-    entered: None when it kept its start's basis, -1 after a cold solve or
-    several pivots."""
-    if sol.final is None:
-        return None, -1
-    basis = sol.final[1]
-    if sol.pivots == 0:
-        return basis.tobytes(), None
-    if start is None or sol.pivots > 1:
-        return basis.tobytes(), -1
-    return basis.tobytes(), int(basis[(basis != start[1]).argmax()])
-
-
-def _pivot_cycle(history):
-    """The entering columns of the next steps when the last 2p steps ended
-    on bases that repeat with period p <= MAX_PERIOD, and every step of the
-    cycle kept its basis or took one pivot; None otherwise.  The longest
-    period that repeats wins: it rests on the most steps."""
-    keys = [key for key, _ in history]
-    for p in range(len(keys) // 2, 0, -1):
-        if keys[-p:] == keys[-2 * p:-p]:
-            cycle = [enter for _, enter in history][-p:]
-            return None if -1 in cycle or cycle.count(None) == p else cycle
-    return None
 
 
 def approximation_beta(epsilon: float, n: int) -> float:

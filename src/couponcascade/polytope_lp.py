@@ -10,16 +10,22 @@ terminates; every optimal solve is certified by the dual solution read off
 the final tableau.  Any basis of {Ax <= b} stays primal feasible when only
 c changes, so an LP may warm-start from the final tableau of an earlier
 solve over the same (A, b): the ascent's per-step LPs do, and so do the
-oracle's extension LPs.  The ascent also checks a window of several steps'
-objectives at once (`solve_inner_lp` with a stack of weights) against a
-planned path: each step keeps the basis before it or enters one column.
+oracle's extension LPs.  The simplex reports the columns it entered, in
+order.  The ascent's (A, b) are checked once per `PolytopeSpec`, so its
+many solves check only their objectives.
+
+The ascent also checks a window of several steps' objectives at once
+(`solve_inner_lp` with a stack of weights) against a planned path: each
+step keeps the basis before it or enters a tuple of columns.
 `replay_pivots` builds the path's tableaux with the simplex's own pivot
 (`_pivot`, its ratio test and rank-1 update), so a planned tableau is the
-one the simplex would reach, bit for bit.  One product gives every row's
-objective row.  A row is kept when the simplex, started from the row
-before, would do as planned: stop at once where the basis is kept, or take
-exactly the planned Dantzig pivot and stop.  Only the first row that fails
-needs a simplex solve.
+one the simplex would reach, bit for bit.  One product gives the objective
+rows of the leading steps that keep their basis or take one pivot.  Such a
+row is kept when the simplex, started from the row before, would do as
+planned: stop at once where the basis is kept, or take exactly the planned
+Dantzig pivot and stop.  The first row that is not kept, a step of several
+pivots among them, is solved by the simplex from the row before's final;
+when it ends on the planned final the rest of the plan is checked in turn.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -79,7 +85,9 @@ class PolytopeSpec:
     def constraint_rows(self):
         """(A, b) for {y flat >= 0, A y <= b}: per-user caps, knapsack(s).
 
-        Built once per spec.  The box y <= 1 follows from the caps and y >= 0.
+        Built and checked as `simplex_maximize` checks its data once per
+        spec, so the ascent's solves need not check them again.  The box
+        y <= 1 follows from the caps and y >= 0.
         """
         rows = [np.kron(np.eye(self.n), np.ones(self.m)),
                 self.redemption_weights.reshape(1, -1)]
@@ -87,22 +95,27 @@ class PolytopeSpec:
         if self.budget_K is not None:
             rows.append(np.repeat(self.dist_cost, self.m)[None])
             bounds.append([self.budget_K])
-        return np.vstack(rows), np.concatenate(bounds)
+        A, b = np.vstack(rows), np.concatenate(bounds)
+        _check_rows(A, b)
+        return A, b
 
     def check_feasible(self, y: np.ndarray) -> None:
+        """Raise NumericError unless y, an (n, m) point or a (J, n, m) stack
+        of them, lies in the polytope up to rounding."""
         # ndarray methods, not the np.any / np.sum wrappers: the ascent runs
-        # this every step, and at desk scale the wrappers cost as much as the
-        # arithmetic.  Comparisons, not y.min(): the min of an array holding
-        # a NaN is NaN, which would hide a violating entry beside it.
+        # this every window, and at desk scale the wrappers cost as much as
+        # the arithmetic.  Comparisons, not y.min(): the min of an array
+        # holding a NaN is NaN, which would hide a violating entry beside it.
         if (y < -1e-9).any() or (y > 1 + 1e-9).any():
             raise NumericError("box constraint violated")
-        if (y.sum(axis=1) > 1 + 1e-9).any():
+        if (y.sum(axis=-1) > 1 + 1e-9).any():
             raise NumericError("per-user cap violated")
-        if float((self.redemption_weights * y).sum()) > self.budget_B + 1e-9 * (1 + self.budget_B):
+        redeemed = (self.redemption_weights * y).sum(axis=(-2, -1))
+        if (redeemed > self.budget_B + 1e-9 * (1 + self.budget_B)).any():
             raise NumericError("redemption knapsack violated")
         if self.budget_K is not None:
-            spend = float((self.dist_cost[:, None] * y).sum())
-            if spend > self.budget_K + 1e-9 * (1 + self.budget_K):
+            spend = (self.dist_cost[:, None] * y).sum(axis=(-2, -1))
+            if (spend > self.budget_K + 1e-9 * (1 + self.budget_K)).any():
                 raise NumericError("distribution knapsack violated")
 
 
@@ -112,10 +125,15 @@ class LpSolution:
     objective_value: float
     dual: np.ndarray
     duality_gap: float
-    pivots: int = 0
+    entered: tuple = ()  # the columns the pivots entered, in order
     fell_back: bool = False  # Bland's rule took over from Dantzig's
     final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
     planned: bool = False  # kept as a planned path planned it, without a simplex solve
+    continued: bool = False  # solved by the simplex onto its planned final
+
+    @property
+    def pivots(self) -> int:
+        return len(self.entered)
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
@@ -138,18 +156,29 @@ def simplex_maximize(c, A, b, start=None):
     objective row is rebuilt for c, as c_B B^-1 [A I b] - [c 0 0]; the
     pivot limit and the degenerate-run counter apply to this solve alone.
 
-    Returns (x, value, dual, pivots, fell_back, final), where final is the
+    Returns (x, value, dual, entered, fell_back, final), where entered is
+    the tuple of columns the pivots entered, in order, and final is the
     (tableau, basis) to pass as a later `start`.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n_rows, n_vars = A.shape
+    _check_rows(A, b, c)
+    return _simplex(c, A, b, start)
+
+
+def _check_rows(A, b, c=()):
+    """The input guards of `simplex_maximize`, on its data or on constant
+    (A, b) checked once for many objectives."""
     if (b < 0).any():
         raise LpError("right-hand sides must be nonnegative (origin-feasible form)")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise NumericError("non-finite LP data")
 
+
+def _simplex(c, A, b, start):
+    """`simplex_maximize` on float arrays that passed `_check_rows`."""
+    n_rows, n_vars = A.shape
     if start is None:
         T = np.zeros((n_rows + 1, n_vars + n_rows + 1))
         T[:n_rows, :n_vars] = A
@@ -167,13 +196,19 @@ def simplex_maximize(c, A, b, start=None):
         T[-1, :n_vars] -= c
 
     update = np.empty_like(T)  # the rank-1 term, reused by every pivot
-    degenerate, bland = 0, False
-    for pivots in range(MAX_PIVOTS):
-        reduced = T[-1, :-1]
-        improving = reduced < -1e-10
-        if not improving.any():
-            break
-        enter = int(np.argmax(improving)) if bland else int(np.argmin(reduced))
+    entered, degenerate, bland = [], 0, False
+    reduced = T[-1, :-1]  # a view: every pivot updates it in place
+    for _ in range(MAX_PIVOTS):
+        if bland:
+            improving = reduced < -1e-10
+            if not improving.any():
+                break
+            enter = int(improving.argmax())
+        else:  # the most negative reduced cost, unless none is negative
+            enter = int(reduced.argmin())
+            if not reduced[enter] < -1e-10:
+                break
+        entered.append(enter)
         step = _pivot(T, basis, enter, update)
         degenerate = degenerate + 1 if step <= 1e-10 else 0
         bland = bland or degenerate >= DEGENERATE_RUN
@@ -181,7 +216,8 @@ def simplex_maximize(c, A, b, start=None):
         raise NumericError("pivot limit exceeded")
 
     dual = T[-1, n_vars:n_vars + n_rows].copy()
-    return basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, pivots, bland, (T, basis)
+    return (basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, tuple(entered), bland,
+            (T, basis))
 
 
 def _pivot(T, basis, enter: int, update) -> float:
@@ -211,23 +247,27 @@ def _pivot(T, basis, enter: int, update) -> float:
     return step
 
 
-def replay_pivots(start, enters) -> list:
-    """The (tableau, basis) pair each of a run of planned ascent steps ends on.
+def replay_pivots(start, plan) -> list:
+    """The (entered, final) pair of each of a run of planned ascent steps.
 
-    Each step's entry in `enters` is None, to keep the basis before it, or
-    the column that enters by one simplex pivot (`_pivot`).  A pivoted pair
-    is then the final that `simplex_maximize`, started from the pair before
-    (`start` for the first step), reaches when its Dantzig rule enters that
-    column and the pivot leaves an optimal basis; its constraint rows are
-    bit for bit those of the simplex.  A kept basis repeats the same pair.
+    Each step's entry in `plan` is the tuple of columns it enters, in order,
+    by simplex pivots (`_pivot`) from the (tableau, basis) before it
+    (`start` for the first step); the empty tuple keeps that basis, and the
+    step repeats the same pair.  A pivoted pair is then the final that
+    `simplex_maximize`, started from the pair before, reaches when its
+    Dantzig rule enters those columns in that order and the last pivot
+    leaves an optimal basis; its constraint rows are bit for bit those of
+    the simplex.
     """
     path, final = [], start
-    for enter in enters:
-        if enter is not None:
+    for entered in plan:
+        if entered:
             T, basis = final[0].copy(), final[1].copy()
-            _pivot(T, basis, enter, np.empty_like(T))
+            update = np.empty_like(T)
+            for enter in entered:
+                _pivot(T, basis, enter, update)
             final = (T, basis)
-        path.append(final)
+        path.append((entered, final))
     return path
 
 
@@ -265,9 +305,14 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, value, dual, pivots, fell_back, final = simplex_maximize(c, A, b, start=start)
+    _check_rows(A, b, c)
+    return _certified(c, A, b, start)
+
+
+def _certified(c, A, b, start) -> LpSolution:
+    x, value, dual, entered, fell_back, final = _simplex(c, A, b, start)
     gap = _certify(c, A, b, x, value, dual)
-    return LpSolution(x, value, dual, gap, pivots, fell_back, final)
+    return LpSolution(x, value, dual, gap, entered, fell_back, final)
 
 
 def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=None):
@@ -277,16 +322,21 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     solve warm-starts from its basis.
 
     weights may also be a (J, n, m) stack, the objectives of J successive
-    ascent steps, and `path` the final each step is planned to end on
-    (`replay_pivots`; by default every step keeps the start's basis).  Row
-    j is kept without a simplex solve when `simplex_maximize`, started from
-    row j-1's planned final, would end on row j's: for a kept basis, that
-    basis is optimal; for a planned pivot, Dantzig's rule enters the
-    planned column and the pivot leaves an optimal basis.  The objective
-    must be nonzero.  One product gives every row's objective row, and the
-    leading rows that pass are certified together.  The first row that
-    fails is solved from its predecessor's final as above, and the rows
-    after it are dropped.  Returns the list of solutions, one per row kept.
+    ascent steps, and `path` the (entered, final) pair each step is planned
+    to end on (`replay_pivots`; by default every step keeps the start's
+    basis).  A stack of one row is solved by the warm simplex alone.  Row j
+    of a longer stack is kept without a simplex solve when `simplex_maximize`,
+    started from row j-1's planned final, would end on row j's: for a kept
+    basis, that basis is optimal; for one planned pivot, Dantzig's rule
+    enters the planned column and the pivot leaves an optimal basis.  The
+    objective must be nonzero.  One product gives the objective rows of a
+    run of such rows, and the leading rows that pass are certified
+    together.  The first row that fails, or that plans several pivots, is
+    solved from its predecessor's final as above.  When that solve ends on
+    the row's planned final (the same basis, and constraint rows equal bit
+    for bit), its solution is marked `continued` and the rows after it are
+    checked in turn; otherwise they are dropped.  Returns the list of
+    solutions, one per row kept.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (2, 3) or weights.shape[-2:] != (spec.n, spec.m):
@@ -297,13 +347,24 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     if weights.ndim == 2:
         return _solve_inner(weights.reshape(-1), spec, A, b, start)
     rows = weights.reshape(len(weights), -1)
-    if start is None:
-        return [_solve_inner(rows[0], spec, A, b, None)]
-    finals = [start] + list(path if path is not None else [start] * len(rows))
-    kept = _kept_along(rows, spec, A, b, finals)
-    if len(kept) < len(rows):
-        kept.append(_solve_inner(rows[len(kept)], spec, A, b, finals[len(kept)]))
-    return kept
+    if start is None or len(rows) == 1:
+        return [_solve_inner(rows[0], spec, A, b, start)]
+    path = path if path is not None else [((), start)] * len(rows)
+    finals = [start] + [final for _, final in path]
+    kept = []
+    while True:
+        j = len(kept)
+        kept += _kept_along(rows[j:], spec, A, b, finals[j], path[j:])
+        j = len(kept)
+        if j == len(rows):
+            return kept
+        sol, planned = _solve_inner(rows[j], spec, A, b, finals[j]), finals[j + 1]
+        kept.append(sol)
+        # The objective rows may differ: a warm start rebuilds its own.
+        sol.continued = (bool(rows[j].any()) and np.array_equal(sol.final[1], planned[1])
+                         and np.array_equal(sol.final[0][:-1], planned[0][:-1]))
+        if not sol.continued or j + 1 == len(rows):
+            return kept
 
 
 def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
@@ -311,22 +372,27 @@ def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
         # Any feasible point is optimal; zero is the canonical choice.
         # The start's basis passes on to the next solve.
         return LpSolution(np.zeros(A.shape[1]), 0.0, np.zeros(len(b)), 0.0, final=start)
-    sol = solve_generic_lp(c, A, b, start)
+    sol = _certified(c, A, b, start)  # (A, b) were checked with the spec
     spec.check_feasible(sol.matrix(spec.n, spec.m))
     return sol
 
 
-def _kept_along(C, spec: PolytopeSpec, A, b, finals) -> list[LpSolution]:
+def _kept_along(C, spec: PolytopeSpec, A, b, start, path) -> list[LpSolution]:
     """Solutions for the leading rows of C that end on their planned final
-    without a simplex solve: row j starts from finals[j] and is planned to
-    end on finals[j + 1]."""
+    without a simplex solve: row j starts from the final of row j-1
+    (`start` for row 0) and is planned to end on path[j]'s."""
     n_rows, n_vars = A.shape
-    T, basis = finals[0]
+    T, basis = start
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
         raise LpError("start tableau does not match the LP's shape")
-    C = C[:len(finals) - 1]
-    finals = finals[:len(C) + 1]
-    pivoted = np.array([after is not before for before, after in zip(finals, finals[1:])])
+    # the batch checks rows that keep their basis or take one pivot
+    pivots = [len(entered) for entered, _ in path[:len(C)]]
+    count = next((j for j, p in enumerate(pivots) if p > 1), len(pivots))
+    if not count:
+        return []
+    C, pivots = C[:count], pivots[:count]
+    finals = [start] + [final for _, final in path[:count]]
+    pivoted = np.array(pivots, dtype=bool)
     replayed = pivoted.any()
     costs = np.zeros((len(C), n_vars + n_rows))
     costs[:, :n_vars] = C
@@ -350,16 +416,17 @@ def _kept_along(C, spec: PolytopeSpec, A, b, finals) -> list[LpSolution]:
     values = objective[:kept, -1]
     duals = objective[:kept, n_vars:n_vars + n_rows]
     gaps = _certify(C[:kept], A, b, None, values, duals)
-    solutions = []
-    for j in range(kept):
-        final = finals[j + 1]
-        if j == 0 or pivoted[j]:
-            x = basis_vertex(final, n_vars)
-            spec.check_feasible(x.reshape(spec.n, spec.m))
-        solutions.append(LpSolution(x, float(values[j]), duals[j], float(gaps[j]),
-                                    int(pivoted[j]), final=final, planned=True))
+    # the vertex of the first row and of each pivot, checked as one stack
+    new = [j for j in range(kept) if j == 0 or pivots[j]]
+    vertices = np.array([basis_vertex(finals[j + 1], n_vars) for j in new])
+    spec.check_feasible(vertices.reshape(len(new), spec.n, spec.m))
+    solutions, vertex = [], iter(vertices)
+    for j, value, gap in zip(range(kept), values.tolist(), gaps.tolist()):
+        if j == 0 or pivots[j]:
+            x = next(vertex)
+        entered, final = path[j]
+        solutions.append(LpSolution(x, value, duals[j], gap, entered, final=final, planned=True))
     return solutions
-
 
 def _dantzig_pivots(objective, tableaux, bases, pivoted):
     """Whether, in each row with a planned pivot, Dantzig's rule in

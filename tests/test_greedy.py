@@ -1,4 +1,5 @@
 import math
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -235,44 +236,163 @@ class TestWindowedAscent:
         same_ascent(got, want)
         assert got.marginal_windows == len(got.iterations) == 20
 
-    @staticmethod
-    def record_windows(monkeypatch):
-        """(points folded, steps taken, whether every point was kept) per window."""
+    Window = namedtuple("Window", "points switched steps on_plan pivots")
+
+    @classmethod
+    def record_windows(cls, monkeypatch):
+        """Per window: the points folded, whether its plan holds a recorded
+        switch, the steps taken, the steps that ended on the plan, and the
+        pivots of its first step."""
         windows = []
         fold, solve = greedy.marginal_omega_exact, greedy.solve_inner_lp
 
         def folding(inst, util, y):
-            windows.append([len(y)])
+            windows.append(len(y))
             return fold(inst, util, y)
 
         def solving(omega, spec, start=None, path=None):
             kept = solve(omega, spec, start=start, path=path)
-            windows[-1] += [len(kept), len(kept) == len(omega) and kept[-1].planned]
+            switched = path is not None and any(entered for entered, _ in path)
+            on_plan = sum(sol.planned or sol.continued for sol in kept)
+            windows[-1] = cls.Window(windows[-1], switched, len(kept), on_plan, kept[0].pivots)
             return kept
 
         monkeypatch.setattr(greedy, "marginal_omega_exact", folding)
         monkeypatch.setattr(greedy, "solve_inner_lp", solving)
         return windows
 
-    def test_window_doubles_along_a_kept_run(self, monkeypatch):
-        # TABLE 6x4 changes direction 10 times in 576 steps: long kept runs
-        windows = self.record_windows(monkeypatch)
-        inst = generate_random(6, 4, model="TABLE", seed=3)
+    @classmethod
+    def windows_of(cls, monkeypatch, inst):
+        windows = cls.record_windows(monkeypatch)
         trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
         assert len(windows) == trace.marginal_windows
-        assert sum(points for points, _, _ in windows) == trace.points_folded
-        assert windows[0] == [1, 1, False]  # the cold first step
-        size, taken = greedy.WINDOW, 1
-        for points, steps, kept_all in windows[1:]:
-            assert points == min(size, len(trace.iterations) - taken)
-            size = min(2 * size, greedy.MAX_WINDOW) if kept_all else greedy.WINDOW
-            taken += steps
-        sizes = [points for points, _, _ in windows]
+        assert sum(w.points for w in windows) == trace.points_folded
+        assert sum(w.points == 1 for w in windows) == trace.one_point_windows
+        assert all(rec.lp_value > 0 for rec in trace.iterations)  # no zero-step windows
+        return windows, trace
+
+    @staticmethod
+    def follow_size_rule(windows, steps):
+        """Check each window's points against the size rule: a window that
+        kept every step doubles the next, up to MAX_WINDOW; one that kept
+        fewer resets it to WINDOW, and after two in a row that kept none
+        the windows are one point, unless their plan holds a recorded
+        switch, until one point keeps its basis.  Returns, per rule, the
+        windows it sized."""
+        sized = Counter()
+        size, failures, taken, rule = greedy.WINDOW, 0, 0, "start"
+        for w in windows:
+            left = steps - taken
+            if not taken or left == 1:
+                want = 1
+            elif size == 1:
+                want, rule = (min(greedy.WINDOW, left), "recorded switch") if w.switched else (1, rule)
+            else:
+                want = min(size, left)
+            assert w.points == want, rule
+            sized[rule] += 1
+            taken += w.steps
+            if w.points == 1:
+                if size == 1 and not w.pivots:
+                    size, failures, rule = greedy.WINDOW, 0, "one point kept its basis"
+            elif w.on_plan == w.points:
+                size, failures, rule = min(2 * w.points, greedy.MAX_WINDOW), 0, "kept all"
+            elif w.on_plan:
+                size, failures, rule = greedy.WINDOW, 0, "kept some"
+            else:
+                failures += 1
+                size = 1 if failures >= 2 else greedy.WINDOW
+                rule = "second failure" if failures >= 2 else "first failure"
+        assert taken == steps
+        return sized
+
+    def test_window_doubles_along_a_kept_run(self, monkeypatch):
+        # TABLE 6x4 changes direction 10 times in 576 steps: long kept runs,
+        # and never two failed windows in a row
+        inst = generate_random(6, 4, model="TABLE", seed=3)
+        windows, trace = self.windows_of(monkeypatch, inst)
+        sized = self.follow_size_rule(windows, len(trace.iterations))
+        assert trace.marginal_windows == 28 and trace.one_point_windows == 1
+        sizes = [w.points for w in windows]
         assert sizes[:5] == [1, 8, 16, 32, greedy.MAX_WINDOW]
+        assert sized["kept all"] > 10 and not sized["second failure"]
         # the cap holds along the run, and the first failure resets the size
-        first_failure = next(i for i, w in enumerate(windows[1:], 1) if not w[2])
+        first_failure = next(i for i, w in enumerate(windows[1:], 1) if w.on_plan < w.points)
         assert sizes[first_failure] == greedy.MAX_WINDOW
         assert sizes[first_failure + 1] == greedy.WINDOW
+
+    # TABLE 4x4 at eps 0.1 changes basis at almost every step of its tail,
+    # by switches of 2-4 pivots that follow no pattern; TABLE 5x3 extended
+    # repeats cycles of such switches, and IC 6x2 meets both
+    BACK_OFF = [dict(n=4, m=4, model="TABLE", seed=5, epsilon=0.1),
+                dict(n=5, m=3, model="TABLE", seed=2, extension=True),
+                dict(n=6, m=2, model="IC", seed=1, edge_density=0.4)]
+
+    @staticmethod
+    def pairs(windows, steps):
+        """(window, the next one, the steps left for the next one)."""
+        taken = np.cumsum([w.steps for w in windows])
+        return [(w, nxt, steps - done) for w, nxt, done in zip(windows, windows[1:], taken)]
+
+    @pytest.mark.parametrize("kwargs", BACK_OFF)
+    def test_one_failed_window_resets_it_to_WINDOW(self, kwargs, monkeypatch):
+        windows, trace = self.windows_of(monkeypatch, generate_random(**kwargs))
+        sized = self.follow_size_rule(windows, len(trace.iterations))
+        assert sized["kept some"] > 0 and sized["first failure"] > 0
+        pairs = self.pairs(windows, len(trace.iterations))
+        resets = 0
+        for (before, w, _), (_, nxt, left) in zip(pairs, pairs[1:]):
+            first_failure = not w.on_plan and before.points > 1 and before.on_plan
+            if w.points > 1 and (0 < w.on_plan < w.points or first_failure):
+                assert nxt.points == min(greedy.WINDOW, left)
+                resets += 1
+        assert resets >= sized["kept some"] > 0
+
+    @pytest.mark.parametrize("kwargs", BACK_OFF)
+    def test_two_failed_windows_in_a_row_give_one_point(self, kwargs, monkeypatch):
+        windows, trace = self.windows_of(monkeypatch, generate_random(**kwargs))
+        sized = self.follow_size_rule(windows, len(trace.iterations))
+        assert sized["second failure"] > 0
+        failed = [1 < w.points and not w.on_plan for w in windows]
+        after = [w for i, w in enumerate(windows[2:], 2) if failed[i - 2] and failed[i - 1]]
+        assert after and all(w.points == 1 or w.switched for w in after)
+        assert trace.one_point_windows > trace.marginal_windows // 3
+
+    def test_no_window_after_two_first_row_failures_folds_more_than_one_point(
+            self, monkeypatch):
+        # the tail of TABLE 4x4 at eps 0.1 records few switches twice: after
+        # two windows that kept none of their steps, each window is one point
+        windows, trace = self.windows_of(monkeypatch, generate_random(**self.BACK_OFF[0]))
+        failed = [1 < w.points and not w.on_plan for w in windows]
+        after = [w for i, w in enumerate(windows[2:], 2) if failed[i - 2] and failed[i - 1]]
+        assert len(after) >= 2 and all(w.points == 1 for w in after)
+        assert trace.points_folded < 2 * len(trace.iterations)
+
+    def test_one_point_window_that_keeps_its_basis_resumes(self, monkeypatch):
+        # a one-point window in the middle of the ascent is backed off: it
+        # resumes at WINDOW when its step keeps the basis, and stays at one
+        # point after a pivot unless the next plan holds a recorded switch
+        windows, trace = self.windows_of(monkeypatch, generate_random(**self.BACK_OFF[2]))
+        sized = self.follow_size_rule(windows, len(trace.iterations))
+        assert sized["one point kept its basis"] > 0 and sized["recorded switch"] > 0
+        pairs = self.pairs(windows, len(trace.iterations))[1:]
+        for w, nxt, left in pairs:
+            if w.points == 1 and left > 1:
+                resumes = not w.pivots or nxt.switched
+                assert nxt.points == (min(greedy.WINDOW, left) if resumes else 1)
+        assert sum(w.points == 1 and not w.pivots for w, _, _ in pairs) == \
+            sized["one point kept its basis"]
+
+    def test_table_5x3_extended_replays_multi_pivot_cycles(self):
+        # its tail repeats period-4 cycles of 2-3-pivot switches, which the
+        # batch cannot check: the simplex solves them onto the plan
+        inst = generate_random(5, 3, model="TABLE", seed=2, extension=True)
+        util = make_utility(inst)
+        got = continuous_greedy(inst, util, GreedyConfig(seed=0))
+        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        same_ascent(got, want)
+        assert got.marginal_windows < 59  # the evaluations of one-pivot cycle replay
+        assert got.continued_solves > 0 and got.planned_steps_kept > got.continued_solves
 
     def test_zero_marginals_from_the_first_step(self):
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 0.0, frozenset({2}): 0.0,

@@ -442,17 +442,18 @@ class TestReplayedPivots:
         first, omega, single = self.one_pivot_step(spec, 70 + seed)
         before = first.final[0].copy()
         enter = single.final[1][single.final[1] != first.final[1]][0]
-        path = replay_pivots(first.final, [enter, None])
+        path = replay_pivots(first.final, [(enter,), ()])
         assert np.array_equal(first.final[0], before)  # the start is left as it was
-        tableau, basis = path[0]
-        assert path[1] is path[0]
+        assert [entered for entered, _ in path] == [(enter,), ()]
+        tableau, basis = path[0][1]
+        assert path[1][1] is path[0][1]
         assert np.array_equal(basis, single.final[1])
         # the constraint rows, bit for bit; only the objective row is rebuilt per LP
         assert np.array_equal(tableau[:-1], single.final[0][:-1])
         kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
         assert [(sol.planned, sol.pivots) for sol in kept] == [(True, 1), (True, 0)]
         for sol in kept:
-            assert sol.final is path[0] and np.array_equal(sol.x, single.x)
+            assert sol.final is path[0][1] and np.array_equal(sol.x, single.x)
             assert sol.objective_value == pytest.approx(single.objective_value, rel=1e-14)
             assert np.allclose(sol.dual, single.dual, rtol=1e-14, atol=1e-15)
 
@@ -466,7 +467,7 @@ class TestReplayedPivots:
         wrong = [c for c in range(n_cols) if c != enter and c not in first.final[1]]
         assert wrong
         for column in wrong:
-            path = replay_pivots(first.final, [column, column])
+            path = replay_pivots(first.final, [(column,), (column,)])
             kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
             assert len(kept) == 1 and not kept[0].planned  # the row after it is dropped
             assert (kept[0].pivots, kept[0].objective_value) == (single.pivots,
@@ -483,7 +484,7 @@ class TestReplayedPivots:
         omega = np.random.default_rng(80).uniform(0.0, 2.0, size=(spec.n, spec.m))
         first = solve_inner_lp(omega, spec)
         nonbasic = [c for c in range(spec.n * spec.m) if c not in first.final[1]]
-        path = replay_pivots(first.final, [nonbasic[0], None])
+        path = replay_pivots(first.final, [(nonbasic[0],), ()])
         kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
         assert len(kept) == 1  # the row after it is dropped
         (sol,) = kept
@@ -496,14 +497,77 @@ class TestReplayedPivots:
     def test_tied_columns_fall_back_to_the_simplex(self, column):
         # y1 + y2 <= 1 with equal weights: either pivot from the slack basis
         # reaches an optimal basis, but Dantzig's rule enters column 0, and a
-        # tie leaves no margin over rounding, so neither plan is kept
+        # tie leaves no margin over rounding, so neither plan is kept.  The
+        # simplex's solve lands on the plan that enters column 0, so the row
+        # after it is checked in turn.
         spec = PolytopeSpec(1, 2, np.array([[1.0, 1.0]]), 5.0)
         A, b = spec.constraint_rows
         start = simplex_maximize(np.zeros(2), A, b)[-1]
-        (sol,) = solve_inner_lp(np.ones((1, 1, 2)), spec, start=start,
-                                path=replay_pivots(start, [column]))
+        kept = solve_inner_lp(np.ones((2, 1, 2)), spec, start=start,
+                              path=replay_pivots(start, [(column,), ()]))
+        sol = kept[0]
         assert not sol.planned and sol.pivots == 1
         assert np.array_equal(sol.x, [1.0, 0.0])
+        assert sol.continued == (column == 0) and len(kept) == 2 - column
+        assert all(later.planned for later in kept[1:])
+
+    @staticmethod
+    def two_pivot_step(spec, seed):
+        """A first solve, and an objective whose solve from it takes two pivots."""
+        rng = np.random.default_rng(seed)
+        omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
+        first = solve_inner_lp(omega, spec)
+        for scale in np.geomspace(1e-2, 4.0, 200):
+            nudged = np.clip(omega + scale * rng.normal(size=omega.shape), 0.0, None)
+            single = solve_inner_lp(nudged, spec, start=first.final)
+            if single.pivots == 2:
+                return first, nudged, single
+        raise AssertionError("no two-pivot step found")
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_planned_pivots_are_the_simplex_pivots(self, kind, seed):
+        spec = self.specs()[kind]
+        first, _, single = self.two_pivot_step(spec, 90 + seed)
+        assert len(single.entered) == 2
+        ((entered, (tableau, basis)),) = replay_pivots(first.final, [single.entered])
+        assert entered == single.entered
+        assert np.array_equal(basis, single.final[1])
+        assert np.array_equal(tableau[:-1], single.final[0][:-1])
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_after_a_solve_onto_the_plan_are_checked(self, kind, seed):
+        # the batch checks one-pivot rows only: the two-pivot row is solved
+        # by the simplex, which ends on its planned final, so the window
+        # keeps the rows after it without a solve
+        spec = self.specs()[kind]
+        first, omega, single = self.two_pivot_step(spec, 90 + seed)
+        path = replay_pivots(first.final, [single.entered, (), ()])
+        kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
+        assert [(sol.planned, sol.continued) for sol in kept] == \
+            [(False, True), (True, False), (True, False)]
+        assert kept[0].entered == single.entered
+        assert all(sol.final is path[1][1] and sol.pivots == 0 for sol in kept[1:])
+        for sol in kept:
+            assert np.array_equal(sol.x, single.x)
+            assert sol.objective_value == pytest.approx(single.objective_value, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_after_a_solve_off_the_plan_are_dropped(self, kind, seed):
+        spec = self.specs()[kind]
+        first, omega, single = self.two_pivot_step(spec, 90 + seed)
+        n_cols = first.final[0].shape[1] - 1
+        wrong = [c for c in range(n_cols) if c not in single.final[1]]
+        assert wrong
+        for column in wrong:
+            path = replay_pivots(first.final, [(single.entered[0], column), (), ()])
+            kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
+            assert len(kept) == 1 and not kept[0].planned and not kept[0].continued
+            assert kept[0].entered == single.entered
+            assert np.array_equal(kept[0].x, single.x)
+            assert np.array_equal(kept[0].final[1], single.final[1])
 
 class TestStackedCertify:
     """_certify on stacked c, values and duals: every row with the single-LP
