@@ -256,15 +256,3 @@ def make_utility(inst: Instance, mc_samples: int = 10_000) -> CascadeUtility:
         kind, inst.n, inst.edges, table,
         epsilon=inst.epsilon, perturb_seed=inst.perturb_seed, mc_samples=mc_samples,
     )
-
-
-def make_eps_perturbed(base: CascadeUtility, epsilon: float, perturb_seed: int) -> CascadeUtility:
-    """Wrap an exactly submodular utility in a deterministic eps-band."""
-    if base.epsilon != 0:
-        raise UtilityError("base utility must be unperturbed")
-    if epsilon < 0:
-        raise UtilityError("epsilon must be nonnegative")
-    return CascadeUtility(
-        base.kind, base.n, base.edges, base.table,
-        epsilon=epsilon, perturb_seed=perturb_seed, mc_samples=base.mc_samples,
-    )

@@ -242,7 +242,6 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                "planned_windows": trace.planned_windows,
                "planned_steps_kept": trace.planned_steps_kept,
                "one_point_windows": trace.one_point_windows,
-               "continued_solves": trace.continued_solves,
                "marginals_s": trace.marginals_s, "F_s": trace.F_s, "lp_s": trace.lp_s}
     return report, timings
 

@@ -22,11 +22,10 @@ basis) from the one before with the simplex's own pivots.
 The window lays out its points along the planned vertices, takes all their
 marginals in one batched fold, and hands the stack to one `solve_inner_lp`
 call.  That call keeps the leading steps whose LP the simplex would solve
-exactly as planned, and solves the first one it cannot keep; when that
-solve ends on the planned final it checks the rest of the plan, and
-otherwise the points after that step are dropped and the next window
-starts where it ended.  Each kept point is the one the one-step loop would
-reach, bit for bit.
+exactly as planned, whatever their number of pivots, and solves the first
+one it cannot keep; the points after that step are dropped and the next
+window starts where it ended.  Each kept point is the one the one-step
+loop would reach, bit for bit.
 
 A window starts at WINDOW points and one that keeps every step doubles the
 next, up to MAX_WINDOW; a window that keeps fewer resets it to WINDOW.
@@ -133,7 +132,6 @@ class GreedyTrace:
     planned_windows: int = 0  # windows laid out along a recorded switch
     planned_steps_kept: int = 0  # steps of those windows kept as planned, without a simplex solve
     one_point_windows: int = 0  # windows of one point, solved by the plain warm simplex
-    continued_solves: int = 0  # steps the simplex solved onto their window's plan
     marginals_s: float = 0.0
     F_s: float = 0.0
     lp_s: float = 0.0
@@ -211,7 +209,6 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             trace.lp_fallbacks += sol.fell_back
             trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
             trace.planned_steps_kept += switched and sol.planned
-            trace.continued_solves += sol.continued
             t += h
             # the next step's marginals, or the final F, fill in f_estimate
             records.append(IterationRecord(t, sol.objective_value, None))
@@ -222,16 +219,11 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
                                      (after, sol.entered, held))
                 basis, held = after, 0
             held += 1
-        last, taken = solutions[-1], len(solutions)
-        # Each point of the layout is the y the steps before it reach when
-        # they end on their plan, bit for bit, as the steps of this window did.
-        if taken < len(points) and (last.planned or last.continued):
-            y = points[taken]
-        else:
-            y = points[taken - 1] + h * last.matrix(inst.n, inst.m)
+        last = solutions[-1]
+        y = points[len(solutions) - 1] + h * last.matrix(inst.n, inst.m)
         start = last.final
         moved = last.objective_value != 0
-        on_plan = sum(sol.planned or sol.continued for sol in solutions)
+        on_plan = sum(sol.planned for sol in solutions)
         if path is None:
             if size == 1 and not solutions[0].pivots:
                 size, failures = WINDOW, 0
@@ -288,7 +280,7 @@ def _layout(y, t, delta, path):
         lengths.append(h)
         ahead += h
     vertices, rows = [basis_vertex(path[0][1], y.size)], [0]
-    for entered, final in path[1:-1]:
+    for entered, final, _ in path[1:-1]:
         if entered:
             vertices.append(basis_vertex(final, y.size))
         rows.append(len(vertices) - 1)

@@ -265,7 +265,7 @@ def _certify_joint(inst: Instance, coupling, f_vals, k_bound, sol, y_plus) -> No
     if np.any(x < -1e-9) or np.any(A @ x > b + 1e-9 * (1 + b)):
         raise NumericError("relaxation optimum violates the joint LP's rows")
     dual = np.concatenate([sol.dual[:1], y_rows[n:].T @ sol.dual[1:], np.zeros(n), sol.dual[1:]])
-    _certify(c, A, b, x, float(c @ x), dual)
+    _certify(c, A, b, float(c @ x), dual)
 
 
 @dataclass

@@ -19,13 +19,14 @@ The ascent also checks a window of several steps' objectives at once
 step keeps the basis before it or enters a tuple of columns.
 `replay_pivots` builds the path's tableaux with the simplex's own pivot
 (`_pivot`, its ratio test and rank-1 update), so a planned tableau is the
-one the simplex would reach, bit for bit.  One product gives the objective
-rows of the leading steps that keep their basis or take one pivot.  Such a
-row is kept when the simplex, started from the row before, would do as
-planned: stop at once where the basis is kept, or take exactly the planned
-Dantzig pivot and stop.  The first row that is not kept, a step of several
-pivots among them, is solved by the simplex from the row before's final;
-when it ends on the planned final the rest of the plan is checked in turn.
+one the simplex would reach, bit for bit, and records each pivot's
+normalized pivot row.  One product gives every row's objective row on the
+start's basis, and each planned pivot, in order, updates its own row and
+every later one as the simplex updates its objective row.  A row is kept
+when the simplex, started from the row before, would do as planned: enter
+each planned column by Dantzig's rule, then stop.  The first row that is
+not kept is solved by the simplex from the row before's final, and ends
+the window.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -129,7 +130,6 @@ class LpSolution:
     fell_back: bool = False  # Bland's rule took over from Dantzig's
     final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
     planned: bool = False  # kept as a planned path planned it, without a simplex solve
-    continued: bool = False  # solved by the simplex onto its planned final
 
     @property
     def pivots(self) -> int:
@@ -209,7 +209,7 @@ def _simplex(c, A, b, start):
             if not reduced[enter] < -1e-10:
                 break
         entered.append(enter)
-        step = _pivot(T, basis, enter, update)
+        step, _ = _pivot(T, basis, enter, update)
         degenerate = degenerate + 1 if step <= 1e-10 else 0
         bland = bland or degenerate >= DEGENERATE_RUN
     else:
@@ -220,7 +220,7 @@ def _simplex(c, A, b, start):
             (T, basis))
 
 
-def _pivot(T, basis, enter: int, update) -> float:
+def _pivot(T, basis, enter: int, update):
     """One simplex pivot of (T, basis) in place, entering column `enter`.
 
     The ratio test picks the leaving row: the smallest ratio of right-hand
@@ -229,8 +229,9 @@ def _pivot(T, basis, enter: int, update) -> float:
     `update`, a buffer of T's shape.  Each constraint row's new entries
     depend only on the constraint rows, so the same pivot from the same
     constraint rows gives the same ones, bit for bit, whatever the objective
-    row holds.  Returns the leaving row's right-hand side before the pivot:
-    zero for a degenerate pivot, which does not move the vertex.
+    row holds.  Returns the leaving row's right-hand side before the pivot,
+    zero for a degenerate pivot, which does not move the vertex, and the
+    normalized pivot row, by which the pivot updates the objective row.
     """
     col = T[:-1, enter]
     rows = (col > 1e-10).nonzero()[0]
@@ -244,30 +245,32 @@ def _pivot(T, basis, enter: int, update) -> float:
     T -= np.multiply(T[:, enter, None], pivot_row, out=update)
     T[leave] = pivot_row
     basis[leave] = enter
-    return step
+    return step, pivot_row
 
 
 def replay_pivots(start, plan) -> list:
-    """The (entered, final) pair of each of a run of planned ascent steps.
+    """The (entered, final, pivot rows) of each of a run of planned ascent steps.
 
     Each step's entry in `plan` is the tuple of columns it enters, in order,
     by simplex pivots (`_pivot`) from the (tableau, basis) before it
     (`start` for the first step); the empty tuple keeps that basis, and the
-    step repeats the same pair.  A pivoted pair is then the final that
-    `simplex_maximize`, started from the pair before, reaches when its
+    step repeats the same final.  A pivoted final is then the one that
+    `simplex_maximize`, started from the final before, reaches when its
     Dantzig rule enters those columns in that order and the last pivot
     leaves an optimal basis; its constraint rows are bit for bit those of
-    the simplex.
+    the simplex.  The pivot rows are each pivot's normalized pivot row, in
+    order, by which the simplex updates its objective row.
     """
     path, final = [], start
     for entered in plan:
+        rows = []
         if entered:
             T, basis = final[0].copy(), final[1].copy()
             update = np.empty_like(T)
             for enter in entered:
-                _pivot(T, basis, enter, update)
+                rows.append(_pivot(T, basis, enter, update)[1])
             final = (T, basis)
-        path.append((entered, final))
+        path.append((entered, final, tuple(rows)))
     return path
 
 
@@ -280,7 +283,7 @@ def basis_vertex(final, n_vars: int) -> np.ndarray:
     return x[:n_vars]
 
 
-def _certify(c, A, b, x, value, dual):
+def _certify(c, A, b, value, dual):
     """Strong-duality certificate; raises NumericError when it fails.
 
     c, value and dual may carry a leading axis: a stack of LPs over the same
@@ -311,7 +314,7 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
 
 def _certified(c, A, b, start) -> LpSolution:
     x, value, dual, entered, fell_back, final = _simplex(c, A, b, start)
-    gap = _certify(c, A, b, x, value, dual)
+    gap = _certify(c, A, b, value, dual)
     return LpSolution(x, value, dual, gap, entered, fell_back, final)
 
 
@@ -322,20 +325,18 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     solve warm-starts from its basis.
 
     weights may also be a (J, n, m) stack, the objectives of J successive
-    ascent steps, and `path` the (entered, final) pair each step is planned
-    to end on (`replay_pivots`; by default every step keeps the start's
-    basis).  A stack of one row is solved by the warm simplex alone.  Row j
-    of a longer stack is kept without a simplex solve when `simplex_maximize`,
-    started from row j-1's planned final, would end on row j's: for a kept
-    basis, that basis is optimal; for one planned pivot, Dantzig's rule
-    enters the planned column and the pivot leaves an optimal basis.  The
-    objective must be nonzero.  One product gives the objective rows of a
-    run of such rows, and the leading rows that pass are certified
-    together.  The first row that fails, or that plans several pivots, is
-    solved from its predecessor's final as above.  When that solve ends on
-    the row's planned final (the same basis, and constraint rows equal bit
-    for bit), its solution is marked `continued` and the rows after it are
-    checked in turn; otherwise they are dropped.  Returns the list of
+    ascent steps, and `path` the (entered, final, pivot rows) each step is
+    planned to take (`replay_pivots`; by default every step keeps the
+    start's basis).  A stack of one row is solved by the warm simplex
+    alone.  Row j of a longer stack is kept without a simplex solve when
+    `simplex_maximize`, started from row j-1's planned final, would end on
+    row j's: Dantzig's rule enters each planned column in turn, by more
+    than rounding over every other column, and the last pivot, or the kept
+    basis, is optimal.  The objective must be nonzero, and a row of
+    DEGENERATE_RUN pivots or more is never kept, since Bland's rule could
+    take over in it.  The leading rows that pass are certified together.
+    The first row that fails is solved from its predecessor's final as
+    above, and the rows after it are dropped.  Returns the list of
     solutions, one per row kept.
     """
     weights = np.asarray(weights, dtype=float)
@@ -349,22 +350,12 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     rows = weights.reshape(len(weights), -1)
     if start is None or len(rows) == 1:
         return [_solve_inner(rows[0], spec, A, b, start)]
-    path = path if path is not None else [((), start)] * len(rows)
-    finals = [start] + [final for _, final in path]
-    kept = []
-    while True:
-        j = len(kept)
-        kept += _kept_along(rows[j:], spec, A, b, finals[j], path[j:])
-        j = len(kept)
-        if j == len(rows):
-            return kept
-        sol, planned = _solve_inner(rows[j], spec, A, b, finals[j]), finals[j + 1]
-        kept.append(sol)
-        # The objective rows may differ: a warm start rebuilds its own.
-        sol.continued = (bool(rows[j].any()) and np.array_equal(sol.final[1], planned[1])
-                         and np.array_equal(sol.final[0][:-1], planned[0][:-1]))
-        if not sol.continued or j + 1 == len(rows):
-            return kept
+    path = path if path is not None else [((), start, ())] * len(rows)
+    kept = _kept_along(rows, spec, A, b, start, path)
+    j = len(kept)
+    if j < len(rows):
+        kept.append(_solve_inner(rows[j], spec, A, b, path[j - 1][1] if j else start))
+    return kept
 
 
 def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
@@ -385,69 +376,54 @@ def _kept_along(C, spec: PolytopeSpec, A, b, start, path) -> list[LpSolution]:
     T, basis = start
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
         raise LpError("start tableau does not match the LP's shape")
-    # the batch checks rows that keep their basis or take one pivot
-    pivots = [len(entered) for entered, _ in path[:len(C)]]
-    count = next((j for j, p in enumerate(pivots) if p > 1), len(pivots))
-    if not count:
-        return []
-    C, pivots = C[:count], pivots[:count]
-    finals = [start] + [final for _, final in path[:count]]
-    pivoted = np.array(pivots, dtype=bool)
-    replayed = pivoted.any()
     costs = np.zeros((len(C), n_vars + n_rows))
     costs[:, :n_vars] = C
-    # einsum, not @: a matrix product would make OpenBLAS map its gemm
-    # buffer, a quarter MB of resident memory that no other LP here needs.
-    if replayed:
-        tableaux = np.stack([final[0][:n_rows] for final in finals])
-        bases = np.stack([final[1] for final in finals])
-        objective = np.einsum("jr,jrc->jc", np.take_along_axis(costs, bases[:-1], axis=1),
-                              tableaux[:-1])
-    else:  # the start's basis all along; one tableau, not a stack of copies, is faster
-        objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
+    # Every row's objective row on the start's basis.  einsum, not @: a
+    # matrix product would make OpenBLAS map its gemm buffer, a quarter MB
+    # of resident memory that no other LP here needs.
+    objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
     objective[:, :n_vars] -= C
-    ok = C.any(axis=1)
-    if replayed:
-        ok &= _dantzig_pivots(objective, tableaux, bases, pivoted)
-    ok &= ~(objective[:, :-1] < -1e-10).any(axis=1)
-    kept = len(C) if ok.all() else int(ok.argmin())
+    path = path[:len(C)]
+    count = next((j for j, (entered, _, pivot_rows) in enumerate(path)
+                  if entered and not _dantzig_enters(objective, j, entered, pivot_rows)),
+                 len(path))
+    ok = C[:count].any(axis=1) & ~(objective[:count, :-1] < -1e-10).any(axis=1)
+    kept = count if ok.all() else int(ok.argmin())
     if not kept:
         return []
     values = objective[:kept, -1]
     duals = objective[:kept, n_vars:n_vars + n_rows]
-    gaps = _certify(C[:kept], A, b, None, values, duals)
+    gaps = _certify(C[:kept], A, b, values, duals)
     # the vertex of the first row and of each pivot, checked as one stack
-    new = [j for j in range(kept) if j == 0 or pivots[j]]
-    vertices = np.array([basis_vertex(finals[j + 1], n_vars) for j in new])
+    new = [j for j in range(kept) if j == 0 or path[j][0]]
+    vertices = np.array([basis_vertex(path[j][1], n_vars) for j in new])
     spec.check_feasible(vertices.reshape(len(new), spec.n, spec.m))
     solutions, vertex = [], iter(vertices)
     for j, value, gap in zip(range(kept), values.tolist(), gaps.tolist()):
-        if j == 0 or pivots[j]:
+        entered, final, _ = path[j]
+        if j == 0 or entered:
             x = next(vertex)
-        entered, final = path[j]
         solutions.append(LpSolution(x, value, duals[j], gap, entered, final=final, planned=True))
     return solutions
 
-def _dantzig_pivots(objective, tableaux, bases, pivoted):
-    """Whether, in each row with a planned pivot, Dantzig's rule in
-    simplex_maximize enters the planned column from the objective row
-    `objective[j]`.  Applies the pivots to those rows, so they become the
-    objective rows of the planned bases.
 
-    tableaux and bases are the constraint rows and bases of the J + 1
-    finals; a planned pivot changes one basic variable, and the ratio test
-    that chose it ran on the same constraint rows as the simplex's would.
-    """
-    moved = bases[1:] != bases[:-1]
-    leave = moved.argmax(axis=1)
-    steps = np.arange(len(leave))
-    enter = bases[1:][steps, leave]
-    entering = objective[steps, enter]
-    others = objective[:, :-1].copy()
-    others[steps, enter] = np.inf
-    # It must lead every other column by more than rounding: this product
-    # and the simplex's sum the same terms in different orders.
-    dantzig = (entering < -1e-10) & (entering < others.min(axis=1) - 1e-10)
-    # the simplex's own update of the objective row
-    objective -= np.where(pivoted, entering, 0.0)[:, None] * tableaux[1:][steps, leave]
-    return dantzig | ~pivoted
+def _dantzig_enters(objective, j, entered, pivot_rows) -> bool:
+    """Whether Dantzig's rule in simplex_maximize, from objective row
+    `objective[j]`, enters the planned columns in order.  Each pivot that
+    passes is applied, with the simplex's own update and its normalized
+    pivot row, to row j and to every later row, which starts from row j's
+    final.  A row of DEGENERATE_RUN pivots or more fails: Bland's rule
+    could take over in it."""
+    if len(entered) >= DEGENERATE_RUN:
+        return False
+    for enter, pivot_row in zip(entered, pivot_rows):
+        others = objective[j, :-1].copy()
+        entering = others[enter]
+        others[enter] = np.inf
+        # It must lead every other column by more than rounding: this row,
+        # updated pivot by pivot from the start's basis, and the simplex's,
+        # rebuilt on the row before's final, round differently.
+        if not (entering < -1e-10 and entering < others.min() - 1e-10):
+            return False
+        objective[j:] -= objective[j:, enter, None] * pivot_row
+    return True

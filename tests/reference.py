@@ -10,7 +10,8 @@ module also keeps earlier forms of the program's kernels, the joint
 (alpha, y) LP of the concave relaxation solved as one LP, the LP input
 and output guards written with the np.any / np.all wrappers, and the
 continuous greedy loop that takes one step, with one marginal evaluation
-and one ascent LP, at a time.
+and one ascent LP, at a time, and `make_eps_perturbed`, which wraps a
+utility in an eps-band for the tests of the perturbation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.greedy import (
     GreedyTrace,
     IterationRecord,
@@ -45,6 +47,18 @@ from couponcascade.polytope_lp import (
     solve_inner_lp,
 )
 from couponcascade.rounding import RoundingError, _as_matrix
+
+
+def make_eps_perturbed(base: CascadeUtility, epsilon: float, perturb_seed: int) -> CascadeUtility:
+    """Wrap an exactly submodular utility in a deterministic eps-band."""
+    if base.epsilon != 0:
+        raise UtilityError("base utility must be unperturbed")
+    if epsilon < 0:
+        raise UtilityError("epsilon must be nonnegative")
+    return CascadeUtility(
+        base.kind, base.n, base.edges, base.table,
+        epsilon=epsilon, perturb_seed=perturb_seed, mc_samples=base.mc_samples,
+    )
 
 
 class AllocationError(ValueError):
@@ -330,7 +344,7 @@ def simplex_input_guards_wrappers(c, A, b) -> None:
         raise NumericError("non-finite LP data")
 
 
-def certify_wrappers(c, A, b, x, value, dual):
+def certify_wrappers(c, A, b, value, dual):
     """`polytope_lp._certify` with the np.any wrappers."""
     scale = 1.0 + abs(value)
     if np.any(dual < -1e-8):

@@ -9,12 +9,12 @@ from couponcascade.cascade import (
     UtilityError,
     gamma_ic_exact,
     gamma_sampled,
-    make_eps_perturbed,
     make_utility,
     perturb_factor,
 )
 from couponcascade.oracle import check_submodular_monotone
 from conftest import ic_instance, modular_table
+from reference import make_eps_perturbed
 
 
 def all_subsets(n):

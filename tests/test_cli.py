@@ -178,7 +178,6 @@ class TestSolve:
         assert 0 <= timings["planned_windows"] <= timings["planned_steps_kept"] <= 36
         # the cold first step is a window of one point, by the plain simplex
         assert 1 <= timings["one_point_windows"] < timings["marginal_windows"]
-        assert 0 <= timings["continued_solves"] <= 36 - timings["planned_steps_kept"]
         # seconds in the ascent's three layers, each inside the greedy's own time
         layers = [timings["marginals_s"], timings["F_s"], timings["lp_s"]]
         assert min(layers) > 0 and sum(layers) <= timings["greedy_s"]

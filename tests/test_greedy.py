@@ -252,8 +252,8 @@ class TestWindowedAscent:
 
         def solving(omega, spec, start=None, path=None):
             kept = solve(omega, spec, start=start, path=path)
-            switched = path is not None and any(entered for entered, _ in path)
-            on_plan = sum(sol.planned or sol.continued for sol in kept)
+            switched = path is not None and any(entered for entered, _, _ in path)
+            on_plan = sum(sol.planned for sol in kept)
             windows[-1] = cls.Window(windows[-1], switched, len(kept), on_plan, kept[0].pivots)
             return kept
 
@@ -383,16 +383,25 @@ class TestWindowedAscent:
         assert sum(w.points == 1 and not w.pivots for w, _, _ in pairs) == \
             sized["one point kept its basis"]
 
-    def test_table_5x3_extended_replays_multi_pivot_cycles(self):
+    def test_table_5x3_extended_replays_multi_pivot_cycles(self, monkeypatch):
         # its tail repeats period-4 cycles of 2-3-pivot switches, which the
-        # batch cannot check: the simplex solves them onto the plan
+        # batch checks pivot by pivot and keeps without a simplex solve
         inst = generate_random(5, 3, model="TABLE", seed=2, extension=True)
         util = make_utility(inst)
+        kept, solve = [], greedy.solve_inner_lp
+
+        def recording(omega, spec, start=None, path=None):
+            solutions = solve(omega, spec, start=start, path=path)
+            kept.extend(solutions)
+            return solutions
+
+        monkeypatch.setattr(greedy, "solve_inner_lp", recording)
         got = continuous_greedy(inst, util, GreedyConfig(seed=0))
         want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)
-        assert got.marginal_windows < 59  # the evaluations of one-pivot cycle replay
-        assert got.continued_solves > 0 and got.planned_steps_kept > got.continued_solves
+        assert got.marginal_windows <= 41  # 59 with one-pivot cycle replay
+        assert any(sol.planned and sol.pivots >= 2 for sol in kept)
+        assert got.planned_steps_kept > got.planned_windows
 
     def test_zero_marginals_from_the_first_step(self):
         inst = table_instance({frozenset(): 0.0, frozenset({1}): 0.0, frozenset({2}): 0.0,

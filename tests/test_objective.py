@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from couponcascade.cascade import make_eps_perturbed, make_utility, CascadeUtility
+from couponcascade.cascade import make_utility, CascadeUtility
 from couponcascade import objective
 from couponcascade.instance import generate_random
 from couponcascade.objective import (
@@ -22,6 +22,7 @@ from reference import (
     Allocation,
     AllocationError,
     cost_brute_force,
+    make_eps_perturbed,
     marginal_omega_lifted,
     pairs_to_profile,
     seed_prob,

@@ -269,7 +269,7 @@ class TestWarmStart:
             sol = solve_inner_lp(omega, spec, start=None if sol is None else sol.final)
             cold = solve_inner_lp(omega, spec)
             assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
-            polytope_lp._certify(omega.reshape(-1), A, b, sol.x, sol.objective_value, sol.dual)
+            polytope_lp._certify(omega.reshape(-1), A, b, sol.objective_value, sol.dual)
             spec.check_feasible(sol.matrix(spec.n, spec.m))
             warm_pivots += sol.pivots
             cold_pivots += cold.pivots
@@ -444,12 +444,16 @@ class TestReplayedPivots:
         enter = single.final[1][single.final[1] != first.final[1]][0]
         path = replay_pivots(first.final, [(enter,), ()])
         assert np.array_equal(first.final[0], before)  # the start is left as it was
-        assert [entered for entered, _ in path] == [(enter,), ()]
+        assert [entered for entered, _, _ in path] == [(enter,), ()]
         tableau, basis = path[0][1]
         assert path[1][1] is path[0][1]
         assert np.array_equal(basis, single.final[1])
         # the constraint rows, bit for bit; only the objective row is rebuilt per LP
         assert np.array_equal(tableau[:-1], single.final[0][:-1])
+        # the pivot row is the entering column's row of the final, normalized
+        ((pivot_row,), ()) = (path[0][2], path[1][2])
+        assert np.array_equal(pivot_row, tableau[list(basis).index(enter)])
+        assert pivot_row[enter] == 1.0
         kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
         assert [(sol.planned, sol.pivots) for sol in kept] == [(True, 1), (True, 0)]
         for sol in kept:
@@ -498,18 +502,32 @@ class TestReplayedPivots:
         # y1 + y2 <= 1 with equal weights: either pivot from the slack basis
         # reaches an optimal basis, but Dantzig's rule enters column 0, and a
         # tie leaves no margin over rounding, so neither plan is kept.  The
-        # simplex's solve lands on the plan that enters column 0, so the row
-        # after it is checked in turn.
+        # simplex solves the first row and the window ends there.
         spec = PolytopeSpec(1, 2, np.array([[1.0, 1.0]]), 5.0)
         A, b = spec.constraint_rows
         start = simplex_maximize(np.zeros(2), A, b)[-1]
         kept = solve_inner_lp(np.ones((2, 1, 2)), spec, start=start,
                               path=replay_pivots(start, [(column,), ()]))
-        sol = kept[0]
+        assert len(kept) == 1
+        (sol,) = kept
         assert not sol.planned and sol.pivots == 1
         assert np.array_equal(sol.x, [1.0, 0.0])
-        assert sol.continued == (column == 0) and len(kept) == 2 - column
-        assert all(later.planned for later in kept[1:])
+
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_a_tie_at_the_second_pivot_falls_back_to_the_simplex(self, column):
+        # the first pivot enters column 0 by a clear lead; then the second
+        # user's two columns tie, and either plan reaches an optimal basis,
+        # but a tie leaves no margin over rounding, so neither is kept
+        spec = PolytopeSpec(2, 2, np.ones((2, 2)), 10.0)
+        A, b = spec.constraint_rows
+        start = simplex_maximize(np.zeros(4), A, b)[-1]
+        omega = np.array([[2.0, 1.0], [1.0, 1.0]])
+        kept = solve_inner_lp(np.stack([omega, omega]), spec, start=start,
+                              path=replay_pivots(start, [(0, column), ()]))
+        assert len(kept) == 1
+        (sol,) = kept
+        assert not sol.planned and sol.entered == (0, 2)
+        assert np.array_equal(sol.x, [1.0, 0.0, 1.0, 0.0])
 
     @staticmethod
     def two_pivot_step(spec, seed):
@@ -530,28 +548,40 @@ class TestReplayedPivots:
         spec = self.specs()[kind]
         first, _, single = self.two_pivot_step(spec, 90 + seed)
         assert len(single.entered) == 2
-        ((entered, (tableau, basis)),) = replay_pivots(first.final, [single.entered])
-        assert entered == single.entered
+        ((entered, (tableau, basis), pivot_rows),) = replay_pivots(first.final, [single.entered])
+        assert entered == single.entered and len(pivot_rows) == 2
         assert np.array_equal(basis, single.final[1])
         assert np.array_equal(tableau[:-1], single.final[0][:-1])
 
     @pytest.mark.parametrize("kind", ["base", "extended"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_rows_after_a_solve_onto_the_plan_are_checked(self, kind, seed):
-        # the batch checks one-pivot rows only: the two-pivot row is solved
-        # by the simplex, which ends on its planned final, so the window
-        # keeps the rows after it without a solve
+    def test_two_planned_pivots_and_the_rows_after_are_kept(self, kind, seed):
+        # the batch takes both planned pivots of the first row, each by
+        # Dantzig's rule, and the rows after it keep the basis they reach
         spec = self.specs()[kind]
         first, omega, single = self.two_pivot_step(spec, 90 + seed)
         path = replay_pivots(first.final, [single.entered, (), ()])
         kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
-        assert [(sol.planned, sol.continued) for sol in kept] == \
-            [(False, True), (True, False), (True, False)]
+        assert [(sol.planned, sol.pivots) for sol in kept] == [(True, 2), (True, 0), (True, 0)]
         assert kept[0].entered == single.entered
-        assert all(sol.final is path[1][1] and sol.pivots == 0 for sol in kept[1:])
-        for sol in kept:
+        for j, sol in enumerate(kept):
+            assert sol.final is path[j][1]
             assert np.array_equal(sol.x, single.x)
             assert sol.objective_value == pytest.approx(single.objective_value, rel=1e-14)
+            assert np.allclose(sol.dual, single.dual, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["base", "extended"])
+    def test_a_row_of_DEGENERATE_RUN_pivots_goes_to_the_simplex(self, kind, monkeypatch):
+        # Bland's rule could take over in such a row, so the batch leaves it
+        # to the simplex, whose solve ends the window
+        spec = self.specs()[kind]
+        first, omega, single = self.two_pivot_step(spec, 90)
+        path = replay_pivots(first.final, [single.entered, (), ()])
+        monkeypatch.setattr(polytope_lp, "DEGENERATE_RUN", 2)
+        kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
+        assert len(kept) == 1 and not kept[0].planned
+        assert np.array_equal(kept[0].final[1], single.final[1])
+        assert np.array_equal(kept[0].x, single.x)
 
     @pytest.mark.parametrize("kind", ["base", "extended"])
     @pytest.mark.parametrize("seed", range(3))
@@ -564,7 +594,7 @@ class TestReplayedPivots:
         for column in wrong:
             path = replay_pivots(first.final, [(single.entered[0], column), (), ()])
             kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
-            assert len(kept) == 1 and not kept[0].planned and not kept[0].continued
+            assert len(kept) == 1 and not kept[0].planned
             assert kept[0].entered == single.entered
             assert np.array_equal(kept[0].x, single.x)
             assert np.array_equal(kept[0].final[1], single.final[1])
@@ -580,21 +610,21 @@ class TestStackedCertify:
         A, b = rng.uniform(0.1, 1.0, (3, 5)), rng.uniform(0.5, 1.0, 3)
         C = rng.uniform(0.1, 1.0, (count, 5))
         sols = [solve_generic_lp(c, A, b) for c in C]
-        return (C, A, b, sols[0].x, np.array([sol.objective_value for sol in sols]),
+        return (C, A, b, np.array([sol.objective_value for sol in sols]),
                 np.array([sol.dual for sol in sols]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_clean_rows_return_each_gap(self, seed):
-        C, A, b, x, values, duals = self.rows(70 + seed)
-        gaps = polytope_lp._certify(C, A, b, x, values, duals)
+        C, A, b, values, duals = self.rows(70 + seed)
+        gaps = polytope_lp._certify(C, A, b, values, duals)
         for j in range(len(C)):
-            single = polytope_lp._certify(C[j], A, b, x, float(values[j]), duals[j])
+            single = polytope_lp._certify(C[j], A, b, float(values[j]), duals[j])
             assert gaps[j] == pytest.approx(single, abs=1e-15)
 
     @pytest.mark.parametrize("row", [1, 2])
     @pytest.mark.parametrize("fault", ["dual", "reduced cost", "gap"])
     def test_a_later_row_fails_with_the_single_message(self, row, fault):
-        C, A, b, x, values, duals = self.rows(80 + row)
+        C, A, b, values, duals = self.rows(80 + row)
         if fault == "dual":
             duals[row, 1] = -1e-6
         elif fault == "reduced cost":
@@ -602,11 +632,11 @@ class TestStackedCertify:
         else:
             values[row] += 1e-3 * (1.0 + values[row])
         with pytest.raises(NumericError) as single:
-            polytope_lp._certify(C[row], A, b, x, float(values[row]), duals[row])
+            polytope_lp._certify(C[row], A, b, float(values[row]), duals[row])
         with pytest.raises(NumericError) as stacked:
-            polytope_lp._certify(C, A, b, x, values, duals)
+            polytope_lp._certify(C, A, b, values, duals)
         assert str(stacked.value) == str(single.value)
-        polytope_lp._certify(C[:row], A, b, x, values[:row], duals[:row])  # the rows before pass
+        polytope_lp._certify(C[:row], A, b, values[:row], duals[:row])  # the rows before pass
 
 
 def outcome(fn, *args):
@@ -762,18 +792,18 @@ class TestGuardsAgainstWrappers:
         rng = np.random.default_rng(990 + seed)
         c, A, b = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, (3, 4)), rng.uniform(0.5, 1, 3)
         sol = solve_generic_lp(c, A, b)
-        args = [(c, A, b, sol.x, sol.objective_value, sol.dual)]
+        args = [(c, A, b, sol.objective_value, sol.dual)]
         for _ in range(10):
             dual = sol.dual.copy()
             i = rng.integers(len(dual))
             for value in ulps(-1e-8) + SPECIAL[:3]:
                 dual[i] = value
-                args.append((c, A, b, sol.x, sol.objective_value, dual.copy()))
-            args.append((c, A, b, sol.x, sol.objective_value + rng.normal() * 1e-7, sol.dual))
+                args.append((c, A, b, sol.objective_value, dual.copy()))
+            args.append((c, A, b, sol.objective_value + rng.normal() * 1e-7, sol.dual))
             c_bad = c.copy()
             c_bad[rng.integers(len(c))] += rng.choice([1e-3, np.nan, np.inf])
-            args.append((c_bad, A, b, sol.x, sol.objective_value, sol.dual))
-            args.append((c, A, b, sol.x, rng.choice([np.nan, np.inf]), sol.dual))
+            args.append((c_bad, A, b, sol.objective_value, sol.dual))
+            args.append((c, A, b, rng.choice([np.nan, np.inf]), sol.dual))
         seen = set()
         for a in args:
             got = outcome(polytope_lp._certify, *a)
