@@ -73,7 +73,12 @@ def _jsonify(obj):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+    """Write the report as standard JSON; a non-finite number in it exits 3."""
+    try:
+        text = json.dumps(_jsonify(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        _fail(EXIT_NUMERIC, "report not written: it holds a non-finite number (inf or NaN), "
+                            "which standard JSON cannot carry")
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -306,7 +311,6 @@ def oracle_cmd(path, b, points, seed, out):
         util = make_utility(inst)
         if not util.exact:
             _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
-        oracle.check_size(inst)
         table = oracle.ProfileTable(inst, util)
         checks = [{"name": r.name, "ok": r.ok, "max_violation": r.max_violation,
                    "witnesses": r.witnesses}

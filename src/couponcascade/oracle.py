@@ -5,9 +5,11 @@ Works on coupon profiles: a profile is a tuple holding each user's coupon,
 exact concave-extension relaxations, and certifies numerically that the
 perturbed objective stays inside its submodular sandwich and that the
 relaxations dominate in the expected directions; every LP and check of a
-run reads one `ProfileTable`.  Every relaxation is solved as a profile LP
-over the combination weights alone, and its optimum is certified against
-the joint LP in the weights and y by a lifted dual.
+run reads one `ProfileTable`.  Its only size rule of its own is
+ENUMERATION_LIMIT on the profile count; f reads gamma of all 2^n seed
+sets, so n <= 15 comes from the gamma vector's rule.  Every relaxation is
+solved as a profile LP over the combination weights alone, and its optimum
+is certified against the joint LP in the weights and y by a lifted dual.
 Everything here is independent of the solver path: it goes through
 exhaustive enumeration and the generic LP solver only.  In particular f is
 a sum over explicit seed sets (`f_exact` below): every profile's Pr(U; S)
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from couponcascade.cascade import CascadeUtility, UtilityError
+from couponcascade.cascade import CascadeUtility, UtilityError, _seed_set_count
 from couponcascade.instance import Instance
 from couponcascade.polytope_lp import LpSolution, NumericError, _certify, solve_generic_lp
 
@@ -31,24 +32,12 @@ from couponcascade.polytope_lp import LpSolution, NumericError, _certify, solve_
 # seed-set probabilities, as many profiles as fit.
 BLOCK_ENTRIES = 1 << 16
 
-# Largest (m+1)^n profile count the suite enumerates, and the largest n whose
-# set pairs the submodularity check walks.
+# Largest (m+1)^n profile count the suite enumerates.
 ENUMERATION_LIMIT = 100_000
-SUBMODULAR_CHECK_MAX_N = 12
 
 
 class OracleError(ValueError):
     pass
-
-
-def check_size(inst: Instance) -> None:
-    """Raise OracleError unless every check of the suite can enumerate inst."""
-    count = (inst.m + 1) ** inst.n
-    if count > ENUMERATION_LIMIT:
-        raise OracleError(f"enumeration of {count} allocations exceeds the limit "
-                          f"{ENUMERATION_LIMIT}")
-    if inst.n > SUBMODULAR_CHECK_MAX_N:
-        raise OracleError(f"exhaustive check limited to n <= {SUBMODULAR_CHECK_MAX_N}")
 
 
 def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
@@ -62,7 +51,7 @@ def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
     n = inst.n
     profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
     gamma = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
-                      for mask in range(1 << n)])
+                      for mask in range(_seed_set_count(n))])
     held = np.hstack([np.zeros((n, 1)), inst.adoption])[np.arange(n), profiles]
     rows = max(1, BLOCK_ENTRIES >> n)
     out = np.empty(len(profiles))
@@ -75,39 +64,39 @@ def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
     return out
 
 
-def check_submodular_monotone(table: dict[frozenset, float], n: int):
-    """Exhaustively check a tabulated set function on {1..n}.
+def check_submodular_monotone(values):
+    """Check a set function on {1..n}, given as its 2^n values indexed by
+    user bitmask (bit v-1 for user v).
 
-    Returns None when the table is monotone and submodular, else a witness:
-    ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, Y, x) when
-    the diminishing-returns inequality fails for X subset of Y.
+    Returns None when it is monotone and submodular, else a witness:
+    ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, x, y) when
+    h(X+x) + h(X+y) < h(X+x+y) + h(X) for x, y not in X.  That local
+    inequality is equivalent to diminishing returns on every X within Y
+    (Schrijver, Combinatorial Optimization, Thm 44.1).  Its tolerance is
+    the monotone test's 1e-12 over n: a chain from X to Y takes at most
+    n - 1 local steps, so a gain that falls by more than 1e-12 from X to
+    Y is flagged.
     """
-    if n > SUBMODULAR_CHECK_MAX_N:
-        raise OracleError(f"exhaustive check limited to n <= {SUBMODULAR_CHECK_MAX_N}")
-    users = list(range(1, n + 1))
-    sets = []
-    for r in range(n + 1):
-        sets.extend(frozenset(c) for c in combinations(users, r))
-    for s in sets:
-        if s not in table:
-            raise UtilityError(f"gamma table is missing subset {sorted(s)}")
-    for X in sets:
-        for x in users:
-            if x in X:
-                continue
-            if table[X | {x}] < table[X] - 1e-12:
-                return ("monotone", X, x)
-    for Y in sets:
-        for X in sets:
-            if not X <= Y:
-                continue
-            for x in users:
-                if x in Y:
-                    continue
-                gain_x = table[X | {x}] - table[X]
-                gain_y = table[Y | {x}] - table[Y]
-                if gain_x < gain_y - 1e-12:
-                    return ("submodular", X, Y, x)
+    h = np.asarray(values, dtype=float)
+    n = len(h).bit_length() - 1
+    if len(h) != 1 << max(n, 0):
+        raise UtilityError(f"a set function needs 2^n values, one per subset; got {len(h)}")
+    masks = np.arange(len(h))
+
+    def users(mask):
+        return frozenset(v + 1 for v in range(n) if mask >> v & 1)
+
+    for x in range(n):
+        X = masks[masks >> x & 1 == 0]
+        bad = X[h[X | 1 << x] < h[X] - 1e-12]
+        if len(bad):
+            return ("monotone", users(bad[0]), x + 1)
+    for x in range(n):
+        for y in range(x + 1, n):
+            X = masks[(masks >> x | masks >> y) & 1 == 0]
+            bad = X[h[X | 1 << x] + h[X | 1 << y] < h[X | 1 << x | 1 << y] + h[X] - 1e-12 / n]
+            if len(bad):
+                return ("submodular", users(bad[0]), x + 1, y + 1)
     return None
 
 
@@ -293,9 +282,7 @@ def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
     # offered-user set; it must inherit monotone submodularity.
     offered = (np.arange(1 << inst.n)[:, None] >> np.arange(inst.n)) & 1
     grid_g = f_exact(inst, reference, offered * (np.arange(inst.n) % inst.m + 1))
-    grid = {frozenset(v + 1 for v in range(inst.n) if mask >> v & 1): float(g)
-            for mask, g in enumerate(grid_g)}
-    grid_witness = check_submodular_monotone(grid, inst.n)
+    grid_witness = check_submodular_monotone(grid_g)
     ok = worst <= 1e-9 and grid_witness is None
     details = {"epsilon": eps}
     if grid_witness is not None:

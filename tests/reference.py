@@ -10,8 +10,9 @@ module also keeps earlier forms of the program's kernels, the joint
 (alpha, y) LP of the concave relaxation solved as one LP, the LP input
 and output guards written with the np.any / np.all wrappers, and the
 continuous greedy loop that takes one step, with one marginal evaluation
-and one ascent LP, at a time, and `make_eps_perturbed`, which wraps a
-utility in an eps-band for the tests of the perturbation.
+and one ascent LP, at a time, `make_eps_perturbed`, which wraps a
+utility in an eps-band for the tests of the perturbation, and the
+submodularity check that walks every pair X within Y of a frozenset table.
 """
 
 from __future__ import annotations
@@ -59,6 +60,40 @@ def make_eps_perturbed(base: CascadeUtility, epsilon: float, perturb_seed: int) 
         base.kind, base.n, base.edges, base.table,
         epsilon=epsilon, perturb_seed=perturb_seed, mc_samples=base.mc_samples,
     )
+
+
+def check_submodular_monotone(table: dict[frozenset, float], n: int):
+    """Exhaustively check a tabulated set function on {1..n}.
+
+    Returns None when the table is monotone and submodular, else a witness:
+    ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, Y, x) when
+    the diminishing-returns inequality fails for X subset of Y.
+    """
+    users = list(range(1, n + 1))
+    sets = []
+    for r in range(n + 1):
+        sets.extend(frozenset(c) for c in combinations(users, r))
+    for s in sets:
+        if s not in table:
+            raise UtilityError(f"gamma table is missing subset {sorted(s)}")
+    for X in sets:
+        for x in users:
+            if x in X:
+                continue
+            if table[X | {x}] < table[X] - 1e-12:
+                return ("monotone", X, x)
+    for Y in sets:
+        for X in sets:
+            if not X <= Y:
+                continue
+            for x in users:
+                if x in Y:
+                    continue
+                gain_x = table[X | {x}] - table[X]
+                gain_y = table[Y | {x}] - table[Y]
+                if gain_x < gain_y - 1e-12:
+                    return ("submodular", X, Y, x)
+    return None
 
 
 class AllocationError(ValueError):

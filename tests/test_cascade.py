@@ -14,6 +14,7 @@ from couponcascade.cascade import (
 )
 from couponcascade.oracle import check_submodular_monotone
 from conftest import ic_instance, modular_table
+from reference import check_submodular_monotone as reference_check
 from reference import make_eps_perturbed
 
 
@@ -299,32 +300,83 @@ class TestPerturbation:
             assert ref.value(U) == base.value(U)
 
 
+def subset_vector(table, n):
+    """The values of a frozenset-keyed table, indexed by user bitmask."""
+    return np.array([table[U] for U in all_subsets(n)])
+
+
+def local_violation(h, witness):
+    """How far a witness of `check_submodular_monotone` breaks its inequality,
+    less its tolerance: positive for a real violation."""
+    n = len(h).bit_length() - 1
+    X = sum(1 << (v - 1) for v in witness[1])
+    if witness[0] == "monotone":
+        x = 1 << (witness[2] - 1)
+        return (h[X] - 1e-12) - h[X | x]
+    x, y = (1 << (v - 1) for v in witness[2:])
+    return (h[X | x | y] + h[X] - 1e-12 / n) - (h[X | x] + h[X | y])
+
+
 class TestSubmodularCheck:
     def test_coverage_ok(self):
         covers = [{1, 2}, {2, 3}, {4}]
         table = {}
         for U in all_subsets(3):
             table[U] = float(len(set().union(*(covers[v - 1] for v in U)) if U else set()))
-        assert check_submodular_monotone(table, 3) is None
+        assert check_submodular_monotone(subset_vector(table, 3)) is None
 
     def test_supermodular_pair_detected(self):
-        table = {frozenset(): 0.0, frozenset({1}): 0.0,
-                 frozenset({2}): 0.0, frozenset({1, 2}): 1.0}
-        witness = check_submodular_monotone(table, 2)
+        witness = check_submodular_monotone([0.0, 0.0, 0.0, 1.0])
         assert witness is not None and witness[0] == "submodular"
 
     def test_modular_ok(self):
-        assert check_submodular_monotone(modular_table([1.0, 3.0, 2.0]), 3) is None
+        assert check_submodular_monotone(subset_vector(modular_table([1.0, 3.0, 2.0]), 3)) is None
 
     def test_incomplete_table_rejected(self):
-        with pytest.raises(UtilityError, match="missing subset"):
-            check_submodular_monotone({frozenset(): 0.0}, 2)
+        with pytest.raises(UtilityError, match="2\\^n values"):
+            check_submodular_monotone([0.0, 1.0, 1.0])
 
     def test_nonmonotone_detected(self):
-        table = {frozenset(): 0.0, frozenset({1}): 1.0,
-                 frozenset({2}): 1.0, frozenset({1, 2}): 0.5}
-        witness = check_submodular_monotone(table, 2)
+        witness = check_submodular_monotone([0.0, 1.0, 1.0, 0.5])
         assert witness is not None and witness[0] == "monotone"
+
+    def test_agrees_with_the_pair_walk(self):
+        """The local check flags every table the X-within-Y walk flags, with
+        the same witness kind, and each witness it returns is real.  Tables
+        with one raised entry break local inequalities by a little more or
+        less than the local tolerance 1e-12/n, which the walk's 1e-12 lets
+        through: only the raised ones are flagged."""
+        rng = np.random.default_rng(2021)
+        flagged = {"monotone": 0, "submodular": 0}
+        for i in range(3000):
+            family = i % 4
+            n = int(rng.integers(2 if family == 3 else 1, 8))
+            bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            if family == 2:  # sorted random values: monotone, rarely submodular
+                h = np.sort(rng.random(1 << n))
+            elif family == 3:  # modular, then one entry raised
+                h = bits @ rng.uniform(0.05, 0.25, n)
+                top = rng.choice([Z for Z in range(1 << n) if Z.bit_count() >= 2])
+                tol = 1e-12 / n
+                raised = i % 8 == 3
+                h[top] += tol * (rng.uniform(1.1, 2.0) if raised else rng.uniform(0.5, 0.9))
+            else:  # coverage, times random factors in family 1
+                covers = rng.random((n, n + 2)) < 0.4
+                h = ((bits @ covers) > 0) @ rng.random(n + 2)
+                if family == 1:
+                    h *= rng.uniform(0.9, 1.1, 1 << n)
+            witness = check_submodular_monotone(h)
+            walk = reference_check({U: h[mask] for mask, U in enumerate(all_subsets(n))}, n)
+            if walk is not None:
+                flagged[walk[0]] += 1
+                assert witness is not None and witness[0] == walk[0], (i, walk, witness)
+            if witness is not None:
+                assert local_violation(h, witness) > 0, (i, witness)
+            if family == 3:
+                assert walk is None
+                assert (witness is not None) == raised, (i, witness)
+                assert witness is None or witness[0] == "submodular"
+        assert min(flagged.values()) >= 100, flagged
 
 
 def test_make_utility_picks_exact_ic():

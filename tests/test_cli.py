@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 from pathlib import Path
 
@@ -192,6 +193,27 @@ class TestSolve:
         res = cli("solve", "-i", str(bad))
         assert res.returncode == 2
         assert res.stderr == "error: LT incoming weights of user 2 sum above 1\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_report_exits_3(self, tmp_path, to_file):
+        # finite utilities whose f overflows: the mean and spread of f over
+        # the draws are inf, which standard JSON cannot carry
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 2, "coupon_values": [1.0, 2.0],
+            "adoption": [[0.5, 0.7], [0.4, 0.6]], "budget_B": 1.0, "model": "TABLE",
+            "gamma_table": {"": 0.0, "1": 1e308, "2": 1e308, "1,2": 1.5e308},
+        }))
+        out = tmp_path / "report.json"
+        res = cli("solve", "-i", str(path), "--rounds", "50",
+                  *(["--out", str(out)] if to_file else []))
+        assert res.returncode == 3
+        errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: report not written: it holds a non-finite number "
+                          "(inf or NaN), which standard JSON cannot carry"]
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
 
     def test_oracle_block_reads_f_once(self, extended_instance, monkeypatch):
         # the policy LP and the three relaxations read one table: one
@@ -509,15 +531,41 @@ class TestOracleCmd:
         assert "enumeration" in res.stderr
 
     def test_size_rules_checked_before_any_f(self, tmp_path, monkeypatch):
-        # 2^13 profiles are within the enumeration limit; n = 13 is not
-        path = tmp_path / "n13.json"
-        save_instance(generate_random(13, 1, model="IC", edge_density=0.08, seed=1), path)
+        # 2^17 profiles exceed the enumeration limit; 15 edges keep IC exact
+        path = tmp_path / "n17.json"
+        save_instance(generate_random(17, 1, model="IC", edge_density=0.06, seed=1), path)
         calls = []
         monkeypatch.setattr(oracle, "f_exact", lambda *args: calls.append(args))
         res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
         assert res.exit_code == 3
-        assert res.stderr == "error: exhaustive check limited to n <= 12\n"
+        assert res.stderr == ("error: enumeration of 131072 allocations exceeds the limit "
+                              "100000\n")
         assert calls == []
+
+    def test_thirteen_users_certified(self, tmp_path):
+        # the grid's submodularity check takes every n the gamma vector takes
+        path = tmp_path / "n13.json"
+        save_instance(generate_random(13, 1, model="IC", edge_density=0.08, seed=1), path)
+        res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["all_ok"] is True
+
+    def test_gamma_cap_before_the_seed_set_read(self, tmp_path):
+        # 2^16 profiles are within the enumeration limit; 16 users are past
+        # the gamma vector's cap, which holds before any table lookup
+        n = 16
+        path = tmp_path / "table16.json"
+        path.write_text(json.dumps({
+            "n": n, "m": 1, "coupon_values": [1.0], "adoption": [[0.5]] * n,
+            "budget_B": 4.0, "model": "TABLE",
+            "gamma_table": {",".join(str(v + 1) for v in range(n) if mask >> v & 1):
+                            float(mask.bit_count()) for mask in range(1 << n)},
+        }))
+        start = time.perf_counter()
+        res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
+        assert time.perf_counter() - start < 10
+        assert res.exit_code == 3
+        assert res.stderr == "error: gamma vectors limited to n <= 15\n"
 
 
 class TestBench:
