@@ -40,6 +40,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
+SEED = click.IntRange(min=0)  # numpy seeds are nonnegative
 MAX_STEPS = 10**6  # the most ascent steps a solve takes
 STEP = click.FloatRange(1.0 / MAX_STEPS, 1.0)
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
@@ -56,31 +57,25 @@ INPUT_ERRORS = (InstanceFormatError, InstanceValidationError)
 NUMERIC_ERRORS = (LpError, UtilityError, greedy.GreedyError, oracle.OracleError)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
+def _tolist(obj):
+    """json's fallback for numpy arrays and scalars: their Python lists and numbers."""
+    return obj.tolist()
 
 
 def _emit(report: dict, out: str | None) -> None:
-    """Write the report as standard JSON; a non-finite number in it exits 3."""
+    """Write the report as standard JSON.  A non-finite number in it exits
+    3; an --out path that cannot be written exits 2."""
     try:
-        text = json.dumps(_jsonify(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                          default=_tolist) + "\n"
     except ValueError:
         _fail(EXIT_NUMERIC, "report not written: it holds a non-finite number (inf or NaN), "
                             "which standard JSON cannot carry")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"report not written: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -238,16 +233,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     if want_trace:
         report["trace"] = trace.to_jsonable()
     timings = {"greedy_s": t_greedy, "rounding_s": t_round, "oracle_s": t_oracle,
-               "lp_pivots": trace.lp_pivots,
-               "lp_direction_changes": trace.lp_direction_changes,
-               "lp_fallbacks": trace.lp_fallbacks,
-               "lp_max_gap": trace.lp_max_gap,
-               "marginal_windows": trace.marginal_windows,
-               "points_folded": trace.points_folded,
-               "planned_windows": trace.planned_windows,
-               "planned_steps_kept": trace.planned_steps_kept,
-               "one_point_windows": trace.one_point_windows,
-               "marginals_s": trace.marginals_s, "F_s": trace.F_s, "lp_s": trace.lp_s}
+               **trace.counters()}
     return report, timings
 
 
@@ -270,7 +256,7 @@ def main():
 @click.option("--rounds", type=COUNT, default=1000, show_default=True)
 @click.option("--b", type=SCALE_B, default=0.25, show_default=True,
               help="Distribution-knapsack scaling in extended mode.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--trace", is_flag=True, help="Include the per-iteration trace.")
 @click.option("--no-oracle", is_flag=True, help="Skip the brute-force comparison.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -293,7 +279,7 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
             f"cost = {rnd['cost_mean']:.6f}"
             + (f", ratio = {report['ratio']['achieved']:.4f}" if report["ratio"] else "")
         )
-    click.echo("timings: " + json.dumps(_jsonify(timings)), err=True)
+    click.echo("timings: " + json.dumps(timings, default=_tolist), err=True)
 
 
 @main.command("oracle")
@@ -302,7 +288,7 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
 @click.option("--b", type=SCALE_B, default=0.25, show_default=True)
 @click.option("--points", type=COUNT, default=5, show_default=True,
               help="Random fractional points for the dominance check.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def oracle_cmd(path, b, points, seed, out):
     """Run the brute-force certification suite on one instance."""
@@ -356,7 +342,7 @@ def oracle_cmd(path, b, points, seed, out):
 @click.option("--marginal-samples", type=COUNT, default=200, show_default=True)
 @click.option("--rounds", type=COUNT, default=1000, show_default=True)
 @click.option("--b", type=SCALE_B, default=0.25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
     """Run the solve pipeline over every instance in a directory.

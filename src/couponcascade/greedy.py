@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,9 +124,9 @@ class GreedyTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
     final: np.ndarray | None = None
     lp_pivots: int = 0
+    lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
-    lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     points_folded: int = 0  # points those evaluations took, kept or not
     planned_windows: int = 0  # windows laid out along a recorded switch
@@ -144,6 +144,11 @@ class GreedyTrace:
             ],
             "final_y": self.final.tolist(),
         }
+
+    def counters(self) -> dict:
+        """The LP counters and layer seconds, by field name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("iterations", "final")}
 
 
 def _step_count(delta: float) -> int:

@@ -79,7 +79,8 @@ class Instance:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "edges", tuple(
             (_whole(u, "edge endpoint"), _whole(v, "edge endpoint"), float(w)) for u, v, w in self.edges))
-        object.__setattr__(self, "perturb_seed", _whole(self.perturb_seed, "perturb_seed"))
+        for name in ("n", "m", "perturb_seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         validate(self)
 
     # numpy fields break the generated __eq__; compare the JSON form `digest` hashes.
@@ -87,14 +88,6 @@ class Instance:
         if not isinstance(other, Instance):
             return NotImplemented
         return _to_jsonable(self) == _to_jsonable(other)
-
-    def value_of(self, d: int) -> float:
-        """Monetary value of coupon d (1-based)."""
-        return float(self.coupon_values[d - 1])
-
-    def p(self, v: int, d: int) -> float:
-        """Adoption probability p_v(d) (both 1-based)."""
-        return float(self.adoption[v - 1, d - 1])
 
     @property
     def redemption_weights(self) -> np.ndarray:
@@ -337,8 +330,6 @@ def generate_random(
 
 def _random_coverage_table(n: int, rng: np.random.Generator) -> dict[frozenset, float]:
     """Complete table of a random coverage function (monotone submodular)."""
-    if n > 12:
-        raise InstanceValidationError("tabulated utilities limited to n <= 12")
     universe = 2 * n
     covers = [
         frozenset(rng.choice(universe, size=rng.integers(1, n + 2), replace=False).tolist())

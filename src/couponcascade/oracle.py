@@ -5,16 +5,17 @@ Works on coupon profiles: a profile is a tuple holding each user's coupon,
 exact concave-extension relaxations, and certifies numerically that the
 perturbed objective stays inside its submodular sandwich and that the
 relaxations dominate in the expected directions; every LP and check of a
-run reads one `ProfileTable`.  Its only size rule of its own is
-ENUMERATION_LIMIT on the profile count; f reads gamma of all 2^n seed
-sets, so n <= 15 comes from the gamma vector's rule.  Every relaxation is
-solved as a profile LP over the combination weights alone, and its optimum
-is certified against the joint LP in the weights and y by a lifted dual.
-Everything here is independent of the solver path: it goes through
-exhaustive enumeration and the generic LP solver only.  In particular f is
-a sum over explicit seed sets (`f_exact` below): every profile's Pr(U; S)
-for all 2^n seed sets U, times gamma(U) read through `value`, not the
-solver's fold over the gamma vector.
+run reads one `ProfileTable`, so a run evaluates f over every profile
+once, and once more for the reference g when eps > 0.  Its only size rule
+of its own is ENUMERATION_LIMIT on the profile count; f reads gamma of all
+2^n seed sets, so n <= 15 comes from the gamma vector's rule.  Every
+relaxation is solved as a profile LP over the combination weights alone,
+and its optimum is certified against the joint LP in the weights and y by
+a lifted dual.  Everything here is independent of the solver path: it goes
+through exhaustive enumeration and the generic LP solver only.  In
+particular f is a sum over explicit seed sets (`f_exact` below): every
+profile's Pr(U; S) for all 2^n seed sets U, times gamma(U) read through
+`value`, not the solver's fold over the gamma vector.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ class ProfileTable:
 
     @cached_property
     def g(self) -> np.ndarray:
-        """f of the unperturbed reference utility."""
-        return f_exact(self.inst, self.util.reference_q, self.profiles)
+        """f of the unperturbed reference utility: f itself at eps = 0."""
+        reference = self.util.reference_q
+        return self.f if reference is self.util else f_exact(self.inst, reference, self.profiles)
 
     @cached_property
     def coupling(self) -> np.ndarray:
@@ -269,8 +271,9 @@ class VerifierReport:
 def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
     """Check (1-eps) g(S) <= f(S) <= (1+eps) g(S) over every allocation, g
     built from the unperturbed reference; also check that g is monotone
-    submodular along a fixed coupon-per-user grid."""
-    inst, reference, eps = table.inst, table.util.reference_q, table.util.epsilon
+    submodular along a fixed coupon-per-user grid, whose profiles are rows
+    of the table."""
+    inst, eps = table.inst, table.util.epsilon
     f_vals, g_vals = table.f, table.g
     violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
                            0.0)
@@ -279,10 +282,11 @@ def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
                   "f": float(f_vals[i]), "g": float(g_vals[i])}
                  for i in np.flatnonzero(violation > 1e-9)]
     # g restricted to one fixed coupon per user is a set function of the
-    # offered-user set; it must inherit monotone submodularity.
-    offered = (np.arange(1 << inst.n)[:, None] >> np.arange(inst.n)) & 1
-    grid_g = f_exact(inst, reference, offered * (np.arange(inst.n) % inst.m + 1))
-    grid_witness = check_submodular_monotone(grid_g)
+    # offered-user set; it must inherit monotone submodularity.  Grid
+    # profile S is row sum_v S_v (m+1)^(n-1-v) of the table.
+    users = np.arange(inst.n)
+    grid = (np.arange(1 << inst.n)[:, None] >> users & 1) * (users % inst.m + 1)
+    grid_witness = check_submodular_monotone(g_vals[grid @ (inst.m + 1) ** (inst.n - 1 - users)])
     ok = worst <= 1e-9 and grid_witness is None
     details = {"epsilon": eps}
     if grid_witness is not None:

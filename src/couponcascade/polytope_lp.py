@@ -86,7 +86,7 @@ class PolytopeSpec:
     def constraint_rows(self):
         """(A, b) for {y flat >= 0, A y <= b}: per-user caps, knapsack(s).
 
-        Built and checked as `simplex_maximize` checks its data once per
+        Built and checked as `solve_generic_lp` checks its data, once per
         spec, so the ascent's solves need not check them again.  The box
         y <= 1 follows from the caps and y >= 0.
         """
@@ -139,17 +139,28 @@ class LpSolution:
         return self.x.reshape(n, m)
 
 
-def simplex_maximize(c, A, b, start=None):
+def _check_rows(A, b, c=()):
+    """The input guards of the simplex, on one LP's data or on constant
+    (A, b) checked once for many objectives."""
+    if (b < 0).any():
+        raise LpError("right-hand sides must be nonnegative (origin-feasible form)")
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NumericError("non-finite LP data")
+
+
+def _simplex(c, A, b, start):
     """Primal simplex from the slack basis or `start`; Dantzig pricing, Bland fallback.
 
-    Maximize c.x subject to A x <= b, x >= 0, with b >= 0.  The entering
-    column has the most negative reduced cost (Dantzig); the leaving row has
-    the smallest ratio, ties going to the lowest basic index.  Dantzig's
-    rule can cycle on degenerate vertices (Beale's example), so after
-    DEGENERATE_RUN consecutive pivots that leave the objective unchanged the
-    rest of the solve enters the lowest-index improving column instead,
-    which is Bland's rule and terminates from any basis (Bland, Math. Oper.
-    Res. 1977).  Each pivot is one rank-1 update of the dense tableau.
+    Maximize c.x subject to A x <= b, x >= 0, with b >= 0, on float arrays
+    that passed `_check_rows`; its callers certify the result.  The
+    entering column has the most negative reduced cost (Dantzig); the
+    leaving row has the smallest ratio, ties going to the lowest basic
+    index.  Dantzig's rule can cycle on degenerate vertices (Beale's
+    example), so after DEGENERATE_RUN consecutive pivots that leave the
+    objective unchanged the rest of the solve enters the lowest-index
+    improving column instead, which is Bland's rule and terminates from any
+    basis (Bland, Math. Oper. Res. 1977).  Each pivot is one rank-1 update
+    of the dense tableau.
 
     `start` is the final (tableau, basis) of an earlier solve over the same
     A and b.  Its constraint rows B^-1 [A I b] are kept and only the
@@ -160,24 +171,6 @@ def simplex_maximize(c, A, b, start=None):
     the tuple of columns the pivots entered, in order, and final is the
     (tableau, basis) to pass as a later `start`.
     """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_rows(A, b, c)
-    return _simplex(c, A, b, start)
-
-
-def _check_rows(A, b, c=()):
-    """The input guards of `simplex_maximize`, on its data or on constant
-    (A, b) checked once for many objectives."""
-    if (b < 0).any():
-        raise LpError("right-hand sides must be nonnegative (origin-feasible form)")
-    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-        raise NumericError("non-finite LP data")
-
-
-def _simplex(c, A, b, start):
-    """`simplex_maximize` on float arrays that passed `_check_rows`."""
     n_rows, n_vars = A.shape
     if start is None:
         T = np.zeros((n_rows + 1, n_vars + n_rows + 1))
@@ -255,7 +248,7 @@ def replay_pivots(start, plan) -> list:
     by simplex pivots (`_pivot`) from the (tableau, basis) before it
     (`start` for the first step); the empty tuple keeps that basis, and the
     step repeats the same final.  A pivoted final is then the one that
-    `simplex_maximize`, started from the final before, reaches when its
+    the simplex (`_simplex`), started from the final before, reaches when its
     Dantzig rule enters those columns in that order and the last pivot
     leaves an optimal basis; its constraint rows are bit for bit those of
     the simplex.  The pivot rows are each pivot's normalized pivot row, in
@@ -329,7 +322,7 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     planned to take (`replay_pivots`; by default every step keeps the
     start's basis).  A stack of one row is solved by the warm simplex
     alone.  Row j of a longer stack is kept without a simplex solve when
-    `simplex_maximize`, started from row j-1's planned final, would end on
+    the simplex, started from row j-1's planned final, would end on
     row j's: Dantzig's rule enters each planned column in turn, by more
     than rounding over every other column, and the last pivot, or the kept
     basis, is optimal.  The objective must be nonzero, and a row of
@@ -408,7 +401,7 @@ def _kept_along(C, spec: PolytopeSpec, A, b, start, path) -> list[LpSolution]:
 
 
 def _dantzig_enters(objective, j, entered, pivot_rows) -> bool:
-    """Whether Dantzig's rule in simplex_maximize, from objective row
+    """Whether Dantzig's rule in the simplex, from objective row
     `objective[j]`, enters the planned columns in order.  Each pivot that
     passes is applied, with the simplex's own update and its normalized
     pivot row, to row j and to every later row, which starts from row j's

@@ -157,7 +157,7 @@ def seed_prob(inst: Instance, S, U) -> float:
     prob = 1.0
     U = frozenset(U)
     for v in range(1, inst.n + 1):
-        p = inst.p(v, prof[v - 1]) if prof[v - 1] else 0.0
+        p = inst.adoption[v - 1, prof[v - 1] - 1] if prof[v - 1] else 0.0
         prob *= p if v in U else 1.0 - p
     return prob
 
@@ -175,7 +175,7 @@ def cost_brute_force(inst: Instance, S) -> float:
         for combo in combinations(users, r):
             U = frozenset(combo)
             pr = seed_prob(inst, pairs, U)
-            redeemed = sum(inst.value_of(prof[u - 1]) for u in U if prof[u - 1])
+            redeemed = sum(inst.coupon_values[prof[u - 1] - 1] for u in U if prof[u - 1])
             total += pr * redeemed
     return total
 
@@ -369,7 +369,7 @@ def inner_weights_guard_wrappers(weights, spec) -> None:
 
 
 def simplex_input_guards_wrappers(c, A, b) -> None:
-    """The input guards of `simplex_maximize`, with the np.any / np.all wrappers."""
+    """The input guards of `solve_generic_lp`, with the np.any / np.all wrappers."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

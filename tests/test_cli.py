@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from conftest import run_cli as cli
 from couponcascade import cascade, greedy, oracle, rounding
 from couponcascade.cascade import make_utility
-from couponcascade.cli import _jsonify, _rounding_stats, main, run_solve
+from couponcascade.cli import _rounding_stats, _tolist, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
 from couponcascade.objective import f_exact, f_mc
 from reference import survival_loop
@@ -289,7 +289,7 @@ class TestRoundingStats:
 BAD_NUMBERS = [
     ("--rounds", "0"), ("--rounds", "-5"), ("--mc-samples", "0"),
     ("--marginal-samples", "0"), ("--delta", "0"), ("--delta", "1e-9"), ("--delta", "2"),
-    ("--b", "0"), ("--b", "0.6"),
+    ("--b", "0"), ("--b", "0.6"), ("--seed", "-1"),
 ]
 
 
@@ -303,7 +303,8 @@ class TestNumberRanges:
         assert res.exit_code == 2, res.output
         assert f"Invalid value for '{flag}'" in res.output
 
-    @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--b", "0"), ("--b", "0.6")])
+    @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--b", "0"), ("--b", "0.6"),
+                                            ("--seed", "-1")])
     def test_oracle_out_of_range_exits_2(self, base_instance, flag, value):
         res = CliRunner().invoke(main, ["oracle", "-i", base_instance, flag, value])
         assert res.exit_code == 2, res.output
@@ -315,6 +316,28 @@ class TestNumberRanges:
                                  env={"COUPONCASCADE_SOLVE_ROUNDS": "0"})
         assert res.exit_code == 2, res.output
         assert "Invalid value for '--rounds'" in res.output
+
+    def test_env_var_negative_seed_exits_2(self, base_instance):
+        res = CliRunner().invoke(main, ["solve", "-i", base_instance],
+                                 auto_envvar_prefix="COUPONCASCADE",
+                                 env={"COUPONCASCADE_SOLVE_SEED": "-1"})
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--seed'" in res.output
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_unwritable_out_exits_2(self, base_instance, tmp_path, command):
+        # the solve has run; the report cannot be written where --out points
+        target = ["-d", str(Path(base_instance).parent)] if command == "bench" else [
+            "-i", base_instance]
+        out = tmp_path / "missing" / "report.json"
+        res = cli(command, *target, "--rounds" if command != "oracle" else "--points", "1",
+                  "--out", str(out))
+        assert res.returncode == 2
+        errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: report not written: ")
+        assert str(out) in errors[0]
+        assert "Traceback" not in res.stderr
+        assert res.stdout == "" and not out.parent.exists()
 
     def test_bounds_are_inclusive_where_documented(self, base_instance):
         res = CliRunner().invoke(main, ["solve", "-i", base_instance, "--rounds", "1",
@@ -451,7 +474,7 @@ def separate_solve_checks(path, b=0.25):
         _, pb2 = oracle.solve_concave_relaxation(oracle.ProfileTable(inst, util), "PB2", b=b)
         checks.append({"name": "scaled_relaxation_lower_bound", "ok": pb2 >= b * pb1 - 1e-8,
                        "b": b, "full_value": pb1, "scaled_value": pb2})
-    return json.loads(json.dumps(_jsonify(checks)))
+    return json.loads(json.dumps(checks, default=_tolist))
 
 
 class TestOracleCmd:
@@ -489,8 +512,19 @@ class TestOracleCmd:
         assert sandwich["ok"] is False and report["all_ok"] is False
 
     def test_one_table_for_every_check(self, extended_instance, monkeypatch):
-        # f and g over every profile, and g over the sandwich's grid: every
-        # check and LP reads the same table
+        # f and g over every profile: every check and LP, the sandwich's
+        # grid among them, reads the same table
+        assert self.f_passes(extended_instance, monkeypatch) == 2
+
+    def test_one_f_pass_at_eps_0(self, tmp_path, monkeypatch):
+        # at eps = 0 the reference is the utility itself, so g is f
+        path = tmp_path / "ext0.json"
+        save_instance(generate_random(3, 2, model="TABLE", seed=8, extension=True), path)
+        assert self.f_passes(str(path), monkeypatch) == 1
+
+    @staticmethod
+    def f_passes(path, monkeypatch):
+        """How many times `oracle` on the instance calls `oracle.f_exact`."""
         calls = []
         original = oracle.f_exact
 
@@ -499,10 +533,10 @@ class TestOracleCmd:
             return original(*args)
 
         monkeypatch.setattr(oracle, "f_exact", counted)
-        res = CliRunner().invoke(main, ["oracle", "-i", extended_instance])
+        res = CliRunner().invoke(main, ["oracle", "-i", path])
         assert res.exit_code == 0, res.output
         assert json.loads(res.stdout)["all_ok"] is True
-        assert len(calls) == 3
+        return len(calls)
 
     def test_one_live_edge_pass(self, tmp_path, monkeypatch):
         # the unperturbed reference reuses the perturbed utility's IC vector

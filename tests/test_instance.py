@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couponcascade.cascade import make_utility
+from couponcascade.greedy import GreedyConfig, continuous_greedy
 from couponcascade.instance import (
     Instance,
     InstanceFormatError,
@@ -25,7 +27,7 @@ def test_minimal_file_roundtrip(tmp_path):
     }))
     inst = load_instance(path)
     assert inst.n == 2 and inst.m == 1
-    assert inst.p(1, 1) == 0.5
+    assert inst.adoption[0, 0] == 0.5
     assert inst.budget_K is None
 
 
@@ -308,7 +310,8 @@ def test_boundary_rejects(change, message):
 
 
 def _construct(**kw):
-    return Instance(n=2, m=1, coupon_values=[1.0], adoption=[[0.5], [0.5]], budget_B=1.0, **kw)
+    return Instance(**{**dict(n=2, m=1, coupon_values=[1.0], adoption=[[0.5], [0.5]],
+                              budget_B=1.0), **kw})
 
 
 @pytest.mark.parametrize("change,message", [
@@ -316,6 +319,9 @@ def _construct(**kw):
     ({"edges": ((1, True, 0.5),)}, "edge endpoint must be an integer, got True"),
     ({"perturb_seed": 2.5}, "perturb_seed must be an integer, got 2.5"),
     ({"perturb_seed": "7"}, "perturb_seed must be an integer, got '7'"),
+    ({"n": 2.5}, "n must be an integer, got 2.5"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"m": 1.5}, "m must be an integer, got 1.5"),
 ])
 def test_constructor_rejects_non_integral_fields(change, message):
     with pytest.raises(InstanceValidationError, match=message):
@@ -327,3 +333,22 @@ def test_constructor_stores_integral_fields_as_int():
     assert inst.edges == ((1, 2, 0.5),) and inst.perturb_seed == 2
     assert all(type(x) is int for x in (inst.perturb_seed, *inst.edges[0][:2]))
     assert type(_construct(perturb_seed=np.int64(5)).perturb_seed) is int
+
+
+def test_constructor_stores_float_sizes_as_int():
+    inst = _construct(n=2.0, m=np.float64(1.0))
+    assert type(inst.n) is int and type(inst.m) is int
+    assert inst == _construct() and inst.digest() == _construct().digest()
+    trace = continuous_greedy(inst, make_utility(inst), GreedyConfig())
+    assert trace.final.shape == (2, 1)
+
+
+def test_table_past_twelve_users_roundtrips(tmp_path):
+    inst = generate_random(13, 1, model="TABLE", seed=1)
+    path = tmp_path / "table13.json"
+    save_instance(inst, path)
+    assert load_instance(path) == inst
+    gamma = make_utility(inst).gamma_vector()
+    assert np.array_equal(gamma, [inst.gamma_table[frozenset(v + 1 for v in range(13)
+                                                              if mask >> v & 1)]
+                                  for mask in range(1 << 13)])

@@ -27,7 +27,7 @@ def enumerated_f(inst, util, profile):
     """f of one coupon profile by enumerating the seed sets of its offered
     users one combination at a time: the reference for `oracle.f_exact`."""
     offered = [v for v in range(1, inst.n + 1) if profile[v - 1]]
-    probs = [inst.p(v, profile[v - 1]) for v in offered]
+    probs = [inst.adoption[v - 1, profile[v - 1] - 1] for v in offered]
     total = 0.0
     for r in range(len(offered) + 1):
         for combo in combinations(range(len(offered)), r):
@@ -369,6 +369,37 @@ class TestSandwichVerifier:
         report = verify_eps_sandwich(ProfileTable(inst, Bad()))
         assert not report.ok
         assert report.witnesses
+
+    @staticmethod
+    def grid(n, m):
+        """The sandwich's grid: user v + 1 gets coupon v % m + 1 when bit v
+        of the row number is set, else none."""
+        offered = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        return offered * (np.arange(n) % m + 1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_grid_profiles_are_table_rows(self, n, m):
+        # profile S sits at row sum_v S_v (m+1)^(n-1-v) of the enumeration
+        inst = generate_random(n, m, model="IC", edge_density=0.0, seed=n)
+        grid = self.grid(n, m)
+        index = grid @ (m + 1) ** (n - 1 - np.arange(n))
+        assert np.array_equal(ProfileTable(inst, make_utility(inst)).profiles[index], grid)
+
+    @pytest.mark.parametrize("model", ["TABLE", "IC"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 1), (4, 2), (5, 3), (6, 1)])
+    def test_grid_values_read_from_the_table(self, monkeypatch, model, eps, n, m):
+        # the submodularity check gets, bit for bit, g of a separate f pass over the grid
+        seen = []
+        original = oracle.check_submodular_monotone
+        monkeypatch.setattr(oracle, "check_submodular_monotone",
+                            lambda values: seen.append(values) or original(values))
+        inst = generate_random(n, m, model=model, edge_density=0.4, epsilon=eps, seed=10 * n + m)
+        util = make_utility(inst)
+        assert verify_eps_sandwich(ProfileTable(inst, util)).ok
+        (values,) = seen
+        assert np.array_equal(values, oracle.f_exact(inst, util.reference_q, self.grid(n, m)))
 
 
 class TestDominanceVerifier:

@@ -10,7 +10,6 @@ from couponcascade.polytope_lp import (
     PolytopeSpec,
     UnboundedError,
     replay_pivots,
-    simplex_maximize,
     solve_generic_lp,
     solve_inner_lp,
 )
@@ -89,11 +88,11 @@ class TestSimplex:
 
     def test_unbounded_detected(self):
         with pytest.raises(UnboundedError):
-            simplex_maximize([1.0, 0.0], np.array([[0.0, 1.0]]), np.array([1.0]))
+            solve_generic_lp([1.0, 0.0], np.array([[0.0, 1.0]]), np.array([1.0]))
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(LpError, match="nonnegative"):
-            simplex_maximize([1.0], np.array([[1.0]]), np.array([-1.0]))
+            solve_generic_lp([1.0], np.array([[1.0]]), np.array([-1.0]))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_lp_matches_vertex_enumeration(self, seed):
@@ -417,7 +416,7 @@ class TestStackedInnerLp:
 
 class TestReplayedPivots:
     """replay_pivots plans a step's pivot with the simplex's own pivot, and
-    solve_inner_lp keeps a planned row only when simplex_maximize, started
+    solve_inner_lp keeps a planned row only when the simplex, started
     from the row before, would take exactly that pivot."""
 
     specs = staticmethod(TestWarmStart.specs)
@@ -505,7 +504,7 @@ class TestReplayedPivots:
         # simplex solves the first row and the window ends there.
         spec = PolytopeSpec(1, 2, np.array([[1.0, 1.0]]), 5.0)
         A, b = spec.constraint_rows
-        start = simplex_maximize(np.zeros(2), A, b)[-1]
+        start = solve_generic_lp(np.zeros(2), A, b).final
         kept = solve_inner_lp(np.ones((2, 1, 2)), spec, start=start,
                               path=replay_pivots(start, [(column,), ()]))
         assert len(kept) == 1
@@ -520,7 +519,7 @@ class TestReplayedPivots:
         # but a tie leaves no margin over rounding, so neither is kept
         spec = PolytopeSpec(2, 2, np.ones((2, 2)), 10.0)
         A, b = spec.constraint_rows
-        start = simplex_maximize(np.zeros(4), A, b)[-1]
+        start = solve_generic_lp(np.zeros(4), A, b).final
         omega = np.array([[2.0, 1.0], [1.0, 1.0]])
         kept = solve_inner_lp(np.stack([omega, omega]), spec, start=start,
                               path=replay_pivots(start, [(0, column), ()]))
@@ -780,7 +779,7 @@ class TestGuardsAgainstWrappers:
         seen = set()
         for c, A, b in cases:
             ref = outcome(simplex_input_guards_wrappers, c, A, b)
-            got = outcome(simplex_maximize, c, A, b)
+            got = outcome(solve_generic_lp, c, A, b)
             assert (got[0] == "passed") == (ref[0] == "passed")
             if ref[0] != "passed":
                 assert got == ref
