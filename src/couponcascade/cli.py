@@ -11,7 +11,7 @@ mirrored by environment variables prefixed COUPONCASCADE_ (for `solve`,
 e.g. COUPONCASCADE_SOLVE_SEED); explicit flags win.
 
 Exit codes: 0 success, 1 certification failure, 2 usage or input error,
-3 numeric failure.
+3 numeric failure.  `main` maps each failure to its code and one `error:` line.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class StepCountError(ValueError):
     """The default step 1/(nm)^2 would take more than MAX_STEPS ascent steps."""
 
 
-# The exceptions `solve` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
+# The exceptions `main` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
 # is a bug and surfaces with its traceback.
 INPUT_ERRORS = (InstanceFormatError, InstanceValidationError)
 NUMERIC_ERRORS = (LpError, UtilityError, greedy.GreedyError, oracle.OracleError)
@@ -139,18 +139,6 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples):
     return stats
 
 
-def _oracle_block(table, b):
-    if table.inst.budget_K is None:
-        # Without a distribution budget the policy LP and PB are one LP over
-        # the same profiles and rows: solve it once.
-        _, value = oracle.solve_concave_relaxation(table, "PB")
-        return {"policy_value": value, "relaxation_PB": value}
-    block = {"policy_value": oracle.solve_optimal_policy(table)[1]}
-    for mode in ("PB", "PB1", "PB2"):
-        _, block[f"relaxation_{mode}"] = oracle.solve_concave_relaxation(table, mode, b=b)
-    return block
-
-
 def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
               want_trace=False, with_oracle=True):
     """The solve pipeline shared by `solve` and `bench`."""
@@ -192,7 +180,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     t_oracle = 0.0
     if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
         t0 = time.perf_counter()
-        oracle_vals = _oracle_block(oracle.ProfileTable(inst, util), b)
+        oracle_vals = oracle.reference_values(oracle.ProfileTable(inst, util), b)
         t_oracle = time.perf_counter() - t0
         reference = oracle_vals["relaxation_PB1" if extended else "relaxation_PB"]
         if reference > 0:
@@ -237,7 +225,21 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     return report, timings
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: the one place where a failure becomes its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(EXIT_USAGE, exc.format_message())
+        except INPUT_ERRORS + (StepCountError,) as exc:
+            _fail(EXIT_USAGE, str(exc))
+        except NUMERIC_ERRORS as exc:
+            _fail(EXIT_NUMERIC, str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Coupon-allocation solver and certification suite."""
 
@@ -262,15 +264,8 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_oracle, out):
     """Solve one instance end-to-end and emit a JSON report."""
-    try:
-        report, timings = run_solve(
-            path, delta, mc_samples, marginal_samples, rounds, b, seed,
-            want_trace=trace, with_oracle=not no_oracle,
-        )
-    except INPUT_ERRORS + (StepCountError,) as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except NUMERIC_ERRORS as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    report, timings = run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
+                                want_trace=trace, with_oracle=not no_oracle)
     _emit(report, out)
     if out:
         rnd = report["rounding"]
@@ -292,37 +287,11 @@ def solve(path, delta, mc_samples, marginal_samples, rounds, b, seed, trace, no_
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def oracle_cmd(path, b, points, seed, out):
     """Run the brute-force certification suite on one instance."""
-    try:
-        inst = load_instance(path)
-        util = make_utility(inst)
-        if not util.exact:
-            _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
-        table = oracle.ProfileTable(inst, util)
-        checks = [{"name": r.name, "ok": r.ok, "max_violation": r.max_violation,
-                   "witnesses": r.witnesses}
-                  for r in (oracle.verify_eps_sandwich(table),
-                            oracle.verify_concave_dominance(table, points=points, seed=seed))]
-        block = _oracle_block(table, b)
-        policy_value, pb_value = block["policy_value"], block["relaxation_PB"]
-        checks.append({
-            "name": "relaxation_dominates_policy",
-            "ok": pb_value >= policy_value - 1e-8,
-            "policy_value": policy_value,
-            "relaxation_value": pb_value,
-        })
-        if inst.budget_K is not None:
-            pb1, pb2 = block["relaxation_PB1"], block["relaxation_PB2"]
-            checks.append({
-                "name": "scaled_relaxation_lower_bound",
-                "ok": pb2 >= b * pb1 - 1e-8,
-                "b": b,
-                "full_value": pb1,
-                "scaled_value": pb2,
-            })
-    except INPUT_ERRORS as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except NUMERIC_ERRORS as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    inst = load_instance(path)
+    util = make_utility(inst)
+    if not util.exact:
+        _fail(EXIT_USAGE, "oracle suite needs an exactly evaluable utility")
+    checks = oracle.certification_checks(oracle.ProfileTable(inst, util), b, points, seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "instance": {"path": str(path), "digest": inst.digest()},
@@ -356,11 +325,7 @@ def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
     numeric_failure = False
     for path in paths:
         try:
-            report, _ = run_solve(
-                str(path), delta, mc_samples, marginal_samples, rounds, b, seed,
-            )
-        except StepCountError as exc:  # a usage error: the run needs --delta
-            _fail(EXIT_USAGE, str(exc))
+            report, _ = run_solve(str(path), delta, mc_samples, marginal_samples, rounds, b, seed)
         except INPUT_ERRORS + NUMERIC_ERRORS as exc:  # keep going; mark the failed row
             numeric_failure = numeric_failure or isinstance(exc, NUMERIC_ERRORS)
             rows.append({"path": str(path), "failed": True,

@@ -4,10 +4,13 @@ Works on coupon profiles: a profile is a tuple holding each user's coupon,
 0 for none.  Enumerates every profile, solves the exact policy LP and the
 exact concave-extension relaxations, and certifies numerically that the
 perturbed objective stays inside its submodular sandwich and that the
-relaxations dominate in the expected directions; every LP and check of a
-run reads one `ProfileTable`, so a run evaluates f over every profile
-once, and once more for the reference g when eps > 0.  Its only size rule
-of its own is ENUMERATION_LIMIT on the profile count; f reads gamma of all
+relaxations dominate in the expected directions.  `certification_checks`
+returns the suite's checks as the `oracle` command reports them, each a
+dict with its name and `ok`; `reference_values` gives the LP optima that
+`solve` reports.  Every LP and check of a run reads one `ProfileTable`,
+so a run evaluates f over every profile once, and once more for the
+reference g when eps > 0.  Its only size rule of its own is
+ENUMERATION_LIMIT on the profile count; f reads gamma of all
 2^n seed sets, so n <= 15 comes from the gamma vector's rule.  Every
 relaxation is solved as a profile LP over the combination weights alone,
 and its optimum is certified against the joint LP in the weights and y by
@@ -20,7 +23,7 @@ profile's Pr(U; S) for all 2^n seed sets U, times gamma(U) read through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -259,20 +262,11 @@ def _certify_joint(inst: Instance, coupling, f_vals, k_bound, sol, y_plus) -> No
     _certify(c, A, b, float(c @ x), dual)
 
 
-@dataclass
-class VerifierReport:
-    name: str
-    ok: bool
-    max_violation: float
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-
-
-def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
+def verify_eps_sandwich(table: ProfileTable) -> dict:
     """Check (1-eps) g(S) <= f(S) <= (1+eps) g(S) over every allocation, g
     built from the unperturbed reference; also check that g is monotone
     submodular along a fixed coupon-per-user grid, whose profiles are rows
-    of the table."""
+    of the table.  A grid failure adds its `grid_violation` witness."""
     inst, eps = table.inst, table.util.epsilon
     f_vals, g_vals = table.f, table.g
     violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
@@ -287,16 +281,14 @@ def verify_eps_sandwich(table: ProfileTable) -> VerifierReport:
     users = np.arange(inst.n)
     grid = (np.arange(1 << inst.n)[:, None] >> users & 1) * (users % inst.m + 1)
     grid_witness = check_submodular_monotone(g_vals[grid @ (inst.m + 1) ** (inst.n - 1 - users)])
-    ok = worst <= 1e-9 and grid_witness is None
-    details = {"epsilon": eps}
     if grid_witness is not None:
-        details["grid_violation"] = [sorted(s) if isinstance(s, frozenset) else s
-                                     for s in grid_witness]
-    return VerifierReport("eps_sandwich", ok, worst, witnesses, details)
+        witnesses.append({"grid_violation": [sorted(s) if isinstance(s, frozenset) else s
+                                             for s in grid_witness]})
+    return {"name": "eps_sandwich", "ok": worst <= 1e-9 and grid_witness is None,
+            "max_violation": worst, "witnesses": witnesses}
 
 
-def verify_concave_dominance(table: ProfileTable, points: int = 5,
-                             seed: int = 0) -> VerifierReport:
+def verify_concave_dominance(table: ProfileTable, points: int = 5, seed: int = 0) -> dict:
     """Check that the extension of the perturbed objective never exceeds
     (1+eps) times the extension of its submodular reference, on random
     row-feasible fractional points.  At each point both extension LPs
@@ -320,5 +312,37 @@ def verify_concave_dominance(table: ProfileTable, points: int = 5,
         if violation > 1e-8:
             witnesses.append({"y": y.tolist(), "f_plus": f_plus, "g_plus": g_plus})
         worst = max(worst, violation)
-    return VerifierReport("concave_dominance", worst <= 1e-8, max(worst, 0.0), witnesses,
-                          {"epsilon": eps, "points": points})
+    return {"name": "concave_dominance", "ok": worst <= 1e-8,
+            "max_violation": max(worst, 0.0), "witnesses": witnesses}
+
+
+def reference_values(table: ProfileTable, b: float) -> dict:
+    """The optimum of the policy LP and of each relaxation the instance
+    has: PB, and in extended mode PB1 and PB2 at scale b."""
+    if table.inst.budget_K is None:
+        # Without a distribution budget the policy LP and PB are one LP over
+        # the same profiles and rows: solve it once.
+        _, value = solve_concave_relaxation(table, "PB")
+        return {"policy_value": value, "relaxation_PB": value}
+    values = {"policy_value": solve_optimal_policy(table)[1]}
+    for mode in ("PB", "PB1", "PB2"):
+        _, values[f"relaxation_{mode}"] = solve_concave_relaxation(table, mode, b=b)
+    return values
+
+
+def certification_checks(table: ProfileTable, b: float, points: int,
+                         seed: int) -> list[dict]:
+    """Every check of the suite, as the `oracle` report lists them: the
+    sandwich, the dominance of the reference extension, the relaxation
+    over the policy optimum, and in extended mode PB2 >= b * PB1."""
+    checks = [verify_eps_sandwich(table), verify_concave_dominance(table, points, seed)]
+    values = reference_values(table, b)
+    policy_value, pb_value = values["policy_value"], values["relaxation_PB"]
+    checks.append({"name": "relaxation_dominates_policy",
+                   "ok": pb_value >= policy_value - 1e-8,
+                   "policy_value": policy_value, "relaxation_value": pb_value})
+    if table.inst.budget_K is not None:
+        pb1, pb2 = values["relaxation_PB1"], values["relaxation_PB2"]
+        checks.append({"name": "scaled_relaxation_lower_bound", "ok": pb2 >= b * pb1 - 1e-8,
+                       "b": b, "full_value": pb1, "scaled_value": pb2})
+    return checks

@@ -60,6 +60,5 @@ def resolve_conflicts_batch(selected: np.ndarray, inst: Instance) -> np.ndarray:
     cum = np.cumsum(alloc * costs, axis=1)
     keep_sorted = alloc & (cum <= inst.budget_K + 1e-12)
     kept = np.zeros_like(selected)
-    for pos, i in enumerate(order):
-        kept[:, i] = np.where(keep_sorted[:, pos], selected[:, i], 0)
+    kept[:, order] = np.where(keep_sorted, selected[:, order], 0)
     return kept

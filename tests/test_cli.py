@@ -112,6 +112,8 @@ class TestSolve:
     def test_missing_file_usage_error(self):
         res = cli("solve", "-i", "/nonexistent.json")
         assert res.returncode == 2
+        assert res.stderr == ("error: Invalid value for '-i' / '--instance': "
+                              "File '/nonexistent.json' does not exist.\n")
 
     @pytest.mark.parametrize("change,reason", [
         ({"n": "abc"}, "malformed instance data"),
@@ -286,6 +288,15 @@ class TestRoundingStats:
         assert 0 < min(s["rate"] for s in expected.values()) < 1
 
 
+def one_error_line(res):
+    """The single stderr line of a usage error: exit 2, no usage text, no report."""
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "Usage:" not in res.stderr and res.stdout == ""
+    return lines[0]
+
+
 BAD_NUMBERS = [
     ("--rounds", "0"), ("--rounds", "-5"), ("--mc-samples", "0"),
     ("--marginal-samples", "0"), ("--delta", "0"), ("--delta", "1e-9"), ("--delta", "2"),
@@ -300,29 +311,56 @@ class TestNumberRanges:
         target = ["-i", base_instance] if command == "solve" else [
             "-d", str(Path(base_instance).parent)]
         res = CliRunner().invoke(main, [command, *target, flag, value])
-        assert res.exit_code == 2, res.output
-        assert f"Invalid value for '{flag}'" in res.output
+        assert one_error_line(res).startswith(f"error: Invalid value for '{flag}': ")
 
     @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--b", "0"), ("--b", "0.6"),
                                             ("--seed", "-1")])
     def test_oracle_out_of_range_exits_2(self, base_instance, flag, value):
         res = CliRunner().invoke(main, ["oracle", "-i", base_instance, flag, value])
-        assert res.exit_code == 2, res.output
-        assert f"Invalid value for '{flag}'" in res.output
+        assert one_error_line(res).startswith(f"error: Invalid value for '{flag}': ")
 
     def test_env_var_out_of_range_exits_2(self, base_instance):
         res = CliRunner().invoke(main, ["solve", "-i", base_instance],
                                  auto_envvar_prefix="COUPONCASCADE",
                                  env={"COUPONCASCADE_SOLVE_ROUNDS": "0"})
-        assert res.exit_code == 2, res.output
-        assert "Invalid value for '--rounds'" in res.output
+        assert one_error_line(res).startswith("error: Invalid value for '--rounds': ")
 
     def test_env_var_negative_seed_exits_2(self, base_instance):
         res = CliRunner().invoke(main, ["solve", "-i", base_instance],
                                  auto_envvar_prefix="COUPONCASCADE",
                                  env={"COUPONCASCADE_SOLVE_SEED": "-1"})
-        assert res.exit_code == 2, res.output
-        assert "Invalid value for '--seed'" in res.output
+        assert one_error_line(res) == ("error: Invalid value for '--seed': "
+                                       "-1 is not in the range x>=0.")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    @pytest.mark.parametrize("case,reason", [
+        ("--seed -1", "Invalid value for '--seed': "),
+        ("--rounds 0", None),  # oracle has no --rounds: no such option
+        ("--delta 0", None),
+        ("--b 0.9", "Invalid value for '--b': "),
+        ("no target", "Missing option "),
+        ("unknown subcommand", "No such command "),
+    ])
+    def test_usage_errors_print_one_line(self, base_instance, command, case, reason):
+        target = ["-d", str(Path(base_instance).parent)] if command == "bench" else [
+            "-i", base_instance]
+        if case == "no target":
+            args = [command]
+        elif case == "unknown subcommand":
+            args = [command + "x", *target]
+        else:
+            args = [command, *target, *case.split()]
+        if reason is None:
+            flag = case.split()[0]
+            reason = (f"No such option '{flag}'" if command == "oracle"
+                      else f"Invalid value for '{flag}': ")
+        assert one_error_line(CliRunner().invoke(main, args)).startswith(f"error: {reason}")
+
+    @pytest.mark.parametrize("args,code", [([], 2), (["--help"], 0), (["solve", "--help"], 0)])
+    def test_help_keeps_the_usage_text(self, args, code):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == code
+        assert res.output.startswith("Usage: ")
 
     @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
     def test_unwritable_out_exits_2(self, base_instance, tmp_path, command):
@@ -457,13 +495,8 @@ def separate_solve_checks(path, b=0.25):
     policy LP and one relaxation per mode, each solved on its own table."""
     inst = load_instance(path)
     util = make_utility(inst)
-    checks = []
-    for verifier in (oracle.verify_eps_sandwich(oracle.ProfileTable(inst, util)),
-                     oracle.verify_concave_dominance(oracle.ProfileTable(inst, util),
-                                                     points=5, seed=0)):
-        checks.append({"name": verifier.name, "ok": verifier.ok,
-                       "max_violation": verifier.max_violation,
-                       "witnesses": verifier.witnesses})
+    checks = [oracle.verify_eps_sandwich(oracle.ProfileTable(inst, util)),
+              oracle.verify_concave_dominance(oracle.ProfileTable(inst, util), points=5, seed=0)]
     _, policy_value = oracle.solve_optimal_policy(oracle.ProfileTable(inst, util))
     _, pb_value = oracle.solve_concave_relaxation(oracle.ProfileTable(inst, util), "PB")
     checks.append({"name": "relaxation_dominates_policy",
@@ -510,6 +543,10 @@ class TestOracleCmd:
         report = json.loads(res.stdout)
         sandwich = next(c for c in report["checks"] if c["name"] == "eps_sandwich")
         assert sandwich["ok"] is False and report["all_ok"] is False
+        # f lies in its band (eps = 0); the grid names why it failed: the
+        # pair of users 1, 2 over the empty set gains more together
+        assert sandwich["max_violation"] == 0.0
+        assert sandwich["witnesses"] == [{"grid_violation": ["submodular", [], 1, 2]}]
 
     def test_one_table_for_every_check(self, extended_instance, monkeypatch):
         # f and g over every profile: every check and LP, the sandwich's
