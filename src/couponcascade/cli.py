@@ -31,7 +31,8 @@ from couponcascade.instance import (
     InstanceValidationError,
     load_instance,
 )
-from couponcascade.objective import cost_exact, f_exact, f_mc
+# Nothing here calls f_mc: bench/tracing.py wraps it as (cli, "f_mc").
+from couponcascade.objective import cost_exact, f_exact, f_mc  # noqa: F401
 from couponcascade.polytope_lp import LpError
 
 SCHEMA_VERSION = 1
@@ -85,9 +86,10 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _rounding_stats(inst, util, y, rounds, rng, mc_samples):
-    """Monte-Carlo rounding statistics over `rounds` independent draws; an
-    instance with a budget_K also gets conflict resolution."""
+def _rounding_stats(inst, util, y, rounds, rng):
+    """Rounding statistics over `rounds` independent draws, each draw's f
+    exact given the utility's gamma vector; an instance with a budget_K
+    also gets conflict resolution."""
     extended = inst.budget_K is not None
     selections = rounding.round_partition_batch(y, rounds, rng)
     pre = selections
@@ -99,20 +101,14 @@ def _rounding_stats(inst, util, y, rounds, rng, mc_samples):
     spend = ((kept > 0) * costs).sum(axis=1)
     violations = int(np.sum(spend > inst.budget_K + 1e-9)) if extended else 0
 
-    # One f per distinct profile, taken in the order of the profiles'
-    # base-(m+1) codes, last user most significant; f_mc draws its coins in
-    # this order.  The codes overflow int64, so the group ranks are refined
-    # user by user instead.
+    # One f per distinct profile.  The profiles' base-(m+1) codes overflow
+    # int64, so the group ranks are refined user by user instead.
     inverse = np.zeros(len(kept), dtype=np.int64)
     for v in reversed(range(inst.n)):
         _, inverse = np.unique(inverse * (inst.m + 1) + kept[:, v], return_inverse=True)
     first = np.zeros(inverse.max() + 1, dtype=int)
     first[inverse] = np.arange(len(kept))
-    if util.exact:
-        values = f_exact(inst, util, kept[first])
-    else:
-        values = np.array([f_mc(inst, util, kept[i], mc_samples, rng) for i in first])
-    f_draws = values[inverse]
+    f_draws = f_exact(inst, util, kept[first])[inverse]
     c_draws = cost_exact(inst, kept[first])[inverse]
     stats = {
         "rounds": rounds,
@@ -164,7 +160,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
 
     round_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     t0 = time.perf_counter()
-    stats = _rounding_stats(inst, util, y, rounds, round_rng, mc_samples)
+    stats = _rounding_stats(inst, util, y, rounds, round_rng)
     t_round = time.perf_counter() - t0
 
     beta = greedy.approximation_beta(inst.epsilon, inst.n)
@@ -178,7 +174,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     oracle_vals = None
     ratio = None
     t_oracle = 0.0
-    if with_oracle and exact_ok and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
+    if with_oracle and util.exact and (inst.m + 1) ** inst.n <= ORACLE_LIMIT:
         t0 = time.perf_counter()
         oracle_vals = oracle.reference_values(oracle.ProfileTable(inst, util), b)
         t_oracle = time.perf_counter() - t0
@@ -250,8 +246,7 @@ def main():
 @click.option("--delta", type=STEP, default=None,
               help="Ascent step; default 1/(nm)^2, for n*m up to 1000.")
 @click.option("--mc-samples", type=COUNT, default=10_000, show_default=True,
-              help="Live-edge worlds sampled per utility (LT, and IC above 20 edges); "
-                   "also the coin draws per rounded profile of such a utility.")
+              help="Live-edge worlds sampled per utility (LT, and IC above 20 edges).")
 @click.option("--marginal-samples", type=COUNT, default=200, show_default=True,
               help="Profile draws per ascent step when exact evaluation is "
                    "infeasible; they serve both the marginals and F.")

@@ -32,8 +32,8 @@ import numpy as np
 from couponcascade.cascade import CascadeUtility, UtilityError
 from couponcascade.instance import Instance
 
-# Largest block of the fold f_exact makes at once, in entries: rows of 2^n
-# gamma values, as many profiles as fit.
+# Largest block of a fold of the gamma vector at once, in entries: rows of
+# 2^n gamma values, as many rows of seed probabilities as fit.
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -42,17 +42,26 @@ class FractionalError(ValueError):
 
 
 def _expected_gamma(gamma: np.ndarray, q: np.ndarray):
-    """E[gamma(U)] when user v seeds independently with probability q[..., v - 1].
+    """E[gamma(U)] when user v seeds independently with probability q[..., v - 1],
+    shaped like q without its last axis.
 
-    gamma is indexed by user bitmask (bit v - 1 for user v); q may carry
-    leading batch axes.  Folds out one user at a time, highest bit first.
+    gamma is indexed by user bitmask (bit v - 1 for user v); q is one
+    n-vector or a (k, n) batch, taken BLOCK_ENTRIES >> n rows at a time.
+    Folds out one user at a time, highest bit first.
     """
-    g = gamma
-    for v in reversed(range(q.shape[-1])):
-        half = 1 << v
-        qv = q[..., v, None]
-        g = g[..., :half] * (1.0 - qv) + g[..., half:] * qv
-    return g[..., 0]
+    n = q.shape[-1]
+    rows = q.reshape(-1, n)
+    out = np.empty(len(rows))
+    step = max(1, BLOCK_ENTRIES >> n)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        g = gamma[None]
+        for v in reversed(range(n)):
+            half = 1 << v
+            qv = block[:, v, None]
+            g = g[:, :half] * (1.0 - qv) + g[:, half:] * qv
+        out[start:start + step] = g[:, 0]
+    return out.reshape(q.shape[:-1])
 
 
 def _slopes(gamma: np.ndarray, q: np.ndarray):
@@ -97,18 +106,9 @@ def _held_probs(inst: Instance, profiles: np.ndarray) -> np.ndarray:
 
 
 def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
-    """f(S) for every coupon profile S, a row of the (k, n) array `profiles`.
-
-    Each f is the gamma vector folded with the profile's seed
-    probabilities, BLOCK_ENTRIES at a time.
-    """
-    gamma = util.gamma_vector()
-    held = _held_probs(inst, np.asarray(profiles, dtype=int))
-    rows = max(1, BLOCK_ENTRIES >> inst.n)
-    out = np.empty(len(held))
-    for start in range(0, len(held), rows):
-        out[start:start + rows] = _expected_gamma(gamma, held[start:start + rows])
-    return out
+    """f(S) for every coupon profile S, a row of the (k, n) array `profiles`:
+    the gamma vector folded with the profile's seed probabilities."""
+    return _expected_gamma(util.gamma_vector(), _held_probs(inst, np.asarray(profiles, dtype=int)))
 
 
 def f_mc(inst: Instance, util: CascadeUtility, profile, samples: int,

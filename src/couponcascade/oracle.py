@@ -48,7 +48,8 @@ def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
     """f(S) = sum over seed sets U of Pr(U;S) * gamma(U) for every coupon profile S.
 
     gamma(U) of all 2^n seed sets is read once through `util.value`; Pr(U;S)
-    is a product over users, one at a time, in blocks of BLOCK_ENTRIES.
+    is a product over users, one at a time, in blocks of BLOCK_ENTRIES: user
+    v doubles the filled columns of the block's one array in place.
     """
     if not util.exact:
         raise UtilityError("f_exact needs an exactly evaluable utility")
@@ -61,9 +62,12 @@ def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
     out = np.empty(len(profiles))
     for start in range(0, len(profiles), rows):
         p = held[start:start + rows]
-        pr = np.ones((len(p), 1))
+        pr = np.empty((len(p), len(gamma)))
+        pr[:, 0] = 1.0
         for v in range(n):  # user v + 1 is the next bit of the seed-set index
-            pr = np.hstack([pr * (1.0 - p[:, v, None]), pr * p[:, v, None]])
+            h = 1 << v
+            pr[:, h:2 * h] = pr[:, :h] * p[:, v, None]
+            pr[:, :h] *= 1.0 - p[:, v, None]
         out[start:start + rows] = pr @ gamma
     return out
 

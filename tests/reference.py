@@ -10,9 +10,11 @@ module also keeps earlier forms of the program's kernels, the joint
 (alpha, y) LP of the concave relaxation solved as one LP, the LP input
 and output guards written with the np.any / np.all wrappers, and the
 continuous greedy loop that takes one step, with one marginal evaluation
-and one ascent LP, at a time, `make_eps_perturbed`, which wraps a
-utility in an eps-band for the tests of the perturbation, and the
-submodularity check that walks every pair X within Y of a frozenset table.
+and one ascent LP, at a time, the fold of the gamma vector over a whole
+batch at once, the oracle's f that grows each block with `np.hstack`,
+`make_eps_perturbed`, which wraps a utility in an eps-band for the tests
+of the perturbation, and the submodularity check that walks every pair X
+within Y of a frozenset table.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from couponcascade.cascade import CascadeUtility, UtilityError
+from couponcascade.cascade import CascadeUtility, UtilityError, _seed_set_count
 from couponcascade.greedy import (
     GreedyTrace,
     IterationRecord,
@@ -32,14 +34,13 @@ from couponcascade.instance import Instance
 from couponcascade.objective import _as_matrix as _as_fractional
 from couponcascade.objective import (
     _draw_profiles,
-    _expected_gamma,
     _held_probs,
     marginal_omega,
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
 )
-from couponcascade.oracle import OracleError, ProfileTable
+from couponcascade.oracle import BLOCK_ENTRIES, OracleError, ProfileTable
 from couponcascade.polytope_lp import (
     LpError,
     NumericError,
@@ -252,13 +253,46 @@ def round_extended(y, inst: Instance, rng: np.random.Generator,
     return resolve_conflicts(I, inst, K)
 
 
+def expected_gamma_unblocked(gamma: np.ndarray, q: np.ndarray):
+    """E[gamma(U)] when user v seeds independently with probability q[..., v - 1].
+
+    gamma is indexed by user bitmask (bit v - 1 for user v); q may carry
+    leading batch axes, all folded at once, and may have no users.  Folds
+    out one user at a time, highest bit first.
+    """
+    g = gamma
+    for v in reversed(range(q.shape[-1])):
+        half = 1 << v
+        qv = q[..., v, None]
+        g = g[..., :half] * (1.0 - qv) + g[..., half:] * qv
+    return g[..., 0]
+
+
 def slopes_per_user(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
     """E[gamma | q_v = 1] - E[gamma | q_v = 0] for every user v, shaped like q."""
     out = np.empty(q.shape)
     for v in range(q.shape[-1]):
         split = gamma.reshape(-1, 2, 1 << v)
         rise = (split[:, 1] - split[:, 0]).ravel()  # gamma(U + v) - gamma(U), U without v
-        out[..., v] = _expected_gamma(rise, np.delete(q, v, axis=-1))
+        out[..., v] = expected_gamma_unblocked(rise, np.delete(q, v, axis=-1))
+    return out
+
+
+def oracle_f_hstack(inst: Instance, util, profiles) -> np.ndarray:
+    """`oracle.f_exact` with each block's Pr(U; S) rows grown by n `np.hstack` calls."""
+    n = inst.n
+    profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
+    gamma = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
+                      for mask in range(_seed_set_count(n))])
+    held = np.hstack([np.zeros((n, 1)), inst.adoption])[np.arange(n), profiles]
+    rows = max(1, BLOCK_ENTRIES >> n)
+    out = np.empty(len(profiles))
+    for start in range(0, len(profiles), rows):
+        p = held[start:start + rows]
+        pr = np.ones((len(p), 1))
+        for v in range(n):  # user v + 1 is the next bit of the seed-set index
+            pr = np.hstack([pr * (1.0 - p[:, v, None]), pr * p[:, v, None]])
+        out[start:start + rows] = pr @ gamma
     return out
 
 

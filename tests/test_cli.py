@@ -11,9 +11,9 @@ from click.testing import CliRunner
 from conftest import run_cli as cli
 from couponcascade import cascade, greedy, oracle, rounding
 from couponcascade.cascade import make_utility
-from couponcascade.cli import _rounding_stats, _tolist, main, run_solve
+from couponcascade.cli import ORACLE_LIMIT, _rounding_stats, _tolist, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
-from couponcascade.objective import f_exact, f_mc
+from couponcascade.objective import f_exact
 from reference import survival_loop
 
 RUN_REPORT_SCHEMA = {
@@ -257,22 +257,19 @@ class TestRoundingStats:
         util = cascade.make_utility(inst)
         y = np.zeros((11, 127))
         y[:, 0] = 0.5
-        stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5), 10_000)
+        stats = _rounding_stats(inst, util, y, 200, np.random.default_rng(5))
         draws = rounding.round_partition_batch(y, 200, np.random.default_rng(5))
         assert stats["f_mean"] == pytest.approx(np.mean(f_exact(inst, util, draws)), rel=1e-12)
 
-    def test_sampled_f_drawn_in_profile_code_order(self):
-        # f_mc shares the rounding rng, so the order of distinct profiles fixes the report
+    def test_sampled_utility_f_read_from_gamma(self):
+        # an LT utility's rounded f is exact given its sampled gamma vector
         inst = generate_random(4, 2, model="LT", seed=2)
         util = cascade.make_utility(inst, mc_samples=500)
         y = np.random.default_rng(3).uniform(0.0, 0.5, size=(4, 2))
-        stats = _rounding_stats(inst, util, y, 300, np.random.default_rng(9), 500)
-        rng = np.random.default_rng(9)
-        draws = rounding.round_partition_batch(y, 300, rng)
-        codes, inverse = np.unique(draws @ 3 ** np.arange(4), return_inverse=True)
-        assert len(codes) > 10
-        f_codes = [f_mc(inst, util, draws[inverse == j][0], 500, rng) for j in range(len(codes))]
-        assert stats["f_mean"] == float(np.array(f_codes)[inverse].mean())
+        stats = _rounding_stats(inst, util, y, 300, np.random.default_rng(9))
+        draws = rounding.round_partition_batch(y, 300, np.random.default_rng(9))
+        assert len(np.unique(draws, axis=0)) > 10
+        assert stats["f_mean"] == pytest.approx(np.mean(f_exact(inst, util, draws)), rel=1e-12)
 
     def test_survival_matches_the_pair_loop(self):
         inst = generate_random(5, 10, model="TABLE", seed=4, extension=True)
@@ -280,7 +277,7 @@ class TestRoundingStats:
         y = np.random.default_rng(6).random((5, 10))
         y *= 0.9 / y.sum(axis=1, keepdims=True)
         y[0, 3] = 0.0  # a pair never drawn gets no entry
-        stats = _rounding_stats(inst, util, y, 1000, np.random.default_rng(7), 10_000)
+        stats = _rounding_stats(inst, util, y, 1000, np.random.default_rng(7))
         pre = rounding.round_partition_batch(y, 1000, np.random.default_rng(7))
         expected = survival_loop(pre, rounding.resolve_conflicts_batch(pre, inst), 5, 10)
         assert list(stats["survival"].items()) == list(expected.items())
@@ -433,7 +430,15 @@ class TestDefaultStep:
 
 class TestSampledModels:
     """LT, and IC above the exact edge limit, solve end to end with sampled
-    marginals and no oracle block."""
+    marginals and no oracle block, and the `oracle` command refuses them."""
+
+    @pytest.mark.parametrize("model", ["LT", "IC"])
+    def test_oracle_exits_2(self, tmp_path, model):
+        inst = generate_random(4, 2, model="LT", seed=2) if model == "LT" else _dense_ic()
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        res = CliRunner().invoke(main, ["oracle", "-i", str(path)])
+        assert one_error_line(res) == "error: oracle suite needs an exactly evaluable utility"
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("extended", [False, True])
@@ -457,6 +462,28 @@ class TestSampledModels:
         assert report["instance"]["extended"] is extended
         assert report["rounding"]["dist_budget_violations"] == 0
         assert 0 < report["rounding"]["f_mean"] <= inst.n
+
+
+class TestOracleGate:
+    """`solve` compares against the oracle on every exact utility with at
+    most ORACLE_LIMIT allocations, whatever its marginals."""
+
+    def test_sampled_marginals_get_a_ratio(self, tmp_path):
+        # acceptance property 1 on an n*m = 18 instance (4,096 allocations)
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(6, 3, model="TABLE", seed=1), path)
+        report, _ = run_solve(str(path), None, 10_000, 200, 200, 0.25, 0)
+        assert report["config"]["marginals"] == "sampled"
+        assert set(report["oracle"]) == {"policy_value", "relaxation_PB"}
+        ratio, guarantee = report["ratio"], report["theory"]["guarantee"]
+        assert ratio["achieved"] >= guarantee - 0.07 - 3 * ratio["stderr"]
+
+    def test_past_the_limit_no_oracle(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(5, 10, model="TABLE", seed=1), path)
+        assert 11 ** 5 > ORACLE_LIMIT
+        report, _ = run_solve(str(path), 0.05, 10_000, 200, 200, 0.25, 0)
+        assert report["oracle"] is None and report["ratio"] is None
 
 
 class TestOracleFuzz:

@@ -22,6 +22,7 @@ from reference import (
     Allocation,
     AllocationError,
     cost_brute_force,
+    expected_gamma_unblocked,
     make_eps_perturbed,
     marginal_omega_lifted,
     pairs_to_profile,
@@ -142,6 +143,25 @@ class TestFExact:
         rows = objective.BLOCK_ENTRIES >> inst.n
         for i in (0, rows - 1, rows, len(profiles) - 1):
             assert values[i] == f_exact(inst, util, profiles[i:i + 1])[0]
+
+    @pytest.mark.parametrize("samples", [200, 800])
+    def test_sampled_F_row_blocks_bound_memory(self, samples):
+        # unblocked, the fold of the draws at n = 15 takes about 50 MiB at
+        # 200 draws and 200 MiB at 800
+        inst = generate_random(15, 1, model="IC", edge_density=0.05, seed=1)
+        util = make_utility(inst)
+        util.gamma_vector()
+        y = np.full((15, 1), 0.5)
+        tracemalloc.start()
+        try:
+            F = multilinear_F_mc(inst, util, y, samples, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * objective.BLOCK_ENTRIES * 8
+        draws = objective._draw_profiles(inst, y, samples, np.random.default_rng(4))
+        held = objective._held_probs(inst, draws)
+        assert F == float(expected_gamma_unblocked(util.gamma_vector(), held).mean())
 
 
 class TestFMc:

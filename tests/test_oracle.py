@@ -20,7 +20,7 @@ from couponcascade.oracle import (
 )
 from couponcascade.polytope_lp import NumericError, solve_generic_lp
 from conftest import modular_table, run_cli, table_instance
-from reference import solve_concave_relaxation_joint
+from reference import oracle_f_hstack, solve_concave_relaxation_joint
 
 
 def enumerated_f(inst, util, profile):
@@ -80,6 +80,28 @@ class TestBatchedF:
                        | set(range(7, len(profiles), 97)))
         expected = [enumerated_f(inst, util, profiles[i]) for i in picks]
         assert np.allclose(values[picks], expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", ["TABLE", "IC"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_in_place_blocks_match_hstack(self, model, eps):
+        # the same products as the hstack body, so the same bits
+        for n in range(1, 9):
+            m = 2 if n <= 6 else 1
+            inst = generate_random(n, m, model=model, edge_density=0.3, epsilon=eps,
+                                   seed=90 + n)
+            util = make_utility(inst)
+            profiles = enumerate_feasible_allocations(inst)
+            assert np.array_equal(oracle.f_exact(inst, util, profiles),
+                                  oracle_f_hstack(inst, util, profiles))
+
+    def test_in_place_blocks_at_thirteen_users(self):
+        # 8 profiles per block at n = 13: 1,024 blocks, boundaries included
+        inst = generate_random(13, 1, model="IC", edge_density=0.06, epsilon=0.1, seed=1)
+        util = make_utility(inst)
+        profiles = enumerate_feasible_allocations(inst)
+        assert oracle.BLOCK_ENTRIES >> inst.n == 8
+        assert np.array_equal(oracle.f_exact(inst, util, profiles),
+                              oracle_f_hstack(inst, util, profiles))
 
     def test_negative_control_utility(self):
         inst = table_instance(modular_table([1.0, 1.0, 1.0]), [[0.5, 0.7], [0.2, 0.4], [0.9, 1.0]])
