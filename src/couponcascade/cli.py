@@ -45,6 +45,8 @@ SEED = click.IntRange(min=0)  # numpy seeds are nonnegative
 MAX_STEPS = 10**6  # the most ascent steps a solve takes
 STEP = click.FloatRange(1.0 / MAX_STEPS, 1.0)
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
+# Not a cost cap (the oracle takes up to its ENUMERATION_LIMIT): bench/ladders.py
+# holds the sampled-wide rows, TABLE 4x10 at 14,641 profiles, to no oracle block.
 ORACLE_LIMIT = 4096  # largest (m+1)^n allocation count `solve` compares against the oracle
 
 

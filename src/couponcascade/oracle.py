@@ -16,9 +16,9 @@ relaxation is solved as a profile LP over the combination weights alone,
 and its optimum is certified against the joint LP in the weights and y by
 a lifted dual.  Everything here is independent of the solver path: it goes
 through exhaustive enumeration and the generic LP solver only.  In
-particular f is a sum over explicit seed sets (`f_exact` below): every
-profile's Pr(U; S) for all 2^n seed sets U, times gamma(U) read through
-`value`, not the solver's fold over the gamma vector.
+particular f is the product form over the profile grid (`f_exact` below):
+gamma(U) read through `value`, contracted one user at a time with that
+user's seed probabilities, not the solver's fold over the gamma vector.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from couponcascade.cascade import CascadeUtility, UtilityError, _seed_set_count
 from couponcascade.instance import Instance
 from couponcascade.polytope_lp import LpSolution, NumericError, _certify, solve_generic_lp
 
-# Largest Pr(U; S) block f_exact builds at once, in entries: rows of 2^n
-# seed-set probabilities, as many profiles as fit.
-BLOCK_ENTRIES = 1 << 16
-
 # Largest (m+1)^n profile count the suite enumerates.
 ENUMERATION_LIMIT = 100_000
 
@@ -44,32 +40,32 @@ class OracleError(ValueError):
     pass
 
 
-def f_exact(inst: Instance, util: CascadeUtility, profiles) -> np.ndarray:
-    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U) for every coupon profile S.
+def _check_profile_count(inst: Instance) -> None:
+    count = (inst.m + 1) ** inst.n
+    if count > ENUMERATION_LIMIT:
+        raise OracleError(f"enumeration of {count} allocations exceeds the limit "
+                          f"{ENUMERATION_LIMIT}")
 
-    gamma(U) of all 2^n seed sets is read once through `util.value`; Pr(U;S)
-    is a product over users, one at a time, in blocks of BLOCK_ENTRIES: user
-    v doubles the filled columns of the block's one array in place.
+
+def f_exact(inst: Instance, util: CascadeUtility) -> np.ndarray:
+    """f(S) = sum over seed sets U of Pr(U;S) * gamma(U) for every coupon
+    profile S, in the order of `enumerate_feasible_allocations`.
+
+    gamma(U) of all 2^n seed sets is read once through `util.value`.  Pr(U;S)
+    is a product over users, so f over the (m+1)^n profile grid is gamma, as
+    a 2 x ... x 2 tensor, with each user's bit axis contracted against
+    [1 - p_v(d), p_v(d)], p_v(0) = 0: one broadcast multiply-add per user.
     """
     if not util.exact:
         raise UtilityError("f_exact needs an exactly evaluable utility")
+    _check_profile_count(inst)
     n = inst.n
-    profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
-    gamma = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
-                      for mask in range(_seed_set_count(n))])
-    held = np.hstack([np.zeros((n, 1)), inst.adoption])[np.arange(n), profiles]
-    rows = max(1, BLOCK_ENTRIES >> n)
-    out = np.empty(len(profiles))
-    for start in range(0, len(profiles), rows):
-        p = held[start:start + rows]
-        pr = np.empty((len(p), len(gamma)))
-        pr[:, 0] = 1.0
-        for v in range(n):  # user v + 1 is the next bit of the seed-set index
-            h = 1 << v
-            pr[:, h:2 * h] = pr[:, :h] * p[:, v, None]
-            pr[:, :h] *= 1.0 - p[:, v, None]
-        out[start:start + rows] = pr @ gamma
-    return out
+    held = np.hstack([np.zeros((n, 1)), inst.adoption])
+    f = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
+                  for mask in range(_seed_set_count(n))]).reshape((2,) * n)
+    for v in reversed(range(n)):  # axis 0 is the highest bit left: user v + 1
+        f = f[0, ..., None] * (1.0 - held[v]) + f[1, ..., None] * held[v]
+    return f.transpose().ravel()  # user 1's coupon the most significant digit
 
 
 def check_submodular_monotone(values):
@@ -122,10 +118,7 @@ class Policy:
 
 def enumerate_feasible_allocations(inst: Instance) -> list[tuple]:
     """Every coupon profile (at most one coupon per user), in lexicographic order."""
-    count = (inst.m + 1) ** inst.n
-    if count > ENUMERATION_LIMIT:
-        raise OracleError(f"enumeration of {count} allocations exceeds the limit "
-                          f"{ENUMERATION_LIMIT}")
+    _check_profile_count(inst)
     return list(map(tuple, np.indices((inst.m + 1,) * inst.n).reshape(inst.n, -1).T.tolist()))
 
 
@@ -133,10 +126,14 @@ def enumerate_feasible_allocations(inst: Instance) -> list[tuple]:
 class ProfileTable:
     """Every coupon profile of one instance, as a (k, n) array in
     lexicographic order, and what the oracle's LPs and checks read off them,
-    each computed on first use: one table serves a whole oracle run."""
+    each computed on first use: one table serves a whole oracle run.  A
+    table past ENUMERATION_LIMIT is refused when built, before any f."""
 
     inst: Instance
     util: CascadeUtility
+
+    def __post_init__(self):
+        _check_profile_count(self.inst)
 
     @cached_property
     def profiles(self) -> np.ndarray:
@@ -144,13 +141,13 @@ class ProfileTable:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return f_exact(self.inst, self.util, self.profiles)
+        return f_exact(self.inst, self.util)
 
     @cached_property
     def g(self) -> np.ndarray:
         """f of the unperturbed reference utility: f itself at eps = 0."""
         reference = self.util.reference_q
-        return self.f if reference is self.util else f_exact(self.inst, reference, self.profiles)
+        return self.f if reference is self.util else f_exact(self.inst, reference)
 
     @cached_property
     def coupling(self) -> np.ndarray:

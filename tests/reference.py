@@ -11,10 +11,11 @@ module also keeps earlier forms of the program's kernels, the joint
 and output guards written with the np.any / np.all wrappers, and the
 continuous greedy loop that takes one step, with one marginal evaluation
 and one ascent LP, at a time, the fold of the gamma vector over a whole
-batch at once, the oracle's f that grows each block with `np.hstack`,
-`make_eps_perturbed`, which wraps a utility in an eps-band for the tests
-of the perturbation, and the submodularity check that walks every pair X
-within Y of a frozenset table.
+batch at once, the oracle's earlier f, an explicit sum over seed sets
+that grows each block with `np.hstack`, `oracle_f_at`, which reads the
+oracle's f grid at given profiles, `make_eps_perturbed`, which wraps a
+utility in an eps-band for the tests of the perturbation, and the
+submodularity check that walks every pair X within Y of a frozenset table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from couponcascade.objective import (
     multilinear_F_exact,
     multilinear_F_mc,
 )
-from couponcascade.oracle import BLOCK_ENTRIES, OracleError, ProfileTable
+from couponcascade.oracle import OracleError, ProfileTable, f_exact
 from couponcascade.polytope_lp import (
     LpError,
     NumericError,
@@ -278,14 +279,21 @@ def slopes_per_user(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest Pr(U; S) block `oracle_f_hstack` builds at once, in entries: rows
+# of 2^n seed-set probabilities, as many profiles as fit.
+HSTACK_BLOCK_ENTRIES = 1 << 16
+
+
 def oracle_f_hstack(inst: Instance, util, profiles) -> np.ndarray:
-    """`oracle.f_exact` with each block's Pr(U; S) rows grown by n `np.hstack` calls."""
+    """f of each profile as the explicit sum over seed sets U of Pr(U; S) *
+    gamma(U): the reference for `oracle.f_exact`'s contraction.  Each
+    block's Pr(U; S) rows are grown by n `np.hstack` calls."""
     n = inst.n
     profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
     gamma = np.array([util.value(frozenset(v + 1 for v in range(n) if mask >> v & 1))
                       for mask in range(_seed_set_count(n))])
     held = np.hstack([np.zeros((n, 1)), inst.adoption])[np.arange(n), profiles]
-    rows = max(1, BLOCK_ENTRIES >> n)
+    rows = max(1, HSTACK_BLOCK_ENTRIES >> n)
     out = np.empty(len(profiles))
     for start in range(0, len(profiles), rows):
         p = held[start:start + rows]
@@ -294,6 +302,14 @@ def oracle_f_hstack(inst: Instance, util, profiles) -> np.ndarray:
             pr = np.hstack([pr * (1.0 - p[:, v, None]), pr * p[:, v, None]])
         out[start:start + rows] = pr @ gamma
     return out
+
+
+def oracle_f_at(inst: Instance, util, profiles) -> np.ndarray:
+    """`oracle.f_exact` of each given profile, read off the profile grid:
+    profile S sits at row sum_v S_v (m+1)^(n-1-v)."""
+    n = inst.n
+    profiles = np.asarray(profiles, dtype=int).reshape(-1, n)
+    return f_exact(inst, util)[profiles @ (inst.m + 1) ** np.arange(n - 1, -1, -1)]
 
 
 def seed_probs_loop(y: np.ndarray, p: np.ndarray):

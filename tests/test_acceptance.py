@@ -19,7 +19,6 @@ from couponcascade.instance import generate_random, save_instance
 from couponcascade.objective import cost_exact, f_exact, multilinear_F_exact, multilinear_F_mc
 from couponcascade.oracle import (
     ProfileTable,
-    f_exact as enumerated_f,
     solve_concave_relaxation,
     solve_optimal_policy,
     verify_concave_dominance,
@@ -28,7 +27,7 @@ from couponcascade.oracle import (
 from couponcascade.polytope_lp import PolytopeSpec, solve_inner_lp
 from couponcascade.rounding import resolve_conflicts_batch, round_partition_batch
 from conftest import modular_table, run_cli, table_instance
-from reference import Allocation, cost_brute_force, seed_prob, swap_round_merge
+from reference import Allocation, cost_brute_force, oracle_f_at, seed_prob, swap_round_merge
 from test_polytope_lp import mckp_fractional_oracle
 
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
@@ -192,14 +191,14 @@ class TestLemmaSuite:
 
 class TestExtensionConsistency:
     def test_multilinear_agrees_with_set_function(self):
-        """F at an indicator equals f(S), as the oracle's seed-set enumeration
-        computes it; the sampled F tracks the exact F."""
+        """F at an indicator equals f(S), as the oracle's product over the
+        profile grid computes it; the sampled F tracks the exact F."""
         max_err = 0.0
         for n, m, seed in [(3, 3, 1), (3, 2, 2), (2, 2, 3)]:
             inst = generate_random(n, m, model="TABLE", seed=600 + seed)
             util = make_utility(inst)
             profiles = list(_profiles(n, m))
-            for profile, f_S in zip(profiles, enumerated_f(inst, util, profiles)):
+            for profile, f_S in zip(profiles, oracle_f_at(inst, util, profiles)):
                 S = Allocation.from_profile(profile)
                 y = np.zeros((n, m))
                 for v, d in S.pairs:

@@ -1,6 +1,6 @@
 import json
 import time
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import jsonschema
@@ -224,9 +224,11 @@ class TestSolve:
         original_f, original_value = oracle.f_exact, cascade.CascadeUtility.value
         original_enumerate = oracle.enumerate_feasible_allocations
 
-        def recorded_f(inst, util, profiles):
-            batches.append([tuple(p) for p in profiles.tolist()])
-            return original_f(inst, util, profiles)
+        def recorded_f(inst, util):
+            start = len(seed_sets)
+            values = original_f(inst, util)
+            batches.append((len(values), sorted(map(sorted, seed_sets[start:]))))
+            return values
 
         def recorded_enumerate(inst):
             enumerations.append(original_enumerate(inst))
@@ -245,7 +247,10 @@ class TestSolve:
         inst = load_instance(extended_instance)
         every = sorted(product(range(3), repeat=3))
         assert enumerations == [every]
-        assert batches == [every]
+        # one f over every profile, which reads gamma of each seed set once
+        users = range(1, inst.n + 1)
+        subsets = sorted(sorted(c) for r in range(inst.n + 1) for c in combinations(users, r))
+        assert batches == [(len(every), subsets)]
         # 2^n gamma reads for the one f, plus the solver's one gamma vector
         assert len(seed_sets) <= 2 * 2 ** inst.n
 

@@ -16,7 +16,6 @@ from couponcascade.objective import (
     multilinear_F_exact,
     multilinear_F_mc,
 )
-from couponcascade.oracle import f_exact as enumerated_f
 from conftest import ic_instance, modular_table, table_instance
 from reference import (
     Allocation,
@@ -25,6 +24,7 @@ from reference import (
     expected_gamma_unblocked,
     make_eps_perturbed,
     marginal_omega_lifted,
+    oracle_f_at,
     pairs_to_profile,
     seed_prob,
     seed_probs_loop,
@@ -276,7 +276,7 @@ class TestMarginals:
 
 
 def reference_F(inst, util, y):
-    """F(y) by enumerating every entry mask, each f by the oracle's enumeration."""
+    """F(y) by enumerating every entry mask, each f read off the oracle's grid."""
     entries = [(v, d) for v in range(1, inst.n + 1) for d in range(1, inst.m + 1)]
     weights, profiles = [], []
     for mask in range(1 << len(entries)):
@@ -289,20 +289,20 @@ def reference_F(inst, util, y):
                 weight *= 1.0 - y[v - 1, d - 1]
         weights.append(weight)
         profiles.append(pairs_to_profile(pairs, inst.n))
-    return float(np.dot(weights, enumerated_f(inst, util, profiles)))
+    return float(np.dot(weights, oracle_f_at(inst, util, profiles)))
 
 
 def reference_draws(inst, util, y, samples, rng):
-    """f of each sampled profile and the lift loop over every (v, d), by enumeration."""
+    """f of each sampled profile and the lift loop over every (v, d), by the oracle."""
     inclusion = rng.random((samples, inst.n, inst.m)) < y
     profiles = (inclusion * np.arange(1, inst.m + 1)).max(axis=2)
-    base = enumerated_f(inst, util, profiles)
+    base = oracle_f_at(inst, util, profiles)
     omega = np.zeros((inst.n, inst.m))
     for v in range(inst.n):
         for d in range(1, inst.m + 1):
             lifted = profiles.copy()
             lifted[:, v] = np.maximum(lifted[:, v], d)
-            omega[v, d - 1] = sum(enumerated_f(inst, util, lifted) - base)
+            omega[v, d - 1] = sum(oracle_f_at(inst, util, lifted) - base)
     return np.mean(base), np.maximum(omega / samples, 0.0)
 
 
@@ -336,7 +336,7 @@ class TestClosedFormAgainstEnumeration:
             inst = generate_random(n, 1, model=model, edge_density=0.1, epsilon=eps, seed=74)
             util = make_utility(inst)
         profiles = list(product(range(inst.m + 1), repeat=inst.n))
-        expected = enumerated_f(inst, util, profiles)
+        expected = oracle_f_at(inst, util, profiles)
         got = f_exact(inst, util, profiles)
         assert got == pytest.approx(expected, abs=1e-12)
         assert np.allclose(got, expected, rtol=1e-12, atol=0)

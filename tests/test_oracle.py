@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -20,7 +21,7 @@ from couponcascade.oracle import (
 )
 from couponcascade.polytope_lp import NumericError, solve_generic_lp
 from conftest import modular_table, run_cli, table_instance
-from reference import oracle_f_hstack, solve_concave_relaxation_joint
+from reference import oracle_f_at, oracle_f_hstack, solve_concave_relaxation_joint
 
 
 def enumerated_f(inst, util, profile):
@@ -67,49 +68,78 @@ class TestBatchedF:
         util = make_utility(inst)
         profiles = enumerate_feasible_allocations(inst)
         expected = [enumerated_f(inst, util, p) for p in profiles]
-        assert np.allclose(oracle.f_exact(inst, util, profiles), expected, rtol=1e-12, atol=0)
+        assert np.allclose(oracle.f_exact(inst, util), expected, rtol=1e-12, atol=0)
 
-    def test_many_row_blocks(self):
+    def test_matches_enumeration_at_ten_users(self):
         inst = generate_random(10, 1, model="TABLE", epsilon=0.1, seed=82)
         util = make_utility(inst)
         profiles = enumerate_feasible_allocations(inst)
-        rows = oracle.BLOCK_ENTRIES >> inst.n
-        assert len(profiles) >= 8 * rows  # the batch spans many blocks
-        values = oracle.f_exact(inst, util, profiles)
-        picks = sorted({0, rows - 1, rows, rows + 1, 5 * rows + 3, len(profiles) - 1}
-                       | set(range(7, len(profiles), 97)))
+        values = oracle.f_exact(inst, util)
+        assert len(values) == len(profiles) == 1024
+        picks = sorted({0, 1, 511, 512, len(profiles) - 1} | set(range(7, len(profiles), 97)))
         expected = [enumerated_f(inst, util, profiles[i]) for i in picks]
         assert np.allclose(values[picks], expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("model", ["TABLE", "IC"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_in_place_blocks_match_hstack(self, model, eps):
-        # the same products as the hstack body, so the same bits
-        for n in range(1, 9):
-            m = 2 if n <= 6 else 1
-            inst = generate_random(n, m, model=model, edge_density=0.3, epsilon=eps,
-                                   seed=90 + n)
+    def test_grid_matches_hstack(self, model, eps):
+        # every n <= 8, m <= 4 within the enumeration limit, against the
+        # explicit Pr(U; S) rows of every profile; IC at <= 20 edges is exact
+        for n, m in product(range(1, 9), range(1, 5)):
+            if (m + 1) ** n > oracle.ENUMERATION_LIMIT:
+                continue
+            inst = generate_random(n, m, model=model, edge_density=0.25, epsilon=eps,
+                                   seed=90 + 10 * n + m)
             util = make_utility(inst)
             profiles = enumerate_feasible_allocations(inst)
-            assert np.array_equal(oracle.f_exact(inst, util, profiles),
-                                  oracle_f_hstack(inst, util, profiles))
+            assert np.allclose(oracle.f_exact(inst, util), oracle_f_hstack(inst, util, profiles),
+                               rtol=1e-13, atol=0), (n, m)
 
-    def test_in_place_blocks_at_thirteen_users(self):
-        # 8 profiles per block at n = 13: 1,024 blocks, boundaries included
+    def test_grid_matches_hstack_at_thirteen_users(self):
         inst = generate_random(13, 1, model="IC", edge_density=0.06, epsilon=0.1, seed=1)
         util = make_utility(inst)
         profiles = enumerate_feasible_allocations(inst)
-        assert oracle.BLOCK_ENTRIES >> inst.n == 8
-        assert np.array_equal(oracle.f_exact(inst, util, profiles),
-                              oracle_f_hstack(inst, util, profiles))
+        assert np.allclose(oracle.f_exact(inst, util), oracle_f_hstack(inst, util, profiles),
+                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model,n,m,eps", [("IC", 15, 1, 0.1), ("TABLE", 7, 4, 0.0)])
+    def test_grid_bounds_memory(self, model, n, m, eps):
+        # gamma as a Python list (32 bytes an entry) and a few float arrays
+        # of the larger of gamma and the grid; one Pr(U; S) row per profile
+        # would take 8 * 2^n bytes a profile
+        inst = generate_random(n, m, model=model, edge_density=0.06, epsilon=eps, seed=1)
+        util = make_utility(inst)
+        util.value(frozenset())  # the utility's own lazy state is built outside the trace
+        tracemalloc.start()
+        try:
+            values = oracle.f_exact(inst, util)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == (inst.m + 1) ** inst.n
+        assert peak <= 64 * max(2 ** inst.n, (inst.m + 1) ** inst.n)
+
+    def test_enumeration_limit_before_any_value(self):
+        # 3^15 profiles: the size rule holds before gamma is read or a grid built
+        inst = generate_random(15, 2, model="IC", edge_density=0.02, seed=1)
+        assert make_utility(inst).exact
+
+        class Unread:
+            exact = True
+
+            def value(self, U):
+                raise AssertionError("gamma read before the enumeration limit")
+
+        with pytest.raises(OracleError, match="enumeration of 14348907 allocations exceeds "
+                                              "the limit 100000"):
+            oracle.f_exact(inst, Unread())
 
     def test_negative_control_utility(self):
         inst = table_instance(modular_table([1.0, 1.0, 1.0]), [[0.5, 0.7], [0.2, 0.4], [0.9, 1.0]])
         profiles = enumerate_feasible_allocations(inst)
         for util in (Bad(), Bad().reference_q):
             expected = [enumerated_f(inst, util, p) for p in profiles]
-            assert np.allclose(oracle.f_exact(inst, util, profiles), expected,
-                               rtol=1e-12, atol=0)
+            assert np.allclose(oracle.f_exact(inst, util), expected, rtol=1e-12, atol=0)
 
     def test_one_value_per_seed_set(self):
         inst = generate_random(4, 2, model="TABLE", seed=83)
@@ -123,7 +153,7 @@ class TestBatchedF:
                 seen.append(U)
                 return util.value(U)
 
-        oracle.f_exact(inst, Counted(), enumerate_feasible_allocations(inst))
+        oracle.f_exact(inst, Counted())
         assert sorted(map(sorted, seen)) == sorted(
             sorted(c) for r in range(5) for c in combinations(range(1, 5), r))
 
@@ -412,7 +442,7 @@ class TestSandwichVerifier:
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 1), (4, 2), (5, 3), (6, 1)])
     def test_grid_values_read_from_the_table(self, monkeypatch, model, eps, n, m):
-        # the submodularity check gets, bit for bit, g of a separate f pass over the grid
+        # the submodularity check gets, bit for bit, g of the grid's rows of a separate f pass
         seen = []
         original = oracle.check_submodular_monotone
         monkeypatch.setattr(oracle, "check_submodular_monotone",
@@ -421,7 +451,7 @@ class TestSandwichVerifier:
         util = make_utility(inst)
         assert verify_eps_sandwich(ProfileTable(inst, util))["ok"]
         (values,) = seen
-        assert np.array_equal(values, oracle.f_exact(inst, util.reference_q, self.grid(n, m)))
+        assert np.array_equal(values, oracle_f_at(inst, util.reference_q, self.grid(n, m)))
 
 
 class TestDominanceVerifier:
