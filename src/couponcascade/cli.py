@@ -42,16 +42,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 COUNT = click.IntRange(min=1)  # out-of-range option values exit 2
 SEED = click.IntRange(min=0)  # numpy seeds are nonnegative
-MAX_STEPS = 10**6  # the most ascent steps a solve takes
-STEP = click.FloatRange(1.0 / MAX_STEPS, 1.0)
+STEP = click.FloatRange(1.0 / greedy.MAX_STEPS, 1.0)
 SCALE_B = click.FloatRange(0.0, 0.5, min_open=True)
 # Not a cost cap (the oracle takes up to its ENUMERATION_LIMIT): bench/ladders.py
 # holds the sampled-wide rows, TABLE 4x10 at 14,641 profiles, to no oracle block.
 ORACLE_LIMIT = 4096  # largest (m+1)^n allocation count `solve` compares against the oracle
-
-
-class StepCountError(ValueError):
-    """The default step 1/(nm)^2 would take more than MAX_STEPS ascent steps."""
 
 
 # The exceptions `main` maps to EXIT_USAGE and EXIT_NUMERIC; anything else
@@ -88,6 +83,18 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _std(draws):
+    """The sample standard deviation, finite for finite draws: where
+    squaring their deviations overflows, it is taken of the draws over
+    their largest magnitude and scaled back."""
+    with np.errstate(over="ignore"):
+        std = draws.std(ddof=1)
+    if np.isfinite(std):
+        return std
+    scale = np.abs(draws).max()
+    return (draws / scale).std(ddof=1) * scale
+
+
 def _rounding_stats(inst, util, y, rounds, rng):
     """Rounding statistics over `rounds` independent draws, each draw's f
     exact given the utility's gamma vector; an instance with a budget_K
@@ -112,13 +119,14 @@ def _rounding_stats(inst, util, y, rounds, rng):
     first[inverse] = np.arange(len(kept))
     f_draws = f_exact(inst, util, kept[first])[inverse]
     c_draws = cost_exact(inst, kept[first])[inverse]
+    f_std = _std(f_draws) if rounds > 1 else 0.0
     stats = {
         "rounds": rounds,
         "f_mean": float(f_draws.mean()),
-        "f_std": float(f_draws.std(ddof=1)) if rounds > 1 else 0.0,
-        "f_stderr": float(f_draws.std(ddof=1) / np.sqrt(rounds)) if rounds > 1 else 0.0,
+        "f_std": float(f_std),
+        "f_stderr": float(f_std / np.sqrt(rounds)),
         "cost_mean": float(c_draws.mean()),
-        "cost_std": float(c_draws.std(ddof=1)) if rounds > 1 else 0.0,
+        "cost_std": float(_std(c_draws)) if rounds > 1 else 0.0,
         "dist_budget_violations": violations,
     }
     if extended:
@@ -141,11 +149,6 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
               want_trace=False, with_oracle=True):
     """The solve pipeline shared by `solve` and `bench`."""
     inst = load_instance(path)
-    if delta is None:
-        steps = greedy._step_count(greedy.GreedyConfig().step(inst))
-        if steps > MAX_STEPS:
-            raise StepCountError(f"n*m = {inst.n * inst.m}: the default step 1/(nm)^2 would "
-                                 f"take {steps} ascent steps, more than {MAX_STEPS}; give --delta")
     util = make_utility(inst, mc_samples=mc_samples)
     extended = inst.budget_K is not None
     exact_ok = util.exact and inst.n * inst.m <= 16
@@ -168,8 +171,9 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     beta = greedy.approximation_beta(inst.epsilon, inst.n)
     theory = {"beta": beta}
     if extended:
-        theory["extension_prefactor"] = greedy.extension_prefactor(b)
-        theory["guarantee"] = greedy.extension_prefactor(b) * beta
+        prefactor = greedy.extension_prefactor(b)
+        theory["extension_prefactor"] = prefactor
+        theory["guarantee"] = prefactor * beta
     else:
         theory["guarantee"] = beta
 
@@ -188,7 +192,6 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                 "reference_value": reference,
             }
 
-    final_f = trace.iterations[-1].f_estimate if trace.iterations else None
     report = {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -210,7 +213,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
             "marginals": "exact" if exact_ok else "sampled",
             "marginal_samples": None if exact_ok else marginal_samples,
         },
-        "fractional": {"F": final_f, "y": y.tolist()},
+        "fractional": {"F": trace.iterations[-1].f_estimate, "y": y.tolist()},
         "rounding": stats,
         "oracle": oracle_vals,
         "ratio": ratio,
@@ -231,7 +234,7 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail(EXIT_USAGE, exc.format_message())
-        except INPUT_ERRORS + (StepCountError,) as exc:
+        except INPUT_ERRORS + (greedy.StepCountError,) as exc:
             _fail(EXIT_USAGE, str(exc))
         except NUMERIC_ERRORS as exc:
             _fail(EXIT_NUMERIC, str(exc))

@@ -71,17 +71,23 @@ from couponcascade.polytope_lp import (
 
 WINDOW = 8  # exact-path steps whose marginals one batched fold takes at first
 MAX_WINDOW = 64  # a window that keeps every step doubles the next, up to this
+MAX_STEPS = 10**6  # the most ascent steps a step size may take
 
 
 class GreedyError(ValueError):
     pass
 
 
+class StepCountError(ValueError):
+    """The step would take more than MAX_STEPS ascent steps."""
+
+
 @dataclass
 class GreedyConfig:
     """Knobs of the ascent.
 
-    delta=None means the canonical 1/(nm)^2 step.  samples_per_marginal=None
+    delta=None means the canonical 1/(nm)^2 step, for n*m <= 1000: `step`
+    refuses one of more than MAX_STEPS steps.  samples_per_marginal=None
     requests exact marginals and exact F; otherwise both are sampled, each
     step's marginals and F from the same draws.  Either way the utility's
     gamma vector (`CascadeUtility.gamma_vector`) must exist, so n <= 15.
@@ -95,14 +101,22 @@ class GreedyConfig:
     b: float = 0.25
 
     def step(self, inst: Instance) -> float:
-        delta = self.delta if self.delta is not None else 1.0 / (inst.n * inst.m) ** 2
+        nm = inst.n * inst.m
+        delta = self.delta if self.delta is not None else 1.0 / nm ** 2
         if not 0 < delta <= 1:
             raise GreedyError("step size must lie in (0,1]")
+        steps = _step_count(delta)
+        if steps > MAX_STEPS and self.delta is None:
+            raise StepCountError(f"n*m = {nm}: the default step 1/(nm)^2 would take {steps} "
+                                 f"ascent steps, more than {MAX_STEPS}; give --delta")
+        if steps > MAX_STEPS:
+            raise StepCountError(f"the step {delta} would take {steps} ascent steps, "
+                                 f"more than {MAX_STEPS}")
         return delta
 
     def validate(self, inst: Instance) -> None:
-        if inst.budget_K is not None and not 0 < self.b <= 0.5:
-            raise GreedyError("scaling factor b must lie in (0, 1/2]")
+        if inst.budget_K is not None:
+            extension_prefactor(self.b)
 
 
 @dataclass
@@ -164,9 +178,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     cfg.validate(inst)
     delta = cfg.step(inst)
     steps = _step_count(delta)
-    spec = PolytopeSpec.from_instance(
-        inst, k_scale=None if inst.budget_K is None else cfg.b
-    )
+    spec = PolytopeSpec.from_instance(inst, cfg.b)
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))

@@ -70,17 +70,13 @@ class PolytopeSpec:
     budget_K: float | None = None
 
     @staticmethod
-    def from_instance(inst: Instance, k_scale: float | None = None) -> "PolytopeSpec":
-        """Build the constraint polytope; with k_scale, bound the distribution knapsack by k_scale*K."""
-        budget_K = None
-        dist = None
-        if k_scale is not None:
-            if inst.budget_K is None:
-                raise LpError("instance has no distribution budget")
-            budget_K = k_scale * inst.budget_K
-            dist = np.asarray(inst.dist_cost, dtype=float)
-        return PolytopeSpec(inst.n, inst.m, inst.redemption_weights,
-                            inst.budget_B, dist, budget_K)
+    def from_instance(inst: Instance, k_scale: float = 1.0) -> "PolytopeSpec":
+        """Build the constraint polytope; an instance with a budget_K gets the
+        distribution knapsack at k_scale*K (b*K in the extended ascent)."""
+        if inst.budget_K is None:
+            return PolytopeSpec(inst.n, inst.m, inst.redemption_weights, inst.budget_B)
+        return PolytopeSpec(inst.n, inst.m, inst.redemption_weights, inst.budget_B,
+                            np.asarray(inst.dist_cost, dtype=float), k_scale * inst.budget_K)
 
     @cached_property
     def constraint_rows(self):

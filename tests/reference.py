@@ -452,9 +452,7 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
     cfg.validate(inst)
     delta = cfg.step(inst)
     steps = _step_count(delta)
-    spec = PolytopeSpec.from_instance(
-        inst, k_scale=None if inst.budget_K is None else cfg.b
-    )
+    spec = PolytopeSpec.from_instance(inst, cfg.b)
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))

@@ -289,6 +289,27 @@ class TestRoundingStats:
         assert "1,4" not in expected
         assert 0 < min(s["rate"] for s in expected.values()) < 1
 
+    def test_spread_past_the_float_range_stays_finite(self, tmp_path):
+        # squaring deviations of order 1e300 overflows; the spread must not
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 1, "m": 1, "coupon_values": [0.760639], "adoption": [[0.910371]],
+            "budget_B": 0.505124, "model": "TABLE", "gamma_table": {"": 0, "1": 1e300}}))
+        res = cli("solve", "-i", str(path), "--rounds", "3")
+        assert res.returncode == 0, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("timings: "), res.stderr
+        report = json.loads(res.stdout)
+        rnd = report["rounding"]
+        # each draw's f is 0 or c: k of the 3 draws hit, with 0 < k < 3 at this seed
+        c = 0.910371e300
+        k = round(rnd["f_mean"] / c * 3)
+        assert 0 < k < 3
+        assert rnd["f_std"] == pytest.approx(c * np.sqrt(k * (3 - k) / 6), rel=1e-12)
+        assert rnd["f_stderr"] == pytest.approx(rnd["f_std"] / np.sqrt(3), rel=1e-12)
+        assert report["ratio"]["stderr"] == pytest.approx(
+            rnd["f_stderr"] / report["ratio"]["reference_value"], rel=1e-15)
+
 
 def one_error_line(res):
     """The single stderr line of a usage error: exit 2, no usage text, no report."""

@@ -1,10 +1,13 @@
 import math
 from collections import Counter, namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from couponcascade import greedy, objective, polytope_lp
+from couponcascade import cli, greedy, objective, polytope_lp
 from couponcascade.cascade import make_utility
 from couponcascade.greedy import (
     GreedyConfig,
@@ -470,6 +473,53 @@ class TestStepCount:
         assert len(times) == (n * m) ** 2
         assert all(b > a for a, b in zip(times, times[1:]))
         assert abs(times[-1] - 1.0) <= 1e-12
+
+
+class TestStepLimit:
+    """`GreedyConfig.step` refuses a step that takes more than MAX_STEPS
+    ascent steps, so the library meets the CLI's limit."""
+
+    def test_explicit_step_past_the_limit(self):
+        inst = generate_random(2, 1, model="TABLE", seed=1)
+        with pytest.raises(greedy.StepCountError) as err:
+            GreedyConfig(delta=1e-9).step(inst)
+        assert str(err.value) == ("the step 1e-09 would take 1000000000 ascent steps, "
+                                  "more than 1000000")
+
+    def test_default_step_past_the_limit(self):
+        inst = generate_random(1, 1001, model="TABLE", seed=1)
+        with pytest.raises(greedy.StepCountError) as err:
+            GreedyConfig().step(inst)
+        assert str(err.value) == ("n*m = 1001: the default step 1/(nm)^2 would take 1002001 "
+                                  "ascent steps, more than 1000000; give --delta")
+
+    @pytest.mark.parametrize("n,m,delta", [(1, 1001, None), (2, 1, 1e-9)])
+    def test_ascent_refuses_before_its_first_fold(self, n, m, delta, monkeypatch):
+        def folded(*args):
+            raise AssertionError("the ascent took marginals")
+
+        monkeypatch.setattr(greedy, "marginal_omega_exact", folded)
+        monkeypatch.setattr(greedy, "marginal_omega", folded)
+        inst = generate_random(n, m, model="TABLE", seed=1)
+        for samples in (None, 10):
+            with pytest.raises(greedy.StepCountError):
+                continuous_greedy(inst, make_utility(inst),
+                                  GreedyConfig(delta=delta, samples_per_marginal=samples))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 500),
+           delta=st.floats(1e-7, 1.0) | st.none())
+    def test_step_raises_exactly_past_the_limit(self, n, m, delta):
+        inst = SimpleNamespace(n=n, m=m)  # `step` reads only the sizes
+        cfg = GreedyConfig(delta=delta)
+        steps = greedy._step_count(delta if delta is not None else 1.0 / (n * m) ** 2)
+        if steps > greedy.MAX_STEPS:
+            with pytest.raises(greedy.StepCountError):
+                cfg.step(inst)
+        else:
+            assert cfg.step(inst) == (delta if delta is not None else 1.0 / (n * m) ** 2)
+        if delta is not None and delta >= cli.STEP.min:
+            assert steps <= greedy.MAX_STEPS  # every --delta the CLI accepts runs
 
 
 class TestFFromTheFold:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from couponcascade import polytope_lp
+from couponcascade.instance import generate_random
 from couponcascade.polytope_lp import (
     LpError,
     NumericError,
@@ -241,6 +242,39 @@ class TestInnerLp:
         brute = vertex_enumeration_oracle(omega.reshape(-1), np.array(rows), np.array(bounds))
         assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-12)
         spec.check_feasible(sol.matrix(n, m))
+
+
+class TestFromInstance:
+    """`PolytopeSpec.from_instance` adds the distribution row at k_scale*K
+    exactly when the instance has a budget_K."""
+
+    @staticmethod
+    def assert_same(spec, want):
+        A, b = spec.constraint_rows
+        want_A, want_b = want.constraint_rows
+        assert np.array_equal(A, want_A) and np.array_equal(b, want_b)
+        assert spec.budget_K == want.budget_K
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_base_instance_has_no_distribution_row(self, seed):
+        inst = generate_random(3, 2, model="TABLE", seed=seed)
+        want = PolytopeSpec(inst.n, inst.m, inst.redemption_weights, inst.budget_B)
+        for k_scale in (0.1, 1.0):
+            self.assert_same(PolytopeSpec.from_instance(inst, k_scale), want)
+        self.assert_same(PolytopeSpec.from_instance(inst), want)
+        assert PolytopeSpec.from_instance(inst).constraint_rows[0].shape == (inst.n + 1, 6)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_extended_instance_row_at_k_scale_K(self, seed):
+        inst = generate_random(3, 2, model="TABLE", seed=seed, extension=True)
+        dist = np.asarray(inst.dist_cost, dtype=float)
+        for b in (0.1, 0.25, 0.5):
+            want = PolytopeSpec(inst.n, inst.m, inst.redemption_weights, inst.budget_B,
+                                dist, b * inst.budget_K)
+            self.assert_same(PolytopeSpec.from_instance(inst, b), want)
+        A, bounds = PolytopeSpec.from_instance(inst).constraint_rows
+        assert np.array_equal(A[-1], np.repeat(dist, inst.m))
+        assert bounds[-1] == inst.budget_K  # the default row is K itself, PB1's polytope
 
 
 class TestWarmStart:
