@@ -95,6 +95,16 @@ def _std(draws):
     return (draws / scale).std(ddof=1) * scale
 
 
+def _bound(epsilon: float, extended: bool) -> str:
+    """What `theory.guarantee` rests on when the ascent climbs the rounding's G."""
+    if epsilon == 0:
+        text = "1 - 1/e for the gradient ascent on G (Bian et al., AISTATS 2017)"
+    else:
+        text = ("the paper's beta(eps), proven for its ascent on F; for the ascent on G "
+                "checked by the oracle's ratio, not proven")
+    return text + (", times the paper's (1 - 2b) b for conflict resolution" if extended else "")
+
+
 def _rounding_stats(inst, util, y, rounds, rng):
     """Rounding statistics over `rounds` independent draws, each draw's f
     exact given the utility's gamma vector; an instance with a budget_K
@@ -176,6 +186,8 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
         theory["guarantee"] = prefactor * beta
     else:
         theory["guarantee"] = beta
+    if exact_ok:  # a sampled solve runs the paper's own ascent, on F
+        theory["bound"] = _bound(inst.epsilon, extended)
 
     oracle_vals = None
     ratio = None
@@ -192,6 +204,9 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
                 "reference_value": reference,
             }
 
+    fractional = {"F": trace.F, "y": y.tolist()}
+    if trace.G is not None:
+        fractional["G"] = trace.G
     report = {
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -213,7 +228,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
             "marginals": "exact" if exact_ok else "sampled",
             "marginal_samples": None if exact_ok else marginal_samples,
         },
-        "fractional": {"F": trace.iterations[-1].f_estimate, "y": y.tolist()},
+        "fractional": fractional,
         "rounding": stats,
         "oracle": oracle_vals,
         "ratio": ratio,

@@ -1,13 +1,25 @@
 """Continuous greedy ascent over the constrained matroid-knapsack polytope.
 
 Starting from y = 0, each of the ceil(1/delta) iterations (N of them when
-1/delta is within rounding of an integer N) estimates the multilinear
-marginals, solves the linear ascent problem over the polytope
+1/delta is within rounding of an integer N) takes the ascent's weights,
+solves the linear ascent problem over the polytope
 (with the distribution knapsack scaled to b*K in extended mode) and moves
 y by delta times the optimal direction.  Only the objective of that LP
 changes from step to step, so each step warm-starts from the previous
 step's optimal basis.  The per-step increment keeps every intermediate y
 inside the t-scaled polytope, and the final y inside the full polytope.
+
+The weights depart from the paper on the exact path.  The paper steps
+along the multilinear marginals of F; the exact path steps along the
+gradient of G, the extension the per-user categorical rounding realises
+(`objective`).  That is the Frank-Wolfe continuous greedy for monotone
+DR-submodular functions, which reaches G(y) >= (1 - 1/e) OPT - O(delta)
+at eps = 0 (Bian, Mirzasoleiman, Buhmann and Krause, AISTATS 2017).  At
+eps > 0 the paper's beta(eps) was derived for its own ascent; every
+gradient entry is p_v(d) times a difference of two averages of the
+perturbed f, as each of the paper's marginals is, but that argument is not
+written out here, and the oracle's ratio checks the result instead.  The
+sampled path keeps the paper's sampled marginals of F.
 
 Most steps keep the previous basis, and so move along the same direction;
 where the direction does change, the LP often returns, by the same pivots,
@@ -39,9 +51,11 @@ nobody recorded costs one point each.  A step whose LP gained nothing
 sampled path runs windows of one point: speculative draws from its
 generator would shift every later one.
 
-Each step records F at the y it reached.  Both kinds of marginals return F
-at the y they are taken at, exactly or over their own draws, so a step's F
-comes from the next step's marginals; only the last step evaluates F itself.
+Each step records the value the ascent climbs at the y it reached: G on
+the exact path, F over the draws on the sampled one.  Both kinds of
+weights return that value at the y they are taken at, so a step's value
+comes from the next step's weights; only the last step evaluates it
+itself.  The final y also gets the paper's F, exactly or over draws.
 """
 
 from __future__ import annotations
@@ -59,6 +73,7 @@ from couponcascade.objective import (
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
+    rounding_G_exact,
 )
 from couponcascade.polytope_lp import (
     NumericError,
@@ -128,15 +143,21 @@ class IterationRecord:
 
 @dataclass
 class GreedyTrace:
-    """Per-step records and the final (n, m) array y; the LP counters and the
-    seconds spent in marginals, F and ascent LPs stay out of the JSON.
+    """Per-step records, the final (n, m) array y, and the paper's F and the
+    rounding's G at it; the LP counters and the seconds spent in marginals,
+    F and ascent LPs stay out of the JSON.
 
-    `F_s` is the one final F on both paths: every other step's F comes from
-    the marginals and is counted in `marginals_s`.
+    Each record's `f_estimate` is the value the ascent climbs at that
+    step's y: G on the exact path, F over draws on the sampled one.  `G` is
+    None on the sampled path.  `F_s` is the final F, and G, on both paths:
+    every other step's value comes from the marginals and is counted in
+    `marginals_s`.
     """
 
     iterations: list[IterationRecord] = field(default_factory=list)
     final: np.ndarray | None = None
+    F: float | None = None
+    G: float | None = None
     lp_pivots: int = 0
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
@@ -162,7 +183,7 @@ class GreedyTrace:
     def counters(self) -> dict:
         """The LP counters and layer seconds, by field name, in field order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("iterations", "final")}
+                if f.name not in ("iterations", "final", "F", "G")}
 
 
 def _step_count(delta: float) -> int:
@@ -216,7 +237,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         trace.lp_s += t2 - t1
         records = trace.iterations
         for j, sol in enumerate(solutions):
-            if records:  # F at the y the previous step reached
+            if records:  # the climbed value at the y the previous step reached
                 records[-1].f_estimate = f_at[j]
             # Clip the last step so the total time is exactly 1 even when
             # 1/delta is not integral; otherwise the row caps would be overshot.
@@ -227,7 +248,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
             trace.planned_steps_kept += switched and sol.planned
             t += h
-            # the next step's marginals, or the final F, fill in f_estimate
+            # the next step's marginals, or the final G or F, fill in f_estimate
             records.append(IterationRecord(t, sol.objective_value, None))
             if sol.entered:
                 after = sol.final[1].tobytes()
@@ -256,9 +277,12 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
     t0 = time.perf_counter()
-    trace.iterations[-1].f_estimate = (
-        multilinear_F_exact(inst, util, y) if exact
-        else multilinear_F_mc(inst, util, y, cfg.samples_per_marginal, rng))
+    if exact:
+        trace.F = multilinear_F_exact(inst, util, y)
+        trace.G = trace.iterations[-1].f_estimate = rounding_G_exact(inst, util, y)
+    else:
+        trace.F = trace.iterations[-1].f_estimate = multilinear_F_mc(
+            inst, util, y, cfg.samples_per_marginal, rng)
     trace.F_s = time.perf_counter() - t0
     trace.final = y
     return trace

@@ -1,19 +1,33 @@
-"""The cascade objective: f, expected costs and the multilinear extension.
+"""The cascade objective: f, expected costs and two extensions of f.
 
 An allocation is a coupon profile: an n-vector holding each user's coupon,
 0 for none.  Each offered user v independently accepts, with probability
 p_v(d_v), and becomes a seed.  f(S) is the expected cascade over the random
-seed set, c(S) its expected redemption cost, and F(y) the multilinear
-extension of f over fractional user-coupon matrices.  f and c take a batch
-of profiles as the rows of a (k, n) array.
+seed set, c(S) its expected redemption cost.  f and c take a batch of
+profiles as the rows of a (k, n) array.  Both extensions below are
+contractions of the utility's gamma vector (`CascadeUtility.gamma_vector`)
+with per-user seed probabilities, and affine in each of them: a change in
+user v's seed probability moves E[gamma] by that change times the slope
+E[gamma | v seeds] - E[gamma | v does not].
 
-F draws the entries y_vd independently, so a draw may offer a user several
-coupons.  Coupon values are strictly increasing, so only the highest one
-counts, and user v seeds with probability q_v(y) = sum_d y_vd prod_{k>d}
-(1 - y_vk) p_v(d).  f, F and their marginals are therefore contractions of
-the utility's gamma vector (`CascadeUtility.gamma_vector`) with per-user
-seed probabilities q, which are affine in each q_v: a marginal is the
-change in q_v times the slope E[gamma | q_v = 1] - E[gamma | q_v = 0].
+F(y), the paper's multilinear extension over fractional user-coupon
+matrices, draws the entries y_vd independently, so a draw may offer a user
+several coupons.  Coupon values are strictly increasing, so only the
+highest one counts, and user v seeds with probability q_v(y) = sum_d y_vd
+prod_{k>d} (1 - y_vk) p_v(d).
+
+G(y) is what the rounding realises: per-user categorical rounding offers
+user v coupon d with probability y_vd, so v seeds with probability
+q^_v(y) = sum_d y_vd p_v(d), and in base mode E[f(rounded y)] = G(y) =
+E[gamma](q^(y)).  G equals f at every integral allocation, and q^ is linear
+with nonnegative coefficients, so G is monotone and DR-submodular on the
+ascent polytope when gamma is monotone submodular.  Its gradient is
+dG/dy_vd = p_v(d) * slope_v(q^).  This departs from the paper, whose ascent
+steps along the marginals F(y with y_vd raised to 1) - F(y): the exact
+ascent climbs G by its gradient instead, which is the Frank-Wolfe
+continuous greedy for monotone DR-submodular functions (Bian,
+Mirzasoleiman, Buhmann and Krause, AISTATS 2017).  The sampled marginals
+keep the paper's.
 
 E[gamma] folds the users out of the vector one at a time, highest bit
 first.  All n slopes come from that fold and one pass back, as in
@@ -21,8 +35,8 @@ reverse-mode differentiation: the fold keeps the difference between the
 halves of each level, and the pass back carries the seed-set distribution
 of the users below v and dots it with level v's difference.  That is
 O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.  The
-fold ends at E[gamma](q), which is F(y) for q = q(y), so the marginals
-return F(y) as well at no extra cost, exactly or over their draws.
+fold ends at E[gamma] itself, so the exact gradient returns G(y), and the
+sampled marginals F(y) over their draws, at no extra cost.
 """
 
 from __future__ import annotations
@@ -143,19 +157,21 @@ def _as_matrix(y, inst: Instance, stacked: bool = False) -> np.ndarray:
     return y
 
 
-def _seed_probs(y: np.ndarray, p: np.ndarray):
-    """q_v(y), and the change in q_v from raising each entry y_vd to 1.
+def _seed_probs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """q_v(y), the seed probability under F's independent entry draws.
 
-    Coupon d is v's highest with probability y_vd * prod_{k>d} (1 - y_vk);
-    `top` weighs that by p_v(d), and q_v sums it.  Raising y_vd to 1 makes d
-    the highest whenever no coupon from d up was drawn (`none_from`), and
-    takes away what the coupons below d gave.  y may be a stack of matrices.
+    Coupon d is v's highest with probability y_vd * prod_{k>d} (1 - y_vk),
+    and q_v sums that weighed by p_v(d).
     """
-    none_from = np.cumprod((1.0 - y)[..., ::-1], axis=-1)[..., ::-1]
-    none_above = np.concatenate([none_from[..., 1:], np.ones(y.shape[:-1] + (1,))], axis=-1)
-    top = p * y * none_above
-    upto = np.cumsum(top, axis=-1)
-    return upto[..., -1], none_from * p - (upto - top)
+    none_above = np.ones_like(y)
+    none_above[:, :-1] = np.cumprod((1.0 - y)[:, :0:-1], axis=1)[:, ::-1]
+    return (p * y * none_above).sum(axis=1)
+
+
+def _rounded_probs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """q^_v(y) = sum_d y_vd p_v(d), the seed probability under per-user
+    categorical rounding; y may be a stack of matrices."""
+    return (y * p).sum(axis=-1)
 
 
 def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
@@ -169,7 +185,13 @@ def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
 
 def multilinear_F_exact(inst: Instance, util: CascadeUtility, y) -> float:
     """F(y): expectation of f over independent entry inclusion, exactly."""
-    q, _ = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    q = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    return float(_expected_gamma(util.gamma_vector(), q))
+
+
+def rounding_G_exact(inst: Instance, util: CascadeUtility, y) -> float:
+    """G(y): expectation of f over per-user categorical rounding, exactly."""
+    q = _rounded_probs(_as_matrix(y, inst), inst.adoption)
     return float(_expected_gamma(util.gamma_vector(), q))
 
 
@@ -207,14 +229,17 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
 
 
 def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):
-    """Exact marginals F(y with y_vd raised to 1) - F(y), clamped at zero,
-    and F(y), both from one fold.
+    """The gradient of G, p_v(d) * slope_v(q^(y)), clamped at zero, and
+    G(y), both from one fold.
 
-    y may also be a (J, n, m) stack of points; then the marginals come as a
-    stack and F as a J-vector, from one batched fold.
+    The paper's ascent takes the marginals F(y with y_vd raised to 1) - F(y)
+    here; the exact ascent climbs G instead (module docstring).  A slope is
+    negative only where gamma is not monotone, as an eps-perturbed gamma
+    may be; clamping keeps the ascent LP's weights nonnegative.  y may also
+    be a (J, n, m) stack of points; then the gradients come as a stack and
+    G as a J-vector, from one batched fold.
     """
     y = _as_matrix(y, inst, stacked=np.ndim(y) == 3)
-    q, gain = _seed_probs(y, inst.adoption)
-    slopes, F = _slopes(util.gamma_vector(), q)
-    omega = np.maximum(gain * slopes[..., None], 0.0)
-    return (omega, F) if y.ndim == 3 else (omega, float(F))
+    slopes, G = _slopes(util.gamma_vector(), _rounded_probs(y, inst.adoption))
+    omega = np.maximum(inst.adoption * slopes[..., None], 0.0)
+    return (omega, G) if y.ndim == 3 else (omega, float(G))

@@ -221,6 +221,8 @@ def _pivot(T, basis, enter: int, update):
     row holds.  Returns the leaving row's right-hand side before the pivot,
     zero for a degenerate pivot, which does not move the vertex, and the
     normalized pivot row, by which the pivot updates the objective row.
+    An update that overflows leaves an inf in T without a warning; the
+    certificate of the solve then fails.
     """
     col = T[:-1, enter]
     rows = (col > 1e-10).nonzero()[0]
@@ -231,7 +233,8 @@ def _pivot(T, basis, enter: int, update):
     leave = ties[basis[ties].argmin()]
     step = T[leave, -1]
     pivot_row = T[leave] / T[leave, enter]
-    T -= np.multiply(T[:, enter, None], pivot_row, out=update)
+    with np.errstate(over="ignore"):
+        T -= np.multiply(T[:, enter, None], pivot_row, out=update)
     T[leave] = pivot_row
     basis[leave] = enter
     return step, pivot_row

@@ -16,6 +16,9 @@ that grows each block with `np.hstack`, `oracle_f_at`, which reads the
 oracle's f grid at given profiles, `make_eps_perturbed`, which wraps a
 utility in an eps-band for the tests of the perturbation, and the
 submodularity check that walks every pair X within Y of a frozenset table.
+It keeps the paper's exact marginals of F, which the exact ascent took
+before it climbed the rounding's extension G, and a sum over seed sets
+for G and its gradient.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from couponcascade.objective import _as_matrix as _as_fractional
 from couponcascade.objective import (
     _draw_profiles,
     _held_probs,
+    _slopes,
     marginal_omega,
     marginal_omega_exact,
     multilinear_F_exact,
     multilinear_F_mc,
+    rounding_G_exact,
 )
 from couponcascade.oracle import OracleError, ProfileTable, f_exact
 from couponcascade.polytope_lp import (
@@ -329,6 +334,62 @@ def seed_probs_loop(y: np.ndarray, p: np.ndarray):
     return q, (1.0 - y) * (p - below) * none_above
 
 
+def seed_probs_cumprod(y: np.ndarray, p: np.ndarray):
+    """`seed_probs_loop` by cumulative products and sums; y may be a stack
+    of matrices.
+
+    Coupon d is v's highest with probability y_vd * prod_{k>d} (1 - y_vk);
+    `top` weighs that by p_v(d), and q_v sums it.  Raising y_vd to 1 makes d
+    the highest whenever no coupon from d up was drawn (`none_from`), and
+    takes away what the coupons below d gave.
+    """
+    none_from = np.cumprod((1.0 - y)[..., ::-1], axis=-1)[..., ::-1]
+    none_above = np.concatenate([none_from[..., 1:], np.ones(y.shape[:-1] + (1,))], axis=-1)
+    top = p * y * none_above
+    upto = np.cumsum(top, axis=-1)
+    return upto[..., -1], none_from * p - (upto - top)
+
+
+def marginal_omega_paper(inst: Instance, util, y):
+    """The paper's exact marginals F(y with y_vd raised to 1) - F(y),
+    clamped at zero, and F(y), both from one fold: each marginal is the
+    change in q_v times v's slope at q(y).  y may also be a (J, n, m)
+    stack of points; then the marginals come as a stack and F as a
+    J-vector.  The exact ascent took these before it climbed G."""
+    y = _as_fractional(y, inst, stacked=np.ndim(y) == 3)
+    q, gain = seed_probs_cumprod(y, inst.adoption)
+    slopes, F = _slopes(util.gamma_vector(), q)
+    omega = np.maximum(gain * slopes[..., None], 0.0)
+    return (omega, F) if y.ndim == 3 else (omega, float(F))
+
+
+def rounding_G_seed_sets(inst: Instance, util, y):
+    """G(y) = sum over seed sets U of Pr(U; q^) gamma(U), where user v seeds
+    independently with probability q^_v = sum_d y_vd p_v(d), and its
+    gradient p_v(d) (E[gamma | v seeds] - E[gamma | v does not]), not
+    clamped; gamma is read through `util.value`, one seed set at a time."""
+    n = inst.n
+    y = np.asarray(y, dtype=float)
+    q = (y * inst.adoption).sum(axis=1)
+    users = range(1, n + 1)
+
+    def pr(U, among):
+        return float(np.prod([q[u - 1] if u in U else 1.0 - q[u - 1] for u in among]))
+
+    G = 0.0
+    for r in range(n + 1):
+        for U in combinations(users, r):
+            G += pr(U, users) * util.value(frozenset(U))
+    slope = np.zeros(n)
+    for v in users:
+        others = [u for u in users if u != v]
+        for r in range(n):
+            for U in combinations(others, r):
+                rise = util.value(frozenset(U) | {v}) - util.value(frozenset(U))
+                slope[v - 1] += pr(U, others) * rise
+    return inst.adoption * slope[:, None], G
+
+
 def marginal_omega_lifted(inst: Instance, util, y, samples: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Sampled marginals E[f(R + [vd])] - E[f(R)], common random numbers.
@@ -443,12 +504,16 @@ def certify_wrappers(c, A, b, value, dual):
     return gap
 
 
-def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
+def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> GreedyTrace:
     """`greedy.continuous_greedy` one step at a time: each step takes its own
     marginals and solves its own ascent LP, warm-started from the previous
-    step's basis.  A step's F comes from the next step's marginals, and the
-    last one from multilinear_F_exact, or from multilinear_F_mc over
-    samples_per_marginal draws."""
+    step's basis.  A step's value comes from the next step's marginals, and
+    the last one from rounding_G_exact, or from multilinear_F_mc over
+    samples_per_marginal draws; the final y's F from multilinear_F_exact,
+    or from those draws.  `marginals` replaces the exact path's
+    `marginal_omega_exact`, as patching `greedy.marginal_omega_exact`
+    replaces it in the windowed ascent."""
+    exact_marginals = marginals or marginal_omega_exact
     cfg.validate(inst)
     delta = cfg.step(inst)
     steps = _step_count(delta)
@@ -462,7 +527,7 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
     for _ in range(steps):
         h = min(delta, 1.0 - t)
         if exact:
-            omega, f_here = marginal_omega_exact(inst, util, y)
+            omega, f_here = exact_marginals(inst, util, y)
         else:
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
         if trace.iterations:
@@ -481,9 +546,10 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg) -> GreedyTrace:
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
     if exact:
-        trace.iterations[-1].f_estimate = multilinear_F_exact(inst, util, y)
+        trace.F = multilinear_F_exact(inst, util, y)
+        trace.G = trace.iterations[-1].f_estimate = rounding_G_exact(inst, util, y)
     else:
-        trace.iterations[-1].f_estimate = multilinear_F_mc(
+        trace.F = trace.iterations[-1].f_estimate = multilinear_F_mc(
             inst, util, y, cfg.samples_per_marginal, rng)
     trace.final = y
     return trace

@@ -13,7 +13,7 @@ from couponcascade import cascade, greedy, oracle, rounding
 from couponcascade.cascade import make_utility
 from couponcascade.cli import ORACLE_LIMIT, _rounding_stats, _tolist, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
-from couponcascade.objective import f_exact
+from couponcascade.objective import f_exact, multilinear_F_exact, rounding_G_exact
 from reference import survival_loop
 
 RUN_REPORT_SCHEMA = {
@@ -102,6 +102,41 @@ class TestSolve:
         assert report["theory"]["extension_prefactor"] == pytest.approx(0.125)
         assert report["rounding"]["dist_budget_violations"] == 0
         assert "survival" in report["rounding"]
+
+    def test_fractional_G_is_what_the_ascent_climbs(self, base_instance):
+        # in base mode G is E[f] of the rounding, which f_mean estimates; F
+        # stays the paper's F at the final y, and the bound names its analysis
+        report, _ = run_solve(base_instance, None, 10_000, 200, 4000, 0.25, 1, want_trace=True,
+                              with_oracle=False)
+        inst = load_instance(base_instance)
+        util = make_utility(inst)
+        y = np.array(report["fractional"]["y"])
+        G = report["fractional"]["G"]
+        assert G == rounding_G_exact(inst, util, y) == report["trace"]["iterations"][-1][
+            "f_estimate"]
+        assert report["fractional"]["F"] == multilinear_F_exact(inst, util, y) < G
+        rnd = report["rounding"]
+        assert abs(rnd["f_mean"] - G) <= 5 * rnd["f_stderr"]
+        assert report["theory"]["bound"] == ("1 - 1/e for the gradient ascent on G "
+                                             "(Bian et al., AISTATS 2017)")
+
+    def test_bound_at_positive_eps_is_not_claimed(self, extended_instance):
+        report, _ = run_solve(extended_instance, None, 10_000, 200, 10, 0.25, 1,
+                              with_oracle=False)
+        bound = report["theory"]["bound"]
+        assert bound.startswith("the paper's beta(eps)") and "not proven" in bound
+        assert bound.endswith("times the paper's (1 - 2b) b for conflict resolution")
+
+    def test_sampled_solve_has_no_G_and_no_bound(self, tmp_path):
+        # n*m = 18: sampled marginals, the paper's own ascent on F
+        path = tmp_path / "wide.json"
+        save_instance(generate_random(6, 3, model="TABLE", seed=1), path)
+        report, _ = run_solve(str(path), 0.25, 10_000, 20, 10, 0.25, 1, want_trace=True,
+                              with_oracle=False)
+        assert report["config"]["marginals"] == "sampled"
+        assert sorted(report["fractional"]) == ["F", "y"]
+        assert report["fractional"]["F"] == report["trace"]["iterations"][-1]["f_estimate"]
+        assert "bound" not in report["theory"]
 
     def test_trace_flag(self, base_instance):
         res = cli("solve", "-i", base_instance, "--rounds", "50", "--seed", "1",
@@ -216,6 +251,18 @@ class TestSolve:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
         assert not out.exists()
+
+    def test_ascent_lp_overflow_exits_3_with_one_line(self, tmp_path):
+        # weights near the float range overflow the simplex's rank-1 update:
+        # the certificate fails, and numpy's warning stays off stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 1, "m": 1, "coupon_values": [0.760639], "adoption": [[0.910371]],
+            "budget_B": 0.505124, "model": "TABLE", "gamma_table": {"": 0, "1": 1.7e308}}))
+        res = cli("solve", "-i", str(path), "--rounds", "1000")
+        assert res.returncode == 3
+        assert res.stderr == "error: duality gap inf exceeds tolerance\n"
+        assert "Warning" not in res.stderr and res.stdout == ""
 
     def test_oracle_block_reads_f_once(self, extended_instance, monkeypatch):
         # the policy LP and the three relaxations read one table: one

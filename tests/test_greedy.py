@@ -110,6 +110,22 @@ class TestContinuousGreedy:
         assert np.array_equal(continuous_greedy(inst, util, GreedyConfig(b=0.9)).final, base)
 
 
+@pytest.fixture
+def paper_marginals(monkeypatch):
+    """The exact ascent on the paper's marginals of F (tests/reference.py),
+    which switch basis hundreds of times per solve where the gradient of G
+    switches a few times: the warm starts and the window planner are
+    exercised on them."""
+    monkeypatch.setattr(greedy, "marginal_omega_exact", reference.marginal_omega_paper)
+
+
+def paper_stepwise(inst, util, cfg):
+    """The one-step reference on the paper's marginals."""
+    return reference.continuous_greedy_stepwise(inst, util, cfg,
+                                                marginals=reference.marginal_omega_paper)
+
+
+@pytest.mark.usefixtures("paper_marginals")
 class TestWarmStartedAscent:
     """Each step's LP warm-starts from the previous step's optimal basis."""
 
@@ -173,6 +189,7 @@ def same_ascent(got, want, rel=1e-14):
         (want.lp_pivots, want.lp_direction_changes, want.lp_fallbacks)
 
 
+@pytest.mark.usefixtures("paper_marginals")
 class TestWindowedAscent:
     """The exact path checks windows of steps against a kept basis at once;
     it must take the steps the one-step loop in tests/reference.py takes."""
@@ -194,7 +211,7 @@ class TestWindowedAscent:
         inst = self.instance(model, extended, eps, shape, seed)
         util = make_utility(inst)
         got = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        want = paper_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)
         assert want.marginal_windows == len(want.iterations) == (shape[0] * shape[1]) ** 2
         assert got.marginal_windows < len(got.iterations)  # the windows took several steps
@@ -210,7 +227,7 @@ class TestWindowedAscent:
         assert inst.model == "TABLE" or len(inst.edges) == 11
         util = make_utility(inst)
         got = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        want = paper_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)
         # fewer windows than direction changes: windows kept planned pivots
         assert got.marginal_windows < got.lp_direction_changes
@@ -226,7 +243,7 @@ class TestWindowedAscent:
         util = make_utility(inst)
         cfg = GreedyConfig(delta=delta)
         got = continuous_greedy(inst, util, cfg)
-        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        same_ascent(got, paper_stepwise(inst, util, cfg))
         assert len(got.iterations) == steps and got.iterations[-1].t == pytest.approx(1.0)
 
     @pytest.mark.parametrize("case", FUZZ[::3])
@@ -400,7 +417,7 @@ class TestWindowedAscent:
 
         monkeypatch.setattr(greedy, "solve_inner_lp", recording)
         got = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        want = paper_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)
         assert got.marginal_windows <= 41  # 59 with one-pivot cycle replay
         assert any(sol.planned and sol.pivots >= 2 for sol in kept)
@@ -412,7 +429,7 @@ class TestWindowedAscent:
         util = make_utility(inst)
         cfg = GreedyConfig(delta=0.1)
         got = continuous_greedy(inst, util, cfg)
-        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        same_ascent(got, paper_stepwise(inst, util, cfg))
         assert not got.final.any() and got.lp_pivots == 0
         assert all(rec.lp_value == 0.0 for rec in got.iterations)
 
@@ -425,7 +442,7 @@ class TestWindowedAscent:
         util = make_utility(inst)
         cfg = GreedyConfig(delta=0.05)
         got = continuous_greedy(inst, util, cfg)
-        same_ascent(got, reference.continuous_greedy_stepwise(inst, util, cfg))
+        same_ascent(got, paper_stepwise(inst, util, cfg))
         values = [rec.lp_value for rec in got.iterations]
         first_zero = values.index(0.0)
         assert 0 < first_zero < len(values) - 1 and not any(values[first_zero:])
@@ -452,6 +469,39 @@ class TestWindowedAscent:
         # after a fully kept one; every later zero step is a window of one
         assert sizes == [1, 8, 11] + [1] * (zero_steps - 1)
         assert sum(sizes) == got.points_folded == 28
+
+
+def ladder_row(n, m, model, seed, epsilon=0.0, extended=False, edges=None):
+    """An instance as bench/ladders.py generates it for one ladder slot."""
+    density = edges / (n * (n - 1)) if edges is not None else 0.3
+    return generate_random(n, m, edge_density=density, model=model, epsilon=epsilon,
+                           seed=seed, extension=extended)
+
+
+class TestGradientAscent:
+    """The exact ascent climbs G by its gradient.  On the rows of the exact
+    benchmark ladders it takes the one-step loop's steps, bit for bit, and
+    its LP changes basis at most once, so no window plans a switch."""
+
+    LADDER = [
+        (3, 3, "TABLE", 1), (4, 3, "TABLE", 6, 0.1, True), (2, 8, "TABLE", 7, 0.1, True),
+        (3, 5, "TABLE", 4), (5, 3, "TABLE", 2, 0.0, True), (4, 4, "TABLE", 5, 0.1),
+        (6, 2, "TABLE", 3, 0.1),
+        (4, 3, "IC", 2, 0.0, False, 11), (5, 2, "IC", 7, 0.0, True, 12),
+        (4, 4, "IC", 6, 0.0, True, 11), (5, 2, "IC", 3, 0.0, False, 14),
+        (6, 2, "IC", 1, 0.0, False, 12),
+    ]
+
+    @pytest.mark.parametrize("row", LADDER)
+    def test_ladder_row_matches_one_step_reference(self, row):
+        inst = ladder_row(*row)
+        util = make_utility(inst)
+        got = continuous_greedy(inst, util, GreedyConfig(seed=0))
+        want = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
+        same_ascent(got, want)
+        assert (got.F, got.G) == (want.F, want.G)
+        assert got.lp_direction_changes <= 1 and got.planned_windows == 0
+        assert got.marginal_windows <= 10
 
 
 class TestStepCount:
@@ -523,11 +573,13 @@ class TestStepLimit:
 
 
 class TestFFromTheFold:
-    """On the exact path each step's F comes from the next step's marginals,
-    and only the last one from its own multilinear_F_exact call."""
+    """Each step's value comes from the next step's marginals: G on the
+    exact path, F over the draws on the sampled one.  Only the last step
+    evaluates its own, and the final y's F is one multilinear_F_exact or
+    multilinear_F_mc call."""
 
     @pytest.mark.parametrize("model,extended,kwargs", TestWarmStartedAscent.CASES)
-    def test_every_record_is_F_at_its_y(self, model, extended, kwargs, monkeypatch):
+    def test_every_record_is_G_at_its_y(self, model, extended, kwargs, monkeypatch):
         # the one-step reference takes each step's marginals at the y the
         # step before it reached, and reaches the same points bit for bit
         points = []
@@ -546,9 +598,11 @@ class TestFFromTheFold:
         assert len(reached) == len(trace.iterations)
         for rec, y in zip(trace.iterations, reached):
             assert rec.f_estimate is not None
-            F = multilinear_F_exact(inst, util, np.clip(y, 0.0, 1.0))
-            assert rec.f_estimate == pytest.approx(F, rel=1e-12, abs=0)
-        assert trace.iterations[-1].f_estimate == multilinear_F_exact(inst, util, trace.final)
+            G = objective.rounding_G_exact(inst, util, np.clip(y, 0.0, 1.0))
+            assert rec.f_estimate == pytest.approx(G, rel=1e-12, abs=0)
+        assert trace.iterations[-1].f_estimate == trace.G
+        assert trace.G == objective.rounding_G_exact(inst, util, trace.final)
+        assert trace.F == multilinear_F_exact(inst, util, trace.final)
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -579,6 +633,7 @@ class TestFFromTheFold:
         assert len(trace.iterations) == 10
         assert len(sampled_calls) == 1 and not exact_calls
         assert all(isinstance(rec.f_estimate, float) for rec in trace.iterations)
+        assert trace.F == trace.iterations[-1].f_estimate and trace.G is None
 
     def test_sampled_records_are_F_over_the_next_steps_draws(self, monkeypatch):
         # each record's F is the mean f over the draws of the next step's

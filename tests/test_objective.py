@@ -24,9 +24,12 @@ from reference import (
     expected_gamma_unblocked,
     make_eps_perturbed,
     marginal_omega_lifted,
+    marginal_omega_paper,
     oracle_f_at,
     pairs_to_profile,
+    rounding_G_seed_sets,
     seed_prob,
+    seed_probs_cumprod,
     seed_probs_loop,
     slopes_per_user,
 )
@@ -269,7 +272,7 @@ class TestMarginals:
         inst = generate_random(2, 1, model="TABLE", seed=63)
         util = make_utility(inst)
         y = np.array([[0.4], [0.6]])
-        exact, _ = marginal_omega_exact(inst, util, y)
+        exact, _ = marginal_omega_paper(inst, util, y)
         est, F_est = marginal_omega(inst, util, y, 50_000, np.random.default_rng(7))
         assert np.all(np.abs(est - exact) <= 3 * 2 / np.sqrt(50_000) + 1e-9)
         assert abs(F_est - multilinear_F_exact(inst, util, y)) <= 3 * 2 / np.sqrt(50_000)
@@ -346,7 +349,7 @@ class TestClosedFormAgainstEnumeration:
         inst, util, y = closed_form_case(model, eps)
         base = reference_F(inst, util, y)
         assert multilinear_F_exact(inst, util, y) == pytest.approx(base, abs=1e-12)
-        omega, F = marginal_omega_exact(inst, util, y)
+        omega, F = marginal_omega_paper(inst, util, y)
         assert F == pytest.approx(base, abs=1e-12)
         for v in range(inst.n):
             for d in range(inst.m):
@@ -354,6 +357,11 @@ class TestClosedFormAgainstEnumeration:
                 raised[v, d] = 1.0
                 expected = max(reference_F(inst, util, raised) - base, 0.0)
                 assert omega[v, d] == pytest.approx(expected, abs=1e-12)
+        # the exact ascent's weights: the gradient of G and G, over seed sets
+        grad, G = rounding_G_seed_sets(inst, util, y)
+        omega, got = marginal_omega_exact(inst, util, y)
+        assert got == pytest.approx(G, abs=1e-12)
+        np.testing.assert_allclose(omega, np.maximum(grad, 0.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
     def test_sampled_over_the_same_draws(self, model, eps):
@@ -365,6 +373,91 @@ class TestClosedFormAgainstEnumeration:
         assert F_est == pytest.approx(F_ref, abs=1e-12)
         # the marginals' F is the mean f over their own draws
         assert F_draws == pytest.approx(F_est, rel=1e-12, abs=1e-12)
+
+
+class TestGradientOfG:
+    """The exact ascent's weights are the gradient of G(y) = E[gamma](q^(y)),
+    q^_v = sum_d y_vd p_v(d), the extension per-user rounding realises, and
+    come with G."""
+
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_central_differences(self, model, eps):
+        # G is affine in each entry, so central differences are exact up to
+        # rounding; an entry clamped at zero has a gradient of at most zero
+        inst, util, _ = closed_form_case(model, eps)
+        y = np.random.default_rng(75).uniform(0.05, 0.3, size=(inst.n, inst.m))
+        omega, G = marginal_omega_exact(inst, util, y)
+        assert G == pytest.approx(objective.rounding_G_exact(inst, util, y), rel=1e-12)
+        h = 1e-4
+        for v in range(inst.n):
+            for d in range(inst.m):
+                up, down = y.copy(), y.copy()
+                up[v, d] += h
+                down[v, d] -= h
+                diff = (objective.rounding_G_exact(inst, util, up)
+                        - objective.rounding_G_exact(inst, util, down)) / (2 * h)
+                if omega[v, d] > 0:
+                    assert omega[v, d] == pytest.approx(diff, rel=1e-6)
+                else:
+                    assert diff <= 1e-9
+        assert (omega > 0).sum() >= inst.n * inst.m - 1
+
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_seed_set_reference_and_stacks(self, model, eps):
+        inst, util, _ = closed_form_case(model, eps)
+        ys = np.random.default_rng(76).random((5, inst.n, inst.m)) / inst.m
+        ys[1] = 0.0
+        ys[2, 0] = 0.0
+        ys[2, 0, -1] = 1.0
+        omega_stack, G_stack = marginal_omega_exact(inst, util, ys)
+        assert omega_stack.shape == ys.shape and G_stack.shape == (5,)
+        for j, y in enumerate(ys):
+            omega, G = marginal_omega_exact(inst, util, y)
+            assert np.array_equal(omega_stack[j], omega) and G_stack[j] == G
+            grad, G_ref = rounding_G_seed_sets(inst, util, y)
+            assert G == pytest.approx(G_ref, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(omega, np.maximum(grad, 0.0), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("model,eps", CLOSED_FORM_CASES)
+    def test_G_at_integral_points_is_f(self, model, eps):
+        inst, util, _ = closed_form_case(model, eps)
+        profiles = np.array(list(product(range(inst.m + 1), repeat=inst.n)))
+        ys = np.zeros((len(profiles), inst.n, inst.m))
+        held = profiles > 0
+        rows, users = held.nonzero()
+        ys[rows, users, profiles[held] - 1] = 1.0
+        f = f_exact(inst, util, profiles)
+        _, G = marginal_omega_exact(inst, util, ys)
+        np.testing.assert_allclose(G, f, rtol=1e-12, atol=1e-12)
+        G = [objective.rounding_G_exact(inst, util, y) for y in ys]
+        np.testing.assert_allclose(G, f, rtol=1e-12, atol=1e-12)
+
+    def test_falling_adoption_row_keeps_its_gradient(self):
+        # user 1 holds coupon 1 (p = 0.8); raising coupon 2's entry (p = 0.3)
+        # lowers F's q_1, so the paper's marginal clamps to zero, while
+        # rounding to coupon 2 seeds with p = 0.3 and G's gradient is positive
+        inst = table_instance(modular_table([1.0, 1.0]), [[0.8, 0.3], [0.5, 0.6]])
+        util = make_utility(inst)
+        y = np.array([[1.0, 0.0], [0.2, 0.3]])
+        paper, _ = marginal_omega_paper(inst, util, y)
+        assert paper[0, 1] == 0.0
+        omega, G = marginal_omega_exact(inst, util, y)
+        np.testing.assert_allclose(omega, inst.adoption, rtol=1e-12)  # every slope is 1
+        assert G == pytest.approx(0.8 + 0.2 * 0.5 + 0.3 * 0.6, rel=1e-12)
+
+    def test_negative_slope_is_clamped(self):
+        # gamma({1, 2}) = 0: user 1's slope is 1 - 2 q^_2 = -0.6 at q^_2 = 0.8,
+        # and user 2's is 1 - 2 q^_1 = 0.44 at q^_1 = 0.28
+        table = {frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 1.0,
+                 frozenset({1, 2}): 0.0}
+        inst = table_instance(table, [[0.5, 0.9], [1.0, 1.0]])
+        util = make_utility(inst)
+        y = np.array([[0.2, 0.2], [0.4, 0.4]])
+        omega, _ = marginal_omega_exact(inst, util, y)
+        grad, _ = rounding_G_seed_sets(inst, util, y)
+        np.testing.assert_allclose(grad[0], [-0.3, -0.54], rtol=1e-12)
+        assert omega[0].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(omega[1], [0.44, 0.44], rtol=1e-12)
 
 
 def utility_gamma(n):
@@ -442,8 +535,9 @@ class TestKernelsAgainstReference:
         y[3, 0] = 1.0
         y[4, ::2] = 0.0
         p = rng.random((6, m))
-        q, gain = objective._seed_probs(y, p)
         q_ref, gain_ref = seed_probs_loop(y, p)
+        np.testing.assert_allclose(objective._seed_probs(y, p), q_ref, rtol=1e-12, atol=0)
+        q, gain = seed_probs_cumprod(y, p)  # the paper's marginals' form
         np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gain, gain_ref, rtol=1e-12, atol=0)
 
