@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import click
@@ -83,16 +84,19 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _std(draws):
-    """The sample standard deviation, finite for finite draws: where
-    squaring their deviations overflows, it is taken of the draws over
-    their largest magnitude and scaled back."""
+def _finite(stat, draws):
+    """stat(draws), finite for finite draws: where it overflows (a sum, or
+    squared deviations, past the float range), it is taken of the draws
+    over their largest magnitude and scaled back.  Draws that are not all
+    finite give inf."""
+    if not np.isfinite(draws).all():
+        return np.inf
     with np.errstate(over="ignore"):
-        std = draws.std(ddof=1)
-    if np.isfinite(std):
-        return std
+        value = stat(draws)
+    if np.isfinite(value):
+        return value
     scale = np.abs(draws).max()
-    return (draws / scale).std(ddof=1) * scale
+    return stat(draws / scale) * scale
 
 
 def _bound(epsilon: float, extended: bool) -> str:
@@ -129,14 +133,15 @@ def _rounding_stats(inst, util, y, rounds, rng):
     first[inverse] = np.arange(len(kept))
     f_draws = f_exact(inst, util, kept[first])[inverse]
     c_draws = cost_exact(inst, kept[first])[inverse]
-    f_std = _std(f_draws) if rounds > 1 else 0.0
+    sample_std = partial(np.std, ddof=1)
+    f_std = _finite(sample_std, f_draws) if rounds > 1 else 0.0
     stats = {
         "rounds": rounds,
-        "f_mean": float(f_draws.mean()),
+        "f_mean": float(_finite(np.mean, f_draws)),
         "f_std": float(f_std),
         "f_stderr": float(f_std / np.sqrt(rounds)),
-        "cost_mean": float(c_draws.mean()),
-        "cost_std": float(_std(c_draws)) if rounds > 1 else 0.0,
+        "cost_mean": float(_finite(np.mean, c_draws)),
+        "cost_std": float(_finite(sample_std, c_draws)) if rounds > 1 else 0.0,
         "dist_budget_violations": violations,
     }
     if extended:

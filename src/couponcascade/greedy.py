@@ -21,35 +21,22 @@ perturbed f, as each of the paper's marginals is, but that argument is not
 written out here, and the oracle's ratio checks the result instead.  The
 sampled path keeps the paper's sampled marginals of F.
 
-Most steps keep the previous basis, and so move along the same direction;
-where the direction does change, the LP often returns, by the same pivots,
-to bases it has left before.  The exact path therefore takes the steps in
-windows, planned from a record of each basis's last two exits: the basis
-the step after it ended on, the columns that step's simplex entered, in
-order, and how many steps the basis had been held.  A window plans a
-recorded switch where both exits agree on the next basis and the columns,
-after as many steps as the earlier exit held the basis, and otherwise
-keeps the basis; `replay_pivots` builds each planned step's (tableau,
-basis) from the one before with the simplex's own pivots.
-The window lays out its points along the planned vertices, takes all their
-marginals in one batched fold, and hands the stack to one `solve_inner_lp`
-call.  That call keeps the leading steps whose LP the simplex would solve
-exactly as planned, whatever their number of pivots, and solves the first
-one it cannot keep; the points after that step are dropped and the next
-window starts where it ended.  Each kept point is the one the one-step
-loop would reach, bit for bit.
+Most steps keep the previous basis, and so move along the same direction:
+the ascent on G changes basis a few times per solve.  The exact path
+therefore takes the steps in windows along the basis of the previous
+solve.  A window lays out its points along that basis's vertex, takes all
+their marginals in one batched fold, and hands the stack to one
+`solve_inner_lp` call.  That call keeps the leading steps whose LP the
+basis still solves and solves the first one it does not; the points after
+that step are dropped and the next window starts where it ended.  Each kept
+point is the one the one-step loop would reach, bit for bit.
 
-A window starts at WINDOW points and one that keeps every step doubles the
-next, up to MAX_WINDOW; a window that keeps fewer resets it to WINDOW.
-After two windows in a row that kept none of their planned steps, the
-windows are one point, solved by the plain warm simplex without a layout
-or a stacked check, until one of them keeps its basis, which resumes at
-WINDOW; a recorded switch ahead always gets WINDOW points.  So a long kept
-run, or a switch that repeats, costs few folds, and a run of switches
-nobody recorded costs one point each.  A step whose LP gained nothing
-(value 0) leaves y where it was, so the next window is one point.  The
-sampled path runs windows of one point: speculative draws from its
-generator would shift every later one.
+A window starts at WINDOW points; one that keeps every step doubles the
+next, up to MAX_WINDOW, and one that keeps fewer resets it to WINDOW.  The
+cold first step, a last step left on its own, and the step after one whose
+LP gained nothing (value 0, which leaves y where it was) are windows of one
+point, solved by the plain warm simplex.  The sampled path runs windows of one
+point: speculative draws from its generator would shift every later one.
 
 Each step records the value the ascent climbs at the y it reached: G on
 the exact path, F over the draws on the sampled one.  Both kinds of
@@ -79,7 +66,6 @@ from couponcascade.polytope_lp import (
     NumericError,
     PolytopeSpec,
     basis_vertex,
-    replay_pivots,
     solve_inner_lp,
 )
 
@@ -164,8 +150,6 @@ class GreedyTrace:
     lp_max_gap: float = 0.0
     marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     points_folded: int = 0  # points those evaluations took, kept or not
-    planned_windows: int = 0  # windows laid out along a recorded switch
-    planned_steps_kept: int = 0  # steps of those windows kept as planned, without a simplex solve
     one_point_windows: int = 0  # windows of one point, solved by the plain warm simplex
     marginals_s: float = 0.0
     F_s: float = 0.0
@@ -207,18 +191,12 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     t = 0.0
     start = None  # the basis of the last solve, which the next one starts from
     moved = False  # whether the last step's LP had anything to gain
-    size, failures = WINDOW, 0  # the next window's points; windows in a row that kept no step
-    record = {}  # basis -> its last two exits: (next basis, columns entered, steps held)
-    basis, held = None, 0  # the last step's basis, as bytes, and the steps it has been held
+    size = WINDOW  # the next window's points
     while len(trace.iterations) < steps:
         left = steps - len(trace.iterations)
-        path, points, switched = None, y[None], False  # one point, by the plain warm simplex
+        points = y[None]  # one point, by the plain warm simplex
         if exact and moved and left > 1:
-            plan = _plan(record, basis, held, min(max(size, WINDOW), left))
-            switched = any(plan)
-            if size > 1 or switched:
-                path = replay_pivots(start, plan)
-                points = _layout(y, t, delta, path)
+            points = _layout(y, t, delta, start, min(size, left))
         t0 = time.perf_counter()
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
@@ -227,12 +205,11 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega, f_at = omega[None], [f_here]
         t1 = time.perf_counter()
-        solutions = solve_inner_lp(omega, spec, start=start, path=path)
+        solutions = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
         trace.marginal_windows += 1
         trace.points_folded += len(points)
-        trace.one_point_windows += path is None
-        trace.planned_windows += switched
+        trace.one_point_windows += len(points) == 1
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
         records = trace.iterations
@@ -246,32 +223,16 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             trace.lp_pivots += sol.pivots
             trace.lp_fallbacks += sol.fell_back
             trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
-            trace.planned_steps_kept += switched and sol.planned
             t += h
             # the next step's marginals, or the final G or F, fill in f_estimate
             records.append(IterationRecord(t, sol.objective_value, None))
-            if sol.entered:
-                after = sol.final[1].tobytes()
-                if basis is not None:
-                    record[basis] = (record.get(basis, (None, None))[1],
-                                     (after, sol.entered, held))
-                basis, held = after, 0
-            held += 1
         last = solutions[-1]
         y = points[len(solutions) - 1] + h * last.matrix(inst.n, inst.m)
+        if len(points) > 1:  # a kept row carries the start as its final
+            kept_all = len(solutions) == len(points) and last.final is start
+            size = min(2 * len(points), MAX_WINDOW) if kept_all else WINDOW
         start = last.final
         moved = last.objective_value != 0
-        on_plan = sum(sol.planned for sol in solutions)
-        if path is None:
-            if size == 1 and not solutions[0].pivots:
-                size, failures = WINDOW, 0
-        elif on_plan == len(path):
-            size, failures = min(2 * len(path), MAX_WINDOW), 0
-        elif on_plan:
-            size, failures = WINDOW, 0
-        else:
-            failures += 1
-            size = 1 if failures >= 2 else WINDOW
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
@@ -288,45 +249,20 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     return trace
 
 
-def _plan(record, basis, held, count):
-    """The columns each of the next `count` steps is planned to enter, from
-    a basis held for `held` steps.  Where the basis's last two exits agree
-    on the next basis and the columns entered, the switch is planned after
-    as many steps as the earlier of them held it, so that holds which repeat
-    or alternate are both followed; every other step enters nothing and
-    keeps the basis."""
-    plan = []
-    while len(plan) < count:
-        exits = record.get(basis)
-        if exits is None or exits[0] is None or exits[0][:2] != exits[1][:2]:
-            break  # no switch this basis is sure to take: it is kept
-        basis, entered, hold = exits[0]
-        if hold < held:
-            break
-        plan += [()] * (hold - held) + [entered]
-        held = 1
-    return (plan + [()] * count)[:count]
-
-
-def _layout(y, t, delta, path):
-    """The points a window reaches if each step ends on its planned final:
-    y at time t, then each point one step along the vertex of the final
-    before it.  One accumulate adds the steps in the one-step loop's order,
-    so each point is the one that loop reaches, bit for bit."""
-    moves = np.empty((len(path),) + y.shape)
+def _layout(y, t, delta, start, count):
+    """The `count` points a window reaches if every step keeps the basis of
+    `start`: y at time t, then each point one step along that basis's
+    vertex.  One accumulate adds the steps in the one-step loop's order, so
+    each point is the one that loop reaches, bit for bit."""
+    moves = np.empty((count,) + y.shape)
     moves[0] = y
     lengths, ahead = [], t
-    for _ in path[1:]:
+    for _ in range(count - 1):
         h = min(delta, 1.0 - ahead)  # the clipped last step, as in the loop
         lengths.append(h)
         ahead += h
-    vertices, rows = [basis_vertex(path[0][1], y.size)], [0]
-    for entered, final, _ in path[1:-1]:
-        if entered:
-            vertices.append(basis_vertex(final, y.size))
-        rows.append(len(vertices) - 1)
-    np.multiply(np.array(lengths)[:, None], np.array(vertices)[rows],
-                out=moves[1:].reshape(len(path) - 1, -1))
+    np.multiply(np.array(lengths)[:, None], basis_vertex(start, y.size),
+                out=moves[1:].reshape(count - 1, -1))
     return np.add.accumulate(moves, axis=0)
 
 

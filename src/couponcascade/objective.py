@@ -143,9 +143,11 @@ def f_mc(inst: Instance, util: CascadeUtility, profile, samples: int,
 
 def cost_exact(inst: Instance, profiles) -> np.ndarray:
     """Expected redemption cost of each coupon profile, a row of the (k, n)
-    array `profiles`: p_v(d) * value(d) summed over the offered users."""
+    array `profiles`: p_v(d) * value(d) summed over the offered users.  A
+    sum past the float range is inf, without a warning."""
     pay = np.hstack([np.zeros((inst.n, 1)), inst.redemption_weights])
-    return pay[np.arange(inst.n), np.asarray(profiles, dtype=int)].sum(axis=1)
+    with np.errstate(over="ignore"):
+        return pay[np.arange(inst.n), np.asarray(profiles, dtype=int)].sum(axis=1)
 
 
 def _as_matrix(y, inst: Instance, stacked: bool = False) -> np.ndarray:

@@ -166,10 +166,13 @@ def _profile_rows(table: ProfileTable, k_bound: float | None = None):
     """(A, b) of the LP over profile weights alpha >= 0: mass <= 1 and
     expected redemption cost <= B; with k_bound, also expected distribution
     cost, sum_S alpha_S a(S) <= k_bound, where a(S) is the dist_cost of the
-    users S offers to."""
+    users S offers to.  A cost past the float range is inf, without a
+    warning; the LP's input guard then refuses it."""
     inst, profiles = table.inst, table.profiles
     pay = np.hstack([np.zeros((inst.n, 1)), inst.redemption_weights])
-    rows = [np.ones(len(profiles)), pay[np.arange(inst.n), profiles].sum(axis=1)]
+    with np.errstate(over="ignore"):
+        cost = pay[np.arange(inst.n), profiles].sum(axis=1)
+    rows = [np.ones(len(profiles)), cost]
     bounds = [1.0, inst.budget_B]
     if k_bound is not None:
         rows.append((profiles > 0) @ inst.dist_cost)

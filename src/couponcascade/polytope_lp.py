@@ -10,23 +10,15 @@ terminates; every optimal solve is certified by the dual solution read off
 the final tableau.  Any basis of {Ax <= b} stays primal feasible when only
 c changes, so an LP may warm-start from the final tableau of an earlier
 solve over the same (A, b): the ascent's per-step LPs do, and so do the
-oracle's extension LPs.  The simplex reports the columns it entered, in
-order.  The ascent's (A, b) are checked once per `PolytopeSpec`, so its
-many solves check only their objectives.
+oracle's extension LPs.  The ascent's (A, b) are checked once per
+`PolytopeSpec`, so its many solves check only their objectives.
 
 The ascent also checks a window of several steps' objectives at once
-(`solve_inner_lp` with a stack of weights) against a planned path: each
-step keeps the basis before it or enters a tuple of columns.
-`replay_pivots` builds the path's tableaux with the simplex's own pivot
-(`_pivot`, its ratio test and rank-1 update), so a planned tableau is the
-one the simplex would reach, bit for bit, and records each pivot's
-normalized pivot row.  One product gives every row's objective row on the
-start's basis, and each planned pivot, in order, updates its own row and
-every later one as the simplex updates its objective row.  A row is kept
-when the simplex, started from the row before, would do as planned: enter
-each planned column by Dantzig's rule, then stop.  The first row that is
-not kept is solved by the simplex from the row before's final, and ends
-the window.
+(`solve_inner_lp` with a stack of weights) against the basis it starts
+from.  One product gives every row's objective row on that basis; the
+leading rows with no negative reduced cost are solved by it and kept
+together, and the first row that is not kept is solved by the simplex
+from the start and ends the window.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -122,14 +114,9 @@ class LpSolution:
     objective_value: float
     dual: np.ndarray
     duality_gap: float
-    entered: tuple = ()  # the columns the pivots entered, in order
+    pivots: int = 0
     fell_back: bool = False  # Bland's rule took over from Dantzig's
     final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
-    planned: bool = False  # kept as a planned path planned it, without a simplex solve
-
-    @property
-    def pivots(self) -> int:
-        return len(self.entered)
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
@@ -163,8 +150,7 @@ def _simplex(c, A, b, start):
     objective row is rebuilt for c, as c_B B^-1 [A I b] - [c 0 0]; the
     pivot limit and the degenerate-run counter apply to this solve alone.
 
-    Returns (x, value, dual, entered, fell_back, final), where entered is
-    the tuple of columns the pivots entered, in order, and final is the
+    Returns (x, value, dual, pivots, fell_back, final), where final is the
     (tableau, basis) to pass as a later `start`.
     """
     n_rows, n_vars = A.shape
@@ -185,9 +171,9 @@ def _simplex(c, A, b, start):
         T[-1, :n_vars] -= c
 
     update = np.empty_like(T)  # the rank-1 term, reused by every pivot
-    entered, degenerate, bland = [], 0, False
+    degenerate, bland = 0, False
     reduced = T[-1, :-1]  # a view: every pivot updates it in place
-    for _ in range(MAX_PIVOTS):
+    for pivots in range(MAX_PIVOTS):
         if bland:
             improving = reduced < -1e-10
             if not improving.any():
@@ -197,16 +183,14 @@ def _simplex(c, A, b, start):
             enter = int(reduced.argmin())
             if not reduced[enter] < -1e-10:
                 break
-        entered.append(enter)
-        step, _ = _pivot(T, basis, enter, update)
+        step = _pivot(T, basis, enter, update)
         degenerate = degenerate + 1 if step <= 1e-10 else 0
         bland = bland or degenerate >= DEGENERATE_RUN
     else:
         raise NumericError("pivot limit exceeded")
 
     dual = T[-1, n_vars:n_vars + n_rows].copy()
-    return (basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, tuple(entered), bland,
-            (T, basis))
+    return basis_vertex((T, basis), n_vars), float(T[-1, -1]), dual, pivots, bland, (T, basis)
 
 
 def _pivot(T, basis, enter: int, update):
@@ -215,14 +199,10 @@ def _pivot(T, basis, enter: int, update):
     The ratio test picks the leaving row: the smallest ratio of right-hand
     side to a positive entry of the column, ties going to the lowest basic
     index.  The pivot is one rank-1 update of the dense tableau, built in
-    `update`, a buffer of T's shape.  Each constraint row's new entries
-    depend only on the constraint rows, so the same pivot from the same
-    constraint rows gives the same ones, bit for bit, whatever the objective
-    row holds.  Returns the leaving row's right-hand side before the pivot,
-    zero for a degenerate pivot, which does not move the vertex, and the
-    normalized pivot row, by which the pivot updates the objective row.
-    An update that overflows leaves an inf in T without a warning; the
-    certificate of the solve then fails.
+    `update`, a buffer of T's shape.  Returns the leaving row's right-hand
+    side before the pivot, zero for a degenerate pivot, which does not move
+    the vertex.  An update that overflows leaves an inf in T without a
+    warning; the certificate of the solve then fails.
     """
     col = T[:-1, enter]
     rows = (col > 1e-10).nonzero()[0]
@@ -237,33 +217,7 @@ def _pivot(T, basis, enter: int, update):
         T -= np.multiply(T[:, enter, None], pivot_row, out=update)
     T[leave] = pivot_row
     basis[leave] = enter
-    return step, pivot_row
-
-
-def replay_pivots(start, plan) -> list:
-    """The (entered, final, pivot rows) of each of a run of planned ascent steps.
-
-    Each step's entry in `plan` is the tuple of columns it enters, in order,
-    by simplex pivots (`_pivot`) from the (tableau, basis) before it
-    (`start` for the first step); the empty tuple keeps that basis, and the
-    step repeats the same final.  A pivoted final is then the one that
-    the simplex (`_simplex`), started from the final before, reaches when its
-    Dantzig rule enters those columns in that order and the last pivot
-    leaves an optimal basis; its constraint rows are bit for bit those of
-    the simplex.  The pivot rows are each pivot's normalized pivot row, in
-    order, by which the simplex updates its objective row.
-    """
-    path, final = [], start
-    for entered in plan:
-        rows = []
-        if entered:
-            T, basis = final[0].copy(), final[1].copy()
-            update = np.empty_like(T)
-            for enter in entered:
-                rows.append(_pivot(T, basis, enter, update)[1])
-            final = (T, basis)
-        path.append((entered, final, tuple(rows)))
-    return path
+    return step
 
 
 def basis_vertex(final, n_vars: int) -> np.ndarray:
@@ -305,31 +259,25 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
 
 
 def _certified(c, A, b, start) -> LpSolution:
-    x, value, dual, entered, fell_back, final = _simplex(c, A, b, start)
+    x, value, dual, pivots, fell_back, final = _simplex(c, A, b, start)
     gap = _certify(c, A, b, value, dual)
-    return LpSolution(x, value, dual, gap, entered, fell_back, final)
+    return LpSolution(x, value, dual, gap, pivots, fell_back, final)
 
 
-def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=None):
+def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope.
 
     `start` is the `final` of an earlier solution over the same spec; the
     solve warm-starts from its basis.
 
     weights may also be a (J, n, m) stack, the objectives of J successive
-    ascent steps, and `path` the (entered, final, pivot rows) each step is
-    planned to take (`replay_pivots`; by default every step keeps the
-    start's basis).  A stack of one row is solved by the warm simplex
-    alone.  Row j of a longer stack is kept without a simplex solve when
-    the simplex, started from row j-1's planned final, would end on
-    row j's: Dantzig's rule enters each planned column in turn, by more
-    than rounding over every other column, and the last pivot, or the kept
-    basis, is optimal.  The objective must be nonzero, and a row of
-    DEGENERATE_RUN pivots or more is never kept, since Bland's rule could
-    take over in it.  The leading rows that pass are certified together.
-    The first row that fails is solved from its predecessor's final as
-    above, and the rows after it are dropped.  Returns the list of
-    solutions, one per row kept.
+    ascent steps.  A stack of one row is solved by the warm simplex alone.
+    The leading rows of a longer stack that the start's basis solves (a
+    nonzero objective with no reduced cost below -1e-10, the simplex's own
+    stopping rule) are kept without a pivot and certified together.  The
+    first row that fails is solved by the simplex from `start`, and the
+    rows after it are dropped.  Returns the list of solutions, one per row
+    kept.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (2, 3) or weights.shape[-2:] != (spec.n, spec.m):
@@ -342,11 +290,9 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None, path=Non
     rows = weights.reshape(len(weights), -1)
     if start is None or len(rows) == 1:
         return [_solve_inner(rows[0], spec, A, b, start)]
-    path = path if path is not None else [((), start, ())] * len(rows)
-    kept = _kept_along(rows, spec, A, b, start, path)
-    j = len(kept)
-    if j < len(rows):
-        kept.append(_solve_inner(rows[j], spec, A, b, path[j - 1][1] if j else start))
+    kept = _kept_basis(rows, spec, A, b, start)
+    if len(kept) < len(rows):
+        kept.append(_solve_inner(rows[len(kept)], spec, A, b, start))
     return kept
 
 
@@ -360,10 +306,9 @@ def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
     return sol
 
 
-def _kept_along(C, spec: PolytopeSpec, A, b, start, path) -> list[LpSolution]:
-    """Solutions for the leading rows of C that end on their planned final
-    without a simplex solve: row j starts from the final of row j-1
-    (`start` for row 0) and is planned to end on path[j]'s."""
+def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> list[LpSolution]:
+    """Solutions for the leading rows of C that the start's basis solves,
+    each at the start's vertex and with the start as its final."""
     n_rows, n_vars = A.shape
     T, basis = start
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
@@ -375,47 +320,14 @@ def _kept_along(C, spec: PolytopeSpec, A, b, start, path) -> list[LpSolution]:
     # of resident memory that no other LP here needs.
     objective = np.einsum("jr,rc->jc", costs[:, basis], T[:n_rows])
     objective[:, :n_vars] -= C
-    path = path[:len(C)]
-    count = next((j for j, (entered, _, pivot_rows) in enumerate(path)
-                  if entered and not _dantzig_enters(objective, j, entered, pivot_rows)),
-                 len(path))
-    ok = C[:count].any(axis=1) & ~(objective[:count, :-1] < -1e-10).any(axis=1)
-    kept = count if ok.all() else int(ok.argmin())
+    ok = C.any(axis=1) & ~(objective[:, :-1] < -1e-10).any(axis=1)
+    kept = len(C) if ok.all() else int(ok.argmin())
     if not kept:
         return []
     values = objective[:kept, -1]
     duals = objective[:kept, n_vars:n_vars + n_rows]
     gaps = _certify(C[:kept], A, b, values, duals)
-    # the vertex of the first row and of each pivot, checked as one stack
-    new = [j for j in range(kept) if j == 0 or path[j][0]]
-    vertices = np.array([basis_vertex(path[j][1], n_vars) for j in new])
-    spec.check_feasible(vertices.reshape(len(new), spec.n, spec.m))
-    solutions, vertex = [], iter(vertices)
-    for j, value, gap in zip(range(kept), values.tolist(), gaps.tolist()):
-        entered, final, _ = path[j]
-        if j == 0 or entered:
-            x = next(vertex)
-        solutions.append(LpSolution(x, value, duals[j], gap, entered, final=final, planned=True))
-    return solutions
-
-
-def _dantzig_enters(objective, j, entered, pivot_rows) -> bool:
-    """Whether Dantzig's rule in the simplex, from objective row
-    `objective[j]`, enters the planned columns in order.  Each pivot that
-    passes is applied, with the simplex's own update and its normalized
-    pivot row, to row j and to every later row, which starts from row j's
-    final.  A row of DEGENERATE_RUN pivots or more fails: Bland's rule
-    could take over in it."""
-    if len(entered) >= DEGENERATE_RUN:
-        return False
-    for enter, pivot_row in zip(entered, pivot_rows):
-        others = objective[j, :-1].copy()
-        entering = others[enter]
-        others[enter] = np.inf
-        # It must lead every other column by more than rounding: this row,
-        # updated pivot by pivot from the start's basis, and the simplex's,
-        # rebuilt on the row before's final, round differently.
-        if not (entering < -1e-10 and entering < others.min() - 1e-10):
-            return False
-        objective[j:] -= objective[j:, enter, None] * pivot_row
-    return True
+    x = basis_vertex(start, n_vars)
+    spec.check_feasible(x.reshape(spec.n, spec.m))
+    return [LpSolution(x, value, dual, gap, final=start)
+            for value, dual, gap in zip(values.tolist(), duals, gaps.tolist())]

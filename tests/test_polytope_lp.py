@@ -10,7 +10,6 @@ from couponcascade.polytope_lp import (
     NumericError,
     PolytopeSpec,
     UnboundedError,
-    replay_pivots,
     solve_generic_lp,
     solve_inner_lp,
 )
@@ -447,190 +446,6 @@ class TestStackedInnerLp:
         with pytest.raises(LpError, match="weights must be"):
             solve_inner_lp(np.ones((3, spec.m, spec.n + 1)), spec)
 
-
-class TestReplayedPivots:
-    """replay_pivots plans a step's pivot with the simplex's own pivot, and
-    solve_inner_lp keeps a planned row only when the simplex, started
-    from the row before, would take exactly that pivot."""
-
-    specs = staticmethod(TestWarmStart.specs)
-
-    @staticmethod
-    def one_pivot_step(spec, seed):
-        """A first solve, and an objective whose solve from it takes one pivot."""
-        rng = np.random.default_rng(seed)
-        omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
-        for scale in np.geomspace(1e-3, 2.0, 60):
-            nudged = np.clip(omega + scale * rng.normal(size=omega.shape), 0.0, None)
-            single = solve_inner_lp(nudged, spec, start=first.final)
-            if single.pivots == 1:
-                return first, nudged, single
-        raise AssertionError("no one-pivot step found")
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_replayed_pivot_is_the_simplex_pivot(self, kind, seed):
-        spec = self.specs()[kind]
-        first, omega, single = self.one_pivot_step(spec, 70 + seed)
-        before = first.final[0].copy()
-        enter = single.final[1][single.final[1] != first.final[1]][0]
-        path = replay_pivots(first.final, [(enter,), ()])
-        assert np.array_equal(first.final[0], before)  # the start is left as it was
-        assert [entered for entered, _, _ in path] == [(enter,), ()]
-        tableau, basis = path[0][1]
-        assert path[1][1] is path[0][1]
-        assert np.array_equal(basis, single.final[1])
-        # the constraint rows, bit for bit; only the objective row is rebuilt per LP
-        assert np.array_equal(tableau[:-1], single.final[0][:-1])
-        # the pivot row is the entering column's row of the final, normalized
-        ((pivot_row,), ()) = (path[0][2], path[1][2])
-        assert np.array_equal(pivot_row, tableau[list(basis).index(enter)])
-        assert pivot_row[enter] == 1.0
-        kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
-        assert [(sol.planned, sol.pivots) for sol in kept] == [(True, 1), (True, 0)]
-        for sol in kept:
-            assert sol.final is path[0][1] and np.array_equal(sol.x, single.x)
-            assert sol.objective_value == pytest.approx(single.objective_value, rel=1e-14)
-            assert np.allclose(sol.dual, single.dual, rtol=1e-14, atol=1e-15)
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_wrong_column_falls_back_to_the_simplex(self, kind, seed):
-        spec = self.specs()[kind]
-        first, omega, single = self.one_pivot_step(spec, 70 + seed)
-        enter = single.final[1][single.final[1] != first.final[1]][0]
-        n_cols = first.final[0].shape[1] - 1
-        wrong = [c for c in range(n_cols) if c != enter and c not in first.final[1]]
-        assert wrong
-        for column in wrong:
-            path = replay_pivots(first.final, [(column,), (column,)])
-            kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
-            assert len(kept) == 1 and not kept[0].planned  # the row after it is dropped
-            assert (kept[0].pivots, kept[0].objective_value) == (single.pivots,
-                                                                 single.objective_value)
-            assert np.array_equal(kept[0].x, single.x)
-            assert np.array_equal(kept[0].final[1], single.final[1])
-
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    def test_optimal_start_is_solved_without_a_pivot(self, kind):
-        # the start's basis is optimal for the row, so the simplex stops at
-        # once instead of taking the planned pivot
-        spec = self.specs()[kind]
-        omega = np.random.default_rng(80).uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
-        nonbasic = [c for c in range(spec.n * spec.m) if c not in first.final[1]]
-        path = replay_pivots(first.final, [(nonbasic[0],), ()])
-        kept = solve_inner_lp(np.stack([omega, omega]), spec, start=first.final, path=path)
-        assert len(kept) == 1  # the row after it is dropped
-        (sol,) = kept
-        assert not sol.planned and sol.pivots == 0
-        assert np.array_equal(sol.final[1], first.final[1])
-        assert np.array_equal(sol.x, first.x)
-        assert sol.objective_value == pytest.approx(first.objective_value, rel=1e-14)
-
-    @pytest.mark.parametrize("column", [0, 1])
-    def test_tied_columns_fall_back_to_the_simplex(self, column):
-        # y1 + y2 <= 1 with equal weights: either pivot from the slack basis
-        # reaches an optimal basis, but Dantzig's rule enters column 0, and a
-        # tie leaves no margin over rounding, so neither plan is kept.  The
-        # simplex solves the first row and the window ends there.
-        spec = PolytopeSpec(1, 2, np.array([[1.0, 1.0]]), 5.0)
-        A, b = spec.constraint_rows
-        start = solve_generic_lp(np.zeros(2), A, b).final
-        kept = solve_inner_lp(np.ones((2, 1, 2)), spec, start=start,
-                              path=replay_pivots(start, [(column,), ()]))
-        assert len(kept) == 1
-        (sol,) = kept
-        assert not sol.planned and sol.pivots == 1
-        assert np.array_equal(sol.x, [1.0, 0.0])
-
-    @pytest.mark.parametrize("column", [2, 3])
-    def test_a_tie_at_the_second_pivot_falls_back_to_the_simplex(self, column):
-        # the first pivot enters column 0 by a clear lead; then the second
-        # user's two columns tie, and either plan reaches an optimal basis,
-        # but a tie leaves no margin over rounding, so neither is kept
-        spec = PolytopeSpec(2, 2, np.ones((2, 2)), 10.0)
-        A, b = spec.constraint_rows
-        start = solve_generic_lp(np.zeros(4), A, b).final
-        omega = np.array([[2.0, 1.0], [1.0, 1.0]])
-        kept = solve_inner_lp(np.stack([omega, omega]), spec, start=start,
-                              path=replay_pivots(start, [(0, column), ()]))
-        assert len(kept) == 1
-        (sol,) = kept
-        assert not sol.planned and sol.entered == (0, 2)
-        assert np.array_equal(sol.x, [1.0, 0.0, 1.0, 0.0])
-
-    @staticmethod
-    def two_pivot_step(spec, seed):
-        """A first solve, and an objective whose solve from it takes two pivots."""
-        rng = np.random.default_rng(seed)
-        omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
-        for scale in np.geomspace(1e-2, 4.0, 200):
-            nudged = np.clip(omega + scale * rng.normal(size=omega.shape), 0.0, None)
-            single = solve_inner_lp(nudged, spec, start=first.final)
-            if single.pivots == 2:
-                return first, nudged, single
-        raise AssertionError("no two-pivot step found")
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_two_planned_pivots_are_the_simplex_pivots(self, kind, seed):
-        spec = self.specs()[kind]
-        first, _, single = self.two_pivot_step(spec, 90 + seed)
-        assert len(single.entered) == 2
-        ((entered, (tableau, basis), pivot_rows),) = replay_pivots(first.final, [single.entered])
-        assert entered == single.entered and len(pivot_rows) == 2
-        assert np.array_equal(basis, single.final[1])
-        assert np.array_equal(tableau[:-1], single.final[0][:-1])
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_two_planned_pivots_and_the_rows_after_are_kept(self, kind, seed):
-        # the batch takes both planned pivots of the first row, each by
-        # Dantzig's rule, and the rows after it keep the basis they reach
-        spec = self.specs()[kind]
-        first, omega, single = self.two_pivot_step(spec, 90 + seed)
-        path = replay_pivots(first.final, [single.entered, (), ()])
-        kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
-        assert [(sol.planned, sol.pivots) for sol in kept] == [(True, 2), (True, 0), (True, 0)]
-        assert kept[0].entered == single.entered
-        for j, sol in enumerate(kept):
-            assert sol.final is path[j][1]
-            assert np.array_equal(sol.x, single.x)
-            assert sol.objective_value == pytest.approx(single.objective_value, rel=1e-14)
-            assert np.allclose(sol.dual, single.dual, rtol=1e-14, atol=1e-15)
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    def test_a_row_of_DEGENERATE_RUN_pivots_goes_to_the_simplex(self, kind, monkeypatch):
-        # Bland's rule could take over in such a row, so the batch leaves it
-        # to the simplex, whose solve ends the window
-        spec = self.specs()[kind]
-        first, omega, single = self.two_pivot_step(spec, 90)
-        path = replay_pivots(first.final, [single.entered, (), ()])
-        monkeypatch.setattr(polytope_lp, "DEGENERATE_RUN", 2)
-        kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
-        assert len(kept) == 1 and not kept[0].planned
-        assert np.array_equal(kept[0].final[1], single.final[1])
-        assert np.array_equal(kept[0].x, single.x)
-
-    @pytest.mark.parametrize("kind", ["base", "extended"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rows_after_a_solve_off_the_plan_are_dropped(self, kind, seed):
-        spec = self.specs()[kind]
-        first, omega, single = self.two_pivot_step(spec, 90 + seed)
-        n_cols = first.final[0].shape[1] - 1
-        wrong = [c for c in range(n_cols) if c not in single.final[1]]
-        assert wrong
-        for column in wrong:
-            path = replay_pivots(first.final, [(single.entered[0], column), (), ()])
-            kept = solve_inner_lp(np.stack([omega] * 3), spec, start=first.final, path=path)
-            assert len(kept) == 1 and not kept[0].planned
-            assert kept[0].entered == single.entered
-            assert np.array_equal(kept[0].x, single.x)
-            assert np.array_equal(kept[0].final[1], single.final[1])
 
 class TestStackedCertify:
     """_certify on stacked c, values and duals: every row with the single-LP
