@@ -124,13 +124,10 @@ def _rounding_stats(inst, util, y, rounds, rng):
     spend = ((kept > 0) * costs).sum(axis=1)
     violations = int(np.sum(spend > inst.budget_K + 1e-9)) if extended else 0
 
-    # One f per distinct profile.  The profiles' base-(m+1) codes overflow
-    # int64, so the group ranks are refined user by user instead.
-    inverse = np.zeros(len(kept), dtype=np.int64)
-    for v in reversed(range(inst.n)):
-        _, inverse = np.unique(inverse * (inst.m + 1) + kept[:, v], return_inverse=True)
-    first = np.zeros(inverse.max() + 1, dtype=int)
-    first[inverse] = np.arange(len(kept))
+    # One f per distinct profile.  np.unique takes each row as one opaque item:
+    # its axis=0 form compares rows field by field, 4-5 times slower on 1,000 rows.
+    rows = kept.view(np.dtype((np.void, kept.itemsize * inst.n))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     f_draws = f_exact(inst, util, kept[first])[inverse]
     c_draws = cost_exact(inst, kept[first])[inverse]
     sample_std = partial(np.std, ddof=1)

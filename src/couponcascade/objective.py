@@ -36,7 +36,10 @@ halves of each level, and the pass back carries the seed-set distribution
 of the users below v and dots it with level v's difference.  That is
 O(2^n) work for all n slopes, against O(n 2^n) for a fold per user.  The
 fold ends at E[gamma] itself, so the exact gradient returns G(y), and the
-sampled marginals F(y) over their draws, at no extra cost.
+sampled marginals F(y) over their draws, at no extra cost.  The exact
+gradient takes a (J, n, m) stack of points, as the ascent's windows pass
+them, and folds them as one batch.  Every value here is linear in gamma,
+so it carries gamma's unit.
 """
 
 from __future__ import annotations
@@ -237,11 +240,10 @@ def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):
     The paper's ascent takes the marginals F(y with y_vd raised to 1) - F(y)
     here; the exact ascent climbs G instead (module docstring).  A slope is
     negative only where gamma is not monotone, as an eps-perturbed gamma
-    may be; clamping keeps the ascent LP's weights nonnegative.  y may also
-    be a (J, n, m) stack of points; then the gradients come as a stack and
-    G as a J-vector, from one batched fold.
+    may be; clamping keeps the ascent LP's weights nonnegative.  y is a
+    (J, n, m) stack of points; the gradients come as a stack and G as a
+    J-vector, from one batched fold.
     """
-    y = _as_matrix(y, inst, stacked=np.ndim(y) == 3)
+    y = _as_matrix(y, inst, stacked=True)
     slopes, G = _slopes(util.gamma_vector(), _rounded_probs(y, inst.adoption))
-    omega = np.maximum(inst.adoption * slopes[..., None], 0.0)
-    return (omega, G) if y.ndim == 3 else (omega, float(G))
+    return np.maximum(inst.adoption * slopes[..., None], 0.0), G

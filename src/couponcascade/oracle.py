@@ -76,29 +76,31 @@ def check_submodular_monotone(values):
     ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, x, y) when
     h(X+x) + h(X+y) < h(X+x+y) + h(X) for x, y not in X.  That local
     inequality is equivalent to diminishing returns on every X within Y
-    (Schrijver, Combinatorial Optimization, Thm 44.1).  Its tolerance is
-    the monotone test's 1e-12 over n: a chain from X to Y takes at most
-    n - 1 local steps, so a gain that falls by more than 1e-12 from X to
-    Y is flagged.
+    (Schrijver, Combinatorial Optimization, Thm 44.1).  The monotone test's
+    tolerance is 1e-12 times the largest |value|, so a verdict does not
+    depend on the function's unit; the local test's is that over n: a chain
+    from X to Y takes at most n - 1 local steps, so a gain that falls by
+    more than the monotone tolerance from X to Y is flagged.
     """
     h = np.asarray(values, dtype=float)
     n = len(h).bit_length() - 1
     if len(h) != 1 << max(n, 0):
         raise UtilityError(f"a set function needs 2^n values, one per subset; got {len(h)}")
     masks = np.arange(len(h))
+    tol = 1e-12 * np.abs(h).max()
 
     def users(mask):
         return frozenset(v + 1 for v in range(n) if mask >> v & 1)
 
     for x in range(n):
         X = masks[masks >> x & 1 == 0]
-        bad = X[h[X | 1 << x] < h[X] - 1e-12]
+        bad = X[h[X | 1 << x] < h[X] - tol]
         if len(bad):
             return ("monotone", users(bad[0]), x + 1)
     for x in range(n):
         for y in range(x + 1, n):
             X = masks[(masks >> x | masks >> y) & 1 == 0]
-            bad = X[h[X | 1 << x] + h[X | 1 << y] < h[X | 1 << x | 1 << y] + h[X] - 1e-12 / n]
+            bad = X[h[X | 1 << x] + h[X | 1 << y] < h[X | 1 << x | 1 << y] + h[X] - tol / n]
             if len(bad):
                 return ("submodular", users(bad[0]), x + 1, y + 1)
     return None
@@ -270,15 +272,17 @@ def verify_eps_sandwich(table: ProfileTable) -> dict:
     """Check (1-eps) g(S) <= f(S) <= (1+eps) g(S) over every allocation, g
     built from the unperturbed reference; also check that g is monotone
     submodular along a fixed coupon-per-user grid, whose profiles are rows
-    of the table.  A grid failure adds its `grid_violation` witness."""
+    of the table.  The sandwich's tolerance is 1e-9 times the largest |f| or
+    |g|.  A grid failure adds its `grid_violation` witness."""
     inst, eps = table.inst, table.util.epsilon
     f_vals, g_vals = table.f, table.g
     violation = np.maximum(np.maximum((1 - eps) * g_vals - f_vals, f_vals - (1 + eps) * g_vals),
                            0.0)
     worst = float(violation.max())
+    tol = 1e-9 * np.abs([f_vals, g_vals]).max()
     witnesses = [{"allocation": [(v + 1, d) for v, d in enumerate(table.profiles[i]) if d],
                   "f": float(f_vals[i]), "g": float(g_vals[i])}
-                 for i in np.flatnonzero(violation > 1e-9)]
+                 for i in np.flatnonzero(violation > tol)]
     # g restricted to one fixed coupon per user is a set function of the
     # offered-user set; it must inherit monotone submodularity.  Grid
     # profile S is row sum_v S_v (m+1)^(n-1-v) of the table.
@@ -288,7 +292,7 @@ def verify_eps_sandwich(table: ProfileTable) -> dict:
     if grid_witness is not None:
         witnesses.append({"grid_violation": [sorted(s) if isinstance(s, frozenset) else s
                                              for s in grid_witness]})
-    return {"name": "eps_sandwich", "ok": worst <= 1e-9 and grid_witness is None,
+    return {"name": "eps_sandwich", "ok": worst <= tol and grid_witness is None,
             "max_violation": worst, "witnesses": witnesses}
 
 
@@ -297,7 +301,8 @@ def verify_concave_dominance(table: ProfileTable, points: int = 5, seed: int = 0
     (1+eps) times the extension of its submodular reference, on random
     row-feasible fractional points.  At each point both extension LPs
     share their rows, so the reference's warm-starts from the perturbed
-    one's final tableau."""
+    one's final tableau.  A point fails when f+ exceeds (1+eps) g+ by more
+    than 1e-8 times the larger of the two (`_at_least`)."""
     inst, eps = table.inst, table.util.epsilon
     rng = np.random.default_rng(seed)
     f_vals, g_vals = table.f, table.g
@@ -312,12 +317,17 @@ def verify_concave_dominance(table: ProfileTable, points: int = 5, seed: int = 0
         # Both values as c.x at the optimal vertex: with eps = 0 the warm
         # start keeps f's vertex, and f and g compare equal bit for bit.
         f_plus, g_plus = float(f_vals @ f_sol.x), float(g_vals @ g_sol.x)
-        violation = f_plus - (1 + eps) * g_plus
-        if violation > 1e-8:
+        if not _at_least((1 + eps) * g_plus, f_plus):
             witnesses.append({"y": y.tolist(), "f_plus": f_plus, "g_plus": g_plus})
-        worst = max(worst, violation)
-    return {"name": "concave_dominance", "ok": worst <= 1e-8,
+        worst = max(worst, f_plus - (1 + eps) * g_plus)
+    return {"name": "concave_dominance", "ok": not witnesses,
             "max_violation": max(worst, 0.0), "witnesses": witnesses}
+
+
+def _at_least(value: float, bound: float) -> bool:
+    """value >= bound up to 1e-8 times the larger of |value| and |bound|: a
+    verdict that does not depend on the unit of gamma."""
+    return value >= bound - 1e-8 * max(abs(value), abs(bound))
 
 
 def reference_values(table: ProfileTable, b: float) -> dict:
@@ -343,10 +353,10 @@ def certification_checks(table: ProfileTable, b: float, points: int,
     values = reference_values(table, b)
     policy_value, pb_value = values["policy_value"], values["relaxation_PB"]
     checks.append({"name": "relaxation_dominates_policy",
-                   "ok": pb_value >= policy_value - 1e-8,
+                   "ok": _at_least(pb_value, policy_value),
                    "policy_value": policy_value, "relaxation_value": pb_value})
     if table.inst.budget_K is not None:
         pb1, pb2 = values["relaxation_PB1"], values["relaxation_PB2"]
-        checks.append({"name": "scaled_relaxation_lower_bound", "ok": pb2 >= b * pb1 - 1e-8,
+        checks.append({"name": "scaled_relaxation_lower_bound", "ok": _at_least(pb2, b * pb1),
                        "b": b, "full_value": pb1, "scaled_value": pb2})
     return checks

@@ -74,7 +74,8 @@ def check_submodular_monotone(table: dict[frozenset, float], n: int):
 
     Returns None when the table is monotone and submodular, else a witness:
     ("monotone", X, x) when h(X+x) < h(X), or ("submodular", X, Y, x) when
-    the diminishing-returns inequality fails for X subset of Y.
+    the diminishing-returns inequality fails for X subset of Y, each by more
+    than 1e-12 times the largest |value|.
     """
     users = list(range(1, n + 1))
     sets = []
@@ -83,11 +84,12 @@ def check_submodular_monotone(table: dict[frozenset, float], n: int):
     for s in sets:
         if s not in table:
             raise UtilityError(f"gamma table is missing subset {sorted(s)}")
+    tol = 1e-12 * max(abs(value) for value in table.values())
     for X in sets:
         for x in users:
             if x in X:
                 continue
-            if table[X | {x}] < table[X] - 1e-12:
+            if table[X | {x}] < table[X] - tol:
                 return ("monotone", X, x)
     for Y in sets:
         for X in sets:
@@ -98,7 +100,7 @@ def check_submodular_monotone(table: dict[frozenset, float], n: int):
                     continue
                 gain_x = table[X | {x}] - table[X]
                 gain_y = table[Y | {x}] - table[Y]
-                if gain_x < gain_y - 1e-12:
+                if gain_x < gain_y - tol:
                     return ("submodular", X, Y, x)
     return None
 
@@ -473,8 +475,8 @@ def check_feasible_wrappers(spec, y: np.ndarray, tol: float = 1e-9) -> None:
 def inner_weights_guard_wrappers(weights, spec) -> None:
     """The weight guard of `solve_inner_lp`, with the np.any / np.all wrappers."""
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (spec.n, spec.m):
-        raise LpError(f"weights must be {spec.n}x{spec.m}")
+    if weights.ndim != 3 or not len(weights) or weights.shape[1:] != (spec.n, spec.m):
+        raise LpError(f"weights must be a stack of {spec.n}x{spec.m} matrices")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
 
@@ -498,10 +500,10 @@ def certify_wrappers(c, A, b, value, dual):
     slack = A.T @ dual - c
     if np.any(slack < -1e-8 * scale):
         raise NumericError("dual infeasible: reduced cost below zero")
-    gap = abs(float(b @ dual) - value)
+    gap = np.abs(dual @ b - value)
     if gap > 1e-8 * scale:
         raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
-    return gap
+    return gap.tolist()
 
 
 def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> GreedyTrace:
@@ -526,14 +528,16 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
     sol = None
     for _ in range(steps):
         h = min(delta, 1.0 - t)
-        if exact:
-            omega, f_here = exact_marginals(inst, util, y)
+        if exact:  # the marginals of a stack of one point
+            omega, f_here = exact_marginals(inst, util, y[None])
+            f_here = float(f_here[0])
         else:
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
+            omega = omega[None]
         if trace.iterations:
             trace.iterations[-1].f_estimate = f_here
         start = None if sol is None else sol.final
-        sol = solve_inner_lp(omega, spec, start=start)
+        (sol,) = solve_inner_lp(omega, spec, start=start)
         trace.marginal_windows += 1
         trace.lp_direction_changes += start is not None and sol.pivots > 0
         trace.lp_pivots += sol.pivots

@@ -274,7 +274,7 @@ class TestLpCorrectness:
             omega = rng.uniform(0.0, 2.0, size=(n, m))
             B = rng.uniform(0.3, 2.5)
             spec = PolytopeSpec(n, m, weights, B, None, None)
-            sol = solve_inner_lp(omega, spec)
+            (sol,) = solve_inner_lp(omega[None], spec)
             oracle_val = mckp_fractional_oracle(omega, weights, B)
             rel = abs(sol.objective_value - oracle_val) / max(1.0, abs(oracle_val))
             worst_rel = max(worst_rel, rel)

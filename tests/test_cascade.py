@@ -307,14 +307,16 @@ def subset_vector(table, n):
 
 def local_violation(h, witness):
     """How far a witness of `check_submodular_monotone` breaks its inequality,
-    less its tolerance: positive for a real violation."""
+    less its tolerance (1e-12 times the largest |value|, over n for a local
+    inequality): positive for a real violation."""
     n = len(h).bit_length() - 1
+    tol = 1e-12 * np.abs(h).max()
     X = sum(1 << (v - 1) for v in witness[1])
     if witness[0] == "monotone":
         x = 1 << (witness[2] - 1)
-        return (h[X] - 1e-12) - h[X | x]
+        return (h[X] - tol) - h[X | x]
     x, y = (1 << (v - 1) for v in witness[2:])
-    return (h[X | x | y] + h[X] - 1e-12 / n) - (h[X | x] + h[X | y])
+    return (h[X | x | y] + h[X] - tol / n) - (h[X | x] + h[X | y])
 
 
 class TestSubmodularCheck:
@@ -344,8 +346,9 @@ class TestSubmodularCheck:
         """The local check flags every table the X-within-Y walk flags, with
         the same witness kind, and each witness it returns is real.  Tables
         with one raised entry break local inequalities by a little more or
-        less than the local tolerance 1e-12/n, which the walk's 1e-12 lets
-        through: only the raised ones are flagged."""
+        less than the local tolerance, 1e-12 times the largest |value| over
+        n, which the walk's tolerance (that times n) lets through: only the
+        raised ones are flagged."""
         rng = np.random.default_rng(2021)
         flagged = {"monotone": 0, "submodular": 0}
         for i in range(3000):
@@ -357,7 +360,7 @@ class TestSubmodularCheck:
             elif family == 3:  # modular, then one entry raised
                 h = bits @ rng.uniform(0.05, 0.25, n)
                 top = rng.choice([Z for Z in range(1 << n) if Z.bit_count() >= 2])
-                tol = 1e-12 / n
+                tol = 1e-12 * np.abs(h).max() / n
                 raised = i % 8 == 3
                 h[top] += tol * (rng.uniform(1.1, 2.0) if raised else rng.uniform(0.5, 0.9))
             else:  # coverage, times random factors in family 1

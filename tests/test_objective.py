@@ -35,6 +35,12 @@ from reference import (
 )
 
 
+def gradient_at(inst, util, y):
+    """`marginal_omega_exact` at one point, folded as a stack of one."""
+    omega, G = marginal_omega_exact(inst, util, np.asarray(y, dtype=float)[None])
+    return omega[0], G[0]
+
+
 def no_edge_instance(adoption, **kw):
     """gamma(U) = |U|: modular table, no interactions."""
     n = np.asarray(adoption).shape[0]
@@ -359,7 +365,7 @@ class TestClosedFormAgainstEnumeration:
                 assert omega[v, d] == pytest.approx(expected, abs=1e-12)
         # the exact ascent's weights: the gradient of G and G, over seed sets
         grad, G = rounding_G_seed_sets(inst, util, y)
-        omega, got = marginal_omega_exact(inst, util, y)
+        omega, got = gradient_at(inst, util, y)
         assert got == pytest.approx(G, abs=1e-12)
         np.testing.assert_allclose(omega, np.maximum(grad, 0.0), rtol=0, atol=1e-12)
 
@@ -386,7 +392,7 @@ class TestGradientOfG:
         # rounding; an entry clamped at zero has a gradient of at most zero
         inst, util, _ = closed_form_case(model, eps)
         y = np.random.default_rng(75).uniform(0.05, 0.3, size=(inst.n, inst.m))
-        omega, G = marginal_omega_exact(inst, util, y)
+        omega, G = gradient_at(inst, util, y)
         assert G == pytest.approx(objective.rounding_G_exact(inst, util, y), rel=1e-12)
         h = 1e-4
         for v in range(inst.n):
@@ -412,7 +418,7 @@ class TestGradientOfG:
         omega_stack, G_stack = marginal_omega_exact(inst, util, ys)
         assert omega_stack.shape == ys.shape and G_stack.shape == (5,)
         for j, y in enumerate(ys):
-            omega, G = marginal_omega_exact(inst, util, y)
+            omega, G = gradient_at(inst, util, y)
             assert np.array_equal(omega_stack[j], omega) and G_stack[j] == G
             grad, G_ref = rounding_G_seed_sets(inst, util, y)
             assert G == pytest.approx(G_ref, rel=1e-12, abs=1e-12)
@@ -441,9 +447,17 @@ class TestGradientOfG:
         y = np.array([[1.0, 0.0], [0.2, 0.3]])
         paper, _ = marginal_omega_paper(inst, util, y)
         assert paper[0, 1] == 0.0
-        omega, G = marginal_omega_exact(inst, util, y)
+        omega, G = gradient_at(inst, util, y)
         np.testing.assert_allclose(omega, inst.adoption, rtol=1e-12)  # every slope is 1
         assert G == pytest.approx(0.8 + 0.2 * 0.5 + 0.3 * 0.6, rel=1e-12)
+
+    def test_only_stacks_are_taken(self):
+        # the ascent folds stacks of points only: one (n, m) point is refused
+        inst, util, y = closed_form_case("TABLE", 0.0)
+        with pytest.raises(objective.FractionalError, match="stack of"):
+            marginal_omega_exact(inst, util, y)
+        omega, G = marginal_omega_exact(inst, util, y[None])
+        assert omega.shape == (1, inst.n, inst.m) and G.shape == (1,)
 
     def test_negative_slope_is_clamped(self):
         # gamma({1, 2}) = 0: user 1's slope is 1 - 2 q^_2 = -0.6 at q^_2 = 0.8,
@@ -453,7 +467,7 @@ class TestGradientOfG:
         inst = table_instance(table, [[0.5, 0.9], [1.0, 1.0]])
         util = make_utility(inst)
         y = np.array([[0.2, 0.2], [0.4, 0.4]])
-        omega, _ = marginal_omega_exact(inst, util, y)
+        omega, _ = gradient_at(inst, util, y)
         grad, _ = rounding_G_seed_sets(inst, util, y)
         np.testing.assert_allclose(grad[0], [-0.3, -0.54], rtol=1e-12)
         assert omega[0].tolist() == [0.0, 0.0]

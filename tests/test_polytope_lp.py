@@ -21,6 +21,12 @@ from reference import (
 )
 
 
+def solve_one(weights, spec, start=None):
+    """`solve_inner_lp` on a stack of one objective: its one solution."""
+    (sol,) = solve_inner_lp(np.asarray(weights, dtype=float)[None], spec, start=start)
+    return sol
+
+
 def mckp_fractional_oracle(profit, weight, budget):
     """LP optimum of the fractional multiple-choice knapsack, by greedy.
 
@@ -154,40 +160,40 @@ class TestInnerLp:
     def test_knapsack_binds(self):
         # p=0.5, value=2 => weight 1; B=0.5 caps y at 0.5
         spec = self.spec(1, 1, [[1.0]], 0.5)
-        sol = solve_inner_lp(np.array([[1.0]]), spec)
+        sol = solve_one(np.array([[1.0]]), spec)
         assert sol.x[0] == pytest.approx(0.5)
         assert sol.objective_value == pytest.approx(0.5)
 
     def test_box_binds(self):
         spec = self.spec(1, 1, [[1.0]], 10.0)
-        sol = solve_inner_lp(np.array([[1.0]]), spec)
+        sol = solve_one(np.array([[1.0]]), spec)
         assert sol.x[0] == pytest.approx(1.0)
 
     def test_picks_heavier_weight_first(self):
         # two users, unit costs, B=1: all budget on the omega=3 user
         spec = self.spec(2, 1, [[1.0], [1.0]], 1.0)
-        sol = solve_inner_lp(np.array([[3.0], [1.0]]), spec)
+        sol = solve_one(np.array([[3.0], [1.0]]), spec)
         assert sol.matrix(2, 1)[:, 0] == pytest.approx([1.0, 0.0])
         assert sol.objective_value == pytest.approx(3.0)
 
     def test_row_cap_enforced(self):
         spec = self.spec(1, 2, [[0.1, 0.1]], 10.0)
-        sol = solve_inner_lp(np.array([[1.0, 1.0]]), spec)
+        sol = solve_one(np.array([[1.0, 1.0]]), spec)
         assert sol.matrix(1, 2).sum() == pytest.approx(1.0)
 
     def test_all_zero_weights(self):
         spec = self.spec(2, 2, np.full((2, 2), 0.5), 1.0)
-        sol = solve_inner_lp(np.zeros((2, 2)), spec)
+        sol = solve_one(np.zeros((2, 2)), spec)
         assert np.all(sol.x == 0.0) and sol.objective_value == 0.0
 
     def test_negative_weights_rejected(self):
         spec = self.spec(1, 1, [[1.0]], 1.0)
         with pytest.raises(LpError, match="nonnegative"):
-            solve_inner_lp(np.array([[-1.0]]), spec)
+            solve_one(np.array([[-1.0]]), spec)
 
     def test_distribution_knapsack(self):
         spec = self.spec(2, 1, [[0.1], [0.1]], 10.0, dist=[1.0, 1.0], K=1.0)
-        sol = solve_inner_lp(np.array([[2.0], [1.0]]), spec)
+        sol = solve_one(np.array([[2.0], [1.0]]), spec)
         # only one unit of distribution budget: all of it on user 1
         assert sol.matrix(2, 1)[:, 0] == pytest.approx([1.0, 0.0])
 
@@ -199,13 +205,13 @@ class TestInnerLp:
         omega = rng.uniform(0.0, 2.0, size=(n, m))
         B = rng.uniform(0.3, 2.5)
         spec = self.spec(n, m, weights, B)
-        sol = solve_inner_lp(omega, spec)
+        sol = solve_one(omega, spec)
         oracle = mckp_fractional_oracle(omega, weights, B)
         assert sol.objective_value == pytest.approx(oracle, rel=1e-8)
 
     def test_feasibility_check(self):
         spec = self.spec(2, 2, np.full((2, 2), 0.5), 1.5)
-        sol = solve_inner_lp(np.ones((2, 2)), spec)
+        sol = solve_one(np.ones((2, 2)), spec)
         spec.check_feasible(sol.matrix(2, 2))
 
     def test_rows_have_no_box_and_are_built_once(self):
@@ -213,7 +219,7 @@ class TestInnerLp:
         A, b = spec.constraint_rows
         assert A.shape == (3 + 2, 6) and b.shape == (5,)
         assert spec.constraint_rows[0] is A
-        assert len(solve_inner_lp(np.zeros((3, 2)), spec).dual) == len(b)
+        assert len(solve_one(np.zeros((3, 2)), spec).dual) == len(b)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 2), (4, 1), (3, 1)])
     @pytest.mark.parametrize("seed", range(6))
@@ -227,7 +233,7 @@ class TestInnerLp:
         spec = self.spec(n, m, weights, rng.uniform(0.3, 2.5), dist=dist,
                          K=rng.uniform(0.4, 1.0) * dist.sum())
         omega = rng.uniform(0.0, 2.0, size=(n, m))
-        sol = solve_inner_lp(omega, spec)
+        sol = solve_one(omega, spec)
         rows, bounds = [], []
         for v in range(n):
             cap = np.zeros((n, m))
@@ -298,8 +304,8 @@ class TestWarmStart:
         sol, warm_pivots, cold_pivots = None, 0, 0
         for _ in range(30):
             omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
-            sol = solve_inner_lp(omega, spec, start=None if sol is None else sol.final)
-            cold = solve_inner_lp(omega, spec)
+            sol = solve_one(omega, spec, start=None if sol is None else sol.final)
+            cold = solve_one(omega, spec)
             assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
             polytope_lp._certify(omega.reshape(-1), A, b, sol.objective_value, sol.dual)
             spec.check_feasible(sol.matrix(spec.n, spec.m))
@@ -311,10 +317,10 @@ class TestWarmStart:
     def test_scaled_objective_keeps_the_basis(self, kind):
         spec = self.specs()[kind]
         omega = np.random.default_rng(3).uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
+        first = solve_one(omega, spec)
         assert first.pivots > 0
         for scale in (1.0, 0.25, 7.0):
-            again = solve_inner_lp(scale * omega, spec, start=first.final)
+            again = solve_one(scale * omega, spec, start=first.final)
             assert again.pivots == 0 and not again.fell_back
             assert np.array_equal(again.x, first.x)
             assert again.objective_value == pytest.approx(scale * first.objective_value, rel=1e-12)
@@ -322,23 +328,23 @@ class TestWarmStart:
     def test_start_is_not_modified(self):
         spec = self.specs()["base"]
         rng = np.random.default_rng(4)
-        first = solve_inner_lp(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec)
+        first = solve_one(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec)
         tableau, basis = first.final[0].copy(), first.final[1].copy()
-        solve_inner_lp(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec, start=first.final)
+        solve_one(rng.uniform(0.0, 2.0, size=(spec.n, spec.m)), spec, start=first.final)
         assert np.array_equal(first.final[0], tableau) and np.array_equal(first.final[1], basis)
 
     def test_zero_weights_pass_the_start_on(self):
         spec = self.specs()["base"]
-        first = solve_inner_lp(np.ones((spec.n, spec.m)), spec)
-        idle = solve_inner_lp(np.zeros((spec.n, spec.m)), spec, start=first.final)
+        first = solve_one(np.ones((spec.n, spec.m)), spec)
+        idle = solve_one(np.zeros((spec.n, spec.m)), spec, start=first.final)
         assert idle.objective_value == 0.0 and idle.final is first.final
 
     def test_mismatched_start_rejected(self):
         small = PolytopeSpec(1, 1, np.array([[1.0]]), 0.5)
         spec = self.specs()["base"]
-        start = solve_inner_lp(np.array([[1.0]]), small).final
+        start = solve_one(np.array([[1.0]]), small).final
         with pytest.raises(LpError, match="start tableau"):
-            solve_inner_lp(np.ones((spec.n, spec.m)), spec, start=start)
+            solve_one(np.ones((spec.n, spec.m)), spec, start=start)
 
     @pytest.mark.parametrize("kind", ["base", "extended"])
     @pytest.mark.parametrize("seed", range(4))
@@ -357,12 +363,12 @@ class TestWarmStart:
         for _ in range(40):
             omega = rng.integers(0, 3, size=(n, m)).astype(float)
             omega[rng.random((n, m)) < 0.4] = 0.0
-            sol = solve_inner_lp(omega, spec, start=None if sol is None else sol.final)
+            sol = solve_one(omega, spec, start=None if sol is None else sol.final)
             fallbacks += sol.fell_back
             if kind == "base":
                 expected = mckp_fractional_oracle(omega, weights, spec.budget_B)
             else:
-                expected = solve_inner_lp(omega, spec).objective_value
+                expected = solve_one(omega, spec).objective_value
             assert sol.objective_value == pytest.approx(expected, rel=1e-9, abs=1e-12)
             spec.check_feasible(sol.matrix(n, m))
         assert fallbacks > 0
@@ -394,10 +400,10 @@ class TestStackedInnerLp:
         spec = self.specs()[kind]
         rng = np.random.default_rng(60 + seed)
         omega = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
+        first = solve_one(omega, spec)
         other = rng.uniform(0.0, 2.0, size=(spec.n, spec.m))
         stack = np.stack([omega, 0.5 * omega, 3.0 * omega, other, omega, omega])
-        single = [solve_inner_lp(w, spec, start=first.final) for w in stack[:4]]
+        single = [solve_one(w, spec, start=first.final) for w in stack[:4]]
         assert [sol.pivots for sol in single[:3]] == [0, 0, 0] and single[3].pivots > 0
         kept = solve_inner_lp(stack, spec, start=first.final)
         assert len(kept) == 4
@@ -413,7 +419,7 @@ class TestStackedInnerLp:
     def test_zero_row_ends_the_run(self):
         spec = self.specs()["base"]
         omega = np.random.default_rng(7).uniform(0.0, 2.0, size=(spec.n, spec.m))
-        first = solve_inner_lp(omega, spec)
+        first = solve_one(omega, spec)
         stack = np.stack([omega, np.zeros_like(omega), omega])
         kept = solve_inner_lp(stack, spec, start=first.final)
         assert len(kept) == 2 and kept[0].pivots == 0
@@ -424,16 +430,16 @@ class TestStackedInnerLp:
         spec = self.specs()["extended"]
         stack = np.random.default_rng(8).uniform(0.0, 2.0, size=(3, spec.n, spec.m))
         (sol,) = solve_inner_lp(stack, spec)
-        cold = solve_inner_lp(stack[0], spec)
+        cold = solve_one(stack[0], spec)
         assert sol.objective_value == cold.objective_value and np.array_equal(sol.x, cold.x)
 
     def test_mismatched_start_rejected(self):
         small = PolytopeSpec(1, 1, np.array([[1.0]]), 0.5)
         spec = self.specs()["base"]
-        start = solve_inner_lp(np.array([[1.0]]), small).final
+        start = solve_one(np.array([[1.0]]), small).final
         with pytest.raises(LpError, match="start tableau"):
             solve_inner_lp(np.ones((4, spec.n, spec.m)), spec, start=start)
-        tableau, basis = solve_inner_lp(np.ones((spec.n, spec.m)), spec).final
+        tableau, basis = solve_one(np.ones((spec.n, spec.m)), spec).final
         with pytest.raises(LpError, match="start tableau"):
             solve_inner_lp(np.ones((4, spec.n, spec.m)), spec, start=(tableau, basis[:-1]))
 
@@ -445,6 +451,15 @@ class TestStackedInnerLp:
             solve_inner_lp(stack, spec)
         with pytest.raises(LpError, match="weights must be"):
             solve_inner_lp(np.ones((3, spec.m, spec.n + 1)), spec)
+
+    def test_only_stacks_are_taken(self):
+        # the ascent passes stacks only: one (n, m) matrix, or no rows, is refused
+        spec = self.specs()["base"]
+        first = solve_one(np.ones((spec.n, spec.m)), spec)
+        for weights in (np.ones((spec.n, spec.m)), np.ones((0, spec.n, spec.m))):
+            for start in (None, first.final):
+                with pytest.raises(LpError, match="weights must be a stack"):
+                    solve_inner_lp(weights, spec, start=start)
 
 
 class TestStackedCertify:
@@ -600,8 +615,9 @@ class TestGuardsAgainstWrappers:
         cases.append(w)
         seen = set()
         for w in cases:
-            ref = outcome(inner_weights_guard_wrappers, w, spec)
-            got = outcome(solve_inner_lp, w, spec)
+            stack = np.asarray(w, dtype=float)[None]
+            ref = outcome(inner_weights_guard_wrappers, stack, spec)
+            got = outcome(solve_inner_lp, stack, spec)
             assert (got[0] == "passed") == (ref[0] == "passed")
             if ref[0] != "passed":
                 assert got == ref
