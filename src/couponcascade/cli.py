@@ -120,9 +120,7 @@ def _rounding_stats(inst, util, y, rounds, rng):
         kept = rounding.resolve_conflicts_batch(selections, inst)
     else:
         kept = selections
-    costs = np.asarray(inst.dist_cost, dtype=float)
-    spend = ((kept > 0) * costs).sum(axis=1)
-    violations = int(np.sum(spend > inst.budget_K + 1e-9)) if extended else 0
+    violations = int(np.sum(~inst.fits_K((kept > 0) @ inst.dist_cost)))
 
     # One f per distinct profile.  np.unique takes each row as one opaque item:
     # its axis=0 form compares rows field by field, 4-5 times slower on 1,000 rows.
@@ -163,7 +161,9 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
     inst = load_instance(path)
     util = make_utility(inst, mc_samples=mc_samples)
     extended = inst.budget_K is not None
-    exact_ok = util.exact and inst.n * inst.m <= 16
+    # The ascent follows n*m alone: at n*m <= 16 the exact ascent on G serves every
+    # gamma vector, sampled ones too; the oracle gate below needs an exact gamma.
+    exact_ok = inst.n * inst.m <= 16
     cfg = greedy.GreedyConfig(
         delta=delta,
         samples_per_marginal=None if exact_ok else marginal_samples,
@@ -188,7 +188,7 @@ def run_solve(path, delta, mc_samples, marginal_samples, rounds, b, seed,
         theory["guarantee"] = prefactor * beta
     else:
         theory["guarantee"] = beta
-    if exact_ok:  # a sampled solve runs the paper's own ascent, on F
+    if exact_ok:  # sampled marginals run the paper's own ascent, on F
         theory["bound"] = _bound(inst.epsilon, extended)
 
     oracle_vals = None
@@ -262,20 +262,33 @@ def main():
     """Coupon-allocation solver and certification suite."""
 
 
+# The run options of `solve` and `bench`, in the order their --help lists them.
+RUN_OPTIONS = (
+    click.option("--delta", type=STEP, default=None,
+                 help="Ascent step; default 1/(nm)^2, for n*m up to 1000."),
+    click.option("--mc-samples", type=COUNT, default=10_000, show_default=True,
+                 help="Live-edge worlds sampled per utility (LT, and IC above 20 edges)."),
+    click.option("--marginal-samples", type=COUNT, default=200, show_default=True,
+                 help="Profile draws per ascent step when n*m > 16; they serve both "
+                      "the marginals and F."),
+    click.option("--rounds", type=COUNT, default=1000, show_default=True),
+    click.option("--b", type=SCALE_B, default=0.25, show_default=True,
+                 help="Distribution-knapsack scaling in extended mode."),
+    click.option("--seed", type=SEED, default=0, show_default=True),
+)
+
+
+def _run_options(command):
+    """Decorate a command with RUN_OPTIONS."""
+    for option in reversed(RUN_OPTIONS):
+        command = option(command)
+    return command
+
+
 @main.command()
 @click.option("-i", "--instance", "path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", type=STEP, default=None,
-              help="Ascent step; default 1/(nm)^2, for n*m up to 1000.")
-@click.option("--mc-samples", type=COUNT, default=10_000, show_default=True,
-              help="Live-edge worlds sampled per utility (LT, and IC above 20 edges).")
-@click.option("--marginal-samples", type=COUNT, default=200, show_default=True,
-              help="Profile draws per ascent step when exact evaluation is "
-                   "infeasible; they serve both the marginals and F.")
-@click.option("--rounds", type=COUNT, default=1000, show_default=True)
-@click.option("--b", type=SCALE_B, default=0.25, show_default=True,
-              help="Distribution-knapsack scaling in extended mode.")
-@click.option("--seed", type=SEED, default=0, show_default=True)
+@_run_options
 @click.option("--trace", is_flag=True, help="Include the per-iteration trace.")
 @click.option("--no-oracle", is_flag=True, help="Skip the brute-force comparison.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -323,12 +336,7 @@ def oracle_cmd(path, b, points, seed, out):
 @main.command()
 @click.option("-d", "--dir", "directory", required=True,
               type=click.Path(exists=True, file_okay=False))
-@click.option("--delta", type=STEP, default=None)
-@click.option("--mc-samples", type=COUNT, default=10_000, show_default=True)
-@click.option("--marginal-samples", type=COUNT, default=200, show_default=True)
-@click.option("--rounds", type=COUNT, default=1000, show_default=True)
-@click.option("--b", type=SCALE_B, default=0.25, show_default=True)
-@click.option("--seed", type=SEED, default=0, show_default=True)
+@_run_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(directory, delta, mc_samples, marginal_samples, rounds, b, seed, out):
     """Run the solve pipeline over every instance in a directory.

@@ -89,9 +89,11 @@ class GreedyConfig:
 
     delta=None means the canonical 1/(nm)^2 step, for n*m <= 1000: `step`
     refuses one of more than MAX_STEPS steps.  samples_per_marginal=None
-    requests exact marginals and exact F; otherwise both are sampled, each
-    step's marginals and F from the same draws.  Either way the utility's
-    gamma vector (`CascadeUtility.gamma_vector`) must exist, so n <= 15.
+    requests exact marginals and exact F, exact given the gamma vector,
+    which is itself sampled for LT and IC above 20 edges; otherwise both are
+    sampled, each step's marginals and F from the same draws.  Either way
+    the utility's gamma vector (`CascadeUtility.gamma_vector`) must exist,
+    so n <= 15.
     An instance with a budget_K runs in extended mode, which scales the
     distribution knapsack to b*K; any other instance ignores b.
     """

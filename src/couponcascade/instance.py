@@ -94,6 +94,15 @@ class Instance:
         """(n, m) matrix of expected redemption cost p_v(d) * value(d)."""
         return self.adoption * self.coupon_values[None, :]
 
+    def fits_K(self, spend) -> np.ndarray:
+        """Whether each distribution spend is within the hard budget K, to a
+        relative 1e-12, so no decision depends on the unit of the costs;
+        True everywhere without a K."""
+        spend = np.asarray(spend, dtype=float)
+        if self.budget_K is None:
+            return np.ones(spend.shape, dtype=bool)
+        return spend <= self.budget_K * (1 + 1e-12)
+
     def digest(self) -> str:
         """Stable content hash of the instance."""
         payload = json.dumps(_to_jsonable(self), sort_keys=True).encode()

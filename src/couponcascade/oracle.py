@@ -160,8 +160,7 @@ class ProfileTable:
     @cached_property
     def within_K(self) -> np.ndarray:
         """The profiles within the hard distribution budget K: all without one."""
-        K = np.inf if self.inst.budget_K is None else self.inst.budget_K
-        return (self.profiles > 0) @ self.inst.dist_cost <= K + 1e-12
+        return self.inst.fits_K((self.profiles > 0) @ self.inst.dist_cost)
 
 
 def _profile_rows(table: ProfileTable, k_bound: float | None = None):

@@ -47,9 +47,9 @@ def resolve_conflicts_batch(selected: np.ndarray, inst: Instance) -> np.ndarray:
 
     Keeps each draw's offers in nondecreasing distribution-cost order, ties
     by user, while the cumulative cost stays within the instance's hard
-    budget K; the rest are set to 0.  The keep/drop order depends only on
-    per-user costs, so the scan order is fixed across draws and the prefix
-    sums vectorize.
+    budget K (`Instance.fits_K`); the rest are set to 0.  The keep/drop
+    order depends only on per-user costs, so the scan order is fixed across
+    draws and the prefix sums vectorize.
     """
     if inst.budget_K is None:
         raise RoundingError("conflict resolution needs a distribution budget")
@@ -58,7 +58,7 @@ def resolve_conflicts_batch(selected: np.ndarray, inst: Instance) -> np.ndarray:
     costs = np.asarray(inst.dist_cost, dtype=float)[order]
     alloc = selected[:, order] > 0
     cum = np.cumsum(alloc * costs, axis=1)
-    keep_sorted = alloc & (cum <= inst.budget_K + 1e-12)
+    keep_sorted = alloc & inst.fits_K(cum)
     kept = np.zeros_like(selected)
     kept[:, order] = np.where(keep_sorted, selected[:, order], 0)
     return kept

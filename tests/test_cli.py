@@ -16,7 +16,7 @@ from couponcascade.cascade import make_utility
 from couponcascade.cli import ORACLE_LIMIT, _rounding_stats, _tolist, main, run_solve
 from couponcascade.instance import generate_random, load_instance, save_instance
 from couponcascade.objective import f_exact, multilinear_F_exact, rounding_G_exact
-from reference import survival_loop
+from reference import rounding_G_seed_sets, survival_loop
 
 RUN_REPORT_SCHEMA = {
     "type": "object",
@@ -538,8 +538,10 @@ class TestDefaultStep:
 
 
 class TestSampledModels:
-    """LT, and IC above the exact edge limit, solve end to end with sampled
-    marginals and no oracle block, and the `oracle` command refuses them."""
+    """LT, and IC above the exact edge limit, have a sampled gamma vector.  At
+    n*m <= 16 they solve end to end by the exact ascent on G, exact given that
+    vector, with no oracle block; above 16 by the paper's sampled marginals.
+    The `oracle` command refuses them."""
 
     @pytest.mark.parametrize("model", ["LT", "IC"])
     def test_oracle_exits_2(self, tmp_path, model):
@@ -566,11 +568,48 @@ class TestSampledModels:
             assert res.returncode == 0, res.stderr
         assert outs[0].read_bytes() == outs[1].read_bytes()
         report = json.loads(outs[0].read_text())
-        assert report["config"]["marginals"] == "sampled"
+        assert report["config"]["marginals"] == "exact"
+        assert "G" in report["fractional"] and "bound" in report["theory"]
         assert report["oracle"] is None and report["ratio"] is None
         assert report["instance"]["extended"] is extended
         assert report["rounding"]["dist_budget_violations"] == 0
         assert 0 < report["rounding"]["f_mean"] <= inst.n
+
+    def test_wide_sampled_gamma_takes_the_sampled_ascent(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(6, 3, model="LT", seed=2), path)
+        report, _ = run_solve(str(path), 0.05, 10_000, 200, 200, 0.25, 0)
+        assert report["config"]["marginals"] == "sampled"
+        assert "G" not in report["fractional"] and "bound" not in report["theory"]
+
+    @pytest.mark.parametrize("model,n,m,seed,density", [
+        ("LT", 4, 2, 2, 0.3), ("LT", 6, 2, 2, 0.3), ("LT", 10, 1, 1, 0.3), ("IC", 8, 2, 2, 0.5),
+    ])
+    def test_exact_ascent_climbs_at_least_as_high(self, tmp_path, model, n, m, seed, density):
+        # G of the sampled gamma vector, by the reference's seed-set sum, at the
+        # solve's y and at the y of the paper's sampled ascent
+        inst = generate_random(n, m, model=model, seed=seed, edge_density=density)
+        util = make_utility(inst)
+        assert not util.exact
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        report, _ = run_solve(str(path), None, 10_000, 200, 200, 0.25, 0)
+        assert report["config"]["marginals"] == "exact"
+        sampled = greedy.continuous_greedy(
+            inst, util, greedy.GreedyConfig(samples_per_marginal=200, seed=0)).final
+        _, G_exact = rounding_G_seed_sets(inst, util, report["fractional"]["y"])
+        _, G_sampled = rounding_G_seed_sets(inst, util, sampled)
+        assert G_exact >= G_sampled
+
+    def test_lt_15_users_solves_in_seconds(self, tmp_path):
+        # the sampled ascent took 225 marginal windows and 12-18 s of CPU here
+        path = tmp_path / "inst.json"
+        save_instance(generate_random(15, 1, model="LT", seed=1, edge_density=0.2), path)
+        start = time.perf_counter()
+        report, timings = run_solve(str(path), None, 10_000, 200, 1000, 0.25, 0)
+        assert time.perf_counter() - start < 5.0
+        assert report["config"]["marginals"] == "exact"
+        assert timings["marginal_windows"] <= 20
 
 
 class TestOracleGate:

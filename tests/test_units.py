@@ -1,11 +1,15 @@
-"""Answers and verdicts do not depend on the unit of gamma.
+"""Answers and verdicts do not depend on the unit of gamma, and the hard
+budget K's decisions do not depend on the unit of the distribution costs.
 
 The ascent LP prices relative to its objective's largest entry, and the
 oracle's checks compare against tolerances relative to the values they
 compare.  So scaling every gamma value by a power of two scales every value
 that `solve` reports by exactly that power and leaves every decision alone;
 scaling by a power of ten rounds each gamma value once, and the values agree
-to rounding.
+to rounding.  Every test of a spend against K goes through
+`Instance.fits_K`, whose slack is relative to K, so conflict resolution, the
+oracle's profiles within K and the report's violation count keep their
+answers when dist_cost and K are scaled together.
 """
 
 import dataclasses
@@ -15,11 +19,12 @@ import numpy as np
 import pytest
 
 from conftest import run_cli as cli, table_instance
-from couponcascade import oracle
+from couponcascade import oracle, rounding
 from couponcascade.cascade import make_utility
-from couponcascade.cli import run_solve
+from couponcascade.cli import _rounding_stats, run_solve
 from couponcascade.greedy import GreedyConfig, continuous_greedy
 from couponcascade.instance import generate_random, save_instance
+from couponcascade.rounding import resolve_conflicts_batch, round_partition_batch
 
 # The benchmark's table-exact ladder: (n, m, generator seed, eps, extended).
 LADDER = [(3, 3, 1, 0.0, False), (4, 3, 6, 0.1, True), (2, 8, 7, 0.1, True),
@@ -31,6 +36,13 @@ SUPERMODULAR = {frozenset(): 0.0, frozenset({1}): 1.0, frozenset({2}): 1.0,
                 frozenset({1, 2}): 3.0}
 
 
+# Extended instances, IC at edge density 0.6: (model, n, m, generator seed, eps).
+EXTENDED = [("TABLE", 4, 3, 6, 0.1), ("TABLE", 2, 8, 7, 0.1), ("TABLE", 5, 3, 2, 0.0),
+            ("TABLE", 5, 2, 1, 0.0), ("IC", 5, 2, 7, 0.0), ("IC", 4, 4, 6, 0.0)]
+# (base, k): the costs and K times base ** k
+COST_SCALES = [(2, k) for k in (-80, -40, 40, 80)] + [(10, k) for k in (-12, -9, 6, 12)]
+
+
 def ladder_instance(n, m, seed, eps, extended):
     return generate_random(n, m, model="TABLE", seed=seed, epsilon=eps, extension=extended)
 
@@ -39,6 +51,17 @@ def scaled(inst, factor):
     """inst with every gamma value times factor."""
     return dataclasses.replace(
         inst, gamma_table={key: value * factor for key, value in inst.gamma_table.items()})
+
+
+def extended_instance(model, n, m, seed, eps):
+    return generate_random(n, m, model=model, seed=seed, epsilon=eps, extension=True,
+                           edge_density=0.6)
+
+
+def cost_scaled(inst, factor):
+    """inst with its distribution costs and K times factor."""
+    return dataclasses.replace(inst, dist_cost=inst.dist_cost * factor,
+                               budget_K=inst.budget_K * factor)
 
 
 def supermodular_instance():
@@ -105,8 +128,60 @@ def test_oracle_verdicts_do_not_depend_on_the_unit(inst):
         assert verdicts(scaled(inst, 10.0 ** k)) == want, k
 
 
+@pytest.mark.parametrize("scale", COST_SCALES, ids=lambda s: "{}^{}".format(*s))
+@pytest.mark.parametrize("row", EXTENDED, ids=lambda r: "{}-{}x{}-g{}-eps{}".format(*r))
+def test_K_decisions_do_not_depend_on_the_cost_unit(row, scale):
+    inst = extended_instance(*row)
+    base, k = scale
+    scaled_inst = cost_scaled(inst, float(base) ** k)
+    draws = round_partition_batch(np.full((inst.n, inst.m), 0.9 / inst.m), 2000,
+                                  np.random.default_rng(0))
+    assert np.array_equal(resolve_conflicts_batch(draws, scaled_inst),
+                          resolve_conflicts_batch(draws, inst))
+    within = [oracle.ProfileTable(i, make_utility(i)).within_K for i in (inst, scaled_inst)]
+    assert np.array_equal(*within)
+
+
 class TestRepros:
-    """Inputs on which an absolute tolerance made the answer depend on gamma's unit."""
+    """Inputs on which an absolute tolerance made the answer depend on gamma's
+    unit, or on the unit of the distribution costs."""
+
+    @staticmethod
+    def tiny_costs():
+        # TABLE 5x2 extended and its draws at 0.45 per coupon, with the
+        # distribution costs and K at 1e-12 times their values
+        inst = generate_random(5, 2, model="TABLE", seed=1, extension=True)
+        draws = round_partition_batch(np.full((5, 2), 0.45), 2000, np.random.default_rng(0))
+        return inst, cost_scaled(inst, 1e-12), draws
+
+    def test_tiny_costs_resolve_within_K(self):
+        # an absolute 1e-12 of slack let 1,668 draws keep extra offers, up
+        # to 1.24 K
+        inst, small, draws = self.tiny_costs()
+        kept = resolve_conflicts_batch(draws, small)
+        assert np.array_equal(kept, resolve_conflicts_batch(draws, inst))
+        spend = (kept > 0) @ small.dist_cost
+        assert spend.max() / small.budget_K <= 1 + 1e-12
+
+    def test_violation_count_sees_tiny_costs(self, monkeypatch):
+        # with resolution switched off, the unscaled draws overspend K; at
+        # 1e-12 the absolute 1e-9 of slack counted 0 of them
+        inst, small, _ = self.tiny_costs()
+        monkeypatch.setattr(rounding, "resolve_conflicts_batch", lambda selected, inst: selected)
+        y = np.full((5, 2), 0.45)
+        counts = [_rounding_stats(i, make_utility(i), y, 2000, np.random.default_rng(0))
+                  ["dist_budget_violations"] for i in (inst, small)]
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_policy_value_at_small_costs(self):
+        # 4.8535 unscaled, and 5.5424 at 2^-40 when profiles over K passed
+        # the oracle's absolute 1e-12
+        inst = extended_instance("TABLE", 4, 3, 6, 0.1)
+        values = [oracle.solve_optimal_policy(oracle.ProfileTable(i, make_utility(i)))[1]
+                  for i in (inst, cost_scaled(inst, 2.0 ** -40))]
+        assert values[1] == values[0]
+        assert values[0] == pytest.approx(4.8535, abs=1e-4)
 
     def test_tiny_gamma_still_solves(self, tmp_path):
         # every reduced cost lay above an absolute -1e-10, so the slack basis
