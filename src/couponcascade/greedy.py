@@ -31,12 +31,15 @@ basis still solves and solves the first one it does not; the points after
 that step are dropped and the next window starts where it ended.  Each kept
 point is the one the one-step loop would reach, bit for bit.
 
-A window starts at WINDOW points; one that keeps every step doubles the
-next, up to MAX_WINDOW, and one that keeps fewer resets it to WINDOW.  The
-cold first step, a last step left on its own, and the step after one whose
-LP gained nothing (value 0, which leaves y where it was) are windows of one
-point, solved by the plain warm simplex.  The sampled path runs windows of one
-point: speculative draws from its generator would shift every later one.
+A window lays out J = min(steps left, max(16, WINDOW_WORK // (2^n + n*m)))
+points, where 2^n + n*m is one point's work in the fold and in the
+kept-basis check: J is large where a point is cheap, so an ascent that
+keeps its basis takes few windows.  The kept steps come back as one record
+of arrays and are booked together.  The cold first step, a last step left
+on its own, and the step after one whose LP gained nothing (value 0, which
+leaves y where it was) are windows of one point, solved by the plain warm
+simplex.  The sampled path runs windows of one point: speculative draws
+from its generator would shift every later one.
 
 Each step records the value the ascent climbs at the y it reached: G on
 the exact path, F over the draws on the sampled one.  Both kinds of
@@ -70,8 +73,7 @@ from couponcascade.polytope_lp import (
 )
 
 
-WINDOW = 8  # exact-path steps whose marginals one batched fold takes at first
-MAX_WINDOW = 64  # a window that keeps every step doubles the next, up to this
+WINDOW_WORK = 2**15  # a window's points times one point's work, 2^n + n*m; 16 points at least
 MAX_STEPS = 10**6  # the most ascent steps a step size may take
 
 
@@ -150,6 +152,7 @@ class GreedyTrace:
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
+    steps: int = 0  # the ascent steps delta implies, one per record
     marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     points_folded: int = 0  # points those evaluations took, kept or not
     one_point_windows: int = 0  # windows of one point, solved by the plain warm simplex
@@ -189,16 +192,18 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))
-    trace = GreedyTrace()
+    trace = GreedyTrace(steps=steps)
     t = 0.0
     start = None  # the basis of the last solve, which the next one starts from
     moved = False  # whether the last step's LP had anything to gain
-    size = WINDOW  # the next window's points
-    while len(trace.iterations) < steps:
-        left = steps - len(trace.iterations)
-        points = y[None]  # one point, by the plain warm simplex
-        if exact and moved and left > 1:
-            points = _layout(y, t, delta, start, min(size, left))
+    window = max(16, WINDOW_WORK // (2 ** inst.n + inst.n * inst.m))
+    records = trace.iterations
+    while len(records) < steps:
+        left = steps - len(records)
+        count = min(window, left) if exact and moved and left > 1 else 1
+        lengths, times = _steps(t, delta, count)
+        # one point, by the plain warm simplex, or a window along start's vertex
+        points = y[None] if count == 1 else _layout(y, lengths[:-1], start)
         t0 = time.perf_counter()
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
@@ -207,34 +212,34 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega, f_at = omega[None], [f_here]
         t1 = time.perf_counter()
-        solutions = solve_inner_lp(omega, spec, start=start)
+        kept, solved = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
         trace.marginal_windows += 1
-        trace.points_folded += len(points)
-        trace.one_point_windows += len(points) == 1
+        trace.points_folded += count
+        trace.one_point_windows += count == 1
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
-        records = trace.iterations
-        for j, sol in enumerate(solutions):
-            if records:  # the climbed value at the y the previous step reached
-                records[-1].f_estimate = f_at[j]
-            # Clip the last step so the total time is exactly 1 even when
-            # 1/delta is not integral; otherwise the row caps would be overshot.
-            h = min(delta, 1.0 - t)
-            trace.lp_direction_changes += start is not None and sol.pivots > 0
-            trace.lp_pivots += sol.pivots
-            trace.lp_fallbacks += sol.fell_back
-            trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
-            t += h
-            # the next step's marginals, or the final G or F, fill in f_estimate
-            records.append(IterationRecord(t, sol.objective_value, None))
-        last = solutions[-1]
-        y = points[len(solutions) - 1] + h * last.matrix(inst.n, inst.m)
-        if len(points) > 1:  # a kept row carries the start as its final
-            kept_all = len(solutions) == len(points) and last.final is start
-            size = min(2 * len(points), MAX_WINDOW) if kept_all else WINDOW
+        values = []
+        if kept is not None:  # no pivots, so no direction change or fallback
+            values = kept.values.tolist()
+            trace.lp_max_gap = max(trace.lp_max_gap, *kept.gaps)
+            last = kept
+        if solved is not None:
+            values.append(solved.objective_value)
+            trace.lp_direction_changes += start is not None and solved.pivots > 0
+            trace.lp_pivots += solved.pivots
+            trace.lp_fallbacks += solved.fell_back
+            trace.lp_max_gap = max(trace.lp_max_gap, solved.duality_gap)
+            last = solved
+        taken = len(values)
+        if records:  # the climbed value at the y the previous step reached
+            records[-1].f_estimate = f_at[0]
+        # the next window's marginals, or the final G or F, fill in the last
+        records.extend(map(IterationRecord, times[:taken], values, f_at[1:taken] + [None]))
+        t = times[taken - 1]
+        y = points[taken - 1] + lengths[taken - 1] * last.x.reshape(inst.n, inst.m)
         start = last.final
-        moved = last.objective_value != 0
+        moved = values[-1] != 0
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
@@ -251,20 +256,36 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     return trace
 
 
-def _layout(y, t, delta, start, count):
-    """The `count` points a window reaches if every step keeps the basis of
-    `start`: y at time t, then each point one step along that basis's
+def _steps(t, delta, count):
+    """The lengths of the next `count` steps from time t, and the times
+    they reach as a list of floats.  The one-step loop takes h = min(delta,
+    1 - t), then t += h: the min clips the last step so that the total time
+    is exactly 1 when 1/delta is not integral, as the row caps require.  It
+    clips only at the end of the ascent, so one accumulate of delta-long
+    steps gives the loop's times, bit for bit, up to the first step it
+    clips, and the loop's own arithmetic takes the steps from there.  One
+    step, as every sampled step is, skips the arrays."""
+    if count == 1:
+        h = min(delta, 1.0 - t)
+        return [h], [t + h]
+    lengths = np.full(count, delta)
+    times = np.add.accumulate(np.concatenate(([t], lengths)))
+    clipped = (1.0 - times[:-1] < delta).nonzero()[0]
+    for k in range(clipped[0] if clipped.size else count, count):
+        lengths[k] = min(delta, 1.0 - times[k])
+        times[k + 1] = times[k] + lengths[k]
+    return lengths, times[1:].tolist()
+
+
+def _layout(y, lengths, start):
+    """The points a window reaches if every step keeps the basis of `start`:
+    y, then each point one step of `lengths` further along that basis's
     vertex.  One accumulate adds the steps in the one-step loop's order, so
     each point is the one that loop reaches, bit for bit."""
-    moves = np.empty((count,) + y.shape)
+    moves = np.empty((len(lengths) + 1,) + y.shape)
     moves[0] = y
-    lengths, ahead = [], t
-    for _ in range(count - 1):
-        h = min(delta, 1.0 - ahead)  # the clipped last step, as in the loop
-        lengths.append(h)
-        ahead += h
-    np.multiply(np.array(lengths)[:, None], basis_vertex(start, y.size),
-                out=moves[1:].reshape(count - 1, -1))
+    np.multiply(lengths[:, None], basis_vertex(start, y.size),
+                out=moves[1:].reshape(len(lengths), -1))
     return np.add.accumulate(moves, axis=0)
 
 

@@ -20,8 +20,8 @@ solves check only their objectives.
 window of several steps' objectives at once against the basis it starts
 from.  One product gives every row's objective row on that basis; the
 leading rows with no negative reduced cost are solved by it and kept
-together, and the first row that is not kept is solved by the simplex
-from the start and ends the window.
+together, as one `KeptRows` record of arrays, and the first row that is
+not kept is solved by the simplex from the start and ends the window.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -93,7 +93,9 @@ class PolytopeSpec:
 
     def check_feasible(self, y: np.ndarray) -> None:
         """Raise NumericError unless y, an (n, m) point or a (J, n, m) stack
-        of them, lies in the polytope up to rounding."""
+        of them, lies in the polytope up to rounding: 1e-9 on the box and
+        the caps, and 1e-9 of its budget on each knapsack, whatever the
+        unit of the costs."""
         # ndarray methods, not the np.any / np.sum wrappers: the ascent runs
         # this every window, and at desk scale the wrappers cost as much as
         # the arithmetic.  Comparisons, not y.min(): the min of an array
@@ -103,11 +105,11 @@ class PolytopeSpec:
         if (y.sum(axis=-1) > 1 + 1e-9).any():
             raise NumericError("per-user cap violated")
         redeemed = (self.redemption_weights * y).sum(axis=(-2, -1))
-        if (redeemed > self.budget_B + 1e-9 * (1 + self.budget_B)).any():
+        if (redeemed > self.budget_B * (1 + 1e-9)).any():
             raise NumericError("redemption knapsack violated")
         if self.budget_K is not None:
             spend = (self.dist_cost[:, None] * y).sum(axis=(-2, -1))
-            if (spend > self.budget_K + 1e-9 * (1 + self.budget_K)).any():
+            if (spend > self.budget_K * (1 + 1e-9)).any():
                 raise NumericError("distribution knapsack violated")
 
 
@@ -123,6 +125,18 @@ class LpSolution:
 
     def matrix(self, n: int, m: int) -> np.ndarray:
         return self.x.reshape(n, m)
+
+
+@dataclass
+class KeptRows:
+    """The leading rows of a stack that the start's basis solves, without a
+    pivot: their one vertex, and per row the value, dual and duality gap."""
+
+    x: np.ndarray
+    values: np.ndarray  # (k,)
+    duals: np.ndarray  # (k, constraint rows)
+    gaps: list[float]
+    final: tuple  # the start, whose basis every kept row leaves in place
 
 
 def _check_rows(A, b, c=()):
@@ -282,7 +296,9 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     fails is solved by the simplex from `start`, and the rows after it are
     dropped.  A stack of one row, as every sampled step passes, goes to the
     warm simplex alone: the kept-basis check first made the sampled-wide
-    benchmark 2.6-4.1 % slower.  Returns the solutions, one per row kept.
+    benchmark 2.6-4.1 % slower.  Returns (kept, solved): the `KeptRows`,
+    None when no row was kept, and the `LpSolution` of the row after them,
+    None when every row was kept.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 3 or not len(weights) or weights.shape[1:] != (spec.n, spec.m):
@@ -291,10 +307,10 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
     A, b = spec.constraint_rows
     rows = weights.reshape(len(weights), -1)
-    kept = [] if start is None or len(rows) == 1 else _kept_basis(rows, spec, A, b, start)
-    if len(kept) < len(rows):
-        kept.append(_solve_inner(rows[len(kept)], spec, A, b, start))
-    return kept
+    kept = None if start is None or len(rows) == 1 else _kept_basis(rows, spec, A, b, start)
+    count = 0 if kept is None else len(kept.values)
+    solved = _solve_inner(rows[count], spec, A, b, start) if count < len(rows) else None
+    return kept, solved
 
 
 def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
@@ -307,9 +323,9 @@ def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
     return sol
 
 
-def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> list[LpSolution]:
-    """Solutions for the leading rows of C that the start's basis solves,
-    each at the start's vertex and with the start as its final."""
+def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> KeptRows | None:
+    """The leading rows of C that the start's basis solves, at the start's
+    vertex and with the start as their final; None when there are none."""
     n_rows, n_vars = A.shape
     T, basis = start
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
@@ -326,11 +342,10 @@ def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> list[LpSolution]:
     ok = C.any(axis=1) & ~(objective[:, :-1] < tol).any(axis=1)
     kept = len(C) if ok.all() else int(ok.argmin())
     if not kept:
-        return []
+        return None
     values = objective[:kept, -1]
     duals = objective[:kept, n_vars:n_vars + n_rows]
     gaps = _certify(C[:kept], A, b, values, duals)
     x = basis_vertex(start, n_vars)
     spec.check_feasible(x.reshape(spec.n, spec.m))
-    return [LpSolution(x, value, dual, gap, final=start)
-            for value, dual, gap in zip(values.tolist(), duals, gaps)]
+    return KeptRows(x, values, duals, gaps, start)

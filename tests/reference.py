@@ -18,7 +18,8 @@ utility in an eps-band for the tests of the perturbation, and the
 submodularity check that walks every pair X within Y of a frozenset table.
 It keeps the paper's exact marginals of F, which the exact ascent took
 before it climbed the rounding's extension G, and a sum over seed sets
-for G and its gradient.
+for G and its gradient.  `step_solutions` unpacks a stacked ascent LP into
+one `LpSolution` per step it takes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from couponcascade.objective import (
 from couponcascade.oracle import OracleError, ProfileTable, f_exact
 from couponcascade.polytope_lp import (
     LpError,
+    LpSolution,
     NumericError,
     PolytopeSpec,
     solve_generic_lp,
@@ -464,12 +466,29 @@ def check_feasible_wrappers(spec, y: np.ndarray, tol: float = 1e-9) -> None:
         raise NumericError("box constraint violated")
     if np.any(y.sum(axis=1) > 1 + tol):
         raise NumericError("per-user cap violated")
-    if float(np.sum(spec.redemption_weights * y)) > spec.budget_B + tol * (1 + spec.budget_B):
+    if float(np.sum(spec.redemption_weights * y)) > spec.budget_B * (1 + tol):
         raise NumericError("redemption knapsack violated")
     if spec.budget_K is not None:
         spend = float(np.sum(spec.dist_cost[:, None] * y))
-        if spend > spec.budget_K + tol * (1 + spec.budget_K):
+        if spend > spec.budget_K * (1 + tol):
             raise NumericError("distribution knapsack violated")
+
+
+def step_solutions(kept, solved) -> list[LpSolution]:
+    """What `solve_inner_lp` returns, as one `LpSolution` per step it takes:
+    each kept row at the shared vertex, with no pivot and the start as its
+    final, then the row solved after them, if any."""
+    solutions = [] if kept is None else [
+        LpSolution(kept.x, value, dual, gap, final=kept.final)
+        for value, dual, gap in zip(kept.values.tolist(), kept.duals, kept.gaps)]
+    return solutions + ([] if solved is None else [solved])
+
+
+def solve_one(weights, spec, start=None) -> LpSolution:
+    """`solve_inner_lp` on a stack of one objective: its one solution."""
+    stack = np.asarray(weights, dtype=float)[None]
+    (sol,) = step_solutions(*solve_inner_lp(stack, spec, start=start))
+    return sol
 
 
 def inner_weights_guard_wrappers(weights, spec) -> None:
@@ -523,7 +542,7 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))
-    trace = GreedyTrace()
+    trace = GreedyTrace(steps=steps)
     t = 0.0
     sol = None
     for _ in range(steps):
@@ -537,7 +556,7 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
         if trace.iterations:
             trace.iterations[-1].f_estimate = f_here
         start = None if sol is None else sol.final
-        (sol,) = solve_inner_lp(omega, spec, start=start)
+        sol = solve_one(omega[0], spec, start=start)
         trace.marginal_windows += 1
         trace.lp_direction_changes += start is not None and sol.pivots > 0
         trace.lp_pivots += sol.pivots

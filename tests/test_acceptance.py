@@ -24,10 +24,17 @@ from couponcascade.oracle import (
     verify_concave_dominance,
     verify_eps_sandwich,
 )
-from couponcascade.polytope_lp import PolytopeSpec, solve_inner_lp
+from couponcascade.polytope_lp import PolytopeSpec
 from couponcascade.rounding import resolve_conflicts_batch, round_partition_batch
 from conftest import modular_table, run_cli, table_instance
-from reference import Allocation, cost_brute_force, oracle_f_at, seed_prob, swap_round_merge
+from reference import (
+    Allocation,
+    cost_brute_force,
+    oracle_f_at,
+    seed_prob,
+    solve_one,
+    swap_round_merge,
+)
 from test_polytope_lp import mckp_fractional_oracle
 
 ONE_MINUS_1_OVER_E = 1.0 - 1.0 / math.e
@@ -274,7 +281,7 @@ class TestLpCorrectness:
             omega = rng.uniform(0.0, 2.0, size=(n, m))
             B = rng.uniform(0.3, 2.5)
             spec = PolytopeSpec(n, m, weights, B, None, None)
-            (sol,) = solve_inner_lp(omega[None], spec)
+            sol = solve_one(omega, spec)
             oracle_val = mckp_fractional_oracle(omega, weights, B)
             rel = abs(sol.objective_value - oracle_val) / max(1.0, abs(oracle_val))
             worst_rel = max(worst_rel, rel)

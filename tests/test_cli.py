@@ -213,8 +213,12 @@ class TestSolve:
         # 36 steps at nm = 6; each counted step pivoted at least once
         assert 0 < timings["lp_direction_changes"] <= min(35, timings["lp_pivots"])
         # exact marginals: one evaluation per window of steps, so fewer than steps
+        assert timings["steps"] == 36
         assert 0 < timings["marginal_windows"] < 36
-        assert 36 <= timings["points_folded"] <= 8 * timings["marginal_windows"]
+        # after the cold first step, a window folds at most J points, and no
+        # more than the 35 steps left: J = max(16, 2^15 // (2^n + n m)) at n, m = 3, 2
+        J = max(16, 2 ** 15 // (2 ** 3 + 3 * 2))
+        assert 36 <= timings["points_folded"] <= 1 + min(J, 35) * (timings["marginal_windows"] - 1)
         # the cold first step is a window of one point, by the plain simplex
         assert 1 <= timings["one_point_windows"] < timings["marginal_windows"]
         # seconds in the ascent's three layers, each inside the greedy's own time

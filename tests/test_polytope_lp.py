@@ -18,13 +18,9 @@ from reference import (
     check_feasible_wrappers,
     inner_weights_guard_wrappers,
     simplex_input_guards_wrappers,
+    solve_one,
+    step_solutions,
 )
-
-
-def solve_one(weights, spec, start=None):
-    """`solve_inner_lp` on a stack of one objective: its one solution."""
-    (sol,) = solve_inner_lp(np.asarray(weights, dtype=float)[None], spec, start=start)
-    return sol
 
 
 def mckp_fractional_oracle(profit, weight, budget):
@@ -405,7 +401,7 @@ class TestStackedInnerLp:
         stack = np.stack([omega, 0.5 * omega, 3.0 * omega, other, omega, omega])
         single = [solve_one(w, spec, start=first.final) for w in stack[:4]]
         assert [sol.pivots for sol in single[:3]] == [0, 0, 0] and single[3].pivots > 0
-        kept = solve_inner_lp(stack, spec, start=first.final)
+        kept = step_solutions(*solve_inner_lp(stack, spec, start=first.final))
         assert len(kept) == 4
         for got, want in zip(kept[:3], single):
             assert got.pivots == 0 and not got.fell_back and got.final is first.final
@@ -421,7 +417,7 @@ class TestStackedInnerLp:
         omega = np.random.default_rng(7).uniform(0.0, 2.0, size=(spec.n, spec.m))
         first = solve_one(omega, spec)
         stack = np.stack([omega, np.zeros_like(omega), omega])
-        kept = solve_inner_lp(stack, spec, start=first.final)
+        kept = step_solutions(*solve_inner_lp(stack, spec, start=first.final))
         assert len(kept) == 2 and kept[0].pivots == 0
         assert kept[1].objective_value == 0.0 and not kept[1].x.any()
         assert kept[1].final is first.final
@@ -429,9 +425,21 @@ class TestStackedInnerLp:
     def test_without_start_solves_the_first_row(self):
         spec = self.specs()["extended"]
         stack = np.random.default_rng(8).uniform(0.0, 2.0, size=(3, spec.n, spec.m))
-        (sol,) = solve_inner_lp(stack, spec)
+        (sol,) = step_solutions(*solve_inner_lp(stack, spec))
         cold = solve_one(stack[0], spec)
         assert sol.objective_value == cold.objective_value and np.array_equal(sol.x, cold.x)
+
+    def test_kept_rows_come_as_one_record(self):
+        spec = self.specs()["extended"]
+        omega = np.random.default_rng(9).uniform(0.0, 2.0, size=(spec.n, spec.m))
+        first = solve_one(omega, spec)
+        scales = np.array([1.0, 0.5, 3.0, 2.0])
+        kept, solved = solve_inner_lp(scales[:, None, None] * omega, spec, start=first.final)
+        assert solved is None and kept.final is first.final
+        assert np.array_equal(kept.x, first.x)
+        assert kept.values.shape == (4,) and kept.duals.shape == (4, len(first.dual))
+        assert len(kept.gaps) == 4
+        assert np.allclose(kept.values, scales * first.objective_value, rtol=1e-14)
 
     def test_mismatched_start_rejected(self):
         small = PolytopeSpec(1, 1, np.array([[1.0]]), 0.5)
@@ -567,10 +575,10 @@ class TestGuardsAgainstWrappers:
     @staticmethod
     def at_budget(spec, y, weights, field, tol, **fixed):
         """Specs whose knapsack `field` puts the spend of y exactly at, and one
-        ulp around, the check's own threshold: budget (1 + tol) + tol."""
+        ulp around, the check's own threshold: budget (1 + tol)."""
         spend = float(np.sum(weights * y))
         specs = []
-        for budget in ulps((spend - tol) / (1 + tol)):
+        for budget in ulps(spend / (1 + tol)):
             values = dict(spec.__dict__, **fixed)
             values.pop("constraint_rows", None)
             values[field] = budget

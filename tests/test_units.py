@@ -9,7 +9,9 @@ scaling by a power of ten rounds each gamma value once, and the values agree
 to rounding.  Every test of a spend against K goes through
 `Instance.fits_K`, whose slack is relative to K, so conflict resolution, the
 oracle's profiles within K and the report's violation count keep their
-answers when dist_cost and K are scaled together.
+answers when dist_cost and K are scaled together.  The ascent's
+feasibility check compares each knapsack's spend with its budget times
+(1 + 1e-9), so a y past a small K is refused.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from couponcascade.cascade import make_utility
 from couponcascade.cli import _rounding_stats, run_solve
 from couponcascade.greedy import GreedyConfig, continuous_greedy
 from couponcascade.instance import generate_random, save_instance
+from couponcascade.polytope_lp import NumericError
 from couponcascade.rounding import resolve_conflicts_batch, round_partition_batch
 
 # The benchmark's table-exact ladder: (n, m, generator seed, eps, extended).
@@ -182,6 +185,20 @@ class TestRepros:
                   for i in (inst, cost_scaled(inst, 2.0 ** -40))]
         assert values[1] == values[0]
         assert values[0] == pytest.approx(4.8535, abs=1e-4)
+
+    @pytest.mark.parametrize("factor", [1e-12, 2.0 ** -40], ids=["1e-12", "2^-40"])
+    def test_ascent_past_a_tiny_K_is_refused(self, factor, tmp_path):
+        # the absolute 1e-9 (1 + K) of slack passed a y that sums to 4.0 and
+        # spends 1.34 K, against 0.25 K unscaled
+        inst = generate_random(4, 3, model="TABLE", seed=6, epsilon=0.1, extension=True)
+        small = cost_scaled(inst, factor)
+        with pytest.raises(NumericError, match="distribution knapsack violated"):
+            continuous_greedy(small, make_utility(small), GreedyConfig())
+        path = tmp_path / "small.json"
+        save_instance(small, path)
+        res = cli("solve", "-i", str(path))
+        assert res.returncode == 3 and not res.stdout
+        assert res.stderr.splitlines() == ["error: distribution knapsack violated"]
 
     def test_tiny_gamma_still_solves(self, tmp_path):
         # every reduced cost lay above an absolute -1e-10, so the slack basis
