@@ -34,12 +34,14 @@ point is the one the one-step loop would reach, bit for bit.
 A window lays out J = min(steps left, max(16, WINDOW_WORK // (2^n + n*m)))
 points, where 2^n + n*m is one point's work in the fold and in the
 kept-basis check: J is large where a point is cheap, so an ascent that
-keeps its basis takes few windows.  The kept steps come back as one record
-of arrays and are booked together.  The cold first step, a last step left
-on its own, and the step after one whose LP gained nothing (value 0, which
-leaves y where it was) are windows of one point, solved by the plain warm
-simplex.  The sampled path runs windows of one point: speculative draws
-from its generator would shift every later one.
+keeps its basis takes few windows.  The steps the call takes come back as
+one `AscentSteps` record, which the window books in one block; every
+step's length and time are laid out once, before the first window
+(`_schedule`).  The cold first step, a last step left on its own, and the
+step after one whose LP gained nothing (value 0, which leaves y where it
+was) are windows of one point, solved by the plain warm simplex.  The
+sampled path runs windows of one point: speculative draws from its
+generator would shift every later one.
 
 Each step records the value the ascent climbs at the y it reached: G on
 the exact path, F over the draws on the sampled one.  Both kinds of
@@ -193,17 +195,16 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))
     trace = GreedyTrace(steps=steps)
-    t = 0.0
+    lengths, times = _schedule(delta, steps)
     start = None  # the basis of the last solve, which the next one starts from
     moved = False  # whether the last step's LP had anything to gain
     window = max(16, WINDOW_WORK // (2 ** inst.n + inst.n * inst.m))
     records = trace.iterations
     while len(records) < steps:
-        left = steps - len(records)
-        count = min(window, left) if exact and moved and left > 1 else 1
-        lengths, times = _steps(t, delta, count)
+        done = len(records)
+        count = min(window, steps - done) if exact and moved else 1
         # one point, by the plain warm simplex, or a window along start's vertex
-        points = y[None] if count == 1 else _layout(y, lengths[:-1], start)
+        points = y[None] if count == 1 else _layout(y, lengths[done:done + count - 1], start)
         t0 = time.perf_counter()
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
@@ -212,33 +213,25 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega, f_at = omega[None], [f_here]
         t1 = time.perf_counter()
-        kept, solved = solve_inner_lp(omega, spec, start=start)
+        taken = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
+        values = taken.values.tolist()
+        k = len(values)
         trace.marginal_windows += 1
         trace.points_folded += count
         trace.one_point_windows += count == 1
         trace.marginals_s += t1 - t0
         trace.lp_s += t2 - t1
-        values = []
-        if kept is not None:  # no pivots, so no direction change or fallback
-            values = kept.values.tolist()
-            trace.lp_max_gap = max(trace.lp_max_gap, *kept.gaps)
-            last = kept
-        if solved is not None:
-            values.append(solved.objective_value)
-            trace.lp_direction_changes += start is not None and solved.pivots > 0
-            trace.lp_pivots += solved.pivots
-            trace.lp_fallbacks += solved.fell_back
-            trace.lp_max_gap = max(trace.lp_max_gap, solved.duality_gap)
-            last = solved
-        taken = len(values)
+        trace.lp_pivots += taken.pivots
+        trace.lp_direction_changes += start is not None and taken.pivots > 0
+        trace.lp_fallbacks += taken.fell_back
+        trace.lp_max_gap = max(trace.lp_max_gap, *taken.gaps)
         if records:  # the climbed value at the y the previous step reached
             records[-1].f_estimate = f_at[0]
         # the next window's marginals, or the final G or F, fill in the last
-        records.extend(map(IterationRecord, times[:taken], values, f_at[1:taken] + [None]))
-        t = times[taken - 1]
-        y = points[taken - 1] + lengths[taken - 1] * last.x.reshape(inst.n, inst.m)
-        start = last.final
+        records.extend(map(IterationRecord, times[done:done + k], values, f_at[1:k] + [None]))
+        y = points[k - 1] + lengths[done + k - 1] * taken.x.reshape(inst.n, inst.m)
+        start = taken.final
         moved = values[-1] != 0
     row_excess = y.sum(axis=1) - 1.0
     if np.any(row_excess > 1e-9):
@@ -256,22 +249,18 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     return trace
 
 
-def _steps(t, delta, count):
-    """The lengths of the next `count` steps from time t, and the times
-    they reach as a list of floats.  The one-step loop takes h = min(delta,
-    1 - t), then t += h: the min clips the last step so that the total time
-    is exactly 1 when 1/delta is not integral, as the row caps require.  It
-    clips only at the end of the ascent, so one accumulate of delta-long
-    steps gives the loop's times, bit for bit, up to the first step it
-    clips, and the loop's own arithmetic takes the steps from there.  One
-    step, as every sampled step is, skips the arrays."""
-    if count == 1:
-        h = min(delta, 1.0 - t)
-        return [h], [t + h]
-    lengths = np.full(count, delta)
-    times = np.add.accumulate(np.concatenate(([t], lengths)))
+def _schedule(delta, steps):
+    """Every step's length, and the time it reaches as a list of floats.
+    The one-step loop takes h = min(delta, 1 - t), then t += h: the min
+    clips the last step so that the total time is exactly 1 when 1/delta is
+    not integral, as the row caps require.  It clips only at the end of the
+    ascent, so one accumulate of delta-long steps gives the loop's times,
+    bit for bit, up to the first step it clips, and the loop's own
+    arithmetic takes the steps from there."""
+    lengths = np.full(steps, delta)
+    times = np.add.accumulate(np.concatenate(([0.0], lengths)))
     clipped = (1.0 - times[:-1] < delta).nonzero()[0]
-    for k in range(clipped[0] if clipped.size else count, count):
+    for k in range(clipped[0] if clipped.size else steps, steps):
         lengths[k] = min(delta, 1.0 - times[k])
         times[k + 1] = times[k] + lengths[k]
     return lengths, times[1:].tolist()

@@ -20,8 +20,10 @@ solves check only their objectives.
 window of several steps' objectives at once against the basis it starts
 from.  One product gives every row's objective row on that basis; the
 leading rows with no negative reduced cost are solved by it and kept
-together, as one `KeptRows` record of arrays, and the first row that is
-not kept is solved by the simplex from the start and ends the window.
+together, and the first row that is not kept is solved by the simplex from
+the start and ends the window.  The steps it takes come back as one
+`AscentSteps` record: per step the value, dual and gap, and for the last
+step its direction and the basis the next solve starts from.
 
 No LP carries box rows y <= 1: with y >= 0, each user's cap
 sum_d y_vd <= 1 already bounds every entry of its row by 1.
@@ -123,20 +125,22 @@ class LpSolution:
     fell_back: bool = False  # Bland's rule took over from Dantzig's
     final: tuple | None = None  # (tableau, basis); the `start` of a later LP over the same (A, b)
 
-    def matrix(self, n: int, m: int) -> np.ndarray:
-        return self.x.reshape(n, m)
-
 
 @dataclass
-class KeptRows:
-    """The leading rows of a stack that the start's basis solves, without a
-    pivot: their one vertex, and per row the value, dual and duality gap."""
+class AscentSteps:
+    """The steps one `solve_inner_lp` call takes, in order: per step the LP
+    value, dual and duality gap, and for the last step its direction x, the
+    (tableau, basis) a later solve starts from, and its simplex's pivots and
+    fallback.  Every step before the last keeps the start's basis, so it
+    moves along the start's vertex without a pivot."""
 
-    x: np.ndarray
     values: np.ndarray  # (k,)
     duals: np.ndarray  # (k, constraint rows)
     gaps: list[float]
-    final: tuple  # the start, whose basis every kept row leaves in place
+    x: np.ndarray
+    final: tuple | None
+    pivots: int = 0
+    fell_back: bool = False
 
 
 def _check_rows(A, b, c=()):
@@ -274,16 +278,11 @@ def solve_generic_lp(c, A, b, start=None) -> LpSolution:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_rows(A, b, c)
-    return _certified(c, A, b, start)
-
-
-def _certified(c, A, b, start) -> LpSolution:
     x, value, dual, pivots, fell_back, final = _simplex(c, A, b, start)
-    gap = _certify(c, A, b, value, dual)
-    return LpSolution(x, value, dual, gap, pivots, fell_back, final)
+    return LpSolution(x, value, dual, _certify(c, A, b, value, dual), pivots, fell_back, final)
 
 
-def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
+def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None) -> AscentSteps:
     """The ascent-direction LP: maximize sum omega_vd y_vd over the polytope.
 
     `start` is the `final` of an earlier solution over the same spec; the
@@ -296,9 +295,8 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     fails is solved by the simplex from `start`, and the rows after it are
     dropped.  A stack of one row, as every sampled step passes, goes to the
     warm simplex alone: the kept-basis check first made the sampled-wide
-    benchmark 2.6-4.1 % slower.  Returns (kept, solved): the `KeptRows`,
-    None when no row was kept, and the `LpSolution` of the row after them,
-    None when every row was kept.
+    benchmark 2.6-4.1 % slower.  Returns the `AscentSteps` of the rows kept
+    and the row solved after them, if any.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 3 or not len(weights) or weights.shape[1:] != (spec.n, spec.m):
@@ -306,26 +304,34 @@ def solve_inner_lp(weights: np.ndarray, spec: PolytopeSpec, start=None):
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise LpError("weights must be finite and nonnegative (clamp before solving)")
     A, b = spec.constraint_rows
-    rows = weights.reshape(len(weights), -1)
-    kept = None if start is None or len(rows) == 1 else _kept_basis(rows, spec, A, b, start)
-    count = 0 if kept is None else len(kept.values)
-    solved = _solve_inner(rows[count], spec, A, b, start) if count < len(rows) else None
-    return kept, solved
-
-
-def _solve_inner(c, spec: PolytopeSpec, A, b, start) -> LpSolution:
-    if not c.any():
+    C = weights.reshape(len(weights), -1)
+    n_vars = A.shape[1]
+    values, duals = (_kept_basis(C, A, start) if start is not None and len(C) > 1
+                     else (np.empty(0), np.empty((0, len(b)))))
+    kept, gaps, x = len(values), [], None
+    if kept:  # certified together, at the start's vertex
+        gaps = _certify(C[:kept], A, b, values, duals)
+        x = basis_vertex(start, n_vars)
+        spec.check_feasible(x.reshape(spec.n, spec.m))
+    if kept == len(C):
+        return AscentSteps(values, duals, gaps, x, start)
+    c = C[kept]
+    if c.any():  # (A, b) were checked with the spec
+        x, value, dual, pivots, fell_back, final = _simplex(c, A, b, start)
+        gap = _certify(c, A, b, value, dual)
+        spec.check_feasible(x.reshape(spec.n, spec.m))
+    else:
         # Any feasible point is optimal; zero is the canonical choice.
         # The start's basis passes on to the next solve.
-        return LpSolution(np.zeros(A.shape[1]), 0.0, np.zeros(len(b)), 0.0, final=start)
-    sol = _certified(c, A, b, start)  # (A, b) were checked with the spec
-    spec.check_feasible(sol.matrix(spec.n, spec.m))
-    return sol
+        x, value, dual, gap = np.zeros(n_vars), 0.0, np.zeros(len(b)), 0.0
+        pivots, fell_back, final = 0, False, start
+    return AscentSteps(np.concatenate((values, [value])), np.concatenate((duals, dual[None])),
+                       gaps + [gap], x, final, pivots, fell_back)
 
 
-def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> KeptRows | None:
-    """The leading rows of C that the start's basis solves, at the start's
-    vertex and with the start as their final; None when there are none."""
+def _kept_basis(C, A, start):
+    """The values and duals of the leading rows of C that the start's basis
+    solves, as (k,) and (k, constraint rows) arrays; k may be 0."""
     n_rows, n_vars = A.shape
     T, basis = start
     if T.shape != (n_rows + 1, n_vars + n_rows + 1) or basis.shape != (n_rows,):
@@ -341,11 +347,4 @@ def _kept_basis(C, spec: PolytopeSpec, A, b, start) -> KeptRows | None:
     tol = -1e-10 * C.max(axis=1, keepdims=True)
     ok = C.any(axis=1) & ~(objective[:, :-1] < tol).any(axis=1)
     kept = len(C) if ok.all() else int(ok.argmin())
-    if not kept:
-        return None
-    values = objective[:kept, -1]
-    duals = objective[:kept, n_vars:n_vars + n_rows]
-    gaps = _certify(C[:kept], A, b, values, duals)
-    x = basis_vertex(start, n_vars)
-    spec.check_feasible(x.reshape(spec.n, spec.m))
-    return KeptRows(x, values, duals, gaps, start)
+    return objective[:kept, -1], objective[:kept, n_vars:n_vars + n_rows]

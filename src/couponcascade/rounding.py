@@ -21,10 +21,18 @@ class RoundingError(ValueError):
 
 
 def _as_matrix(y) -> np.ndarray:
+    """y as an (n, m) matrix in the partition polytope, up to 1e-9.  A
+    non-finite entry is refused first: a NaN compares False with every
+    bound, so the bound checks alone would pass it, and every draw would
+    give its user coupon 1."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < -1e-9):
+    if y.ndim != 2:
+        raise RoundingError(f"expected an (n, m) matrix, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise RoundingError("non-finite fractional entry")
+    if (y < -1e-9).any():
         raise RoundingError("negative fractional entry")
-    if np.any(y.sum(axis=1) > 1 + 1e-9):
+    if (y.sum(axis=1) > 1 + 1e-9).any():
         raise RoundingError("per-user mass above 1; not a matroid polytope point")
     return np.clip(y, 0.0, None)
 

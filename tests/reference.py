@@ -18,8 +18,8 @@ utility in an eps-band for the tests of the perturbation, and the
 submodularity check that walks every pair X within Y of a frozenset table.
 It keeps the paper's exact marginals of F, which the exact ascent took
 before it climbed the rounding's extension G, and a sum over seed sets
-for G and its gradient.  `step_solutions` unpacks a stacked ascent LP into
-one `LpSolution` per step it takes.
+for G and its gradient.  `step_solutions` unpacks the record of a stacked
+ascent LP into one `StepSolution` per step it takes.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from couponcascade.polytope_lp import (
     LpSolution,
     NumericError,
     PolytopeSpec,
+    basis_vertex,
     solve_generic_lp,
     solve_inner_lp,
 )
@@ -474,20 +475,27 @@ def check_feasible_wrappers(spec, y: np.ndarray, tol: float = 1e-9) -> None:
             raise NumericError("distribution knapsack violated")
 
 
-def step_solutions(kept, solved) -> list[LpSolution]:
-    """What `solve_inner_lp` returns, as one `LpSolution` per step it takes:
-    each kept row at the shared vertex, with no pivot and the start as its
-    final, then the row solved after them, if any."""
-    solutions = [] if kept is None else [
-        LpSolution(kept.x, value, dual, gap, final=kept.final)
-        for value, dual, gap in zip(kept.values.tolist(), kept.duals, kept.gaps)]
-    return solutions + ([] if solved is None else [solved])
+class StepSolution(LpSolution):
+    """One step of a stacked ascent LP, in the fields of an `LpSolution`."""
+
+    def matrix(self, n: int, m: int) -> np.ndarray:
+        return self.x.reshape(n, m)
 
 
-def solve_one(weights, spec, start=None) -> LpSolution:
+def step_solutions(steps, start) -> list[StepSolution]:
+    """The `AscentSteps` that `solve_inner_lp` returns from `start`, as one
+    solution per step it takes: each step before the last at the start's
+    vertex, with no pivot and the start as its final, then the last step."""
+    *earlier, last = zip(steps.values.tolist(), steps.duals, steps.gaps, strict=True)
+    kept = [StepSolution(basis_vertex(start, len(steps.x)), *row, final=start)
+            for row in earlier]
+    return kept + [StepSolution(steps.x, *last, steps.pivots, steps.fell_back, steps.final)]
+
+
+def solve_one(weights, spec, start=None) -> StepSolution:
     """`solve_inner_lp` on a stack of one objective: its one solution."""
     stack = np.asarray(weights, dtype=float)[None]
-    (sol,) = step_solutions(*solve_inner_lp(stack, spec, start=start))
+    (sol,) = step_solutions(solve_inner_lp(stack, spec, start=start), start)
     return sol
 
 

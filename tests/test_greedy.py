@@ -161,9 +161,9 @@ class TestWarmStartedAscent:
         solutions = []
 
         def recording(omega, spec, start=None):
-            result = polytope_lp.solve_inner_lp(omega, spec, start=start)
-            solutions.extend(reference.step_solutions(*result))  # one per step taken
-            return result
+            steps = polytope_lp.solve_inner_lp(omega, spec, start=start)
+            solutions.extend(reference.step_solutions(steps, start))  # one per step taken
+            return steps
 
         monkeypatch.setattr(greedy, "solve_inner_lp", recording)
         trace = self.run(model, extended, kwargs)
@@ -203,10 +203,12 @@ def record_windows(monkeypatch):
         return fold(inst, util, y)
 
     def solving(omega, spec, start=None):
-        kept, solved = solve(omega, spec, start=start)
-        count = 0 if kept is None else len(kept.values)
-        windows[-1] = Window(windows[-1], count + (solved is not None), count)
-        return kept, solved
+        steps = solve(omega, spec, start=start)
+        taken = len(steps.values)
+        # the last step was kept, not solved, when it leaves the start in place and gains
+        last_solved = steps.final is not start or steps.values[-1] == 0
+        windows[-1] = Window(windows[-1], taken, taken - last_solved)
+        return steps
 
     monkeypatch.setattr(greedy, "marginal_omega_exact", folding)
     monkeypatch.setattr(greedy, "solve_inner_lp", solving)

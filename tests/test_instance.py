@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couponcascade.cascade import make_utility
-from couponcascade.greedy import GreedyConfig, continuous_greedy
+from couponcascade import oracle
+from couponcascade.cascade import CascadeUtility, UtilityError, gamma_sampled, make_utility
+from couponcascade.greedy import GreedyConfig, GreedyError, approximation_beta, continuous_greedy
 from couponcascade.instance import (
     Instance,
     InstanceFormatError,
@@ -17,6 +18,8 @@ from couponcascade.instance import (
     load_instance,
     save_instance,
 )
+from couponcascade.objective import f_mc, multilinear_F_mc
+from couponcascade.rounding import RoundingError, resolve_conflicts_batch, round_partition_batch
 
 
 def test_minimal_file_roundtrip(tmp_path):
@@ -155,6 +158,9 @@ def test_generate_degenerate_rejected():
         generate_random(0, 1, seed=0)
     with pytest.raises(InstanceValidationError):
         generate_random(1, 0, seed=0)
+    for density in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InstanceValidationError, match=r"edge_density must be in \[0,1\]"):
+            generate_random(3, 1, edge_density=density, seed=0)
 
 
 def test_generate_extension_valid():
@@ -303,10 +309,73 @@ def test_from_dict_keeps_integer_fields_exact(n, m, seed, u, v):
     ({"n": 2.0, "model": "IC", "gamma_table": None, "edges": [[1.9, 2, 0.5]]},
      "edge endpoint must be an integer"),
     ({"perturb_seed": True}, "perturb_seed must be an integer"),
+    ({"coupon_values": [1.0, 2.0]}, "coupon_values must have length m"),
+    ({"coupon_values": [0.0]}, "coupon values must be strictly positive"),
+    ({"coupon_values": [-1.0]}, "coupon values must be strictly positive"),
+    ({"dist_cost": [0.5, -0.1]}, "distribution costs must be nonnegative"),
+    ({"budget_B": 0.0}, "budget_B must be finite and positive"),
+    ({"budget_B": -1.0}, "budget_B must be finite and positive"),
+    ({"budget_K": 0.0}, "budget_K must be finite and positive"),
+    ({"budget_K": -2.0}, "budget_K must be finite and positive"),
+    ({"edges": [[1, 2, 1.5]]}, r"edge weight 1.5 out of \(0,1\]"),
+    ({"edges": [[1, 2, 0.0]]}, r"edge weight 0.0 out of \(0,1\]"),
+    ({"gamma_table": None}, "model TABLE requires gamma_table"),
+    ({"gamma_table": {"": 0.0, "1": 1.0, "3": 1.0, "1,3": 1.5}},
+     "gamma_table key references an unknown user"),
+    ({"gamma_table": {"": 0.0, "1": -1.0, "2": 1.0, "1,2": 1.5}},
+     "gamma_table values must be finite and nonnegative"),
 ])
 def test_boundary_rejects(change, message):
     with pytest.raises((InstanceFormatError, InstanceValidationError), match=message):
         from_dict({**GOOD, **change})
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([GOOD], "instance file must contain a JSON object"),
+    ("GOOD", "instance file must contain a JSON object"),
+    (None, "instance file must contain a JSON object"),
+] + [({k: v for k, v in GOOD.items() if k != key}, f"missing required key '{key}'")
+     for key in ("n", "m", "coupon_values", "adoption", "budget_B")])
+def test_boundary_rejects_whole_documents(doc, message):
+    with pytest.raises(InstanceFormatError, match=message):
+        from_dict(doc)
+
+
+def _library_call(name):
+    """One library call with an out-of-range argument, by name."""
+    base = generate_random(3, 2, model="TABLE", seed=1)
+    lt = generate_random(3, 1, model="LT", seed=1, edge_density=0.5)
+    rng = np.random.default_rng(0)
+    return {
+        "step of delta 0": lambda: GreedyConfig(delta=0).step(base),
+        "negative epsilon": lambda: approximation_beta(-0.1, 3),
+        "f_mc without samples": lambda: f_mc(base, make_utility(base), [1, 0, 2], 0, rng),
+        "F_mc without samples": lambda: multilinear_F_mc(
+            base, make_utility(base), np.full((3, 2), 0.25), 0, rng),
+        "gamma_sampled without samples": lambda: gamma_sampled(3, lt.edges, "IC", 0, rng),
+        "unknown utility kind": lambda: CascadeUtility("XX", 2),
+        "f_exact on LT": lambda: oracle.f_exact(lt, make_utility(lt)),
+        "resolution without K": lambda: resolve_conflicts_batch(np.ones((2, 3), int), base),
+        "negative rounding entry": lambda: round_partition_batch([[-0.1, 0.2]], 10, rng),
+    }[name]
+
+
+@pytest.mark.parametrize("name,error,message", [
+    ("step of delta 0", GreedyError, r"step size must lie in \(0,1\]"),
+    ("negative epsilon", GreedyError, "epsilon must be nonnegative"),
+    ("f_mc without samples", UtilityError, "need at least one sample"),
+    ("F_mc without samples", UtilityError, "need at least one sample"),
+    ("gamma_sampled without samples", UtilityError, "need at least one sample"),
+    ("unknown utility kind", UtilityError, "unknown utility kind 'XX'"),
+    ("f_exact on LT", UtilityError, "f_exact needs an exactly evaluable utility"),
+    ("resolution without K", RoundingError, "conflict resolution needs a distribution budget"),
+    ("negative rounding entry", RoundingError, "negative fractional entry"),
+])
+def test_library_guards(name, error, message):
+    # the library's own entry points refuse what the loader cannot catch
+    call = _library_call(name)
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _construct(**kw):

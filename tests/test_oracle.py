@@ -466,6 +466,21 @@ class TestDominanceVerifier:
         report = verify_concave_dominance(ProfileTable(inst, make_utility(inst)), points=4)
         assert report["ok"]
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_smaller_reference_fails_at_every_point(self, eps):
+        # g at half of f halves its extension, so f+ exceeds (1 + eps) g+
+        # wherever f+ > 0, and each point is a witness
+        inst = generate_random(3, 2, model="TABLE", seed=25, epsilon=eps)
+        table = ProfileTable(inst, make_utility(inst))
+        table.__dict__["g"] = 0.5 * table.f
+        report = verify_concave_dominance(table, points=3)
+        assert report["ok"] is False and len(report["witnesses"]) == 3
+        excess = []
+        for witness in report["witnesses"]:
+            assert witness["f_plus"] > (1 + eps) * witness["g_plus"] > 0
+            excess.append(witness["f_plus"] - (1 + eps) * witness["g_plus"])
+        assert report["max_violation"] == max(excess) > 0
+
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
     @pytest.mark.parametrize("seed", range(3))
     def test_reference_lp_warm_starts_from_the_perturbed_one(self, eps, seed):

@@ -401,7 +401,7 @@ class TestStackedInnerLp:
         stack = np.stack([omega, 0.5 * omega, 3.0 * omega, other, omega, omega])
         single = [solve_one(w, spec, start=first.final) for w in stack[:4]]
         assert [sol.pivots for sol in single[:3]] == [0, 0, 0] and single[3].pivots > 0
-        kept = step_solutions(*solve_inner_lp(stack, spec, start=first.final))
+        kept = step_solutions(solve_inner_lp(stack, spec, start=first.final), first.final)
         assert len(kept) == 4
         for got, want in zip(kept[:3], single):
             assert got.pivots == 0 and not got.fell_back and got.final is first.final
@@ -417,7 +417,7 @@ class TestStackedInnerLp:
         omega = np.random.default_rng(7).uniform(0.0, 2.0, size=(spec.n, spec.m))
         first = solve_one(omega, spec)
         stack = np.stack([omega, np.zeros_like(omega), omega])
-        kept = step_solutions(*solve_inner_lp(stack, spec, start=first.final))
+        kept = step_solutions(solve_inner_lp(stack, spec, start=first.final), first.final)
         assert len(kept) == 2 and kept[0].pivots == 0
         assert kept[1].objective_value == 0.0 and not kept[1].x.any()
         assert kept[1].final is first.final
@@ -425,7 +425,7 @@ class TestStackedInnerLp:
     def test_without_start_solves_the_first_row(self):
         spec = self.specs()["extended"]
         stack = np.random.default_rng(8).uniform(0.0, 2.0, size=(3, spec.n, spec.m))
-        (sol,) = step_solutions(*solve_inner_lp(stack, spec))
+        (sol,) = step_solutions(solve_inner_lp(stack, spec), None)
         cold = solve_one(stack[0], spec)
         assert sol.objective_value == cold.objective_value and np.array_equal(sol.x, cold.x)
 
@@ -434,8 +434,8 @@ class TestStackedInnerLp:
         omega = np.random.default_rng(9).uniform(0.0, 2.0, size=(spec.n, spec.m))
         first = solve_one(omega, spec)
         scales = np.array([1.0, 0.5, 3.0, 2.0])
-        kept, solved = solve_inner_lp(scales[:, None, None] * omega, spec, start=first.final)
-        assert solved is None and kept.final is first.final
+        kept = solve_inner_lp(scales[:, None, None] * omega, spec, start=first.final)
+        assert kept.final is first.final and (kept.pivots, kept.fell_back) == (0, False)
         assert np.array_equal(kept.x, first.x)
         assert kept.values.shape == (4,) and kept.duals.shape == (4, len(first.dual))
         assert len(kept.gaps) == 4

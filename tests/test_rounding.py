@@ -40,6 +40,18 @@ class TestRoundPartition:
         with pytest.raises(RoundingError, match="per-user mass"):
             round_partition(np.array([[0.8, 0.4]]), rng)
 
+    @pytest.mark.parametrize("y,message", [
+        ([[np.nan, 0.0], [0.2, 0.3]], "non-finite fractional entry"),
+        ([[0.2, np.inf], [0.2, 0.3]], "non-finite fractional entry"),
+        ([[0.2, 0.3], [0.2, -np.inf]], "non-finite fractional entry"),
+        ([0.2, 0.3], r"expected an \(n, m\) matrix"),
+        ([[[0.2, 0.3]]], r"expected an \(n, m\) matrix"),
+    ])
+    def test_malformed_y_rejected(self, rng, y, message):
+        # a NaN entry passes every bound comparison, and would draw coupon 1 every time
+        with pytest.raises(RoundingError, match=message):
+            round_partition_batch(np.array(y), 1000, rng)
+
     def test_marginals_preserved(self, rng):
         y = np.array([[0.25, 0.5], [0.1, 0.0], [0.0, 0.9]])
         draws = 100_000
