@@ -34,27 +34,25 @@ point is the one the one-step loop would reach, bit for bit.
 A window lays out J = min(steps left, max(16, WINDOW_WORK // (2^n + n*m)))
 points, where 2^n + n*m is one point's work in the fold and in the
 kept-basis check: J is large where a point is cheap, so an ascent that
-keeps its basis takes few windows.  The steps the call takes come back as
-one `AscentSteps` record, which the window books in one block; every
-step's length and time are laid out once, before the first window
-(`_schedule`).  The cold first step, a last step left on its own, and the
-step after one whose LP gained nothing (value 0, which leaves y where it
-was) are windows of one point, solved by the plain warm simplex.  The
-sampled path runs windows of one point: speculative draws from its
-generator would shift every later one.
+keeps its basis takes few windows.  The cold first step, a last step left
+on its own, and the step after one whose LP gained nothing (value 0, which
+leaves y where it was) are windows of one point, solved by the plain warm
+simplex.  The sampled path runs windows of one point: speculative draws
+from its generator would shift every later one.
 
-Each step records the value the ascent climbs at the y it reached: G on
-the exact path, F over the draws on the sampled one.  Both kinds of
-weights return that value at the y they are taken at, so a step's value
-comes from the next step's weights; only the last step evaluates it
-itself.  The final y also gets the paper's F, exactly or over draws.
+The trace is three arrays: every step's time, laid out once with its
+length (`_schedule`), its LP value, and the value climbed (G, or F over
+the draws) at the y each count of steps reaches.  A window writes one
+slice of each, from its `AscentSteps` record and from the values its
+weights return at the points its steps start from.  Only the value at the
+final y is evaluated on its own, and that y also gets the paper's F.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -127,26 +125,21 @@ class GreedyConfig:
 
 
 @dataclass
-class IterationRecord:
-    t: float
-    lp_value: float
-    f_estimate: float
-
-
-@dataclass
 class GreedyTrace:
-    """Per-step records, the final (n, m) array y, and the paper's F and the
-    rounding's G at it; the LP counters and the seconds spent in marginals,
-    F and ascent LPs stay out of the JSON.
+    """The per-step trace as arrays, the final (n, m) array y, and the
+    paper's F and the rounding's G at it; the LP counters and the seconds
+    spent in marginals, F and ascent LPs stay out of the JSON.
 
-    Each record's `f_estimate` is the value the ascent climbs at that
-    step's y: G on the exact path, F over draws on the sampled one.  `G` is
-    None on the sampled path.  `F_s` is the final F, and G, on both paths:
-    every other step's value comes from the marginals and is counted in
-    `marginals_s`.
+    Step k reaches time `t[k]` along an LP of value `lp_value[k]`;
+    `climbed[j]` is the value climbed at the y that j steps reach: G on
+    the exact path, F over draws on the sampled one, where `G` is None.
+    `F_s` is the seconds the final F and G took; every other climbed value
+    comes with the marginals, in `marginals_s`.
     """
 
-    iterations: list[IterationRecord] = field(default_factory=list)
+    t: np.ndarray | None = None  # (steps,)
+    lp_value: np.ndarray | None = None  # (steps,)
+    climbed: np.ndarray | None = None  # (steps + 1,)
     final: np.ndarray | None = None
     F: float | None = None
     G: float | None = None
@@ -154,7 +147,7 @@ class GreedyTrace:
     lp_direction_changes: int = 0  # steps after the first whose LP left the previous basis
     lp_fallbacks: int = 0  # ascent LPs that fell back to Bland's rule
     lp_max_gap: float = 0.0
-    steps: int = 0  # the ascent steps delta implies, one per record
+    steps: int = 0  # the ascent steps delta implies
     marginal_windows: int = 0  # marginal evaluations, each for a window of steps
     points_folded: int = 0  # points those evaluations took, kept or not
     one_point_windows: int = 0  # windows of one point, solved by the plain warm simplex
@@ -163,18 +156,14 @@ class GreedyTrace:
     lp_s: float = 0.0
 
     def to_jsonable(self) -> dict:
-        return {
-            "iterations": [
-                {"t": rec.t, "lp_value": rec.lp_value, "f_estimate": rec.f_estimate}
-                for rec in self.iterations
-            ],
-            "final_y": self.final.tolist(),
-        }
+        rows = zip(self.t.tolist(), self.lp_value.tolist(), self.climbed[1:].tolist())
+        return {"iterations": [{"t": t, "lp_value": v, "f_estimate": f} for t, v, f in rows],
+                "final_y": self.final.tolist()}
 
     def counters(self) -> dict:
         """The LP counters and layer seconds, by field name, in field order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("iterations", "final", "F", "G")}
+                if f.name not in ("t", "lp_value", "climbed", "final", "F", "G")}
 
 
 def _step_count(delta: float) -> int:
@@ -186,7 +175,7 @@ def _step_count(delta: float) -> int:
 
 
 def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -> GreedyTrace:
-    """Run the ascent and return the per-iteration trace with the final y."""
+    """Run the ascent and return its per-step trace with the final y."""
     cfg.validate(inst)
     delta = cfg.step(inst)
     steps = _step_count(delta)
@@ -194,29 +183,27 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))
-    trace = GreedyTrace(steps=steps)
     lengths, times = _schedule(delta, steps)
+    trace = GreedyTrace(t=times, lp_value=np.full(steps, np.nan),
+                        climbed=np.full(steps + 1, np.nan), steps=steps)
     start = None  # the basis of the last solve, which the next one starts from
-    moved = False  # whether the last step's LP had anything to gain
     window = max(16, WINDOW_WORK // (2 ** inst.n + inst.n * inst.m))
-    records = trace.iterations
-    while len(records) < steps:
-        done = len(records)
+    done = 0  # the steps taken
+    while done < steps:
+        moved = done and trace.lp_value[done - 1] != 0  # the last LP had something to gain
         count = min(window, steps - done) if exact and moved else 1
         # one point, by the plain warm simplex, or a window along start's vertex
         points = y[None] if count == 1 else _layout(y, lengths[done:done + count - 1], start)
         t0 = time.perf_counter()
         if exact:
             omega, f_at = marginal_omega_exact(inst, util, points)
-            f_at = f_at.tolist()
         else:
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega, f_at = omega[None], [f_here]
         t1 = time.perf_counter()
         taken = solve_inner_lp(omega, spec, start=start)
         t2 = time.perf_counter()
-        values = taken.values.tolist()
-        k = len(values)
+        k = len(taken.values)
         trace.marginal_windows += 1
         trace.points_folded += count
         trace.one_point_windows += count == 1
@@ -226,23 +213,22 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
         trace.lp_direction_changes += start is not None and taken.pivots > 0
         trace.lp_fallbacks += taken.fell_back
         trace.lp_max_gap = max(trace.lp_max_gap, *taken.gaps)
-        if records:  # the climbed value at the y the previous step reached
-            records[-1].f_estimate = f_at[0]
-        # the next window's marginals, or the final G or F, fill in the last
-        records.extend(map(IterationRecord, times[done:done + k], values, f_at[1:k] + [None]))
+        trace.lp_value[done:done + k] = taken.values
+        # the value at each point the steps start from; the next window's
+        # marginals, or the final G or F, give the one the last step reaches
+        trace.climbed[done:done + k] = f_at[:k]
         y = points[k - 1] + lengths[done + k - 1] * taken.x.reshape(inst.n, inst.m)
         start = taken.final
-        moved = values[-1] != 0
-    row_excess = y.sum(axis=1) - 1.0
-    if np.any(row_excess > 1e-9):
+        done += k
+    if (y.sum(axis=1) - 1.0 > 1e-9).any():
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
     t0 = time.perf_counter()
     if exact:
         trace.F = multilinear_F_exact(inst, util, y)
-        trace.G = trace.iterations[-1].f_estimate = rounding_G_exact(inst, util, y)
+        trace.G = trace.climbed[-1] = rounding_G_exact(inst, util, y)
     else:
-        trace.F = trace.iterations[-1].f_estimate = multilinear_F_mc(
+        trace.F = trace.climbed[-1] = multilinear_F_mc(
             inst, util, y, cfg.samples_per_marginal, rng)
     trace.F_s = time.perf_counter() - t0
     trace.final = y
@@ -250,7 +236,7 @@ def continuous_greedy(inst: Instance, util: CascadeUtility, cfg: GreedyConfig) -
 
 
 def _schedule(delta, steps):
-    """Every step's length, and the time it reaches as a list of floats.
+    """Every step's length, and the time it reaches, as two arrays.
     The one-step loop takes h = min(delta, 1 - t), then t += h: the min
     clips the last step so that the total time is exactly 1 when 1/delta is
     not integral, as the row caps require.  It clips only at the end of the
@@ -263,7 +249,7 @@ def _schedule(delta, steps):
     for k in range(clipped[0] if clipped.size else steps, steps):
         lengths[k] = min(delta, 1.0 - times[k])
         times[k + 1] = times[k] + lengths[k]
-    return lengths, times[1:].tolist()
+    return lengths, times[1:]
 
 
 def _layout(y, lengths, start):

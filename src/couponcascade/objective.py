@@ -153,12 +153,27 @@ def cost_exact(inst: Instance, profiles) -> np.ndarray:
         return pay[np.arange(inst.n), np.asarray(profiles, dtype=int)].sum(axis=1)
 
 
-def _as_matrix(y, inst: Instance, stacked: bool = False) -> np.ndarray:
-    """y as an (n, m) float matrix; with `stacked`, a (J, n, m) stack of them."""
+def check_fractional(y: np.ndarray, error: type[Exception] = FractionalError, cube=False):
+    """Raise `error` unless y is finite (a NaN passes every bound test), at
+    least -1e-9, and has rows of mass at most 1 + 1e-9, G's and the
+    rounding's domain, or with `cube` entries of at most 1 + 1e-9, F's."""
+    if not np.isfinite(y).all():
+        raise error("non-finite fractional entry")
+    if y.min(initial=0.0) < -1e-9:
+        raise error("negative fractional entry")
+    if (y if cube else y.sum(axis=-1)).max(initial=0.0) > 1 + 1e-9:
+        raise error("fractional entry above 1" if cube
+                    else "per-user mass above 1; not a matroid polytope point")
+
+
+def _as_matrix(y, inst: Instance, stacked: bool = False, cube: bool = False) -> np.ndarray:
+    """y as an (n, m) matrix that passes `check_fractional`, or with `stacked` a (J, n, m) stack."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 + stacked or y.shape[-2:] != (inst.n, inst.m):
         what = "stack of" if stacked else "a"
         raise FractionalError(f"expected {what} {inst.n}x{inst.m} matrix, got {y.shape}")
+    if not stacked:
+        check_fractional(y, cube=cube)
     return y
 
 
@@ -190,7 +205,7 @@ def _draw_profiles(inst: Instance, y: np.ndarray, samples: int,
 
 def multilinear_F_exact(inst: Instance, util: CascadeUtility, y) -> float:
     """F(y): expectation of f over independent entry inclusion, exactly."""
-    q = _seed_probs(_as_matrix(y, inst), inst.adoption)
+    q = _seed_probs(_as_matrix(y, inst, cube=True), inst.adoption)
     return float(_expected_gamma(util.gamma_vector(), q))
 
 
@@ -203,7 +218,7 @@ def rounding_G_exact(inst: Instance, util: CascadeUtility, y) -> float:
 def multilinear_F_mc(inst: Instance, util: CascadeUtility, y, samples: int,
                      rng: np.random.Generator) -> float:
     """Sampled F(y): average f over random pair sets with marginals y."""
-    profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
+    profiles = _draw_profiles(inst, _as_matrix(y, inst, cube=True), samples, rng)
     return float(_expected_gamma(util.gamma_vector(), _held_probs(inst, profiles)).mean())
 
 
@@ -221,7 +236,7 @@ def marginal_omega(inst: Instance, util: CascadeUtility, y, samples: int,
     zero so the ascent LP never chases sampling noise downhill.
     """
     n, m = inst.n, inst.m
-    profiles = _draw_profiles(inst, _as_matrix(y, inst), samples, rng)
+    profiles = _draw_profiles(inst, _as_matrix(y, inst, cube=True), samples, rng)
     slopes, f_draws = _slopes(util.gamma_vector(), _held_probs(inst, profiles))
     keys = np.arange(n) * (m + 1) + profiles  # (v, the coupon r the draw holds for v)
     held = np.bincount(keys.ravel(), weights=slopes.ravel(), minlength=n * (m + 1))
@@ -242,7 +257,8 @@ def marginal_omega_exact(inst: Instance, util: CascadeUtility, y):
     negative only where gamma is not monotone, as an eps-perturbed gamma
     may be; clamping keeps the ascent LP's weights nonnegative.  y is a
     (J, n, m) stack of points; the gradients come as a stack and G as a
-    J-vector, from one batched fold.
+    J-vector, from one batched fold.  Only the stack's shape is checked:
+    the ascent's points are feasible by construction.
     """
     y = _as_matrix(y, inst, stacked=True)
     slopes, G = _slopes(util.gamma_vector(), _rounded_probs(y, inst.adoption))

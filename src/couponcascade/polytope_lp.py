@@ -100,9 +100,8 @@ class PolytopeSpec:
         unit of the costs."""
         # ndarray methods, not the np.any / np.sum wrappers: the ascent runs
         # this every window, and at desk scale the wrappers cost as much as
-        # the arithmetic.  Comparisons, not y.min(): the min of an array
-        # holding a NaN is NaN, which would hide a violating entry beside it.
-        if (y < -1e-9).any() or (y > 1 + 1e-9).any():
+        # the arithmetic.  A NaN passes neither bound, so it is refused.
+        if not ((y >= -1e-9).all() and (y <= 1 + 1e-9).all()):
             raise NumericError("box constraint violated")
         if (y.sum(axis=-1) > 1 + 1e-9).any():
             raise NumericError("per-user cap violated")
@@ -224,19 +223,21 @@ def _pivot(T, basis, enter: int, update):
     index.  The pivot is one rank-1 update of the dense tableau, built in
     `update`, a buffer of T's shape.  Returns the leaving row's right-hand
     side before the pivot, zero for a degenerate pivot, which does not move
-    the vertex.  An update that overflows leaves an inf in T without a
-    warning; the certificate of the solve then fails.
+    the vertex.  Overflows leave an inf or NaN in T without a warning: a
+    NaN ratio raises NumericError, and the certificate refuses the rest.
     """
     col = T[:-1, enter]
     rows = (col > 1e-10).nonzero()[0]
     if not rows.size:
         raise UnboundedError("LP is unbounded")
-    ratios = T[rows, -1] / col[rows]
-    ties = rows[ratios == ratios.min()]
-    leave = ties[basis[ties].argmin()]
-    step = T[leave, -1]
-    pivot_row = T[leave] / T[leave, enter]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]  # none when a ratio, and so the min, is NaN
+        if not ties.size:
+            raise NumericError("NaN in the simplex's ratio test")
+        leave = ties[basis[ties].argmin()]
+        step = T[leave, -1]
+        pivot_row = T[leave] / T[leave, enter]
         T -= np.multiply(T[:, enter, None], pivot_row, out=update)
     T[leave] = pivot_row
     basis[leave] = enter
@@ -258,15 +259,18 @@ def _certify(c, A, b, value, dual):
     c, value and dual may carry a leading axis: a stack of LPs over the same
     (A, b), every row certified with the same tolerances and the message of
     the first row that fails.  Returns the gap, or a list of one per row.
+    A gap that is not finite fails; it is whenever the value or a dual
+    entry is, and the scaled test alone would pass a NaN or an inf value.
     """
     scale = 1.0 + np.abs(value)
     if (dual < -1e-8).any():
         raise NumericError("dual infeasible: negative multiplier")
-    slack = np.einsum("...r,rn->...n", dual, A) - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = np.einsum("...r,rn->...n", dual, A) - c
+        gap = np.abs(dual @ b - value)
     if (slack < -1e-8 * np.reshape(scale, (-1, 1))).any():
         raise NumericError("dual infeasible: reduced cost below zero")
-    gap = np.abs(dual @ b - value)
-    wide = np.atleast_1d(gap)[np.atleast_1d(gap > 1e-8 * scale)]
+    wide = np.atleast_1d(gap)[~np.atleast_1d(np.isfinite(gap) & (gap <= 1e-8 * scale))]
     if wide.size:
         raise NumericError(f"duality gap {wide[0]:.3e} exceeds tolerance")
     return gap.tolist()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from couponcascade.instance import Instance
+from couponcascade.objective import check_fractional
 
 
 class RoundingError(ValueError):
@@ -21,19 +22,11 @@ class RoundingError(ValueError):
 
 
 def _as_matrix(y) -> np.ndarray:
-    """y as an (n, m) matrix in the partition polytope, up to 1e-9.  A
-    non-finite entry is refused first: a NaN compares False with every
-    bound, so the bound checks alone would pass it, and every draw would
-    give its user coupon 1."""
+    """y as an (n, m) matrix that passes `objective.check_fractional`, clipped at 0."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise RoundingError(f"expected an (n, m) matrix, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise RoundingError("non-finite fractional entry")
-    if (y < -1e-9).any():
-        raise RoundingError("negative fractional entry")
-    if (y.sum(axis=1) > 1 + 1e-9).any():
-        raise RoundingError("per-user mass above 1; not a matroid polytope point")
+    check_fractional(y, RoundingError)
     return np.clip(y, 0.0, None)
 
 

@@ -19,7 +19,9 @@ submodularity check that walks every pair X within Y of a frozenset table.
 It keeps the paper's exact marginals of F, which the exact ascent took
 before it climbed the rounding's extension G, and a sum over seed sets
 for G and its gradient.  `step_solutions` unpacks the record of a stacked
-ascent LP into one `StepSolution` per step it takes.
+ascent LP into one `StepSolution` per step it takes.  The one-step loop
+fills the same trace arrays as the windowed ascent (`greedy.GreedyTrace`),
+one entry per step, where the windowed ascent writes one slice per window.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from couponcascade.cascade import CascadeUtility, UtilityError, _seed_set_count
-from couponcascade.greedy import (
-    GreedyTrace,
-    IterationRecord,
-    _step_count,
-)
+from couponcascade.greedy import GreedyTrace, _step_count
 from couponcascade.instance import Instance
 from couponcascade.objective import _as_matrix as _as_fractional
 from couponcascade.objective import (
@@ -361,7 +359,7 @@ def marginal_omega_paper(inst: Instance, util, y):
     change in q_v times v's slope at q(y).  y may also be a (J, n, m)
     stack of points; then the marginals come as a stack and F as a
     J-vector.  The exact ascent took these before it climbed G."""
-    y = _as_fractional(y, inst, stacked=np.ndim(y) == 3)
+    y = _as_fractional(y, inst, stacked=np.ndim(y) == 3, cube=True)
     q, gain = seed_probs_cumprod(y, inst.adoption)
     slopes, F = _slopes(util.gamma_vector(), q)
     omega = np.maximum(gain * slopes[..., None], 0.0)
@@ -405,7 +403,7 @@ def marginal_omega_lifted(inst: Instance, util, y, samples: int,
     slope for v.  Negative estimates are clamped to zero so the ascent LP
     never chases sampling noise downhill.
     """
-    profiles = _draw_profiles(inst, _as_fractional(y, inst), samples, rng)
+    profiles = _draw_profiles(inst, _as_fractional(y, inst, cube=True), samples, rng)
     held = _held_probs(inst, profiles)
     lifted = _held_probs(inst, np.maximum(profiles[:, None, :], np.arange(1, inst.m + 1)[:, None]))
     slopes = slopes_per_user(util.gamma_vector(), held)
@@ -462,8 +460,9 @@ def solve_concave_relaxation_joint(inst: Instance, util, mode: str = "PB", b: fl
 
 
 def check_feasible_wrappers(spec, y: np.ndarray, tol: float = 1e-9) -> None:
-    """`PolytopeSpec.check_feasible` with the np.any / np.sum wrappers."""
-    if np.any(y < -tol) or np.any(y > 1 + tol):
+    """`PolytopeSpec.check_feasible` with the np.all / np.any / np.sum
+    wrappers; an entry must pass both bounds, which a NaN does not."""
+    if not (np.all(y >= -tol) and np.all(y <= 1 + tol)):
         raise NumericError("box constraint violated")
     if np.any(y.sum(axis=1) > 1 + tol):
         raise NumericError("per-user cap violated")
@@ -520,15 +519,17 @@ def simplex_input_guards_wrappers(c, A, b) -> None:
 
 
 def certify_wrappers(c, A, b, value, dual):
-    """`polytope_lp._certify` with the np.any wrappers."""
+    """`polytope_lp._certify` with the np.any wrappers; a gap that is not
+    finite fails."""
     scale = 1.0 + abs(value)
     if np.any(dual < -1e-8):
         raise NumericError("dual infeasible: negative multiplier")
-    slack = A.T @ dual - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = A.T @ dual - c
+        gap = np.abs(dual @ b - value)
     if np.any(slack < -1e-8 * scale):
         raise NumericError("dual infeasible: reduced cost below zero")
-    gap = np.abs(dual @ b - value)
-    if gap > 1e-8 * scale:
+    if not (np.isfinite(gap) and gap <= 1e-8 * scale):
         raise NumericError(f"duality gap {gap:.3e} exceeds tolerance")
     return gap.tolist()
 
@@ -536,12 +537,13 @@ def certify_wrappers(c, A, b, value, dual):
 def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> GreedyTrace:
     """`greedy.continuous_greedy` one step at a time: each step takes its own
     marginals and solves its own ascent LP, warm-started from the previous
-    step's basis.  A step's value comes from the next step's marginals, and
-    the last one from rounding_G_exact, or from multilinear_F_mc over
-    samples_per_marginal draws; the final y's F from multilinear_F_exact,
-    or from those draws.  `marginals` replaces the exact path's
-    `marginal_omega_exact`, as patching `greedy.marginal_omega_exact`
-    replaces it in the windowed ascent."""
+    step's basis, and fills the trace's arrays one entry at a time.  The
+    value at the y each step starts from comes from that step's marginals,
+    and the value at the final y from rounding_G_exact, or from
+    multilinear_F_mc over samples_per_marginal draws; the final y's F from
+    multilinear_F_exact, or from those draws.  `marginals` replaces the
+    exact path's `marginal_omega_exact`, as patching
+    `greedy.marginal_omega_exact` replaces it in the windowed ascent."""
     exact_marginals = marginals or marginal_omega_exact
     cfg.validate(inst)
     delta = cfg.step(inst)
@@ -550,10 +552,11 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
     exact = cfg.samples_per_marginal is None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     y = np.zeros((inst.n, inst.m))
-    trace = GreedyTrace(steps=steps)
+    trace = GreedyTrace(t=np.empty(steps), lp_value=np.empty(steps),
+                        climbed=np.empty(steps + 1), steps=steps)
     t = 0.0
     sol = None
-    for _ in range(steps):
+    for k in range(steps):
         h = min(delta, 1.0 - t)
         if exact:  # the marginals of a stack of one point
             omega, f_here = exact_marginals(inst, util, y[None])
@@ -561,8 +564,7 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
         else:
             omega, f_here = marginal_omega(inst, util, y, cfg.samples_per_marginal, rng)
             omega = omega[None]
-        if trace.iterations:
-            trace.iterations[-1].f_estimate = f_here
+        trace.climbed[k] = f_here
         start = None if sol is None else sol.final
         sol = solve_one(omega[0], spec, start=start)
         trace.marginal_windows += 1
@@ -572,15 +574,15 @@ def continuous_greedy_stepwise(inst: Instance, util, cfg, marginals=None) -> Gre
         trace.lp_max_gap = max(trace.lp_max_gap, sol.duality_gap)
         y = y + h * sol.matrix(inst.n, inst.m)
         t += h
-        trace.iterations.append(IterationRecord(t, sol.objective_value, None))
+        trace.t[k], trace.lp_value[k] = t, sol.objective_value
     if np.any(y.sum(axis=1) - 1.0 > 1e-9):
         raise NumericError("ascent left the per-user cap; step accounting is broken")
     y = np.clip(y, 0.0, 1.0)
     if exact:
         trace.F = multilinear_F_exact(inst, util, y)
-        trace.G = trace.iterations[-1].f_estimate = rounding_G_exact(inst, util, y)
+        trace.G = trace.climbed[-1] = rounding_G_exact(inst, util, y)
     else:
-        trace.F = trace.iterations[-1].f_estimate = multilinear_F_mc(
+        trace.F = trace.climbed[-1] = multilinear_F_mc(
             inst, util, y, cfg.samples_per_marginal, rng)
     trace.final = y
     return trace

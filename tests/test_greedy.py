@@ -36,14 +36,14 @@ class TestContinuousGreedy:
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
         assert trace.final[0, 0] == pytest.approx(1.0)
-        assert trace.iterations[-1].f_estimate == pytest.approx(1.0)
+        assert trace.climbed[-1] == pytest.approx(1.0)
 
     def test_tiny_budget_pins_y_near_zero(self):
         inst = single_pair_instance(budget_B=1e-6)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
         assert trace.final[0, 0] <= 1e-6 + 1e-12
-        assert trace.iterations[-1].f_estimate <= 1e-6 + 1e-12
+        assert trace.climbed[-1] <= 1e-6 + 1e-12
 
     def test_final_point_feasible(self):
         inst = generate_random(3, 2, model="TABLE", seed=5)
@@ -63,8 +63,8 @@ class TestContinuousGreedy:
         inst = generate_random(3, 2, model="TABLE", seed=7)
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(seed=0))
-        estimates = [rec.f_estimate for rec in trace.iterations]
-        assert all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:]))
+        estimates = trace.climbed[1:]
+        assert (estimates[1:] >= estimates[:-1] - 1e-12).all()
 
     def test_relaxation_bound_at_eps_zero(self):
         # the ascent reaches at least (1 - 1/e - 0.05) of the relaxation optimum
@@ -80,7 +80,7 @@ class TestContinuousGreedy:
         util = make_utility(inst)
         trace = continuous_greedy(inst, util, GreedyConfig(delta=0.3, seed=0))
         PolytopeSpec.from_instance(inst).check_feasible(trace.final)
-        assert trace.iterations[-1].t == pytest.approx(1.0)
+        assert trace.t[-1] == pytest.approx(1.0)
 
     def test_sampled_marginals_run(self):
         inst = generate_random(3, 2, model="TABLE", seed=10)
@@ -150,9 +150,8 @@ class TestWarmStartedAscent:
                             polytope_lp.solve_inner_lp(omega, spec))
         cold = self.run(model, extended, kwargs)
         assert np.allclose(warm.final, cold.final, rtol=0, atol=1e-12)
-        assert len(warm.iterations) == len(cold.iterations)
-        for a, b in zip(warm.iterations, cold.iterations):
-            assert a.f_estimate == pytest.approx(b.f_estimate, rel=1e-12, abs=1e-12)
+        assert warm.climbed[1:].shape == cold.climbed[1:].shape
+        assert warm.climbed[1:] == pytest.approx(cold.climbed[1:], rel=1e-12, abs=1e-12)
         assert warm.lp_pivots < cold.lp_pivots
 
     @pytest.mark.parametrize("model,extended,kwargs", CASES)
@@ -167,24 +166,23 @@ class TestWarmStartedAscent:
 
         monkeypatch.setattr(greedy, "solve_inner_lp", recording)
         trace = self.run(model, extended, kwargs)
-        assert len(solutions) == len(trace.iterations)
+        assert len(solutions) == trace.steps == len(trace.lp_value)
         moved = [sol.pivots > 0 for sol in solutions[1:]]
         assert trace.lp_direction_changes == sum(moved)
-        assert 0 < trace.lp_direction_changes < len(trace.iterations) - 1
+        assert 0 < trace.lp_direction_changes < trace.steps - 1
         for prev, sol, pivoted in zip(solutions, solutions[1:], moved):
             if not pivoted:  # no pivot: the same vertex, so the same direction
                 assert np.array_equal(sol.x, prev.x)
 
 
 def same_ascent(got, want, rel=1e-14):
-    """Windowed and one-step traces agree: y bit for bit, the per-step LP
-    values and F to rel, and the LP counters exactly."""
+    """Windowed and one-step traces agree: y and the times bit for bit, the
+    per-step LP values and climbed values to rel, and the LP counters
+    exactly."""
     assert np.array_equal(got.final, want.final)
-    assert len(got.iterations) == len(want.iterations)
-    for a, b in zip(got.iterations, want.iterations):
-        assert a.t == b.t
-        for x, z in ((a.lp_value, b.lp_value), (a.f_estimate, b.f_estimate)):
-            assert abs(x - z) <= rel * abs(z)
+    assert got.t.shape == (got.steps,) and np.array_equal(got.t, want.t)
+    for x, z in ((got.lp_value, want.lp_value), (got.climbed, want.climbed)):
+        assert x.shape == z.shape and (abs(x - z) <= rel * abs(z)).all()
     assert (got.lp_pivots, got.lp_direction_changes, got.lp_fallbacks) == \
         (want.lp_pivots, want.lp_direction_changes, want.lp_fallbacks)
 
@@ -223,14 +221,14 @@ def follow_work_rule(windows, trace, inst):
     assert len(windows) == trace.marginal_windows
     assert sum(w.points for w in windows) == trace.points_folded
     assert sum(w.points == 1 for w in windows) == trace.one_point_windows
-    assert all(rec.lp_value > 0 for rec in trace.iterations)
+    assert (trace.lp_value > 0).all()
     size = max(16, 2 ** 15 // (2 ** inst.n + inst.n * inst.m))
     taken = 0
     for w in windows:
         left = trace.steps - taken
         assert w.points == (1 if not taken or left == 1 else min(size, left))
         taken += w.steps
-    assert taken == trace.steps == len(trace.iterations)
+    assert taken == trace.steps == len(trace.lp_value)
 
 
 @pytest.mark.usefixtures("paper_marginals")
@@ -257,8 +255,8 @@ class TestWindowedAscent:
         got = continuous_greedy(inst, util, GreedyConfig(seed=0))
         want = paper_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)
-        assert want.marginal_windows == len(want.iterations) == (shape[0] * shape[1]) ** 2
-        assert got.marginal_windows < len(got.iterations)  # the windows took several steps
+        assert want.marginal_windows == want.steps == (shape[0] * shape[1]) ** 2
+        assert got.marginal_windows < got.steps  # the windows took several steps
 
     # The one-step LP zigzags between a few bases: each switch is one pivot
     # that returns to a basis of the last few steps, and ends its window.
@@ -274,7 +272,7 @@ class TestWindowedAscent:
         want = paper_stepwise(inst, util, GreedyConfig(seed=0))
         same_ascent(got, want)  # the one-step loop's pivots, switch for switch
         # a window ends at each switch, so each takes at most one
-        assert got.lp_direction_changes < got.marginal_windows < len(got.iterations)
+        assert got.lp_direction_changes < got.marginal_windows < got.steps
 
     @pytest.mark.parametrize("delta,steps", [(0.3, 4), (0.095, 11), (0.45, 3)])
     @pytest.mark.parametrize("case", FUZZ[1::5])
@@ -286,7 +284,7 @@ class TestWindowedAscent:
         cfg = GreedyConfig(delta=delta)
         got = continuous_greedy(inst, util, cfg)
         same_ascent(got, paper_stepwise(inst, util, cfg))
-        assert len(got.iterations) == steps and got.iterations[-1].t == pytest.approx(1.0)
+        assert len(got.t) == steps and got.t[-1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("case", FUZZ[::3])
     def test_sampled_path_takes_one_step_per_window(self, case):
@@ -296,7 +294,7 @@ class TestWindowedAscent:
         got = continuous_greedy(inst, util, cfg)
         want = reference.continuous_greedy_stepwise(inst, util, cfg)
         same_ascent(got, want)
-        assert got.marginal_windows == len(got.iterations) == 20
+        assert got.marginal_windows == len(got.lp_value) == 20
 
     # TABLE 4x4 at eps 0.1 changes basis at almost every step of its tail,
     # by switches of 2-4 pivots; TABLE 5x3 extended repeats cycles of such
@@ -324,7 +322,7 @@ class TestWindowedAscent:
         got = continuous_greedy(inst, util, cfg)
         same_ascent(got, paper_stepwise(inst, util, cfg))
         assert not got.final.any() and got.lp_pivots == 0
-        assert all(rec.lp_value == 0.0 for rec in got.iterations)
+        assert (got.lp_value == 0.0).all()
 
     def test_zero_marginals_in_the_middle_of_a_run(self):
         # gamma({1, 2}) = 0 makes each user's slope 1 - 2 q of the other:
@@ -336,7 +334,7 @@ class TestWindowedAscent:
         cfg = GreedyConfig(delta=0.05)
         got = continuous_greedy(inst, util, cfg)
         same_ascent(got, paper_stepwise(inst, util, cfg))
-        values = [rec.lp_value for rec in got.iterations]
+        values = got.lp_value.tolist()
         first_zero = values.index(0.0)
         assert 0 < first_zero < len(values) - 1 and not any(values[first_zero:])
         assert values[0] > 0 and got.final[0, 0] == pytest.approx(0.55)
@@ -356,7 +354,7 @@ class TestWindowedAscent:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(greedy, "marginal_omega_exact", recording)
             got = continuous_greedy(inst, util, GreedyConfig(delta=0.05))
-        zero_steps = sum(rec.lp_value == 0.0 for rec in got.iterations)
+        zero_steps = int((got.lp_value == 0.0).sum())
         assert zero_steps == 9
         # the window after the cold step reaches to the last step, and the
         # first zero step ends it; every later zero step is a window of one
@@ -441,9 +439,9 @@ class TestStepCount:
     def test_nm_where_the_ceiling_overshoots(self, n, m):
         inst = generate_random(n, m, model="TABLE", seed=1)
         trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
-        times = [rec.t for rec in trace.iterations]
+        times = trace.t
         assert len(times) == (n * m) ** 2
-        assert all(b > a for a, b in zip(times, times[1:]))
+        assert (times[1:] > times[:-1]).all()
         assert abs(times[-1] - 1.0) <= 1e-12
 
 
@@ -517,12 +515,11 @@ class TestFFromTheFold:
         stepwise = reference.continuous_greedy_stepwise(inst, util, GreedyConfig(seed=0))
         assert np.array_equal(stepwise.final, trace.final)
         reached = points[1:] + [trace.final]  # the y each step moved to
-        assert len(reached) == len(trace.iterations)
-        for rec, y in zip(trace.iterations, reached):
-            assert rec.f_estimate is not None
-            G = objective.rounding_G_exact(inst, util, np.clip(y, 0.0, 1.0))
-            assert rec.f_estimate == pytest.approx(G, rel=1e-12, abs=0)
-        assert trace.iterations[-1].f_estimate == trace.G
+        assert len(reached) == len(trace.climbed[1:])
+        G = np.array([objective.rounding_G_exact(inst, util, np.clip(y, 0.0, 1.0))
+                      for y in reached])
+        assert trace.climbed[1:] == pytest.approx(G, rel=1e-12, abs=0)
+        assert trace.climbed[-1] == trace.G
         assert trace.G == objective.rounding_G_exact(inst, util, trace.final)
         assert trace.F == multilinear_F_exact(inst, util, trace.final)
 
@@ -543,7 +540,7 @@ class TestFFromTheFold:
         sampled_calls = self.count_calls(monkeypatch, "multilinear_F_mc")
         inst = generate_random(3, 2, model="TABLE", seed=7)
         trace = continuous_greedy(inst, make_utility(inst), GreedyConfig(seed=0))
-        assert len(trace.iterations) == 36
+        assert len(trace.climbed[1:]) == 36
         assert len(exact_calls) == 1 and not sampled_calls
 
     def test_sampled_ascent_evaluates_F_once(self, monkeypatch):
@@ -552,10 +549,10 @@ class TestFFromTheFold:
         inst = generate_random(3, 2, model="TABLE", seed=10)
         cfg = GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)
         trace = continuous_greedy(inst, make_utility(inst), cfg)
-        assert len(trace.iterations) == 10
+        assert len(trace.climbed[1:]) == 10
         assert len(sampled_calls) == 1 and not exact_calls
-        assert all(isinstance(rec.f_estimate, float) for rec in trace.iterations)
-        assert trace.F == trace.iterations[-1].f_estimate and trace.G is None
+        assert trace.climbed.dtype == float and np.isfinite(trace.climbed).all()
+        assert trace.F == trace.climbed[-1] and trace.G is None
 
     def test_sampled_records_are_F_over_the_next_steps_draws(self, monkeypatch):
         # each record's F is the mean f over the draws of the next step's
@@ -572,11 +569,36 @@ class TestFFromTheFold:
 
         monkeypatch.setattr(objective, "_draw_profiles", recording)
         trace = continuous_greedy(inst, util, cfg)
-        assert len(draws) == len(trace.iterations) + 1
+        assert len(draws) == len(trace.climbed[1:]) + 1
         assert all(len(profiles) == 50 for profiles in draws)
-        for rec, profiles in zip(trace.iterations, draws[1:]):
-            F = objective.f_exact(inst, util, profiles).mean()
-            assert rec.f_estimate == pytest.approx(F, rel=1e-12, abs=0)
+        F = np.array([objective.f_exact(inst, util, profiles).mean() for profiles in draws[1:]])
+        assert trace.climbed[1:] == pytest.approx(F, rel=1e-12, abs=0)
+
+
+class TestTraceRows:
+    """The trace's JSON has one row per step, zipped from its arrays."""
+
+    @pytest.mark.parametrize("row,cfg", [
+        ((3, 3, "TABLE", 1), GreedyConfig(seed=0)),  # windowed, exact
+        ((3, 2, "TABLE", 10), GreedyConfig(delta=0.1, samples_per_marginal=50, seed=0)),
+    ])
+    def test_rows_rebuilt_from_the_one_step_reference(self, row, cfg):
+        inst = ladder_row(*row)
+        util = make_utility(inst)
+        got = continuous_greedy(inst, util, cfg)
+        want = reference.continuous_greedy_stepwise(inst, util, cfg)
+        rows = got.to_jsonable()["iterations"]
+        assert len(rows) == got.steps
+        expected = zip(want.t.tolist(), want.lp_value.tolist(), want.climbed[1:].tolist(),
+                       strict=True)
+        for row, (t, value, f) in zip(rows, expected, strict=True):
+            assert list(row) == ["t", "lp_value", "f_estimate"]
+            assert all(type(x) is float for x in row.values())  # as json writes them
+            assert row["t"] == t
+            assert abs(row["lp_value"] - value) <= 1e-14 * abs(value)
+            assert abs(row["f_estimate"] - f) <= 1e-14 * abs(f)
+        if cfg.samples_per_marginal is None:
+            assert got.marginal_windows < got.steps  # the rows came in slices
 
 
 class TestBeta:

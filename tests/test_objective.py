@@ -256,6 +256,56 @@ class TestMultilinear:
         assert abs(est - exact) <= 3 * 2 / np.sqrt(100_000)
 
 
+class TestFractionalGuard:
+    """One guard, `objective.check_fractional`, for the one-point entry
+    points: finite entries of at least -1e-9, then rows of mass at most
+    1 + 1e-9 for G, whose rounding draws one coupon per user, or entries of
+    at most 1 + 1e-9 for F and its sampled marginals, which draw every
+    entry on its own (the unit cube)."""
+
+    NAMES = ["F", "G", "F_mc", "marginals"]
+
+    @staticmethod
+    def entry_point(name):
+        inst = generate_random(2, 2, model="TABLE", seed=1)
+        util = make_utility(inst)
+        rng = np.random.default_rng(0)
+        return {"F": lambda y: multilinear_F_exact(inst, util, y),
+                "G": lambda y: objective.rounding_G_exact(inst, util, y),
+                "F_mc": lambda y: multilinear_F_mc(inst, util, y, 20, rng),
+                "marginals": lambda y: marginal_omega(inst, util, y, 20, rng)}[name]
+
+    @pytest.mark.parametrize("y,message", [
+        ([[np.nan, 0.0], [0.2, 0.3]], "non-finite fractional entry"),
+        ([[0.2, 0.3], [-np.inf, 0.1]], "non-finite fractional entry"),
+        ([[0.2, -0.1], [0.2, 0.3]], "negative fractional entry"),
+        ([[np.nan, -0.1], [0.2, 0.3]], "non-finite fractional entry"),
+    ])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_malformed_point_refused(self, name, y, message):
+        # a NaN passed, and marginal_omega returned a number for it
+        with pytest.raises(objective.FractionalError, match=message):
+            self.entry_point(name)(np.array(y))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bounds_up_to_rounding(self, name):
+        fn = self.entry_point(name)
+        fn(np.array([[-1e-9, 0.5], [0.5, 0.5 + 1e-9]]))  # on every bound: passes
+        with pytest.raises(objective.FractionalError, match="negative fractional entry"):
+            fn(np.array([[np.nextafter(-1e-9, -1.0), 0.5], [0.2, 0.3]]))
+
+    def test_G_refuses_a_row_above_mass_1(self):
+        with pytest.raises(objective.FractionalError, match="per-user mass above 1"):
+            self.entry_point("G")(np.array([[0.9, 0.9], [0.2, 0.3]]))
+
+    @pytest.mark.parametrize("name", ["F", "F_mc", "marginals"])
+    def test_F_takes_the_unit_cube(self, name):
+        fn = self.entry_point(name)
+        fn(np.array([[0.9, 0.9], [0.2, 0.3]]))  # inside the cube: F draws each entry
+        with pytest.raises(objective.FractionalError, match="fractional entry above 1"):
+            fn(np.array([[1.5, 0.0], [0.2, 0.3]]))
+
+
 class TestMarginals:
     def test_at_zero_matches_singletons(self, rng):
         inst = generate_random(3, 2, model="TABLE", seed=61)

@@ -133,6 +133,18 @@ class TestSimplex:
         assert sol.objective_value == pytest.approx(3.0)
         assert sol.pivots == 2 and not sol.fell_back
 
+    def test_overflowing_pivot_is_not_certified(self):
+        # the ratio 1e308 / 0.5 overflows: x = [0, inf, 0] at value inf
+        # passed a tolerance of 1e-8 (1 + |value|), which is inf there
+        with pytest.raises(NumericError, match="duality gap inf exceeds tolerance"):
+            solve_generic_lp([0.0, 1e-300, 1e-300], [[0.0, 0.5, 0.5]], [1e308])
+
+    def test_nan_ratio_raises_numeric_error(self):
+        # the first pivot leaves inf and NaN in the tableau, so the second
+        # ratio test meets a NaN: it raised a bare "argmin of an empty sequence"
+        with pytest.raises(NumericError, match="NaN in the simplex's ratio test"):
+            solve_generic_lp([1e300, 1e300], [[0.5, 1e-300], [0.0, 1.0]], [1e308, 1.0])
+
     @pytest.mark.parametrize("seed", range(30))
     def test_degenerate_lp_matches_vertex_enumeration(self, seed):
         # Small-integer data with zero right-hand sides: many ties and
@@ -243,6 +255,17 @@ class TestInnerLp:
         brute = vertex_enumeration_oracle(omega.reshape(-1), np.array(rows), np.array(bounds))
         assert sol.objective_value == pytest.approx(brute, rel=1e-9, abs=1e-12)
         spec.check_feasible(sol.matrix(n, m))
+
+
+class TestCheckFeasible:
+    @pytest.mark.parametrize("y", [[[np.nan, 0.0], [0.2, 0.3]], [[0.2, 0.3], [0.1, np.nan]]])
+    def test_nan_entry_refused(self, y):
+        # a NaN compares False with every bound, so no violation test caught it
+        spec = PolytopeSpec.from_instance(generate_random(2, 2, model="TABLE", seed=1))
+        with pytest.raises(NumericError, match="box constraint violated"):
+            spec.check_feasible(np.array(y))
+        with pytest.raises(NumericError, match="box constraint violated"):
+            spec.check_feasible(np.array(y)[None])  # a stack of one point
 
 
 class TestFromInstance:
@@ -682,5 +705,6 @@ class TestGuardsAgainstWrappers:
             assert got == outcome(certify_wrappers, *a)
             seen.add(got[1] if got[0] != "passed" else "passed")
         assert {"passed", "dual infeasible: negative multiplier",
-                "dual infeasible: reduced cost below zero"} <= seen
+                "dual infeasible: reduced cost below zero",
+                "duality gap nan exceeds tolerance"} <= seen  # a NaN dual entry
         assert any("duality gap" in message for message in seen)
